@@ -7,7 +7,7 @@ relaxation as a fast ranking metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -24,7 +24,7 @@ class Allocation:
     order: np.ndarray
     se_bound: float  # sum_k max(0, asymptotic SE_k), bits
     se_exact: float  # sum of exact modulo-channel SEs, bits
-    diag_l: np.ndarray = field(default=None)
+    diag_l: np.ndarray = None
 
     @property
     def feasible(self) -> bool:
@@ -98,40 +98,41 @@ def evaluate_allocation(real, users, p_bar: float, phase_mode: str,
                       se_bound=se_bound, se_exact=se_exact, diag_l=diag_l)
 
 
-def greedy_allocate(real, p_bar: float, phase_mode: str,
-                    rng: np.random.Generator | None = None,
-                    first_user: str = "best") -> Allocation:
-    """Greedy allocation: add users one by one while the SE bound increases.
+def _greedy(real, evaluate, score):
+    """Greedy allocation: add users one by one while the score rises.
 
-    ``first_user`` selects the seed: "best" starts from the single user with
-    the largest bound, "index" from user 0.
+    Starts from the single user with the largest score.  Each step appends
+    every unallocated user in index order, keeps the first maximum of the
+    score, and stops when that does not raise the score or when
+    min(K, N_B) users are allocated.  ``evaluate`` maps a user list to a
+    solution with a ``users`` list; ``score`` maps a solution to a float.
     """
     k = real.n_users
-    max_users = min(k, real.n_bs)
-    fixed_theta = None
-    if phase_mode == "random":
-        fixed_theta = phase_opt.random_phases(real.n_ris, rng)
+    best = max((evaluate([u]) for u in range(k)), key=score)
+    while len(best.users) < min(k, real.n_bs):
+        step = max((evaluate(best.users + [u]) for u in range(k)
+                    if u not in best.users), key=score)
+        if score(step) <= score(best):
+            break
+        best = step
+    return best
+
+
+def greedy_allocate(real, p_bar: float, phase_mode: str,
+                    rng: np.random.Generator | None = None) -> Allocation:
+    """Greedy allocation maximizing the high-SNR sum-SE bound.
+
+    Random phases are drawn once, as a property of the RIS, and shared by
+    every candidate subset.
+    """
+    fixed_theta = (phase_opt.random_phases(real.n_ris, rng)
+                   if phase_mode == "random" else None)
 
     def evaluate(users):
         return evaluate_allocation(real, users, p_bar, phase_mode, rng,
                                    fixed_theta=fixed_theta)
 
-    if first_user == "index":
-        best = evaluate([0])
-    elif first_user == "best":
-        best = max((evaluate([u]) for u in range(k)),
-                   key=lambda a: a.se_bound)
-    else:
-        raise ValueError(f"unknown first_user policy {first_user!r}")
-
-    while len(best.users) < max_users:
-        candidates = [u for u in range(k) if u not in best.users]
-        step = max((evaluate(best.users + [u]) for u in candidates),
-                   key=lambda a: a.se_bound)
-        if step.se_bound <= best.se_bound:
-            break
-        best = step
-    return best
+    return _greedy(real, evaluate, lambda a: a.se_bound)
 
 
 def relaxation_metric(gram_subset, n_ris: int) -> float:
@@ -141,10 +142,7 @@ def relaxation_metric(gram_subset, n_ris: int) -> float:
     space.  Requires invertible C.
     """
     c = gram_subset.c_mat
-    lam = np.linalg.eigvalsh(c)
-    if lam[0] <= gram_mod.RANK_TOL * max(lam[-1], 0.0):
+    if gram_mod.count_zero_eigenvalues(np.linalg.eigvalsh(c)):
         raise NotApplicableError("C is singular on this subset")
-    ddh = gram_subset.d_mat @ gram_subset.d_mat.conj().T
-    ddh = 0.5 * (ddh + ddh.conj().T)
-    vals = scipy.linalg.eigh(ddh, c, eigvals_only=True)
+    vals = scipy.linalg.eigh(gram_subset.ddh, c, eigvals_only=True)
     return float(n_ris * vals[-1])

@@ -11,10 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import alloc, gram as gram_mod, phase_opt
+from . import alloc, gram as gram_mod, phase_opt, thp
 from .phase_opt import PhaseConfig
-
-_RANK_TOL = 1e-10
 
 
 @dataclass
@@ -44,8 +42,9 @@ def zf_linear(real, users, theta: PhaseConfig, tx_power: float) -> LinearSolutio
     """Zero-forcing precoder with equal power split for a user subset."""
     users = list(users)
     h = gram_mod.effective_channel(real, users, theta.theta)
-    sv = np.linalg.svd(h, compute_uv=False)
-    if sv[-1] <= _RANK_TOL * sv[0]:
+    try:
+        thp.check_full_row_rank(h)
+    except thp.RankDeficientError:
         return _infeasible(users, theta)
     pinv = np.linalg.pinv(h)  # (N_B, K), columns w_k with H @ pinv = I
     col_norms = np.linalg.norm(pinv, axis=0)
@@ -71,10 +70,7 @@ def _sweep_phases_linear(real, users, theta: PhaseConfig, tx_power: float,
         candidates = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
 
     def objective(vec):
-        return zf_linear(real, users,
-                         PhaseConfig(vec, alphabet="continuous")
-                         if theta.alphabet == "continuous"
-                         else PhaseConfig(vec, alphabet="binary"),
+        return zf_linear(real, users, PhaseConfig(vec, alphabet=theta.alphabet),
                          tx_power).sum_se
 
     best = objective(theta_vec)
@@ -109,6 +105,8 @@ def evaluate_allocation_linear(real, users, tx_power: float, phase_mode: str,
             raise ValueError("random phase mode needs an rng")
         return zf_linear(real, users, phase_opt.random_phases(real.n_ris, rng),
                          tx_power)
+    if phase_mode not in ("continuous", "binary"):
+        raise ValueError(f"unknown phase mode {phase_mode!r}")
     # seed the sweep from the nonlinear continuous heuristic
     p_bar = tx_power / max(len(users), 1) if p_bar is None else p_bar
     theta = alloc.optimize_phases(real, users, p_bar, "continuous")
@@ -121,25 +119,12 @@ def evaluate_allocation_linear(real, users, tx_power: float, phase_mode: str,
 def greedy_allocate_linear(real, p_bar: float, phase_mode: str,
                            rng=None) -> LinearSolution:
     """Greedy user allocation with the ZF sum SE as the metric."""
-    mode = {"continuous": "continuous", "binary": "binary",
-            "random": "random"}[phase_mode]
-    k = real.n_users
-    max_users = min(k, real.n_bs)
-    tx_power = p_bar * k
-    fixed_theta = None
-    if mode == "random":
-        fixed_theta = phase_opt.random_phases(real.n_ris, rng)
+    tx_power = p_bar * real.n_users
+    fixed_theta = (phase_opt.random_phases(real.n_ris, rng)
+                   if phase_mode == "random" else None)
 
     def evaluate(users):
-        return evaluate_allocation_linear(real, users, tx_power, mode, rng,
+        return evaluate_allocation_linear(real, users, tx_power, phase_mode, rng,
                                           fixed_theta=fixed_theta, p_bar=p_bar)
 
-    best = max((evaluate([u]) for u in range(k)), key=lambda s: s.sum_se)
-    while len(best.users) < max_users:
-        candidates = [u for u in range(k) if u not in best.users]
-        step = max((evaluate(best.users + [u]) for u in candidates),
-                   key=lambda s: s.sum_se)
-        if step.sum_se <= best.sum_se:
-            break
-        best = step
-    return best
+    return alloc._greedy(real, evaluate, lambda s: s.sum_se)

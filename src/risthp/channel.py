@@ -9,7 +9,7 @@ AWGN has unit variance per receive dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -54,7 +54,7 @@ class ScenarioConfig:
     user_circle_radius: float = 5.0
     n_blocked: int = 3
     blockage_extra_db: float = 60.0
-    asd: float = math.radians(15.0)
+    asd: float = math.radians(15.0)  # angular standard deviation, radians
     rician_db: float = 0.0
     pathloss_direct: PathlossModel = STRONG
     pathloss_ris_user: PathlossModel = STRONG
@@ -70,6 +70,8 @@ class ScenarioConfig:
             raise ValueError("user_circle_radius must be positive")
         if not 0 <= self.n_blocked <= self.n_users:
             raise ValueError("n_blocked must lie in [0, n_users]")
+        if not 0 <= self.asd <= math.pi:
+            raise ValueError(f"asd must lie in [0, pi] radians, got {self.asd}")
         for name in ("bs_pos", "ris_pos", "user_circle_center"):
             pos = getattr(self, name)
             if not all(math.isfinite(c) for c in pos):

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-# eigenvalue below RANK_TOL * lambda_max counts as zero
+# An eigenvalue of C at or below RANK_TOL * lambda_max counts as zero.  It
+# differs from thp._RANK_TOL (1e-10 on the singular values of H) because it
+# answers another question: whether C has a zero eigenvalue, which selects the
+# closed-form alignment branch, not whether the rows of H are independent.
+# Eigenvalues of C scale like squared singular values, so the two thresholds
+# are not comparable numbers.
 RANK_TOL = 1e-9
 
 
@@ -34,11 +39,15 @@ class GramDecomposition:
     def n_ris(self) -> int:
         return self.d_mat.shape[1] - 1
 
+    @property
+    def ddh(self) -> np.ndarray:
+        """The Hermitian K x K matrix D D^H."""
+        ddh = self.d_mat @ self.d_mat.conj().T
+        return 0.5 * (ddh + ddh.conj().T)
 
-@dataclass
-class EigenInfo:
-    eigenvalues: np.ndarray  # nonincreasing
-    eigenvectors: np.ndarray  # columns, orthonormal
+    def a_mat(self, p_bar: float) -> np.ndarray:
+        """I/p_bar + C, the matrix every finite-power phase objective inverts."""
+        return np.eye(self.n_users) / p_bar + self.c_mat
 
 
 def decompose(real, users) -> GramDecomposition:
@@ -71,10 +80,9 @@ def extend_theta(theta: np.ndarray) -> np.ndarray:
     return np.concatenate([np.asarray(theta, dtype=complex), [1.0]])
 
 
-def gram_eigen(c_mat: np.ndarray) -> EigenInfo:
-    """Eigen decomposition of C, eigenvalues in decreasing order."""
-    vals, vecs = np.linalg.eigh(c_mat)
-    return EigenInfo(eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1])
+def count_zero_eigenvalues(lam: np.ndarray) -> int:
+    """Number of eigenvalues of C that count as zero (<= RANK_TOL * lambda_max)."""
+    return int(np.sum(lam <= RANK_TOL * max(np.max(lam), 0.0)))
 
 
 def _check_theta_bar(theta_bar):
@@ -84,17 +92,19 @@ def _check_theta_bar(theta_bar):
     return theta_bar
 
 
-def dpc_sum_se(gram: GramDecomposition, theta_bar, p_bar: float) -> float:
-    """DPC sum SE log2 det(I + p_bar H H^H), evaluated in decomposed form."""
+def rayleigh_objective(gram: GramDecomposition, theta_bar, p_bar: float) -> float:
+    """Quadratic form theta_bar^H D^H (I/p_bar + C)^-1 D theta_bar."""
     if not p_bar > 0:
         raise ValueError("p_bar must be positive")
-    theta_bar = _check_theta_bar(theta_bar)
-    c = gram.c_mat
-    k = gram.n_users
-    a_mat = np.eye(k) / p_bar + c
-    d_theta = gram.d_mat @ theta_bar
-    quad = np.real(d_theta.conj() @ scipy.linalg.solve(a_mat, d_theta, assume_a="pos"))
-    _, logdet = np.linalg.slogdet(np.eye(k) + p_bar * c)
+    d_theta = gram.d_mat @ np.asarray(theta_bar, dtype=complex)
+    return float(np.real(d_theta.conj() @ scipy.linalg.solve(
+        gram.a_mat(p_bar), d_theta, assume_a="pos")))
+
+
+def dpc_sum_se(gram: GramDecomposition, theta_bar, p_bar: float) -> float:
+    """DPC sum SE log2 det(I + p_bar H H^H), evaluated in decomposed form."""
+    quad = rayleigh_objective(gram, _check_theta_bar(theta_bar), p_bar)
+    _, logdet = np.linalg.slogdet(np.eye(gram.n_users) + p_bar * gram.c_mat)
     return logdet / np.log(2.0) + np.log2(1.0 + quad)
 
 
@@ -108,12 +118,11 @@ def dpc_asymptote(gram: GramDecomposition, theta_bar, p_bar: float) -> float:
     if not p_bar > 0:
         raise ValueError("p_bar must be positive")
     theta_bar = _check_theta_bar(theta_bar)
-    eig = gram_eigen(gram.c_mat)
-    lam = np.clip(eig.eigenvalues, 0.0, None)
-    tol = RANK_TOL * max(lam[0], 0.0)
-    n_zero = int(np.sum(lam <= tol))
+    vals, vecs = np.linalg.eigh(gram.c_mat)
+    lam = np.clip(vals[::-1], 0.0, None)  # nonincreasing
+    n_zero = count_zero_eigenvalues(lam)
     d_theta = gram.d_mat @ theta_bar
-    proj = eig.eigenvectors.conj().T @ d_theta  # coefficients u_k^H D theta_bar
+    proj = vecs[:, ::-1].conj().T @ d_theta  # coefficients u_k^H D theta_bar
     if n_zero == 0:
         quad = np.sum(np.abs(proj) ** 2 / lam)
         return np.sum(np.log2(lam * p_bar)) + np.log2(quad)

@@ -13,7 +13,8 @@ import numpy as np
 import scipy.linalg
 
 from . import gram as gram_mod
-from .gram import GramDecomposition, extend_theta, gram_eigen
+from .gram import GramDecomposition, extend_theta
+from .gram import rayleigh_objective  # the phase objective, shared with dpc_sum_se
 
 # direct row norms below this fraction of the median row norm count as blocked
 BLOCKAGE_FRACTION = 1e-4
@@ -56,9 +57,7 @@ def zero_eig_direction(real, users) -> np.ndarray:
     """
     users = list(users)
     dec = gram_mod.decompose(real, users)
-    eig = gram_eigen(dec.c_mat)
-    lam = eig.eigenvalues
-    if lam[-1] > gram_mod.RANK_TOL * max(lam[0], 0.0):
+    if not gram_mod.count_zero_eigenvalues(np.linalg.eigvalsh(dec.c_mat)):
         raise NotApplicableError("smallest eigenvalue of C is not zero")
 
     h_d = real.h_direct[users]
@@ -91,17 +90,6 @@ def align_phases(u_k: np.ndarray, real, users) -> PhaseConfig:
     return PhaseConfig(theta)
 
 
-def rayleigh_objective(gram: GramDecomposition, theta_bar, p_bar: float) -> float:
-    """Quadratic form theta_bar^H D^H (I/p_bar + C)^-1 D theta_bar."""
-    if not p_bar > 0:
-        raise ValueError("p_bar must be positive")
-    theta_bar = np.asarray(theta_bar, dtype=complex)
-    a_mat = np.eye(gram.n_users) / p_bar + gram.c_mat
-    d_theta = gram.d_mat @ theta_bar
-    return float(np.real(d_theta.conj() @ scipy.linalg.solve(a_mat, d_theta,
-                                                             assume_a="pos")))
-
-
 def heuristic_phases(gram: GramDecomposition, p_bar: float) -> PhaseConfig:
     """Principal-eigenvector phase heuristic.
 
@@ -111,11 +99,7 @@ def heuristic_phases(gram: GramDecomposition, p_bar: float) -> PhaseConfig:
     """
     if not p_bar > 0:
         raise ValueError("p_bar must be positive")
-    k = gram.n_users
-    a_mat = np.eye(k) / p_bar + gram.c_mat
-    ddh = gram.d_mat @ gram.d_mat.conj().T
-    ddh = 0.5 * (ddh + ddh.conj().T)
-    vals, vecs = scipy.linalg.eigh(ddh, a_mat)
+    _, vecs = scipy.linalg.eigh(gram.ddh, gram.a_mat(p_bar))
     w_prime = vecs[:, -1]
     w_bar = gram.d_mat.conj().T @ w_prime
     if np.linalg.norm(w_bar) == 0.0:
@@ -135,8 +119,7 @@ def _quadratic_form_matrix(gram: GramDecomposition, p_bar: float,
     if direction is not None:
         c = d.conj().T @ direction
         return np.outer(c, c.conj())
-    a_mat = np.eye(gram.n_users) / p_bar + gram.c_mat
-    m = d.conj().T @ scipy.linalg.solve(a_mat, d, assume_a="pos")
+    m = d.conj().T @ scipy.linalg.solve(gram.a_mat(p_bar), d, assume_a="pos")
     return 0.5 * (m + m.conj().T)
 
 

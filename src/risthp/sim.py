@@ -8,7 +8,7 @@ derived from (seed, sweep index, trial index).
 from __future__ import annotations
 
 import argparse
-import copy
+import dataclasses
 import json
 import math
 import sys
@@ -21,9 +21,9 @@ from . import alloc, baseline, gram as gram_mod, phase_opt, thp
 from .channel import (PATHLOSS_PRESETS, PathlossModel, ScenarioConfig,
                       draw_realization)
 
-METHODS = ("thp", "thp_random", "thp_discrete", "thp_no_ris", "dpc_rate",
-           "linear_zf", "linear_zf_random", "linear_zf_discrete")
-SWEEP_NAMES = ("asd", "n_ris", "tx_dbm")
+# swept ScenarioConfig field -> type of its values
+SWEEP_TYPES = {"asd": float, "n_ris": int, "tx_dbm": float}
+SWEEP_NAMES = tuple(SWEEP_TYPES)
 
 CSV_HEADER = "trial,method,sweep_name,sweep_value,n_allocated,sum_se_bits,wall_time_ms"
 
@@ -47,6 +47,11 @@ class RunConfig:
                 raise ValueError(f"sweep: unknown sweep {self.sweep_name!r}")
             if not self.sweep_values:
                 raise ValueError("sweep: value list must be nonempty")
+            for value in self.sweep_values:
+                try:
+                    _scenario_at(self.scenario, self.sweep_name, value)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"sweep: {self.sweep_name}={value!r}: {exc}") from exc
 
 
 @dataclass
@@ -127,42 +132,55 @@ def load_run_config(path: str) -> RunConfig:
 
 
 def _scenario_at(scenario: ScenarioConfig, sweep_name: str, value) -> ScenarioConfig:
-    cfg = copy.deepcopy(scenario)
-    if sweep_name == "asd":
-        cfg.asd = float(value)
-    elif sweep_name == "n_ris":
-        cfg.n_ris = int(value)
-    elif sweep_name == "tx_dbm":
-        cfg.tx_dbm = float(value)
-    return cfg
+    """The scenario of one sweep point, validated by ScenarioConfig."""
+    if sweep_name == "none":
+        return scenario
+    return dataclasses.replace(scenario, **{sweep_name: SWEEP_TYPES[sweep_name](value)})
 
 
-def _no_ris_copy(real):
-    clone = copy.copy(real)
-    clone.h_cascaded = np.zeros_like(real.h_cascaded)
-    return clone
+def _thp(real, p_bar, phase_mode, rng):
+    allocation = alloc.greedy_allocate(real, p_bar, phase_mode, rng)
+    return len(allocation.users), max(0.0, allocation.se_exact)
+
+
+def _thp_no_ris(real, p_bar, phase_mode, rng):
+    no_ris = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
+    return _thp(no_ris, p_bar, phase_mode, rng)
+
+
+def _dpc(real, p_bar, phase_mode, rng):
+    users = list(range(real.n_users))
+    theta = alloc.optimize_phases(real, users, p_bar, phase_mode)
+    dec = gram_mod.decompose(real, users)
+    return len(users), gram_mod.dpc_sum_se(dec, gram_mod.extend_theta(theta.theta), p_bar)
+
+
+def _linear_zf(real, p_bar, phase_mode, rng):
+    sol = baseline.greedy_allocate_linear(real, p_bar, phase_mode, rng)
+    return len(sol.users), sol.sum_se
+
+
+# method -> (family, phase mode).  The order is part of the results: sim.run
+# derives each method's random stream from its index in METHODS.
+_METHOD_TABLE = {
+    "thp": (_thp, "continuous"),
+    "thp_random": (_thp, "random"),
+    "thp_discrete": (_thp, "binary"),
+    "thp_no_ris": (_thp_no_ris, "random"),
+    "dpc_rate": (_dpc, "continuous"),
+    "linear_zf": (_linear_zf, "continuous"),
+    "linear_zf_random": (_linear_zf, "random"),
+    "linear_zf_discrete": (_linear_zf, "binary"),
+}
+METHODS = tuple(_METHOD_TABLE)
 
 
 def run_method(method: str, real, p_bar: float, rng: np.random.Generator):
     """Run one method on one realization; returns (n_allocated, sum_se_bits)."""
-    if method in ("thp", "thp_random", "thp_discrete", "thp_no_ris"):
-        mode = {"thp": "continuous", "thp_random": "random",
-                "thp_discrete": "binary", "thp_no_ris": "random"}[method]
-        target = _no_ris_copy(real) if method == "thp_no_ris" else real
-        allocation = alloc.greedy_allocate(target, p_bar, mode, rng)
-        return len(allocation.users), max(0.0, allocation.se_exact)
-    if method == "dpc_rate":
-        users = list(range(real.n_users))
-        theta = alloc.optimize_phases(real, users, p_bar, "continuous")
-        dec = gram_mod.decompose(real, users)
-        se = gram_mod.dpc_sum_se(dec, gram_mod.extend_theta(theta.theta), p_bar)
-        return len(users), se
-    if method in ("linear_zf", "linear_zf_random", "linear_zf_discrete"):
-        mode = {"linear_zf": "continuous", "linear_zf_random": "random",
-                "linear_zf_discrete": "binary"}[method]
-        sol = baseline.greedy_allocate_linear(real, p_bar, mode, rng)
-        return len(sol.users), sol.sum_se
-    raise ValueError(f"unknown method {method!r}")
+    if method not in _METHOD_TABLE:
+        raise ValueError(f"unknown method {method!r}")
+    family, phase_mode = _METHOD_TABLE[method]
+    return family(real, p_bar, phase_mode, rng)
 
 
 def run(config: RunConfig) -> list:
@@ -347,16 +365,19 @@ def main(argv=None) -> int:
         config.scenario.seed = args.seed
 
     if args.command == "sweep":
-        if args.sweep_asd:
-            config.sweep_name = "asd"
-            config.sweep_values = tuple(
-                math.radians(float(v)) for v in args.sweep_asd.split(","))
-        elif args.sweep_nr:
-            config.sweep_name = "n_ris"
-            config.sweep_values = tuple(int(v) for v in args.sweep_nr.split(","))
-        elif args.sweep_tx:
-            config.sweep_name = "tx_dbm"
-            config.sweep_values = tuple(float(v) for v in args.sweep_tx.split(","))
+        try:
+            if args.sweep_asd:
+                name, values = "asd", [math.radians(float(v))
+                                       for v in args.sweep_asd.split(",")]
+            elif args.sweep_nr:
+                name, values = "n_ris", [int(v) for v in args.sweep_nr.split(",")]
+            else:
+                name, values = "tx_dbm", [float(v) for v in args.sweep_tx.split(",")]
+            config = dataclasses.replace(config, sweep_name=name,
+                                         sweep_values=tuple(values))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     records = run(config)
     emit_csv(records, args.out)

@@ -17,7 +17,8 @@ from scipy.special import xlogy
 # per-user shaping loss of uniform (cubic) signaling: log2(pi*e/6)
 SHAPING_LOSS_BITS = math.log2(math.pi * math.e / 6.0)
 
-# smallest-to-largest singular value ratio below which a channel is rank deficient
+# The rows of H count as dependent when sigma_min <= _RANK_TOL * sigma_max
+# (gram.RANK_TOL, the test for a zero eigenvalue of C, says why they differ).
 _RANK_TOL = 1e-10
 
 # below this per-dimension std the wrapped Gaussian equals the plain Gaussian
@@ -55,7 +56,6 @@ class ModuloSymbols:
     x: np.ndarray  # (N_B, n)
     y: np.ndarray
     n: np.ndarray
-    d: np.ndarray
     d_hat: np.ndarray
 
     @property
@@ -80,6 +80,13 @@ def modulo(z):
     return z - np.floor(z + 0.5)
 
 
+def check_full_row_rank(h: np.ndarray) -> None:
+    """Raise RankDeficientError when the rows of H are numerically dependent."""
+    sv = np.linalg.svd(h, compute_uv=False)
+    if sv[-1] <= _RANK_TOL * sv[0]:
+        raise RankDeficientError("channel matrix is rank deficient")
+
+
 def lq_decompose(h: np.ndarray):
     """LQ decomposition H = L Q with positive real diagonal of L.
 
@@ -87,9 +94,7 @@ def lq_decompose(h: np.ndarray):
     numerically dependent.
     """
     h = np.asarray(h, dtype=complex)
-    sv = np.linalg.svd(h, compute_uv=False)
-    if sv[-1] <= _RANK_TOL * sv[0]:
-        raise RankDeficientError("channel matrix is rank deficient")
+    check_full_row_rank(h)
     q_t, r = np.linalg.qr(h.conj().T)
     l_mat = r.conj().T
     q_mat = q_t.conj().T
@@ -114,12 +119,6 @@ def build_filters(h: np.ndarray, order, tx_power: float) -> ThpFilters:
     return ThpFilters(l_mat=l_mat, q_mat=q_mat, b_feedback=b_feedback,
                       p_forward=p_forward, f_receive=f_receive, beta=beta,
                       order=order, diag_l=diag_l)
-
-
-def _wrapped_density(t: float, sigma: float) -> float:
-    k = np.arange(-_N_IMAGES, _N_IMAGES + 1)
-    return float(np.sum(np.exp(-0.5 * ((t + k) / sigma) ** 2))
-                 / (math.sqrt(2.0 * math.pi) * sigma))
 
 
 def wrapped_noise_entropy(var_complex: float) -> float:
@@ -168,9 +167,7 @@ def sum_se_asymptote(h: np.ndarray, p_bar: float) -> float:
     h = np.asarray(h, dtype=complex)
     k = h.shape[0]
     gram = h @ h.conj().T
-    sv = np.linalg.svd(h, compute_uv=False)
-    if sv[-1] <= _RANK_TOL * sv[0]:
-        raise RankDeficientError("channel matrix is rank deficient")
+    check_full_row_rank(h)
     _, logdet = np.linalg.slogdet(gram)
     return k * math.log2(p_bar) + logdet / math.log(2.0) - k * SHAPING_LOSS_BITS
 
@@ -188,29 +185,21 @@ def order_users(h: np.ndarray) -> np.ndarray:
 
     Built from the last decoding position backwards: at each step the user
     whose channel component orthogonal to the span of the still-unplaced
-    users' channels has maximal squared norm is placed.  That component is
-    exactly the L_kk the user would receive at the position.
+    users' channels has maximal squared norm is placed.  That squared norm,
+    the L_kk^2 the user would receive at the position, is 1/[(H_R H_R^H)^-1]_kk
+    for the unplaced rows H_R, so the user with the smallest diagonal entry of
+    the inverse Gram matrix is placed (the first one on ties).  With
+    H_R^H = Q R that diagonal holds the squared row norms of R^-1, which avoids
+    squaring the condition number of H_R.
     """
     h = np.asarray(h, dtype=complex)
-    k = h.shape[0]
-    sv = np.linalg.svd(h, compute_uv=False)
-    if sv[-1] <= _RANK_TOL * sv[0]:
-        raise RankDeficientError("channel matrix is rank deficient")
-    remaining = list(range(k))
-    order = np.empty(k, dtype=int)
-    for pos in range(k - 1, -1, -1):
-        best, best_gain = None, -1.0
-        for cand in remaining:
-            others = [u for u in remaining if u != cand]
-            row = h[cand]
-            if others:
-                basis = np.linalg.qr(h[others].T)[0]  # (N_B, m)
-                row = row - basis @ (basis.conj().T @ row)
-            gain = float(np.real(row.conj() @ row))
-            if gain > best_gain:
-                best, best_gain = cand, gain
-        order[pos] = best
-        remaining.remove(best)
+    check_full_row_rank(h)
+    remaining = list(range(h.shape[0]))
+    order = np.empty(len(remaining), dtype=int)
+    for pos in range(len(remaining) - 1, -1, -1):
+        r = np.linalg.qr(h[remaining].conj().T, mode="r")
+        inv_diag = np.sum(np.abs(np.linalg.inv(r)) ** 2, axis=1)
+        order[pos] = remaining.pop(int(np.argmin(inv_diag)))
     return order
 
 
@@ -247,4 +236,4 @@ def simulate_transmission(filters: ThpFilters, h: np.ndarray, n_symbols: int,
     y_pre = filters.f_receive @ (h_ord @ x + noise)
     y = modulo(y_pre)
     return ModuloSymbols(s=s, v=v, a_perturb=a_perturb, x=x, y=y, n=noise,
-                         d=s, d_hat=y_pre - a_perturb)
+                         d_hat=y_pre - a_perturb)

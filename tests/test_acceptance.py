@@ -216,7 +216,7 @@ def test_criterion_08_mse_analytic_and_order():
         filters = T.build_filters(h, np.arange(k), tx_power)
         analytic = T.thp_mse(filters.diag_l, tx_power, k)
         syms = T.simulate_transmission(filters, h, 40_000, rng)
-        mc = float(np.mean(np.sum(np.abs(syms.d_hat - syms.d) ** 2, axis=0)))
+        mc = float(np.mean(np.sum(np.abs(syms.d_hat - syms.s) ** 2, axis=0)))
         worst_rel = max(worst_rel, abs(mc - analytic) / analytic)
 
     ratios = []

@@ -106,11 +106,6 @@ class TestGreedyAllocate:
                     real, list(users), p_bar, "continuous").se_bound)
         assert out.se_bound <= best + 1e-9
 
-    def test_first_user_index_policy(self, rng):
-        real = random_realization(rng, k=3, n_bs=4)
-        out = A.greedy_allocate(real, 10.0, "continuous", first_user="index")
-        assert 0 in out.users
-
     def test_deterministic(self, rng):
         real = random_realization(rng)
         o1 = A.greedy_allocate(real, 5.0, "random", np.random.default_rng(3))

@@ -107,6 +107,11 @@ class TestGreedyAllocateLinear:
         sol = B.greedy_allocate_linear(real, 5.0, "continuous")
         assert sorted(sol.users) == [0, 1, 2]
 
+    def test_unknown_phase_mode_rejected(self, rng):
+        real = random_realization(rng, k=3, n_bs=4)
+        with pytest.raises(ValueError, match="phase mode"):
+            B.greedy_allocate_linear(real, 10.0, "bogus")
+
     def test_duplicate_user_dropped(self, rng):
         real = random_realization(rng, k=3, n_bs=4)
         real.h_direct[2] = real.h_direct[1]

@@ -194,3 +194,12 @@ class TestScenarioValidation:
     def test_bad_blocked(self):
         with pytest.raises(ValueError):
             ScenarioConfig(n_blocked=7)
+
+    @pytest.mark.parametrize("asd", [-0.1, 5.0, math.nan])
+    def test_asd_outside_zero_to_pi_radians(self, asd):
+        with pytest.raises(ValueError, match="radians"):
+            ScenarioConfig(asd=asd)
+
+    def test_asd_limits_accepted(self):
+        assert ScenarioConfig(asd=0.0).asd == 0.0
+        assert ScenarioConfig(asd=math.pi).asd == math.pi

@@ -130,6 +130,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="scenario"):
             S.parse_run_config({"scenario": {"n_bs": 0}})
 
+    def test_sweep_asd_in_degrees_rejected(self):
+        # config sweep values are radians, so degree-sized values must fail
+        with pytest.raises(ConfigError, match="radians"):
+            S.parse_run_config({"scenario": {}, "sweep": {"asd": [5, 15, 30]}})
+
+    def test_sweep_asd_radians_accepted(self):
+        cfg = S.parse_run_config({"scenario": {}, "sweep": {"asd": [0.1, 0.5]}})
+        assert cfg.sweep_values == (0.1, 0.5)
+
+    def test_invalid_sweep_point_rejected(self):
+        with pytest.raises(ConfigError, match="n_ris"):
+            S.parse_run_config({"scenario": {}, "sweep": {"n_ris": [16, 0]}})
+
 
 class TestCsv:
     def records(self):
@@ -210,6 +223,19 @@ class TestCli:
                 "--trials", "1", "--sweep-asd", "15"])
         records = S.parse_csv(out)
         assert records[0].sweep_value == pytest.approx(math.radians(15.0))
+
+    def test_sweep_asd_beyond_pi_exit_code(self, tmp_path, capsys):
+        # 200 degrees is more than pi radians
+        rc = S.main(["sweep", self.config_file(tmp_path), "--out",
+                     str(tmp_path / "out.csv"), "--sweep-asd", "15,200"])
+        assert rc == 2
+        assert "radians" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_malformed_sweep_value_exit_code(self, tmp_path):
+        rc = S.main(["sweep", self.config_file(tmp_path), "--out",
+                     str(tmp_path / "out.csv"), "--sweep-nr", "4.5"])
+        assert rc == 2
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

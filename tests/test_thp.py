@@ -186,7 +186,7 @@ class TestThpMse:
         order = T.order_users(h)
         f = T.build_filters(h, order, tx_power=4.0)
         syms = T.simulate_transmission(f, h, 100_000, np.random.default_rng(3))
-        empirical = float(np.mean(np.sum(np.abs(syms.d_hat - syms.d) ** 2,
+        empirical = float(np.mean(np.sum(np.abs(syms.d_hat - syms.s) ** 2,
                                          axis=0)))
         assert empirical == pytest.approx(T.thp_mse(f.diag_l, 4.0, 3), rel=0.02)
 
