@@ -38,15 +38,22 @@ def _infeasible(users, theta):
                           theta=theta)
 
 
+# Phase sweep of the linear baseline: an N_GRID-point angular grid per element
+# for the continuous alphabet, at most MAX_SWEEPS passes over the elements.
+N_GRID = 8
+MAX_SWEEPS = 2
+
+
 def zf_linear(real, users, theta: PhaseConfig, tx_power: float) -> LinearSolution:
     """Zero-forcing precoder with equal power split for a user subset."""
     users = list(users)
     h = gram_mod.effective_channel(real, users, theta.theta)
     try:
-        thp.check_full_row_rank(h)
+        u, s, vh = thp.check_full_row_rank(h, compute_uv=True)
     except thp.RankDeficientError:
         return _infeasible(users, theta)
-    pinv = np.linalg.pinv(h)  # (N_B, K), columns w_k with H @ pinv = I
+    # pinv(H) = V diag(1/s) U^H, columns w_k with H @ pinv = I
+    pinv = vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
     col_norms = np.linalg.norm(pinv, axis=0)
     precoder = pinv / col_norms[None, :]
     k = len(users)
@@ -56,38 +63,59 @@ def zf_linear(real, users, theta: PhaseConfig, tx_power: float) -> LinearSolutio
                           per_user_se=se, theta=theta)
 
 
-def _sweep_phases_linear(real, users, theta: PhaseConfig, tx_power: float,
-                         n_grid: int = 8, max_sweeps: int = 2) -> PhaseConfig:
+def zf_sum_se_gram(c_mat: np.ndarray, d_vecs: np.ndarray, tx_power: float) -> np.ndarray:
+    """Equal-power ZF sum SE for each row d of ``d_vecs``, in K x K form.
+
+    The Gram matrix of H is C + d d^H, so the squared column norms of pinv(H)
+    are g_k = [(C + d d^H)^-1]_kk and the sum SE is
+    sum_k log2(1 + (P/K) / g_k).  A candidate whose Gram matrix has a zero
+    eigenvalue (``gram.count_zero_eigenvalues``) scores 0, as an infeasible
+    ``zf_linear`` does.
+    """
+    k = c_mat.shape[0]
+    grams = c_mat + d_vecs[:, :, None] * d_vecs[:, None, :].conj()
+    lam, vecs = np.linalg.eigh(grams)
+    ok = gram_mod.count_zero_eigenvalues(lam) == 0
+    gains = np.einsum("cki,ci->ck", np.abs(vecs[ok]) ** 2, 1.0 / lam[ok])
+    se = np.zeros(len(d_vecs))
+    se[ok] = np.sum(np.log2(1.0 + (tx_power / k) / gains), axis=1)
+    return se
+
+
+def _sweep_phases_linear(real, users, theta: PhaseConfig,
+                         tx_power: float) -> PhaseConfig:
     """Element-wise ascent of the ZF sum SE over candidate phase values.
 
-    Continuous alphabet uses an n_grid-point angular grid per element plus
-    the current value; binary uses {-1, +1}.
+    Continuous alphabet uses an N_GRID-point angular grid per element; binary
+    uses {-1, +1}.  Every candidate is scored in K x K form through
+    ||pinv(H)[:, k]||^2 = [(C + d d^H)^-1]_kk with d = D theta_bar: setting
+    theta_n = c changes d by D[:, n] (c - theta_n), so all candidates of an
+    element take one batched eigendecomposition and H is never built.  An
+    element moves to its best candidate, the first on ties, when that
+    strictly beats the current sum SE; its current value is not a candidate.
+    The sweep stops after a pass that changes nothing or after MAX_SWEEPS.
     """
     theta_vec = theta.theta.copy()
     if theta.alphabet == "binary":
         candidates = np.array([-1.0 + 0j, 1.0 + 0j])
     else:
-        candidates = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
-
-    def objective(vec):
-        return zf_linear(real, users, PhaseConfig(vec, alphabet=theta.alphabet),
-                         tx_power).sum_se
-
-    best = objective(theta_vec)
-    for _ in range(max_sweeps):
+        candidates = np.exp(2j * np.pi * np.arange(N_GRID) / N_GRID)
+    dec = gram_mod.decompose(real, users)
+    d = dec.d_mat @ gram_mod.extend_theta(theta_vec)
+    best = zf_sum_se_gram(dec.c_mat, d[None, :], tx_power)[0]
+    for _ in range(MAX_SWEEPS):
         changed = False
         for n in range(theta_vec.size):
-            current = theta_vec[n]
-            for cand in candidates:
-                if cand == current:
-                    continue
-                theta_vec[n] = cand
-                val = objective(theta_vec)
-                if val > best:
-                    best = val
-                    current = cand
-                    changed = True
-            theta_vec[n] = current
+            col = dec.d_mat[:, n]
+            d_cands = (d - col * theta_vec[n]) + candidates[:, None] * col
+            vals = zf_sum_se_gram(dec.c_mat, d_cands, tx_power)
+            vals[candidates == theta_vec[n]] = -np.inf
+            i = int(np.argmax(vals))
+            if vals[i] > best:
+                best = vals[i]
+                theta_vec[n] = candidates[i]
+                d = d_cands[i]
+                changed = True
         if not changed:
             break
     return PhaseConfig(theta_vec, alphabet=theta.alphabet)

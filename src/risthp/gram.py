@@ -12,11 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-# An eigenvalue of C at or below RANK_TOL * lambda_max counts as zero.  It
-# differs from thp._RANK_TOL (1e-10 on the singular values of H) because it
-# answers another question: whether C has a zero eigenvalue, which selects the
-# closed-form alignment branch, not whether the rows of H are independent.
-# Eigenvalues of C scale like squared singular values, so the two thresholds
+# An eigenvalue of a K x K Gram-form matrix (C, or H H^H = C + d d^H) at or
+# below RANK_TOL * lambda_max counts as zero.  It differs from thp._RANK_TOL
+# (1e-10 on the singular values of H) because it answers another question:
+# whether C has a zero eigenvalue, which selects the closed-form alignment
+# branch, or whether a phase candidate of the linear-ZF sweep is worth scoring.
+# Eigenvalues scale like squared singular values, and a ratio of 1e-20 is
+# below what a Gram matrix in double precision resolves, so the two thresholds
 # are not comparable numbers.
 RANK_TOL = 1e-9
 
@@ -80,9 +82,14 @@ def extend_theta(theta: np.ndarray) -> np.ndarray:
     return np.concatenate([np.asarray(theta, dtype=complex), [1.0]])
 
 
-def count_zero_eigenvalues(lam: np.ndarray) -> int:
-    """Number of eigenvalues of C that count as zero (<= RANK_TOL * lambda_max)."""
-    return int(np.sum(lam <= RANK_TOL * max(np.max(lam), 0.0)))
+def count_zero_eigenvalues(lam: np.ndarray):
+    """Number of eigenvalues that count as zero (<= RANK_TOL * lambda_max).
+
+    ``lam`` holds the eigenvalues of one Gram-form matrix along its last axis;
+    a stack of spectra gives one count per matrix.
+    """
+    lam_max = np.maximum(np.max(lam, axis=-1, keepdims=True), 0.0)
+    return np.sum(lam <= RANK_TOL * lam_max, axis=-1)
 
 
 def _check_theta_bar(theta_bar):

@@ -80,11 +80,18 @@ def modulo(z):
     return z - np.floor(z + 0.5)
 
 
-def check_full_row_rank(h: np.ndarray) -> None:
-    """Raise RankDeficientError when the rows of H are numerically dependent."""
-    sv = np.linalg.svd(h, compute_uv=False)
+def check_full_row_rank(h: np.ndarray, compute_uv: bool = False):
+    """Raise RankDeficientError when the rows of H are numerically dependent.
+
+    Returns ``np.linalg.svd(h, full_matrices=False, compute_uv=compute_uv)``,
+    the decomposition it tested, so a caller that needs the SVD takes no
+    second one.
+    """
+    svd = np.linalg.svd(h, full_matrices=False, compute_uv=compute_uv)
+    sv = svd.S if compute_uv else svd
     if sv[-1] <= _RANK_TOL * sv[0]:
         raise RankDeficientError("channel matrix is rank deficient")
+    return svd
 
 
 def lq_decompose(h: np.ndarray):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from risthp import baseline as B, gram as G
-from risthp.channel import ChannelRealization
+from risthp import alloc, baseline as B, gram as G, phase_opt
+from risthp.channel import ChannelRealization, ScenarioConfig, draw_realization
 from risthp.phase_opt import PhaseConfig
 
 from conftest import random_realization, random_unit_theta
@@ -137,3 +137,118 @@ class TestGreedyAllocateLinear:
         real = random_realization(rng)
         sol = B.greedy_allocate_linear(real, 1e-6, "continuous")
         assert sol.sum_se >= 0.0
+
+
+def _reference_sweep(real, users, theta, tx_power):
+    """The per-candidate ZF sweep the K x K scorer replaced: one zf_linear call
+    per candidate phase, same grid, acceptance rule and sweep cap."""
+    theta_vec = theta.theta.copy()
+    if theta.alphabet == "binary":
+        candidates = np.array([-1.0 + 0j, 1.0 + 0j])
+    else:
+        candidates = np.exp(2j * np.pi * np.arange(B.N_GRID) / B.N_GRID)
+
+    def objective(vec):
+        return B.zf_linear(real, users, PhaseConfig(vec, alphabet=theta.alphabet),
+                           tx_power).sum_se
+
+    best = objective(theta_vec)
+    for _ in range(B.MAX_SWEEPS):
+        changed = False
+        for n in range(theta_vec.size):
+            current = theta_vec[n]
+            for cand in candidates:
+                if cand == current:
+                    continue
+                theta_vec[n] = cand
+                val = objective(theta_vec)
+                if val > best:
+                    best = val
+                    current = cand
+                    changed = True
+            theta_vec[n] = current
+        if not changed:
+            break
+    return PhaseConfig(theta_vec, alphabet=theta.alphabet)
+
+
+_ALPHABETS = {
+    "continuous": np.exp(2j * np.pi * np.arange(B.N_GRID) / B.N_GRID),
+    "binary": np.array([-1.0 + 0j, 1.0 + 0j]),
+}
+
+
+def _start_theta(rng, n_ris, alphabet):
+    if alphabet == "binary":
+        return PhaseConfig(rng.choice([-1.0, 1.0], size=n_ris).astype(complex),
+                           alphabet="binary")
+    return PhaseConfig(random_unit_theta(rng, n_ris))
+
+
+def _element_scores(real, users, theta, n, tx_power):
+    """Scorer output and zf_linear oracle for every candidate of element n."""
+    dec = G.decompose(real, users)
+    candidates = _ALPHABETS[theta.alphabet]
+    vecs = []
+    for cand in candidates:
+        vec = theta.theta.copy()
+        vec[n] = cand
+        vecs.append(vec)
+    d_vecs = np.array([dec.d_mat @ G.extend_theta(v) for v in vecs])
+    oracle = [B.zf_linear(real, users, PhaseConfig(v, alphabet=theta.alphabet),
+                          tx_power).sum_se for v in vecs]
+    return B.zf_sum_se_gram(dec.c_mat, d_vecs, tx_power), np.array(oracle)
+
+
+class TestZfSumSeGram:
+    @pytest.mark.parametrize("alphabet", ["continuous", "binary"])
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_matches_zf_linear(self, rng, alphabet, blocked):
+        for _ in range(5):
+            real = random_realization(rng, k=3, n_bs=4, n_ris=8)
+            if blocked:
+                real.h_direct[1] *= 1e-3
+            theta = _start_theta(rng, real.n_ris, alphabet)
+            for n in range(real.n_ris):
+                got, oracle = _element_scores(real, [0, 1, 2], theta, n, 5.0)
+                assert np.all(oracle > 0)
+                np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("alphabet", ["continuous", "binary"])
+    @pytest.mark.parametrize("scale", [1.0, 0.7 - 0.4j])
+    def test_colinear_pair_scores_zero(self, rng, alphabet, scale):
+        # scale 1 is the pair of test_colinear_infeasible, whose Gram matrix has
+        # an exact zero eigenvalue; a complex scale leaves a rounding-level one
+        real = random_realization(rng, k=2, n_bs=4)
+        real.h_direct[1] = scale * real.h_direct[0]
+        real.h_cascaded[1] = scale * real.h_cascaded[0]
+        theta = _start_theta(rng, real.n_ris, alphabet)
+        for n in range(real.n_ris):
+            got, oracle = _element_scores(real, [0, 1], theta, n, 2.0)
+            np.testing.assert_array_equal(oracle, 0.0)
+            np.testing.assert_array_equal(got, 0.0)
+        swept = B._sweep_phases_linear(real, [0, 1], theta, 2.0)
+        np.testing.assert_array_equal(swept.theta, theta.theta)
+        assert swept.alphabet == alphabet
+
+
+class TestSweepEquivalence:
+    """The K x K sweep picks exactly the phases of the per-candidate loop."""
+
+    @pytest.mark.parametrize("n_blocked", [0, 3, 5])
+    @pytest.mark.parametrize("n_ris", [16, 64])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_same_theta_as_reference(self, seed, n_ris, n_blocked):
+        scenario = ScenarioConfig(seed=seed, n_ris=n_ris, n_blocked=n_blocked)
+        real = draw_realization(scenario, np.random.default_rng(seed))
+        moved = False
+        for users in ([0, 1, 2, 3, 4, 5], [1, 3, 4]):
+            theta = alloc.optimize_phases(real, users, scenario.tx_power / len(users),
+                                          "continuous")
+            for start in (theta, phase_opt.discretize_binary(theta)):
+                got = B._sweep_phases_linear(real, users, start, scenario.tx_power)
+                want = _reference_sweep(real, users, start, scenario.tx_power)
+                assert got.alphabet == want.alphabet
+                assert np.all(got.theta == want.theta), (users, start.alphabet)
+                moved |= bool(np.any(got.theta != start.theta))
+        assert moved
