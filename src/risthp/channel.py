@@ -155,6 +155,12 @@ def laplacian_covariance(n: int, nominal_angle: float, asd: float,
     Entry (m, k) is the integral of exp(j*pi*(m-k)*sin(phi)) against a
     Laplacian density centered at nominal_angle with standard deviation asd,
     truncated to +-pi around the center and renormalized.
+
+    The quadrature r[d] = sum_i w_i exp(j*pi*d*sin(phi_i)) is factored with
+    d = q*B + p, B = ceil(sqrt(n)): a table of exp(j*pi*p*sin(phi_i)) for
+    p < B and one of w_i exp(j*pi*q*B*sin(phi_i)) for q < ceil(n/B), joined
+    by one matrix product, so only about 2*sqrt(n) rows of exponentials are
+    formed instead of n.
     """
     if asd < 0:
         raise ValueError("asd must be nonnegative")
@@ -168,11 +174,14 @@ def laplacian_covariance(n: int, nominal_angle: float, asd: float,
     # trapezoid weights, renormalized after truncation
     w = np.gradient(phi) * pdf
     w = w / w.sum()
-    phase = np.exp(1j * np.pi * np.outer(np.arange(n), np.sin(phi)))
-    r = phase @ w  # r[d] = E[exp(j*pi*d*sin(phi))]
+    u = np.sin(phi)
+    step = math.isqrt(n - 1) + 1  # B = ceil(sqrt(n))
+    low = np.exp(1j * np.pi * np.outer(np.arange(step), u))
+    high = w * np.exp(1j * np.pi * np.outer(np.arange(math.ceil(n / step)) * step, u))
+    r = (high @ low.T).ravel()[:n]  # r[q*B + p] = E[exp(j*pi*d*sin(phi))]
     r[0] = 1.0
-    cov = toeplitz(r, r.conj())
-    return 0.5 * (cov + cov.conj().T)
+    # with r[0] real, toeplitz(r, r^*) is exactly Hermitian
+    return toeplitz(r, r.conj())
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:

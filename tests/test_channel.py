@@ -3,10 +3,69 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import toeplitz
+
 from risthp.channel import (LOS, STRONG, WEAK, PathlossModel, ScenarioConfig,
                             complex_gaussian, draw_realization,
                             laplacian_covariance, los_bs_ris, pathloss_db,
                             psd_factor, steering_vector)
+
+
+def dense_covariance(n, nominal_angle, asd, n_points=4096):
+    """Reference: the quadrature with the full n x n_points exponential matrix."""
+    scale = asd / math.sqrt(2.0)
+    phi = np.linspace(nominal_angle - np.pi, nominal_angle + np.pi, n_points)
+    pdf = np.exp(-np.abs(phi - nominal_angle) / scale)
+    w = np.gradient(phi) * pdf
+    w = w / w.sum()
+    phase = np.exp(1j * np.pi * np.outer(np.arange(n), np.sin(phi)))
+    r = phase @ w
+    r[0] = 1.0
+    cov = toeplitz(r, r.conj())
+    return 0.5 * (cov + cov.conj().T)
+
+
+def dense_realization(cfg, rng):
+    """Reference draw: one dense covariance and factor per user and link, with
+    the Gaussians drawn per user, direct link first.
+
+    Returns (h_direct, h_cascaded, a_vec, b_vec, meta fields as a dict).
+    """
+    k = cfg.n_users
+    radii = cfg.user_circle_radius * np.sqrt(rng.uniform(size=k))
+    angs = rng.uniform(0.0, 2.0 * np.pi, size=k)
+    pos = np.asarray(cfg.user_circle_center) + np.stack(
+        [radii * np.cos(angs), radii * np.sin(angs)], axis=1)
+    rel_bs = pos - np.asarray(cfg.bs_pos)
+    rel_ris = pos - np.asarray(cfg.ris_pos)
+    dist_bs = np.linalg.norm(rel_bs, axis=1)
+    dist_ris = np.linalg.norm(rel_ris, axis=1)
+    ang_bs = np.arctan2(rel_bs[:, 1], rel_bs[:, 0])
+    ang_ris = np.arctan2(rel_ris[:, 1], rel_ris[:, 0])
+    blocked = np.arange(k) < cfg.n_blocked
+    dist_sr = float(np.linalg.norm(np.asarray(cfg.ris_pos) - np.asarray(cfg.bs_pos)))
+    amp_sr = math.sqrt(10.0 ** (-pathloss_db(cfg.pathloss_bs_ris, dist_sr) / 10.0))
+    a_vec, b_vec = los_bs_ris(cfg.n_ris, cfg.n_bs, amplitude=amp_sr)
+    k_factor = 10.0 ** (cfg.rician_db / 10.0)
+    los_w = math.sqrt(k_factor / (1.0 + k_factor))
+    nlos_w = math.sqrt(1.0 / (1.0 + k_factor))
+    h_direct = np.empty((k, cfg.n_bs), dtype=complex)
+    h_ris_user = np.empty((k, cfg.n_ris), dtype=complex)
+    for u in range(k):
+        loss = pathloss_db(cfg.pathloss_direct, dist_bs[u])
+        if blocked[u]:
+            loss += cfg.blockage_extra_db
+        gain_d = 10.0 ** (-loss / 10.0) / cfg.noise_power
+        fac_d = psd_factor(dense_covariance(cfg.n_bs, ang_bs[u], cfg.asd))
+        h_direct[u] = math.sqrt(gain_d) * (fac_d @ complex_gaussian(cfg.n_bs, rng))
+        gain_r = 10.0 ** (-pathloss_db(cfg.pathloss_ris_user, dist_ris[u])
+                          / 10.0) / cfg.noise_power
+        fac_r = psd_factor(dense_covariance(cfg.n_ris, ang_ris[u], cfg.asd))
+        scatter = fac_r @ complex_gaussian(cfg.n_ris, rng)
+        h_ris_user[u] = math.sqrt(gain_r) * (
+            los_w * steering_vector(cfg.n_ris, ang_ris[u]) + nlos_w * scatter)
+    meta = dict(user_pos=pos, dist_bs=dist_bs, dist_ris=dist_ris, blocked=blocked)
+    return h_direct, h_ris_user * a_vec[None, :], a_vec, b_vec, meta
 
 
 class TestSteeringVector:
@@ -92,6 +151,20 @@ class TestLaplacianCovariance:
         np.testing.assert_allclose(cov, cov.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
+    @pytest.mark.parametrize("asd_deg", [0.1, 15.0, 180.0])
+    @pytest.mark.parametrize("nominal", [-np.pi / 2, -0.7, 0.0, 1.1, np.pi / 2])
+    def test_dense_quadrature_oracle(self, asd_deg, nominal):
+        eps = np.finfo(float).eps
+        for n in (1, 2, 6, 7, 63, 64, 65, 511, 512):
+            cov = laplacian_covariance(n, nominal, math.radians(asd_deg))
+            np.testing.assert_array_equal(cov, cov.conj().T)
+            # both formulas round the phase pi*d*sin(phi), up to pi*(n-1) in
+            # size, to within about pi*(n-1)*eps; with the density on a few
+            # grid points (asd = 0.1 deg) those errors do not average out
+            tol = max(1e-13, 2.0 * np.pi * (n - 1) * eps)
+            ref = dense_covariance(n, nominal, math.radians(asd_deg))
+            assert np.max(np.abs(cov - ref)) <= tol, (n, np.max(np.abs(cov - ref)))
+
     def test_quadrature_oracle(self):
         # independent high-resolution trapezoidal integration
         nominal, asd = np.pi / 4, math.radians(15)
@@ -161,6 +234,23 @@ class TestDrawRealization:
         rng = np.random.default_rng(5)
         rows = math.sqrt(gain) * (np.eye(n) @ complex_gaussian((n, draws), rng))
         assert np.mean(np.abs(rows) ** 2) == pytest.approx(gain, rel=0.03)
+
+    @pytest.mark.parametrize("n_ris", [1, 16, 64, 512])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_dense_reference_stream(self, n_ris, seed):
+        cfg = self.scenario(n_ris=n_ris)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        real = draw_realization(cfg, rng)
+        ref_direct, ref_cascaded, a_vec, b_vec, meta = dense_realization(cfg, ref_rng)
+        # same Gaussian stream, consumed in the same order and amount
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for got, ref in ((real.h_direct, ref_direct), (real.h_cascaded, ref_cascaded)):
+            err = np.max(np.abs(got - ref), axis=1)
+            assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1))
+        np.testing.assert_array_equal(real.a_vec, a_vec)
+        np.testing.assert_array_equal(real.b_vec, b_vec)
+        for name, value in meta.items():
+            np.testing.assert_array_equal(getattr(real.meta, name), value)
 
     def test_meta_fields(self):
         cfg = self.scenario()
