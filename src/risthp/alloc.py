@@ -23,34 +23,41 @@ class Allocation:
     theta: PhaseConfig
     order: np.ndarray
     se_bound: float  # sum_k max(0, asymptotic SE_k), bits
-    se_exact: float  # sum of exact modulo-channel SEs, bits
-    diag_l: np.ndarray = None
+    p_bar: float  # per-user power the gains diag_l were evaluated at
+    diag_l: np.ndarray
 
     @property
     def feasible(self) -> bool:
         return np.isfinite(self.se_bound)
 
+    @property
+    def se_exact(self) -> float:
+        """Sum of exact modulo-channel SEs, bits (0.0 if infeasible); computed when read."""
+        return float(sum(thp.per_user_se(l, self.p_bar, "exact") for l in self.diag_l))
 
-def _infeasible(users, theta):
+
+def _infeasible(users, theta, p_bar):
     return Allocation(users=list(users), theta=theta, order=np.array([], dtype=int),
-                      se_bound=-np.inf, se_exact=0.0, diag_l=np.array([]))
+                      se_bound=-np.inf, p_bar=p_bar, diag_l=np.array([]))
 
 
-def optimize_phases(real, users, p_bar: float, phase_mode: str,
-                    rng: np.random.Generator | None = None) -> PhaseConfig:
+def check_optimized_mode(phase_mode: str) -> None:
+    """Raise ValueError unless phases of ``phase_mode`` are optimized per subset."""
+    if phase_mode == "random":
+        raise ValueError("random phases are drawn by greedy_allocate and "
+                         "greedy_allocate_linear; pass them as fixed_theta")
+    if phase_mode not in ("continuous", "binary"):
+        raise ValueError(f"unknown phase mode {phase_mode!r}")
+
+
+def optimize_phases(real, users, p_bar: float, phase_mode: str) -> PhaseConfig:
     """Phase configuration for a user subset under the requested mode.
 
     continuous: zero-eigenvalue alignment when applicable, otherwise the
     eigenvector heuristic, followed by element-wise refinement.  binary: the
-    continuous result discretized, then element-wise +-1 sweeps.  random:
-    i.i.d. unit-modulus phases from rng.
+    continuous result discretized, then element-wise +-1 sweeps.
     """
-    if phase_mode == "random":
-        if rng is None:
-            raise ValueError("random phase mode needs an rng")
-        return phase_opt.random_phases(real.n_ris, rng)
-    if phase_mode not in ("continuous", "binary"):
-        raise ValueError(f"unknown phase mode {phase_mode!r}")
+    check_optimized_mode(phase_mode)
 
     dec = gram_mod.decompose(real, users)
     try:
@@ -68,10 +75,9 @@ def optimize_phases(real, users, p_bar: float, phase_mode: str,
     return theta
 
 
-def evaluate_allocation(real, users, p_bar: float, phase_mode: str,
-                        rng: np.random.Generator | None = None,
+def evaluate_allocation(real, users, p_bar: float, phase_mode: str, *,
                         fixed_theta: PhaseConfig | None = None) -> Allocation:
-    """Phase + order optimization and SE evaluation for one user subset.
+    """Phase + order optimization and the SE bound for one user subset.
 
     ``fixed_theta`` bypasses the per-subset phase optimization (used for
     random phases that are a property of the RIS, not of the allocation).
@@ -83,34 +89,41 @@ def evaluate_allocation(real, users, p_bar: float, phase_mode: str,
         raise ValueError("cannot allocate more users than BS antennas")
 
     theta = fixed_theta if fixed_theta is not None else optimize_phases(
-        real, users, p_bar, phase_mode, rng)
+        real, users, p_bar, phase_mode)
     h_eff = gram_mod.effective_channel(real, users, theta.theta)
     try:
         order = thp.order_users(h_eff)
         l_mat, _ = thp.lq_decompose(h_eff[order])
     except thp.RankDeficientError:
-        return _infeasible(users, theta)
+        return _infeasible(users, theta, p_bar)
     diag_l = np.real(np.diag(l_mat))
     se_bound = float(sum(max(0.0, thp.per_user_se(l, p_bar, "asymptote"))
                          for l in diag_l))
-    se_exact = float(sum(thp.per_user_se(l, p_bar, "exact") for l in diag_l))
     return Allocation(users=users, theta=theta, order=order,
-                      se_bound=se_bound, se_exact=se_exact, diag_l=diag_l)
+                      se_bound=se_bound, p_bar=p_bar, diag_l=diag_l)
 
 
-def _greedy(real, evaluate, score):
+def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score):
     """Greedy allocation: add users one by one while the score rises.
 
-    Starts from the single user with the largest score.  Each step appends
-    every unallocated user in index order, keeps the first maximum of the
-    score, and stops when that does not raise the score or when
-    min(K, N_B) users are allocated.  ``evaluate`` maps a user list to a
-    solution with a ``users`` list; ``score`` maps a solution to a float.
+    ``evaluate(real, users, p_bar, phase_mode, fixed_theta=...)`` solves one
+    user subset and ``score`` maps its solution to a float.  Random phases
+    are drawn here, once, as a property of the RIS, and shared by every
+    candidate subset.  Starts from the single user with the largest score.
+    Each step appends every unallocated user in index order, keeps the first
+    maximum of the score, and stops when that does not raise the score or
+    when min(K, N_B) users are allocated.
     """
+    fixed_theta = (phase_opt.random_phases(real.n_ris, rng)
+                   if phase_mode == "random" else None)
+
+    def solve(users):
+        return evaluate(real, users, p_bar, phase_mode, fixed_theta=fixed_theta)
+
     k = real.n_users
-    best = max((evaluate([u]) for u in range(k)), key=score)
+    best = max((solve([u]) for u in range(k)), key=score)
     while len(best.users) < min(k, real.n_bs):
-        step = max((evaluate(best.users + [u]) for u in range(k)
+        step = max((solve(best.users + [u]) for u in range(k)
                     if u not in best.users), key=score)
         if score(step) <= score(best):
             break
@@ -120,19 +133,9 @@ def _greedy(real, evaluate, score):
 
 def greedy_allocate(real, p_bar: float, phase_mode: str,
                     rng: np.random.Generator | None = None) -> Allocation:
-    """Greedy allocation maximizing the high-SNR sum-SE bound.
-
-    Random phases are drawn once, as a property of the RIS, and shared by
-    every candidate subset.
-    """
-    fixed_theta = (phase_opt.random_phases(real.n_ris, rng)
-                   if phase_mode == "random" else None)
-
-    def evaluate(users):
-        return evaluate_allocation(real, users, p_bar, phase_mode, rng,
-                                   fixed_theta=fixed_theta)
-
-    return _greedy(real, evaluate, lambda a: a.se_bound)
+    """Greedy allocation maximizing the high-SNR sum-SE bound."""
+    return _greedy(real, p_bar, phase_mode, rng, evaluate_allocation,
+                   lambda a: a.se_bound)
 
 
 def relaxation_metric(gram_subset, n_ris: int) -> float:

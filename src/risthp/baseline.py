@@ -121,22 +121,15 @@ def _sweep_phases_linear(real, users, theta: PhaseConfig,
     return PhaseConfig(theta_vec, alphabet=theta.alphabet)
 
 
-def evaluate_allocation_linear(real, users, tx_power: float, phase_mode: str,
-                               rng=None, fixed_theta: PhaseConfig | None = None,
-                               p_bar: float | None = None) -> LinearSolution:
-    """ZF solution for a subset with phase optimization per mode."""
+def evaluate_allocation_linear(real, users, p_bar: float, phase_mode: str, *,
+                               fixed_theta: PhaseConfig | None = None) -> LinearSolution:
+    """ZF solution for a subset at P = p_bar * K, with phase optimization per mode."""
     users = list(users)
+    tx_power = p_bar * real.n_users
     if fixed_theta is not None:
         return zf_linear(real, users, fixed_theta, tx_power)
-    if phase_mode == "random":
-        if rng is None:
-            raise ValueError("random phase mode needs an rng")
-        return zf_linear(real, users, phase_opt.random_phases(real.n_ris, rng),
-                         tx_power)
-    if phase_mode not in ("continuous", "binary"):
-        raise ValueError(f"unknown phase mode {phase_mode!r}")
+    alloc.check_optimized_mode(phase_mode)
     # seed the sweep from the nonlinear continuous heuristic
-    p_bar = tx_power / max(len(users), 1) if p_bar is None else p_bar
     theta = alloc.optimize_phases(real, users, p_bar, "continuous")
     if phase_mode == "binary":
         theta = phase_opt.discretize_binary(theta)
@@ -147,12 +140,5 @@ def evaluate_allocation_linear(real, users, tx_power: float, phase_mode: str,
 def greedy_allocate_linear(real, p_bar: float, phase_mode: str,
                            rng=None) -> LinearSolution:
     """Greedy user allocation with the ZF sum SE as the metric."""
-    tx_power = p_bar * real.n_users
-    fixed_theta = (phase_opt.random_phases(real.n_ris, rng)
-                   if phase_mode == "random" else None)
-
-    def evaluate(users):
-        return evaluate_allocation_linear(real, users, tx_power, phase_mode, rng,
-                                          fixed_theta=fixed_theta, p_bar=p_bar)
-
-    return alloc._greedy(real, evaluate, lambda s: s.sum_se)
+    return alloc._greedy(real, p_bar, phase_mode, rng, evaluate_allocation_linear,
+                         lambda s: s.sum_se)

@@ -21,14 +21,16 @@ class TestEvaluateAllocation:
         assert out.se_bound == pytest.approx(expected, rel=1e-9)
         np.testing.assert_array_equal(out.order, [0])
 
-    def test_random_mode_deterministic(self, rng):
+    def test_random_mode_needs_fixed_theta(self, rng):
+        # random phases are drawn once, by greedy_allocate, never per subset
         real = random_realization(rng)
-        a1 = A.evaluate_allocation(real, [0, 2], 3.0, "random",
-                                   np.random.default_rng(9))
-        a2 = A.evaluate_allocation(real, [0, 2], 3.0, "random",
-                                   np.random.default_rng(9))
-        np.testing.assert_array_equal(a1.theta.theta, a2.theta.theta)
-        assert a1.se_bound == a2.se_bound
+        with pytest.raises(ValueError, match="greedy_allocate"):
+            A.evaluate_allocation(real, [0, 2], 3.0, "random")
+        with pytest.raises(TypeError):
+            A.evaluate_allocation(real, [0, 2], 3.0, "random",
+                                  np.random.default_rng(9))
+        with pytest.raises(ValueError, match="greedy_allocate"):
+            A.optimize_phases(real, [0, 2], 3.0, "random")
 
     def test_zero_eig_matches_alignment(self, rng):
         real = random_realization(rng, k=2, n_bs=2, n_ris=6)
@@ -60,6 +62,7 @@ class TestEvaluateAllocation:
         out = A.evaluate_allocation(real, [0, 1], 1.0, "continuous")
         assert out.se_bound == -np.inf
         assert not out.feasible
+        assert out.se_exact == 0.0
 
 
 class TestGreedyAllocate:
@@ -117,6 +120,25 @@ class TestGreedyAllocate:
         real = random_realization(rng, k=5, n_bs=3)
         out = A.greedy_allocate(real, 1e4, "continuous")
         assert len(out.users) <= 3
+
+    @pytest.mark.parametrize("phase_mode", ["continuous", "random"])
+    def test_exact_se_only_for_returned_allocation(self, rng, monkeypatch, phase_mode):
+        # candidates are ranked by the bound; the entropy integral runs only
+        # when the kept allocation's se_exact is read, once per user
+        real = random_realization(rng, k=4, n_bs=4)
+        calls = []
+        entropy = T.wrapped_noise_entropy
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return entropy(*args, **kwargs)
+
+        monkeypatch.setattr(T, "wrapped_noise_entropy", counted)
+        out = A.greedy_allocate(real, 50.0, phase_mode, np.random.default_rng(3))
+        assert calls == []
+        se = out.se_exact
+        assert len(calls) == len(out.users) >= 2
+        assert se > 0.0
 
 
 class TestRelaxationMetric:

@@ -69,34 +69,36 @@ class TestZfLinear:
 
 
 class TestEvaluateAllocationLinear:
-    def test_random_deterministic(self, rng):
+    def test_random_needs_fixed_theta(self, rng):
+        # random phases are drawn once, by greedy_allocate_linear
         real = random_realization(rng)
-        s1 = B.evaluate_allocation_linear(real, [0, 1], 4.0, "random",
-                                          np.random.default_rng(7))
-        s2 = B.evaluate_allocation_linear(real, [0, 1], 4.0, "random",
-                                          np.random.default_rng(7))
-        np.testing.assert_array_equal(s1.theta.theta, s2.theta.theta)
-        assert s1.sum_se == s2.sum_se
+        with pytest.raises(ValueError, match="greedy_allocate_linear"):
+            B.evaluate_allocation_linear(real, [0, 1], 2.0, "random")
+        with pytest.raises(TypeError):
+            B.evaluate_allocation_linear(real, [0, 1], 2.0, "random",
+                                         np.random.default_rng(7))
 
     def test_continuous_beats_mean_random(self, rng):
         real = random_realization(rng, k=2, n_bs=4, n_ris=8)
-        opt = B.evaluate_allocation_linear(real, [0, 1], 4.0, "continuous")
+        opt = B.evaluate_allocation_linear(real, [0, 1], 2.0, "continuous")
         rnd = np.mean([
-            B.evaluate_allocation_linear(real, [0, 1], 4.0, "random",
-                                         np.random.default_rng(i)).sum_se
+            B.evaluate_allocation_linear(
+                real, [0, 1], 2.0, "random",
+                fixed_theta=phase_opt.random_phases(real.n_ris,
+                                                    np.random.default_rng(i))).sum_se
             for i in range(20)])
         assert opt.sum_se >= rnd
 
     def test_binary_alphabet(self, rng):
         real = random_realization(rng)
-        sol = B.evaluate_allocation_linear(real, [0, 1], 4.0, "binary")
+        sol = B.evaluate_allocation_linear(real, [0, 1], 2.0, "binary")
         assert sol.theta.alphabet == "binary"
         assert np.all(np.isin(sol.theta.theta, [-1.0 + 0j, 1.0 + 0j]))
 
     def test_fixed_theta_bypasses_optimization(self, rng):
         real = random_realization(rng)
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
-        sol = B.evaluate_allocation_linear(real, [0, 2], 4.0, "continuous",
+        sol = B.evaluate_allocation_linear(real, [0, 2], 2.0, "continuous",
                                            fixed_theta=theta)
         np.testing.assert_array_equal(sol.theta.theta, theta.theta)
 

@@ -42,6 +42,25 @@ class TestZeroEigDirection:
         with pytest.raises(NotApplicableError):
             P.zero_eig_direction(real, range(2))
 
+    def test_blocked_majority_falls_back_to_pinv(self, rng):
+        # 3 of 4 direct rows at 1e-8: the median norm is a blocked one, so the
+        # BLOCKAGE_FRACTION rule finds no blocked user and H_d^{+,H} b is used
+        real = random_realization(rng, k=4, n_bs=4, blocked=(0, 1, 3))
+        norms = np.linalg.norm(real.h_direct, axis=1)
+        assert not np.any(norms < P.BLOCKAGE_FRACTION * np.median(norms))
+        c_mat = G.decompose(real, range(4)).c_mat
+        u = P.zero_eig_direction(real, range(4))
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+        assert np.count_nonzero(u) > 1
+        assert np.linalg.norm(c_mat @ u) <= 1e-12 * np.linalg.norm(c_mat, 2)
+
+    def test_blocked_half_picks_weakest(self, rng):
+        real = random_realization(rng, k=4, n_bs=4, blocked=(0, 2))
+        norms = np.linalg.norm(real.h_direct, axis=1)
+        expected = np.zeros(4, dtype=complex)
+        expected[(0, 2)[int(np.argmin(norms[[0, 2]]))]] = 1.0
+        np.testing.assert_array_equal(P.zero_eig_direction(real, range(4)), expected)
+
 
 class TestAlignPhases:
     def test_blocked_user_gain_maximization(self, rng):
