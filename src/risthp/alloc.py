@@ -1,8 +1,10 @@
 """Greedy user allocation for ZF-dTHP.
 
 Maximizes the high-SNR sum-SE lower bound sum_k max(0, SE_k) with phase and
-decoding-order re-optimization per candidate allocation, plus the two-norm
-relaxation as a fast ranking metric.
+decoding-order re-optimization per candidate allocation.  Also provides
+``relaxation_metric``, the two-norm relaxation N_R * lambda_max(C^-1 D D^H) of
+the high-power phase objective of a user subset; the greedy loop does not
+use it.
 """
 
 from __future__ import annotations
@@ -114,8 +116,11 @@ def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score):
     maximum of the score, and stops when that does not raise the score or
     when min(K, N_B) users are allocated.
     """
-    fixed_theta = (phase_opt.random_phases(real.n_ris, rng)
-                   if phase_mode == "random" else None)
+    fixed_theta = None
+    if phase_mode == "random":
+        if rng is None:
+            raise ValueError("random phases need an rng")
+        fixed_theta = phase_opt.random_phases(real.n_ris, rng)
 
     def solve(users):
         return evaluate(real, users, p_bar, phase_mode, fixed_theta=fixed_theta)

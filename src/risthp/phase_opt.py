@@ -8,6 +8,7 @@ for the binary (+-1) phase alphabet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 import scipy.linalg
@@ -108,19 +109,22 @@ def heuristic_phases(gram: GramDecomposition, p_bar: float) -> PhaseConfig:
     return PhaseConfig(theta)
 
 
-def _quadratic_form_matrix(gram: GramDecomposition, p_bar: float,
-                           direction: np.ndarray | None) -> np.ndarray:
-    """Hermitian M with objective theta_bar^H M theta_bar.
+def _phase_factor(gram: GramDecomposition, p_bar: float,
+                  direction: np.ndarray | None) -> np.ndarray:
+    """Factor G with phase objective ||G theta_bar||^2, i.e. M = G^H G.
 
-    With a zero-eigenvalue direction u the objective is |u^H D theta_bar|^2,
-    otherwise the Rayleigh quotient matrix D^H (I/p_bar + C)^-1 D.
+    With a zero-eigenvalue direction u, G is the single row u^H D (objective
+    |u^H D theta_bar|^2).  Otherwise I/p_bar + C = L L^H and G = L^-1 D, so
+    G^H G is the Rayleigh quotient matrix D^H (I/p_bar + C)^-1 D.
     """
     d = gram.d_mat
     if direction is not None:
-        c = d.conj().T @ direction
-        return np.outer(c, c.conj())
-    m = d.conj().T @ scipy.linalg.solve(gram.a_mat(p_bar), d, assume_a="pos")
-    return 0.5 * (m + m.conj().T)
+        return (direction.conj() @ d)[None, :]
+    if not p_bar > 0:
+        raise ValueError("p_bar must be positive")
+    # np.linalg.solve, not scipy.linalg.solve_triangular: with two OpenBLAS
+    # threads scipy's trsm stalled for up to ~8 ms on these K x (N_R+1) systems
+    return np.linalg.solve(np.linalg.cholesky(gram.a_mat(p_bar)), d)
 
 
 def refine_elementwise(gram: GramDecomposition, theta_init: PhaseConfig,
@@ -133,31 +137,44 @@ def refine_elementwise(gram: GramDecomposition, theta_init: PhaseConfig,
     alphabet: each element is set to the better of {-1, +1}, ties keep the
     current value.  The objective is nondecreasing; stops after a full sweep
     without relative improvement or after max_sweeps.
+
+    Works on the K-row factor G of the objective ||G theta_bar||^2 and
+    carries y = G theta_bar, so an element costs O(K) scalar operations on
+    Python lists; y is recomputed once per sweep.
     """
     if max_sweeps <= 0:
         raise ValueError("max_sweeps must be positive")
-    m = _quadratic_form_matrix(gram, p_bar, direction)
-    n_ris = gram.n_ris
+    g_mat = _phase_factor(gram, p_bar, direction)
+    cols = g_mat.T.tolist()
+    cols_conj = g_mat.T.conj().tolist()
+    col_norms = np.sum(np.abs(g_mat) ** 2, axis=0).tolist()
     theta_bar = extend_theta(theta_init.theta)
+    th = theta_bar.tolist()
     binary = theta_init.alphabet == "binary"
 
-    obj = float(np.real(theta_bar.conj() @ m @ theta_bar))
+    y = g_mat @ theta_bar
+    obj = float(np.real(np.vdot(y, y)))
     for _ in range(max_sweeps):
         changed = False
-        for n in range(n_ris):
-            # objective in theta_n: 2 Re(conj(theta_n) c_n) + const
-            c_n = m[n] @ theta_bar - m[n, n] * theta_bar[n]
+        yl = y.tolist()
+        for n in range(gram.n_ris):
+            # objective in theta_n: 2 Re(conj(theta_n) c_n) + const,
+            # c_n = g_n^H y - ||g_n||^2 theta_n
+            old = th[n]
+            c_n = sum(map(mul, cols_conj[n], yl)) - col_norms[n] * old
             if binary:
-                new = 1.0 if np.real(c_n) > 0 else (-1.0 if np.real(c_n) < 0
-                                                    else theta_bar[n])
+                new = 1.0 if c_n.real > 0 else (-1.0 if c_n.real < 0 else old)
             else:
-                new = c_n / abs(c_n) if c_n != 0 else theta_bar[n]
-            if new != theta_bar[n]:
-                theta_bar[n] = new
+                new = c_n / abs(c_n) if c_n != 0 else old
+            if new != old:
+                step = new - old
+                yl = [y_k + g_k * step for y_k, g_k in zip(yl, cols[n])]
+                th[n] = new
                 changed = True
-        new_obj = float(np.real(theta_bar.conj() @ m @ theta_bar))
+        theta_bar = np.array(th, dtype=complex)
+        y = g_mat @ theta_bar
+        new_obj = float(np.real(np.vdot(y, y)))
         if not changed or new_obj - obj <= SWEEP_REL_TOL * max(abs(obj), 1.0):
-            obj = new_obj
             break
         obj = new_obj
 

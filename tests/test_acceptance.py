@@ -162,7 +162,8 @@ def test_criterion_06_binary_phases_local_and_global():
         dec = G.decompose(real, range(3))
         p_bar = float(r.uniform(1.0, 20.0))
         theta = alloc.optimize_phases(real, range(3), p_bar, "binary")
-        m = P._quadratic_form_matrix(dec, p_bar, None)
+        m = dec.d_mat.conj().T @ np.linalg.solve(dec.a_mat(p_bar), dec.d_mat)
+        m = 0.5 * (m + m.conj().T)
         tb = G.extend_theta(theta.theta)
         achieved = float(np.real(tb.conj() @ m @ tb))
         flip_opt = True

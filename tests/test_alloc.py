@@ -66,6 +66,11 @@ class TestEvaluateAllocation:
 
 
 class TestGreedyAllocate:
+    def test_random_mode_needs_rng(self, rng):
+        real = random_realization(rng)
+        with pytest.raises(ValueError, match="random phases need an rng"):
+            A.greedy_allocate(real, 2.0, "random")
+
     def test_low_power_single_user(self, rng):
         # power so small that every multi-user bound loses to the best single
         real = random_realization(rng, k=3, n_bs=4)

@@ -126,6 +126,11 @@ class TestGreedyAllocateLinear:
         sol = B.greedy_allocate_linear(real, 100.0, "continuous")
         assert len(sol.users) <= 3
 
+    def test_random_mode_needs_rng(self, rng):
+        real = random_realization(rng)
+        with pytest.raises(ValueError, match="random phases need an rng"):
+            B.greedy_allocate_linear(real, 5.0, "random")
+
     def test_deterministic_random_mode(self, rng):
         real = random_realization(rng)
         s1 = B.greedy_allocate_linear(real, 5.0, "random",

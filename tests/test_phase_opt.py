@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from risthp import gram as G, phase_opt as P
 from risthp.channel import ChannelRealization
@@ -201,7 +202,84 @@ class TestRayleighObjective:
             G.dpc_sum_se(dec, tb, p_bar) - logdet, rel=1e-9)
 
 
+def _dense_refine(gram, theta_init, p_bar, max_sweeps=P.DEFAULT_MAX_SWEEPS,
+                  direction=None):
+    """Coordinate ascent on the dense (N_R+1)^2 matrix M, one numpy row per
+    element: the kernel the K-row factor G = L^-1 D replaced.  Returns the
+    phases and M."""
+    d = gram.d_mat
+    if direction is not None:
+        c = d.conj().T @ direction
+        m = np.outer(c, c.conj())
+    else:
+        m = d.conj().T @ scipy.linalg.solve(gram.a_mat(p_bar), d, assume_a="pos")
+        m = 0.5 * (m + m.conj().T)
+    theta_bar = G.extend_theta(theta_init.theta)
+    binary = theta_init.alphabet == "binary"
+    obj = float(np.real(theta_bar.conj() @ m @ theta_bar))
+    for _ in range(max_sweeps):
+        changed = False
+        for n in range(gram.n_ris):
+            c_n = m[n] @ theta_bar - m[n, n] * theta_bar[n]
+            if binary:
+                new = 1.0 if np.real(c_n) > 0 else (-1.0 if np.real(c_n) < 0
+                                                    else theta_bar[n])
+            else:
+                new = c_n / abs(c_n) if c_n != 0 else theta_bar[n]
+            if new != theta_bar[n]:
+                theta_bar[n] = new
+                changed = True
+        new_obj = float(np.real(theta_bar.conj() @ m @ theta_bar))
+        if not changed or new_obj - obj <= P.SWEEP_REL_TOL * max(abs(obj), 1.0):
+            break
+        obj = new_obj
+    theta = theta_bar[:-1]
+    if binary:
+        theta = np.real(theta).round().astype(complex)
+    else:
+        theta = theta / np.abs(theta)
+    return theta, m
+
+
 class TestRefineElementwise:
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize("n_ris", [1, 2, 16, 64, 512])
+    def test_matches_dense_reference(self, k, n_ris):
+        # the kernel takes the direction u as given, so any unit vector will do
+        rng = np.random.default_rng(1000 * k + n_ris)
+        dec = G.decompose(random_realization(rng, k=k, n_bs=k + 2,
+                                             n_ris=n_ris), range(k))
+        u = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        start = PhaseConfig(random_unit_theta(rng, n_ris))
+        n_moved = 0
+        for direction in (None, u / np.linalg.norm(u)):
+            p_bar = float(rng.uniform(0.5, 50.0))
+            for init in (start, P.discretize_binary(start)):
+                for sweeps in (1, P.DEFAULT_MAX_SWEEPS):
+                    out = P.refine_elementwise(dec, init, p_bar, sweeps,
+                                               direction=direction)
+                    ref, m = _dense_refine(dec, init, p_bar, sweeps, direction)
+                    assert out.alphabet == init.alphabet
+                    if init.alphabet == "binary":
+                        np.testing.assert_array_equal(out.theta, ref)
+                    else:
+                        np.testing.assert_allclose(out.theta, ref, rtol=0,
+                                                   atol=1e-10)
+                    tb, tb_ref = G.extend_theta(out.theta), G.extend_theta(ref)
+                    obj = float(np.real(tb.conj() @ m @ tb))
+                    obj_ref = float(np.real(tb_ref.conj() @ m @ tb_ref))
+                    assert obj == pytest.approx(obj_ref, rel=1e-12)
+                    n_moved += not np.array_equal(out.theta, init.theta)
+        assert n_moved > 0
+
+    @pytest.mark.parametrize("p_bar", [0.0, -1.0])
+    def test_nonpositive_p_bar_rejected(self, rng, p_bar):
+        real = random_realization(rng)
+        dec = G.decompose(real, range(3))
+        with pytest.raises(ValueError, match="p_bar must be positive"):
+            P.refine_elementwise(dec, PhaseConfig(np.ones(8, dtype=complex)),
+                                 p_bar)
+
     def test_binary_exhaustive_two_elements(self, rng):
         for _ in range(20):
             real = random_realization(rng, k=2, n_bs=4, n_ris=2)
