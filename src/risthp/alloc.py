@@ -52,28 +52,26 @@ def check_optimized_mode(phase_mode: str) -> None:
         raise ValueError(f"unknown phase mode {phase_mode!r}")
 
 
-def optimize_phases(real, users, p_bar: float, phase_mode: str) -> PhaseConfig:
-    """Phase configuration for a user subset under the requested mode.
+def optimize_phases(gram: gram_mod.GramDecomposition, p_bar: float,
+                    phase_mode: str) -> PhaseConfig:
+    """Phase configuration for the user subset of ``gram`` under the requested mode.
 
-    continuous: zero-eigenvalue alignment when applicable, otherwise the
-    eigenvector heuristic, followed by element-wise refinement.  binary: the
-    continuous result discretized, then element-wise +-1 sweeps.
+    continuous: alignment along C's zero-eigenvalue direction when C has
+    exactly one zero eigenvalue, otherwise the eigenvector heuristic, followed
+    by element-wise refinement.  binary: the continuous result discretized,
+    then element-wise +-1 sweeps.
     """
     check_optimized_mode(phase_mode)
-
-    dec = gram_mod.decompose(real, users)
     try:
-        u_k = phase_opt.zero_eig_direction(real, users)
-        theta = phase_opt.align_phases(u_k, real, users)
-        theta = phase_opt.refine_elementwise(dec, theta, p_bar, direction=u_k)
-        direction = u_k
+        direction = phase_opt.zero_eig_direction(gram)
+        theta = phase_opt.align_phases(gram, direction)
     except NotApplicableError:
-        theta = phase_opt.heuristic_phases(dec, p_bar)
-        theta = phase_opt.refine_elementwise(dec, theta, p_bar)
         direction = None
+        theta = phase_opt.heuristic_phases(gram, p_bar)
+    theta = phase_opt.refine_elementwise(gram, theta, p_bar, direction=direction)
     if phase_mode == "binary":
         theta = phase_opt.discretize_binary(theta)
-        theta = phase_opt.refine_elementwise(dec, theta, p_bar, direction=direction)
+        theta = phase_opt.refine_elementwise(gram, theta, p_bar, direction=direction)
     return theta
 
 
@@ -91,7 +89,7 @@ def evaluate_allocation(real, users, p_bar: float, phase_mode: str, *,
         raise ValueError("cannot allocate more users than BS antennas")
 
     theta = fixed_theta if fixed_theta is not None else optimize_phases(
-        real, users, p_bar, phase_mode)
+        gram_mod.decompose(real, users), p_bar, phase_mode)
     h_eff = gram_mod.effective_channel(real, users, theta.theta)
     try:
         order = thp.order_users(h_eff)

@@ -82,7 +82,7 @@ def zf_sum_se_gram(c_mat: np.ndarray, d_vecs: np.ndarray, tx_power: float) -> np
     return se
 
 
-def _sweep_phases_linear(real, users, theta: PhaseConfig,
+def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
                          tx_power: float) -> PhaseConfig:
     """Element-wise ascent of the ZF sum SE over candidate phase values.
 
@@ -100,7 +100,6 @@ def _sweep_phases_linear(real, users, theta: PhaseConfig,
         candidates = np.array([-1.0 + 0j, 1.0 + 0j])
     else:
         candidates = np.exp(2j * np.pi * np.arange(N_GRID) / N_GRID)
-    dec = gram_mod.decompose(real, users)
     d = dec.d_mat @ gram_mod.extend_theta(theta_vec)
     best = zf_sum_se_gram(dec.c_mat, d[None, :], tx_power)[0]
     for _ in range(MAX_SWEEPS):
@@ -129,11 +128,12 @@ def evaluate_allocation_linear(real, users, p_bar: float, phase_mode: str, *,
     if fixed_theta is not None:
         return zf_linear(real, users, fixed_theta, tx_power)
     alloc.check_optimized_mode(phase_mode)
+    dec = gram_mod.decompose(real, users)
     # seed the sweep from the nonlinear continuous heuristic
-    theta = alloc.optimize_phases(real, users, p_bar, "continuous")
+    theta = alloc.optimize_phases(dec, p_bar, "continuous")
     if phase_mode == "binary":
         theta = phase_opt.discretize_binary(theta)
-    theta = _sweep_phases_linear(real, users, theta, tx_power)
+    theta = _sweep_phases_linear(dec, theta, tx_power)
     return zf_linear(real, users, theta, tx_power)
 
 

@@ -9,6 +9,7 @@ AWGN has unit variance per receive dimension.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_bs", "n_users", "n_ris", "n_blocked", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_bs < 1 or self.n_users < 1 or self.n_ris < 1:
             raise ValueError("array and user counts must be positive")
         if not self.user_circle_radius > 0:
@@ -148,13 +154,17 @@ def los_bs_ris(n_ris: int, n_bs: int, angle_ris: float = np.pi / 2,
     return a, b
 
 
-def laplacian_covariance(n: int, nominal_angle: float, asd: float,
-                         n_points: int = 4096) -> np.ndarray:
+# points of the angle grid of the Laplacian covariance quadrature
+N_POINTS = 4096
+
+
+def laplacian_covariance(n: int, nominal_angle: float, asd: float) -> np.ndarray:
     """Spatial covariance for a Laplacian angle density on a half-wavelength ULA.
 
     Entry (m, k) is the integral of exp(j*pi*(m-k)*sin(phi)) against a
     Laplacian density centered at nominal_angle with standard deviation asd,
-    truncated to +-pi around the center and renormalized.
+    truncated to +-pi around the center and renormalized, by the trapezoid
+    rule on an N_POINTS grid.
 
     The quadrature r[d] = sum_i w_i exp(j*pi*d*sin(phi_i)) is factored with
     d = q*B + p, B = ceil(sqrt(n)): a table of exp(j*pi*p*sin(phi_i)) for
@@ -169,7 +179,7 @@ def laplacian_covariance(n: int, nominal_angle: float, asd: float,
         return np.outer(v, v.conj())
     # Laplace(b) has std b*sqrt(2)
     scale = asd / math.sqrt(2.0)
-    phi = np.linspace(nominal_angle - np.pi, nominal_angle + np.pi, n_points)
+    phi = np.linspace(nominal_angle - np.pi, nominal_angle + np.pi, N_POINTS)
     pdf = np.exp(-np.abs(phi - nominal_angle) / scale)
     # trapezoid weights, renormalized after truncation
     w = np.gradient(phi) * pdf

@@ -15,8 +15,9 @@ import scipy.linalg
 # An eigenvalue of a K x K Gram-form matrix (C, or H H^H = C + d d^H) at or
 # below RANK_TOL * lambda_max counts as zero.  It differs from thp._RANK_TOL
 # (1e-10 on the singular values of H) because it answers another question:
-# whether C has a zero eigenvalue, which selects the closed-form alignment
-# branch, or whether a phase candidate of the linear-ZF sweep is worth scoring.
+# whether C has exactly one zero eigenvalue, which selects the closed-form
+# alignment branch and, as that eigenvalue's eigenvector, its direction; or
+# whether a phase candidate of the linear-ZF sweep is worth scoring.
 # Eigenvalues scale like squared singular values, and a ratio of 1e-20 is
 # below what a Gram matrix in double precision resolves, so the two thresholds
 # are not comparable numbers.

@@ -1,8 +1,9 @@
 """RIS phase-shift optimization.
 
-Closed-form alignment when C has a zero eigenvalue, a principal-eigenvector
-heuristic otherwise, plus element-wise coordinate ascent for refinement and
-for the binary (+-1) phase alphabet.
+Closed-form alignment when C has exactly one zero eigenvalue, a
+principal-eigenvector heuristic otherwise, plus element-wise coordinate
+ascent for refinement and for the binary (+-1) phase alphabet.  Every
+function reads only the decomposition (C, D) of ``gram.decompose``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from . import gram as gram_mod
 from .gram import GramDecomposition, extend_theta
 from .gram import rayleigh_objective  # the phase objective, shared with dpc_sum_se
 
-# direct row norms below this fraction of the median row norm count as blocked
-BLOCKAGE_FRACTION = 1e-4
 DEFAULT_MAX_SWEEPS = 50
 SWEEP_REL_TOL = 1e-10
 
@@ -49,64 +48,52 @@ def random_phases(n_ris: int, rng: np.random.Generator) -> PhaseConfig:
     return PhaseConfig(np.exp(2j * np.pi * rng.uniform(size=n_ris)))
 
 
-def zero_eig_direction(real, users) -> np.ndarray:
-    """Eigenvector of C for the zero eigenvalue (unit norm).
+def zero_eig_direction(gram: GramDecomposition) -> np.ndarray:
+    """Unit eigenvector of C for its zero eigenvalue.
 
-    Returns the standard basis vector of a blocked user when one exists,
-    otherwise H_d^{+,H} b normalized.  Raises NotApplicableError when the
-    smallest eigenvalue of C is not numerically zero.
+    One eigendecomposition of C decides: when exactly one eigenvalue counts
+    as zero (``gram.count_zero_eigenvalues``), its eigenvector is returned;
+    any other count raises NotApplicableError.
     """
-    users = list(users)
-    dec = gram_mod.decompose(real, users)
-    if not gram_mod.count_zero_eigenvalues(np.linalg.eigvalsh(dec.c_mat)):
-        raise NotApplicableError("smallest eigenvalue of C is not zero")
-
-    h_d = real.h_direct[users]
-    norms = np.linalg.norm(h_d, axis=1)
-    thresh = BLOCKAGE_FRACTION * np.median(norms)
-    blocked = np.flatnonzero(norms < thresh)
-    k = len(users)
-    if blocked.size:
-        u = np.zeros(k, dtype=complex)
-        u[blocked[np.argmin(norms[blocked])]] = 1.0
-        return u
-    u = np.linalg.pinv(h_d).conj().T @ real.b_vec
-    nrm = np.linalg.norm(u)
-    if nrm == 0.0:
-        raise NotApplicableError("H_d^{+,H} b vanished")
-    return u / nrm
+    vals, vecs = np.linalg.eigh(gram.c_mat)
+    n_zero = gram_mod.count_zero_eigenvalues(vals)
+    if n_zero != 1:
+        raise NotApplicableError(
+            f"{n_zero} eigenvalues of C count as zero; alignment needs exactly one")
+    return vecs[:, 0]
 
 
-def align_phases(u_k: np.ndarray, real, users) -> PhaseConfig:
+def _lift(gram: GramDecomposition, w: np.ndarray) -> PhaseConfig:
+    """Phases of D^H w relative to its last entry, so theta_bar ends in 1.
+
+    Shared by both branches; a call of ``align_phases`` therefore always
+    means the alignment branch ran.
+    """
+    w_bar = gram.d_mat.conj().T @ w
+    return PhaseConfig(np.exp(1j * (np.angle(w_bar[:-1]) - np.angle(w_bar[-1]))))
+
+
+def align_phases(gram: GramDecomposition, u_k: np.ndarray) -> PhaseConfig:
     """Optimal continuous phases by alignment for the zero-eigenvalue case.
 
-    theta = exp(j(angle(H_c^H u_K) - angle(b^H H_d^H u_K))), which makes all
-    terms of u_K^H D theta_bar add up in phase.
+    The phases of D^H u_K relative to its last entry make all terms of
+    u_K^H D theta_bar add up in phase (a zero entry counts as angle 0).
     """
-    users = list(users)
-    h_c = real.h_cascaded[users]
-    h_d = real.h_direct[users]
-    ref = np.angle(real.b_vec.conj() @ (h_d.conj().T @ u_k))  # angle(0) -> 0
-    theta = np.exp(1j * (np.angle(h_c.conj().T @ u_k) - ref))
-    return PhaseConfig(theta)
+    return _lift(gram, u_k)
 
 
 def heuristic_phases(gram: GramDecomposition, p_bar: float) -> PhaseConfig:
     """Principal-eigenvector phase heuristic.
 
     Computes the principal eigenvector w' of the K x K matrix
-    (I/p_bar + C)^-1 D D^H, lifts it to w_bar = D^H w' and takes the phases
-    relative to the last entry, so the extended vector ends in 1.
+    (I/p_bar + C)^-1 D D^H and lifts it like ``align_phases``: the phases of
+    D^H w' relative to its last entry.  D^H w' vanishes only for D = 0, where
+    every theta is optimal and the all-ones phases are returned.
     """
     if not p_bar > 0:
         raise ValueError("p_bar must be positive")
     _, vecs = scipy.linalg.eigh(gram.ddh, gram.a_mat(p_bar))
-    w_prime = vecs[:, -1]
-    w_bar = gram.d_mat.conj().T @ w_prime
-    if np.linalg.norm(w_bar) == 0.0:
-        raise RuntimeError("degenerate principal eigenvector")
-    theta = np.exp(1j * (np.angle(w_bar[:-1]) - np.angle(w_bar[-1])))
-    return PhaseConfig(theta)
+    return _lift(gram, vecs[:, -1])
 
 
 def _phase_factor(gram: GramDecomposition, p_bar: float,

@@ -11,13 +11,14 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import alloc, baseline, gram as gram_mod, phase_opt, thp
+from . import alloc, baseline, gram as gram_mod, thp
 from .channel import (PATHLOSS_PRESETS, PathlossModel, ScenarioConfig,
                       draw_realization)
 
@@ -37,8 +38,8 @@ class RunConfig:
     sweep_values: tuple = ()
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"methods: unknown method {m!r}")
@@ -150,8 +151,8 @@ def _thp_no_ris(real, p_bar, phase_mode, rng):
 
 def _dpc(real, p_bar, phase_mode, rng):
     users = list(range(real.n_users))
-    theta = alloc.optimize_phases(real, users, p_bar, phase_mode)
     dec = gram_mod.decompose(real, users)
+    theta = alloc.optimize_phases(dec, p_bar, phase_mode)
     return len(users), gram_mod.dpc_sum_se(dec, gram_mod.extend_theta(theta.theta), p_bar)
 
 
@@ -313,7 +314,8 @@ def _validate_checks():
         b_vec=(lambda v: v / np.linalg.norm(v))(
             rng.standard_normal(4) + 1j * rng.standard_normal(4)),
         a_vec=np.ones(8, dtype=complex))
-    theta = alloc.optimize_phases(real, range(4), 10.0, "continuous")
+    theta = alloc.optimize_phases(gram_mod.decompose(real, range(4)), 10.0,
+                                  "continuous")
     checks.append(("continuous phases unit modulus",
                    bool(np.max(np.abs(np.abs(theta.theta) - 1.0)) < 1e-12)))
     return checks
@@ -355,17 +357,14 @@ def main(argv=None) -> int:
 
     try:
         config = load_run_config(args.config)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.seed is not None:
-        config.scenario.seed = args.seed
-
-    if args.command == "sweep":
-        try:
+        # overrides go through dataclasses.replace, so RunConfig and
+        # ScenarioConfig validate them like config-file values
+        changes = {}
+        if args.trials is not None:
+            changes["trials"] = args.trials
+        if args.seed is not None:
+            changes["scenario"] = dataclasses.replace(config.scenario, seed=args.seed)
+        if args.command == "sweep":
             if args.sweep_asd:
                 name, values = "asd", [math.radians(float(v))
                                        for v in args.sweep_asd.split(",")]
@@ -373,11 +372,11 @@ def main(argv=None) -> int:
                 name, values = "n_ris", [int(v) for v in args.sweep_nr.split(",")]
             else:
                 name, values = "tx_dbm", [float(v) for v in args.sweep_tx.split(",")]
-            config = dataclasses.replace(config, sweep_name=name,
-                                         sweep_values=tuple(values))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            changes.update(sweep_name=name, sweep_values=tuple(values))
+        config = dataclasses.replace(config, **changes)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     records = run(config)
     emit_csv(records, args.out)

@@ -92,8 +92,8 @@ def test_criterion_04_alignment_vs_exhaustive_grid():
         # N_B = K makes the smallest eigenvalue of C exactly zero
         real = _random_realization(rng, k=2, n_bs=2, n_ris=3)
         dec = G.decompose(real, [0, 1])
-        u = P.zero_eig_direction(real, [0, 1])
-        theta_star = P.align_phases(u, real, [0, 1]).theta
+        u = P.zero_eig_direction(dec)
+        theta_star = P.align_phases(dec, u).theta
         c = u.conj() @ dec.d_mat  # objective |c @ theta_bar|^2
         closed = abs(c @ G.extend_theta(theta_star)) ** 2
         vals = np.abs(c[3]
@@ -135,9 +135,8 @@ def test_criterion_05_eigenvector_heuristic_equivalence():
         real = _random_realization(rng, k=3, n_bs=3, n_ris=6)
         dec = G.decompose(real, range(3))
         p_bar = 1e7
-        u = P.zero_eig_direction(real, range(3))
-        closed = P.rayleigh_objective(
-            dec, G.extend_theta(P.align_phases(u, real, range(3)).theta), p_bar)
+        closed = P.rayleigh_objective(dec, G.extend_theta(
+            P.align_phases(dec, P.zero_eig_direction(dec)).theta), p_bar)
         heur = P.heuristic_phases(dec, p_bar)
         heur = P.refine_elementwise(dec, heur, p_bar)
         got = P.rayleigh_objective(dec, G.extend_theta(heur.theta), p_bar)
@@ -161,7 +160,7 @@ def test_criterion_06_binary_phases_local_and_global():
         real = _random_realization(r, k=3, n_bs=5, n_ris=n_ris)
         dec = G.decompose(real, range(3))
         p_bar = float(r.uniform(1.0, 20.0))
-        theta = alloc.optimize_phases(real, range(3), p_bar, "binary")
+        theta = alloc.optimize_phases(dec, p_bar, "binary")
         m = dec.d_mat.conj().T @ np.linalg.solve(dec.a_mat(p_bar), dec.d_mat)
         m = 0.5 * (m + m.conj().T)
         tb = G.extend_theta(theta.theta)

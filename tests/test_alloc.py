@@ -30,15 +30,15 @@ class TestEvaluateAllocation:
             A.evaluate_allocation(real, [0, 2], 3.0, "random",
                                   np.random.default_rng(9))
         with pytest.raises(ValueError, match="greedy_allocate"):
-            A.optimize_phases(real, [0, 2], 3.0, "random")
+            A.optimize_phases(G.decompose(real, [0, 2]), 3.0, "random")
 
     def test_zero_eig_matches_alignment(self, rng):
         real = random_realization(rng, k=2, n_bs=2, n_ris=6)
         p_bar = 5.0
         out = A.evaluate_allocation(real, [0, 1], p_bar, "continuous")
         dec = G.decompose(real, [0, 1])
-        u = P.zero_eig_direction(real, [0, 1])
-        aligned = P.align_phases(u, real, [0, 1]).theta
+        u = P.zero_eig_direction(dec)
+        aligned = P.align_phases(dec, u).theta
         obj_out = abs(u.conj() @ dec.d_mat
                       @ G.extend_theta(out.theta.theta)) ** 2
         obj_ref = abs(u.conj() @ dec.d_mat @ G.extend_theta(aligned)) ** 2

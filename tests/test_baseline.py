@@ -234,7 +234,7 @@ class TestZfSumSeGram:
             got, oracle = _element_scores(real, [0, 1], theta, n, 2.0)
             np.testing.assert_array_equal(oracle, 0.0)
             np.testing.assert_array_equal(got, 0.0)
-        swept = B._sweep_phases_linear(real, [0, 1], theta, 2.0)
+        swept = B._sweep_phases_linear(G.decompose(real, [0, 1]), theta, 2.0)
         np.testing.assert_array_equal(swept.theta, theta.theta)
         assert swept.alphabet == alphabet
 
@@ -250,10 +250,11 @@ class TestSweepEquivalence:
         real = draw_realization(scenario, np.random.default_rng(seed))
         moved = False
         for users in ([0, 1, 2, 3, 4, 5], [1, 3, 4]):
-            theta = alloc.optimize_phases(real, users, scenario.tx_power / len(users),
+            dec = G.decompose(real, users)
+            theta = alloc.optimize_phases(dec, scenario.tx_power / len(users),
                                           "continuous")
             for start in (theta, phase_opt.discretize_binary(theta)):
-                got = B._sweep_phases_linear(real, users, start, scenario.tx_power)
+                got = B._sweep_phases_linear(dec, start, scenario.tx_power)
                 want = _reference_sweep(real, users, start, scenario.tx_power)
                 assert got.alphabet == want.alphabet
                 assert np.all(got.theta == want.theta), (users, start.alphabet)

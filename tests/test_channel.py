@@ -5,16 +5,16 @@ import pytest
 
 from scipy.linalg import toeplitz
 
-from risthp.channel import (LOS, STRONG, WEAK, PathlossModel, ScenarioConfig,
-                            complex_gaussian, draw_realization,
+from risthp.channel import (LOS, N_POINTS, STRONG, WEAK, PathlossModel,
+                            ScenarioConfig, complex_gaussian, draw_realization,
                             laplacian_covariance, los_bs_ris, pathloss_db,
                             psd_factor, steering_vector)
 
 
-def dense_covariance(n, nominal_angle, asd, n_points=4096):
-    """Reference: the quadrature with the full n x n_points exponential matrix."""
+def dense_covariance(n, nominal_angle, asd):
+    """Reference: the quadrature with the full n x N_POINTS exponential matrix."""
     scale = asd / math.sqrt(2.0)
-    phi = np.linspace(nominal_angle - np.pi, nominal_angle + np.pi, n_points)
+    phi = np.linspace(nominal_angle - np.pi, nominal_angle + np.pi, N_POINTS)
     pdf = np.exp(-np.abs(phi - nominal_angle) / scale)
     w = np.gradient(phi) * pdf
     w = w / w.sum()
@@ -293,3 +293,9 @@ class TestScenarioValidation:
     def test_asd_limits_accepted(self):
         assert ScenarioConfig(asd=0.0).asd == 0.0
         assert ScenarioConfig(asd=math.pi).asd == math.pi
+
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5),
+                                              ("n_ris", 8.5), ("n_blocked", 1.0)])
+    def test_integer_fields_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from risthp import gram as G, phase_opt as P
+from risthp import alloc, gram as G, phase_opt as P
 from risthp.channel import ChannelRealization
 from risthp.phase_opt import NotApplicableError, PhaseConfig
 
@@ -17,58 +17,70 @@ def zero_eig_fixture(rng, k=2, n_ris=3):
 
 
 class TestZeroEigDirection:
-    def test_blocked_user_basis_vector(self, rng):
-        real = random_realization(rng, k=4, n_bs=4, blocked=(2,))
-        u = P.zero_eig_direction(real, range(4))
-        expected = np.zeros(4)
-        expected[2] = 1.0
-        np.testing.assert_allclose(np.abs(u), expected, atol=1e-12)
-
     def test_identity_direct_channel(self):
         b = np.array([1.0, 0.0], dtype=complex)
         real = ChannelRealization(h_direct=np.eye(2, dtype=complex),
                                   h_cascaded=np.zeros((2, 3), dtype=complex),
                                   b_vec=b, a_vec=np.ones(3, dtype=complex))
-        u = P.zero_eig_direction(real, [0, 1])
+        u = P.zero_eig_direction(G.decompose(real, [0, 1]))
         np.testing.assert_allclose(np.abs(u), [1.0, 0.0], atol=1e-12)
 
     def test_annihilates_c(self, rng):
-        real = zero_eig_fixture(rng, k=3)
-        dec = G.decompose(real, range(3))
-        u = P.zero_eig_direction(real, range(3))
+        dec = G.decompose(zero_eig_fixture(rng, k=3), range(3))
+        u = P.zero_eig_direction(dec)
         assert np.linalg.norm(dec.c_mat @ u) < 1e-9
 
     def test_not_applicable(self, rng):
         real = random_realization(rng, k=2, n_bs=5)
-        with pytest.raises(NotApplicableError):
-            P.zero_eig_direction(real, range(2))
+        with pytest.raises(NotApplicableError, match="0 eigenvalues"):
+            P.zero_eig_direction(G.decompose(real, range(2)))
 
-    def test_blocked_majority_falls_back_to_pinv(self, rng):
-        # 3 of 4 direct rows at 1e-8: the median norm is a blocked one, so the
-        # BLOCKAGE_FRACTION rule finds no blocked user and H_d^{+,H} b is used
-        real = random_realization(rng, k=4, n_bs=4, blocked=(0, 1, 3))
-        norms = np.linalg.norm(real.h_direct, axis=1)
-        assert not np.any(norms < P.BLOCKAGE_FRACTION * np.median(norms))
-        c_mat = G.decompose(real, range(4)).c_mat
-        u = P.zero_eig_direction(real, range(4))
-        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-        assert np.count_nonzero(u) > 1
-        assert np.linalg.norm(c_mat @ u) <= 1e-12 * np.linalg.norm(c_mat, 2)
+    def test_near_colinear_rows_give_null_vector(self, rng):
+        # K < N_B with direct row 1 almost a multiple of row 0: C has one
+        # eigenvalue far below RANK_TOL, and u must be its eigenvector, not
+        # H_d^{+,H} b
+        for _ in range(20):
+            real = random_realization(rng, k=3, n_bs=4)
+            noise = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            real.h_direct[1] = (0.6 - 0.3j) * real.h_direct[0] + 1e-6 * noise
+            dec = G.decompose(real, range(3))
+            lam = np.linalg.eigvalsh(dec.c_mat)
+            u = P.zero_eig_direction(dec)
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(dec.c_mat @ u) <= lam[0] + 1e-12 * lam[-1]
 
-    def test_blocked_half_picks_weakest(self, rng):
+    def test_blocked_user_basis_vector(self, rng):
+        # K < N_B: the blocked row alone makes C singular
+        real = random_realization(rng, k=3, n_bs=5, blocked=(1,))
+        u = P.zero_eig_direction(G.decompose(real, range(3)))
+        np.testing.assert_allclose(np.abs(u), [0.0, 1.0, 0.0], atol=1e-6)
+
+    def test_blocked_user_square_system(self, rng):
+        # K = N_B: C is singular anyway, and its null direction H_d^{-H} b is
+        # dominated by the blocked row, so one zero eigenvalue remains
+        real = random_realization(rng, k=4, n_bs=4, blocked=(2,))
+        u = P.zero_eig_direction(G.decompose(real, range(4)))
+        np.testing.assert_allclose(np.abs(u), [0.0, 0.0, 1.0, 0.0], atol=1e-6)
+
+    def test_two_zero_eigenvalues_take_heuristic(self, rng):
+        # K = N_B makes one eigenvalue zero; a second blocked row adds another
         real = random_realization(rng, k=4, n_bs=4, blocked=(0, 2))
-        norms = np.linalg.norm(real.h_direct, axis=1)
-        expected = np.zeros(4, dtype=complex)
-        expected[(0, 2)[int(np.argmin(norms[[0, 2]]))]] = 1.0
-        np.testing.assert_array_equal(P.zero_eig_direction(real, range(4)), expected)
+        dec = G.decompose(real, range(4))
+        assert G.count_zero_eigenvalues(np.linalg.eigvalsh(dec.c_mat)) == 2
+        with pytest.raises(NotApplicableError, match="2 eigenvalues"):
+            P.zero_eig_direction(dec)
+        p_bar = 3.0
+        heuristic = P.refine_elementwise(dec, P.heuristic_phases(dec, p_bar), p_bar)
+        np.testing.assert_array_equal(
+            alloc.optimize_phases(dec, p_bar, "continuous").theta, heuristic.theta)
 
 
 class TestAlignPhases:
     def test_blocked_user_gain_maximization(self, rng):
         real = random_realization(rng, k=3, n_bs=3, blocked=(1,))
         real.h_direct[1] = 0.0
-        u = P.zero_eig_direction(real, range(3))
-        theta = P.align_phases(u, real, range(3)).theta
+        dec = G.decompose(real, range(3))
+        theta = P.align_phases(dec, P.zero_eig_direction(dec)).theta
         # stored rows are the conjugate-transposed channels, so the channel
         # gain of user 1 is |row @ theta|
         h_c1 = real.h_cascaded[1]
@@ -77,23 +89,23 @@ class TestAlignPhases:
 
     def test_already_aligned(self, rng):
         real = zero_eig_fixture(rng, k=2, n_ris=4)
-        u = P.zero_eig_direction(real, range(2))
-        # rebuild channels so every term is real positive along u
+        u = P.zero_eig_direction(G.decompose(real, range(2)))
+        # rebuild channels so every term is real positive along u: H_c^H u
+        # by construction, b^H H_d^H u by rotating H_d by the angle of that
+        # term (which leaves C and so u unchanged)
         real.h_cascaded = np.outer(u, np.abs(rng.standard_normal(4)) + 0.5)
-        proj = np.abs(real.h_direct.conj().T @ u @ real.b_vec)
-        real.h_direct = real.h_direct  # direct part untouched; force ref angle 0
         ref = real.b_vec.conj() @ (real.h_direct.conj().T @ u)
-        real.h_direct = real.h_direct * np.exp(-1j * np.angle(ref))
-        theta = P.align_phases(P.zero_eig_direction(real, range(2)),
-                               real, range(2)).theta
+        real.h_direct = real.h_direct * np.exp(1j * np.angle(ref))
+        dec = G.decompose(real, range(2))
+        theta = P.align_phases(dec, P.zero_eig_direction(dec)).theta
         np.testing.assert_allclose(theta, np.ones(4), atol=1e-9)
 
     def test_triangle_equality_certificate(self, rng):
         for _ in range(10):
             real = zero_eig_fixture(rng, k=2, n_ris=5)
             dec = G.decompose(real, range(2))
-            u = P.zero_eig_direction(real, range(2))
-            theta = P.align_phases(u, real, range(2)).theta
+            u = P.zero_eig_direction(dec)
+            theta = P.align_phases(dec, u).theta
             tb = G.extend_theta(theta)
             achieved = abs(u.conj() @ dec.d_mat @ tb)
             bound = np.sum(np.abs(dec.d_mat.conj().T @ u))
@@ -107,8 +119,8 @@ class TestAlignPhases:
         # coarse exhaustive grid never beats the closed form
         real = zero_eig_fixture(rng, k=2, n_ris=3)
         dec = G.decompose(real, range(2))
-        u = P.zero_eig_direction(real, range(2))
-        theta = P.align_phases(u, real, range(2)).theta
+        u = P.zero_eig_direction(dec)
+        theta = P.align_phases(dec, u).theta
         best = abs(u.conj() @ dec.d_mat @ G.extend_theta(theta)) ** 2
         grid = np.exp(2j * np.pi * np.arange(16) / 16)
         gmax = 0.0
@@ -140,8 +152,7 @@ class TestHeuristicPhases:
     def test_optimal_on_zero_eig_case(self, rng):
         real = zero_eig_fixture(rng, k=2, n_ris=6)
         dec = G.decompose(real, range(2))
-        u = P.zero_eig_direction(real, range(2))
-        aligned = P.align_phases(u, real, range(2)).theta
+        aligned = P.align_phases(dec, P.zero_eig_direction(dec)).theta
         p_bar = 1e7  # alignment is the high-power optimum
         obj_h = P.rayleigh_objective(dec, G.extend_theta(
             P.heuristic_phases(dec, p_bar).theta), p_bar)
@@ -303,8 +314,8 @@ class TestRefineElementwise:
     def test_continuous_fixed_point(self, rng):
         real = zero_eig_fixture(rng, k=2, n_ris=4)
         dec = G.decompose(real, range(2))
-        u = P.zero_eig_direction(real, range(2))
-        aligned = P.align_phases(u, real, range(2))
+        u = P.zero_eig_direction(dec)
+        aligned = P.align_phases(dec, u)
         refined = P.refine_elementwise(dec, aligned, 1.0, direction=u)
         obj0 = abs(u.conj() @ dec.d_mat @ G.extend_theta(aligned.theta)) ** 2
         obj1 = abs(u.conj() @ dec.d_mat @ G.extend_theta(refined.theta)) ** 2

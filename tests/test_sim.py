@@ -126,6 +126,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             S.parse_run_config({"scenario": {}, "sweep": {"asd": []}})
 
+    @pytest.mark.parametrize("trials", [0, 1.5, "2"])
+    def test_invalid_trials(self, trials):
+        with pytest.raises(ConfigError, match="trials"):
+            S.parse_run_config({"scenario": {}, "trials": trials})
+
     def test_invalid_scenario_value(self):
         with pytest.raises(ConfigError, match="scenario"):
             S.parse_run_config({"scenario": {"n_bs": 0}})
@@ -236,6 +241,25 @@ class TestCli:
         rc = S.main(["sweep", self.config_file(tmp_path), "--out",
                      str(tmp_path / "out.csv"), "--sweep-nr", "4.5"])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", [[], ["--sweep-nr", "4,8"]])
+    @pytest.mark.parametrize("override", [["--trials", "0"], ["--trials", "-2"],
+                                          ["--seed", "-1"]])
+    def test_bad_override_exit_code(self, tmp_path, capsys, command, override):
+        out = tmp_path / "out.csv"
+        argv = ["sweep" if command else "run", self.config_file(tmp_path),
+                "--out", str(out)] + command + override
+        assert S.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and override[0][2:] in err
+        assert not out.exists()
+
+    def test_negative_seed_in_config_exit_code(self, tmp_path, capsys):
+        data = {"scenario": {"n_bs": 4, "n_users": 3, "n_ris": 8, "seed": -1}}
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps(data))
+        assert S.main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
