@@ -52,16 +52,13 @@ def check_optimized_mode(phase_mode: str) -> None:
         raise ValueError(f"unknown phase mode {phase_mode!r}")
 
 
-def optimize_phases(gram: gram_mod.GramDecomposition, p_bar: float,
-                    phase_mode: str) -> PhaseConfig:
-    """Phase configuration for the user subset of ``gram`` under the requested mode.
+def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: float):
+    """Continuous phases of the subset of ``gram`` and the direction they used.
 
-    continuous: alignment along C's zero-eigenvalue direction when C has
-    exactly one zero eigenvalue, otherwise the eigenvector heuristic, followed
-    by element-wise refinement.  binary: the continuous result discretized,
-    then element-wise +-1 sweeps.
+    Alignment along C's zero-eigenvalue direction u when C has exactly one
+    zero eigenvalue, otherwise the eigenvector heuristic (direction None),
+    followed by element-wise refinement.  Returns (theta, u or None).
     """
-    check_optimized_mode(phase_mode)
     try:
         direction = phase_opt.zero_eig_direction(gram)
         theta = phase_opt.align_phases(gram, direction)
@@ -69,6 +66,33 @@ def optimize_phases(gram: gram_mod.GramDecomposition, p_bar: float,
         direction = None
         theta = phase_opt.heuristic_phases(gram, p_bar)
     theta = phase_opt.refine_elementwise(gram, theta, p_bar, direction=direction)
+    return theta, direction
+
+
+def optimize_phases(gram: gram_mod.GramDecomposition, p_bar: float,
+                    phase_mode: str, *, solves: dict | None = None) -> PhaseConfig:
+    """Phase configuration for the user subset of ``gram`` under the requested mode.
+
+    continuous: the continuous stage (``_continuous_stage``).  binary: the
+    continuous result discretized, then element-wise +-1 sweeps along the
+    same direction.
+
+    ``solves`` is the table of continuous stages of one channel realization,
+    keyed by (``gram.users``, p_bar) with the users in their given order.  A
+    stage found there is reused, a new one is stored with read-only arrays,
+    so methods that share the realization solve each subset once.
+    """
+    check_optimized_mode(phase_mode)
+    key = (gram.users, p_bar)
+    if solves is not None and key in solves:
+        theta, direction = solves[key]
+    else:
+        theta, direction = _continuous_stage(gram, p_bar)
+        if solves is not None:
+            theta.theta.setflags(write=False)
+            if direction is not None:
+                direction.setflags(write=False)
+            solves[key] = (theta, direction)
     if phase_mode == "binary":
         theta = phase_opt.discretize_binary(theta)
         theta = phase_opt.refine_elementwise(gram, theta, p_bar, direction=direction)
@@ -76,11 +100,13 @@ def optimize_phases(gram: gram_mod.GramDecomposition, p_bar: float,
 
 
 def evaluate_allocation(real, users, p_bar: float, phase_mode: str, *,
-                        fixed_theta: PhaseConfig | None = None) -> Allocation:
+                        fixed_theta: PhaseConfig | None = None,
+                        solves: dict | None = None) -> Allocation:
     """Phase + order optimization and the SE bound for one user subset.
 
     ``fixed_theta`` bypasses the per-subset phase optimization (used for
     random phases that are a property of the RIS, not of the allocation).
+    ``solves`` is the continuous-stage table of ``optimize_phases``.
     """
     users = list(users)
     if not users:
@@ -89,7 +115,7 @@ def evaluate_allocation(real, users, p_bar: float, phase_mode: str, *,
         raise ValueError("cannot allocate more users than BS antennas")
 
     theta = fixed_theta if fixed_theta is not None else optimize_phases(
-        gram_mod.decompose(real, users), p_bar, phase_mode)
+        gram_mod.decompose(real, users), p_bar, phase_mode, solves=solves)
     h_eff = gram_mod.effective_channel(real, users, theta.theta)
     try:
         order = thp.order_users(h_eff)
@@ -103,13 +129,14 @@ def evaluate_allocation(real, users, p_bar: float, phase_mode: str, *,
                       se_bound=se_bound, p_bar=p_bar, diag_l=diag_l)
 
 
-def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score):
+def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score, *,
+            solves: dict | None = None):
     """Greedy allocation: add users one by one while the score rises.
 
-    ``evaluate(real, users, p_bar, phase_mode, fixed_theta=...)`` solves one
-    user subset and ``score`` maps its solution to a float.  Random phases
-    are drawn here, once, as a property of the RIS, and shared by every
-    candidate subset.  Starts from the single user with the largest score.
+    ``evaluate(real, users, p_bar, phase_mode, fixed_theta=..., solves=...)``
+    solves one user subset and ``score`` maps its solution to a float.
+    Random phases are drawn here, once, as a property of the RIS, and shared
+    by every candidate subset.  Starts from the single user with the largest score.
     Each step appends every unallocated user in index order, keeps the first
     maximum of the score, and stops when that does not raise the score or
     when min(K, N_B) users are allocated.
@@ -121,7 +148,8 @@ def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score):
         fixed_theta = phase_opt.random_phases(real.n_ris, rng)
 
     def solve(users):
-        return evaluate(real, users, p_bar, phase_mode, fixed_theta=fixed_theta)
+        return evaluate(real, users, p_bar, phase_mode, fixed_theta=fixed_theta,
+                        solves=solves)
 
     k = real.n_users
     best = max((solve([u]) for u in range(k)), key=score)
@@ -135,10 +163,15 @@ def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score):
 
 
 def greedy_allocate(real, p_bar: float, phase_mode: str,
-                    rng: np.random.Generator | None = None) -> Allocation:
-    """Greedy allocation maximizing the high-SNR sum-SE bound."""
+                    rng: np.random.Generator | None = None, *,
+                    solves: dict | None = None) -> Allocation:
+    """Greedy allocation maximizing the high-SNR sum-SE bound.
+
+    ``solves``: the continuous-stage table of the realization
+    (``optimize_phases``), shared with the other methods run on it.
+    """
     return _greedy(real, p_bar, phase_mode, rng, evaluate_allocation,
-                   lambda a: a.se_bound)
+                   lambda a: a.se_bound, solves=solves)
 
 
 def relaxation_metric(gram_subset, n_ris: int) -> float:

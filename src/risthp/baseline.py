@@ -121,8 +121,12 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
 
 
 def evaluate_allocation_linear(real, users, p_bar: float, phase_mode: str, *,
-                               fixed_theta: PhaseConfig | None = None) -> LinearSolution:
-    """ZF solution for a subset at P = p_bar * K, with phase optimization per mode."""
+                               fixed_theta: PhaseConfig | None = None,
+                               solves: dict | None = None) -> LinearSolution:
+    """ZF solution for a subset at P = p_bar * K, with phase optimization per mode.
+
+    ``solves`` is the continuous-stage table of ``alloc.optimize_phases``.
+    """
     users = list(users)
     tx_power = p_bar * real.n_users
     if fixed_theta is not None:
@@ -130,7 +134,7 @@ def evaluate_allocation_linear(real, users, p_bar: float, phase_mode: str, *,
     alloc.check_optimized_mode(phase_mode)
     dec = gram_mod.decompose(real, users)
     # seed the sweep from the nonlinear continuous heuristic
-    theta = alloc.optimize_phases(dec, p_bar, "continuous")
+    theta = alloc.optimize_phases(dec, p_bar, "continuous", solves=solves)
     if phase_mode == "binary":
         theta = phase_opt.discretize_binary(theta)
     theta = _sweep_phases_linear(dec, theta, tx_power)
@@ -138,7 +142,11 @@ def evaluate_allocation_linear(real, users, p_bar: float, phase_mode: str, *,
 
 
 def greedy_allocate_linear(real, p_bar: float, phase_mode: str,
-                           rng=None) -> LinearSolution:
-    """Greedy user allocation with the ZF sum SE as the metric."""
+                           rng=None, *, solves: dict | None = None) -> LinearSolution:
+    """Greedy user allocation with the ZF sum SE as the metric.
+
+    ``solves``: the continuous-stage table of the realization, as in
+    ``alloc.greedy_allocate``.
+    """
     return alloc._greedy(real, p_bar, phase_mode, rng, evaluate_allocation_linear,
-                         lambda s: s.sum_se)
+                         lambda s: s.sum_se, solves=solves)

@@ -32,6 +32,7 @@ class DegenerateRankError(RuntimeError):
 class GramDecomposition:
     c_mat: np.ndarray  # (K, K) Hermitian PSD
     d_mat: np.ndarray  # (K, N_R + 1)
+    users: tuple  # the rows of the realization, in the order C and D hold them
 
     @property
     def n_users(self) -> int:
@@ -64,7 +65,7 @@ def decompose(real, users) -> GramDecomposition:
     c_mat = h_d @ h_d.conj().T - np.outer(h_d_b, h_d_b.conj())
     c_mat = 0.5 * (c_mat + c_mat.conj().T)
     d_mat = np.concatenate([h_c, h_d_b[:, None]], axis=1)
-    return GramDecomposition(c_mat=c_mat, d_mat=d_mat)
+    return GramDecomposition(c_mat=c_mat, d_mat=d_mat, users=tuple(users))
 
 
 def effective_channel(real, users, theta: np.ndarray) -> np.ndarray:

@@ -48,8 +48,14 @@ class RunConfig:
                 raise ValueError(f"sweep: unknown sweep {self.sweep_name!r}")
             if not self.sweep_values:
                 raise ValueError("sweep: value list must be nonempty")
+            cast = SWEEP_TYPES[self.sweep_name]
             for value in self.sweep_values:
                 try:
+                    # a point runs at cast(value) and is recorded as value
+                    if isinstance(value, bool):
+                        raise ValueError("a bool is not a sweep value")
+                    if cast(value) != value:
+                        raise ValueError(f"would run as {cast(value)!r}")
                     _scenario_at(self.scenario, self.sweep_name, value)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"sweep: {self.sweep_name}={value!r}: {exc}") from exc
@@ -139,25 +145,26 @@ def _scenario_at(scenario: ScenarioConfig, sweep_name: str, value) -> ScenarioCo
     return dataclasses.replace(scenario, **{sweep_name: SWEEP_TYPES[sweep_name](value)})
 
 
-def _thp(real, p_bar, phase_mode, rng):
-    allocation = alloc.greedy_allocate(real, p_bar, phase_mode, rng)
+def _thp(real, p_bar, phase_mode, rng, solves):
+    allocation = alloc.greedy_allocate(real, p_bar, phase_mode, rng, solves=solves)
     return len(allocation.users), max(0.0, allocation.se_exact)
 
 
-def _thp_no_ris(real, p_bar, phase_mode, rng):
+def _thp_no_ris(real, p_bar, phase_mode, rng, solves):
+    # another channel than the cell's, so the cell's solve table does not apply
     no_ris = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
-    return _thp(no_ris, p_bar, phase_mode, rng)
+    return _thp(no_ris, p_bar, phase_mode, rng, None)
 
 
-def _dpc(real, p_bar, phase_mode, rng):
+def _dpc(real, p_bar, phase_mode, rng, solves):
     users = list(range(real.n_users))
     dec = gram_mod.decompose(real, users)
-    theta = alloc.optimize_phases(dec, p_bar, phase_mode)
+    theta = alloc.optimize_phases(dec, p_bar, phase_mode, solves=solves)
     return len(users), gram_mod.dpc_sum_se(dec, gram_mod.extend_theta(theta.theta), p_bar)
 
 
-def _linear_zf(real, p_bar, phase_mode, rng):
-    sol = baseline.greedy_allocate_linear(real, p_bar, phase_mode, rng)
+def _linear_zf(real, p_bar, phase_mode, rng, solves):
+    sol = baseline.greedy_allocate_linear(real, p_bar, phase_mode, rng, solves=solves)
     return len(sol.users), sol.sum_se
 
 
@@ -176,16 +183,27 @@ _METHOD_TABLE = {
 METHODS = tuple(_METHOD_TABLE)
 
 
-def run_method(method: str, real, p_bar: float, rng: np.random.Generator):
-    """Run one method on one realization; returns (n_allocated, sum_se_bits)."""
+def run_method(method: str, real, p_bar: float, rng: np.random.Generator, *,
+               solves: dict | None = None):
+    """Run one method on one realization; returns (n_allocated, sum_se_bits).
+
+    ``solves`` is the realization's table of continuous phase solves
+    (``alloc.optimize_phases``); methods given the same table share them.
+    """
     if method not in _METHOD_TABLE:
         raise ValueError(f"unknown method {method!r}")
     family, phase_mode = _METHOD_TABLE[method]
-    return family(real, p_bar, phase_mode, rng)
+    return family(real, p_bar, phase_mode, rng, solves)
 
 
 def run(config: RunConfig) -> list:
-    """Execute the Monte Carlo grid; records sorted by (sweep, trial, method)."""
+    """Execute the Monte Carlo grid; records sorted by (sweep, trial, method).
+
+    The methods of a (sweep point, trial) cell share one solve table, so a
+    continuous phase solve made by one is reused by the next: a method's
+    ``wall_time_ms`` excludes the solves an earlier method in
+    ``sorted(methods)`` already made.
+    """
     records = []
     sweep_points = (list(config.sweep_values)
                     if config.sweep_name != "none" else [0.0])
@@ -197,12 +215,14 @@ def run(config: RunConfig) -> list:
                 entropy=scenario.seed, spawn_key=(sweep_idx, trial))
             rng = np.random.default_rng(ss)
             real = draw_realization(scenario, rng)
+            solves = {}
             for method in sorted(config.methods):
                 method_rng = np.random.default_rng(np.random.SeedSequence(
                     entropy=scenario.seed,
                     spawn_key=(sweep_idx, trial, METHODS.index(method))))
                 start = time.perf_counter()
-                n_alloc, sum_se = run_method(method, real, p_bar, method_rng)
+                n_alloc, sum_se = run_method(method, real, p_bar, method_rng,
+                                             solves=solves)
                 elapsed_ms = (time.perf_counter() - start) * 1e3
                 records.append(ResultRecord(
                     trial=trial, method=method, sweep_name=config.sweep_name,

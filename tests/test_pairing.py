@@ -1,0 +1,74 @@
+"""Methods that share a realization share its continuous phase solves.
+
+``sim.run`` gives the methods of one (sweep point, trial) cell one solve table
+(``alloc.optimize_phases``).  Reading a solve from it must give exactly what
+solving again gives, so one run of all methods has to equal one run per
+method, record for record.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from risthp import alloc as A
+from risthp import phase_opt as P
+from risthp import sim as S
+from risthp.channel import ScenarioConfig, draw_realization
+
+
+def _config(methods, **scenario):
+    return S.RunConfig(ScenarioConfig(seed=0, **scenario), trials=1, methods=methods,
+                       sweep_name="tx_dbm", sweep_values=(0.0, 50.0))
+
+
+def _without_wall_time(records):
+    return [dataclasses.replace(r, wall_time_ms=0.0) for r in records]
+
+
+@pytest.mark.parametrize("n_blocked", [0, 3, 5])
+@pytest.mark.parametrize("n_ris", [16, 64])
+def test_joint_run_equals_one_run_per_method(n_ris, n_blocked):
+    joint = _without_wall_time(S.run(_config(S.METHODS, n_ris=n_ris,
+                                             n_blocked=n_blocked)))
+    alone = _without_wall_time(sorted(
+        (r for m in S.METHODS for r in S.run(_config((m,), n_ris=n_ris,
+                                                      n_blocked=n_blocked))),
+        key=lambda r: (r.sweep_value, r.trial, r.method)))
+    assert joint == alone
+    # at 50 dBm thp serves all users, so full-set subsets are in the table
+    # under thp's greedy order as well as under dpc_rate's (0, ..., K-1)
+    assert any(r.n_allocated == 6 for r in joint
+               if (r.method, r.sweep_value) == ("thp", 50.0))
+
+
+def test_shared_cell_solves_fewer_subsets(monkeypatch):
+    calls = []
+    refine = P.refine_elementwise
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return refine(*args, **kwargs)
+
+    def count(methods):
+        calls.clear()
+        S.run(_config(methods, n_ris=16))
+        return len(calls)
+
+    monkeypatch.setattr(P, "refine_elementwise", counted)
+    separate = count(("thp",)) + count(("thp_discrete",))
+    assert count(("thp", "thp_discrete")) < separate
+
+
+def test_stored_phases_are_read_only():
+    scenario = ScenarioConfig(seed=0, n_ris=16)
+    real = draw_realization(scenario, np.random.default_rng(0))
+    solves = {}
+    out = A.greedy_allocate(real, scenario.tx_power / scenario.n_users, "continuous",
+                            solves=solves)
+    assert solves
+    for theta, _ in solves.values():
+        with pytest.raises(ValueError):
+            theta.theta[0] = 1.0
+    with pytest.raises(ValueError):
+        out.theta.theta[0] = 1.0

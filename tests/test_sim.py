@@ -148,6 +148,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="n_ris"):
             S.parse_run_config({"scenario": {}, "sweep": {"n_ris": [16, 0]}})
 
+    @pytest.mark.parametrize("name, values, bad", [
+        ("n_ris", [8.5, 16], "n_ris=8.5"),
+        ("n_ris", [True, 16], "n_ris=True"),
+        ("tx_dbm", [10.0, False], "tx_dbm=False"),
+        ("tx_dbm", ["20", 30.0], "tx_dbm='20'"),
+    ])
+    def test_sweep_value_changed_by_its_type_rejected(self, name, values, bad):
+        # a point runs at SWEEP_TYPES[name](value) but is recorded as value
+        with pytest.raises(ConfigError, match=bad):
+            S.parse_run_config({"scenario": {}, "sweep": {name: values}})
+
+    def test_integral_float_sweep_value_accepted(self):
+        cfg = S.parse_run_config({"scenario": {}, "sweep": {"n_ris": [16.0, 32]}})
+        assert cfg.sweep_values == (16.0, 32)
+
 
 class TestCsv:
     def records(self):
