@@ -70,29 +70,27 @@ def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: float):
 
 
 def optimize_phases(gram: gram_mod.GramDecomposition, p_bar: float,
-                    phase_mode: str, *, solves: dict | None = None) -> PhaseConfig:
+                    phase_mode: str) -> PhaseConfig:
     """Phase configuration for the user subset of ``gram`` under the requested mode.
 
     continuous: the continuous stage (``_continuous_stage``).  binary: the
     continuous result discretized, then element-wise +-1 sweeps along the
     same direction.
 
-    ``solves`` is the table of continuous stages of one channel realization,
-    keyed by (``gram.users``, p_bar) with the users in their given order.  A
-    stage found there is reused, a new one is stored with read-only arrays,
-    so methods that share the realization solve each subset once.
+    The continuous stage is read from, or stored read-only in, the
+    realization's table ``gram.solves`` under (``gram.users``, p_bar), so
+    methods that share the realization solve each ordered subset once.
     """
     check_optimized_mode(phase_mode)
     key = (gram.users, p_bar)
-    if solves is not None and key in solves:
-        theta, direction = solves[key]
+    if key in gram.solves:
+        theta, direction = gram.solves[key]
     else:
         theta, direction = _continuous_stage(gram, p_bar)
-        if solves is not None:
-            theta.theta.setflags(write=False)
-            if direction is not None:
-                direction.setflags(write=False)
-            solves[key] = (theta, direction)
+        theta.theta.setflags(write=False)
+        if direction is not None:
+            direction.setflags(write=False)
+        gram.solves[key] = (theta, direction)
     if phase_mode == "binary":
         theta = phase_opt.discretize_binary(theta)
         theta = phase_opt.refine_elementwise(gram, theta, p_bar, direction=direction)
@@ -100,13 +98,11 @@ def optimize_phases(gram: gram_mod.GramDecomposition, p_bar: float,
 
 
 def evaluate_allocation(real, users, p_bar: float, phase_mode: str, *,
-                        fixed_theta: PhaseConfig | None = None,
-                        solves: dict | None = None) -> Allocation:
+                        fixed_theta: PhaseConfig | None = None) -> Allocation:
     """Phase + order optimization and the SE bound for one user subset.
 
     ``fixed_theta`` bypasses the per-subset phase optimization (used for
     random phases that are a property of the RIS, not of the allocation).
-    ``solves`` is the continuous-stage table of ``optimize_phases``.
     """
     users = list(users)
     if not users:
@@ -115,7 +111,7 @@ def evaluate_allocation(real, users, p_bar: float, phase_mode: str, *,
         raise ValueError("cannot allocate more users than BS antennas")
 
     theta = fixed_theta if fixed_theta is not None else optimize_phases(
-        gram_mod.decompose(real, users), p_bar, phase_mode, solves=solves)
+        gram_mod.decompose(real, users), p_bar, phase_mode)
     h_eff = gram_mod.effective_channel(real, users, theta.theta)
     try:
         order = thp.order_users(h_eff)
@@ -129,11 +125,10 @@ def evaluate_allocation(real, users, p_bar: float, phase_mode: str, *,
                       se_bound=se_bound, p_bar=p_bar, diag_l=diag_l)
 
 
-def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score, *,
-            solves: dict | None = None):
+def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score):
     """Greedy allocation: add users one by one while the score rises.
 
-    ``evaluate(real, users, p_bar, phase_mode, fixed_theta=..., solves=...)``
+    ``evaluate(real, users, p_bar, phase_mode, fixed_theta=...)``
     solves one user subset and ``score`` maps its solution to a float.
     Random phases are drawn here, once, as a property of the RIS, and shared
     by every candidate subset.  Starts from the single user with the largest score.
@@ -148,8 +143,7 @@ def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score, *,
         fixed_theta = phase_opt.random_phases(real.n_ris, rng)
 
     def solve(users):
-        return evaluate(real, users, p_bar, phase_mode, fixed_theta=fixed_theta,
-                        solves=solves)
+        return evaluate(real, users, p_bar, phase_mode, fixed_theta=fixed_theta)
 
     k = real.n_users
     best = max((solve([u]) for u in range(k)), key=score)
@@ -163,15 +157,10 @@ def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score, *,
 
 
 def greedy_allocate(real, p_bar: float, phase_mode: str,
-                    rng: np.random.Generator | None = None, *,
-                    solves: dict | None = None) -> Allocation:
-    """Greedy allocation maximizing the high-SNR sum-SE bound.
-
-    ``solves``: the continuous-stage table of the realization
-    (``optimize_phases``), shared with the other methods run on it.
-    """
+                    rng: np.random.Generator | None = None) -> Allocation:
+    """Greedy allocation maximizing the high-SNR sum-SE bound."""
     return _greedy(real, p_bar, phase_mode, rng, evaluate_allocation,
-                   lambda a: a.se_bound, solves=solves)
+                   lambda a: a.se_bound)
 
 
 def relaxation_metric(gram_subset, n_ris: int) -> float:

@@ -121,20 +121,18 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
 
 
 def evaluate_allocation_linear(real, users, p_bar: float, phase_mode: str, *,
-                               fixed_theta: PhaseConfig | None = None,
-                               solves: dict | None = None) -> LinearSolution:
-    """ZF solution for a subset at P = p_bar * K, with phase optimization per mode.
-
-    ``solves`` is the continuous-stage table of ``alloc.optimize_phases``.
-    """
+                               fixed_theta: PhaseConfig | None = None) -> LinearSolution:
+    """ZF solution for a subset at P = p_bar * K, with phase optimization per mode."""
     users = list(users)
+    if not users:
+        raise ValueError("user subset must be nonempty")
     tx_power = p_bar * real.n_users
     if fixed_theta is not None:
         return zf_linear(real, users, fixed_theta, tx_power)
     alloc.check_optimized_mode(phase_mode)
     dec = gram_mod.decompose(real, users)
     # seed the sweep from the nonlinear continuous heuristic
-    theta = alloc.optimize_phases(dec, p_bar, "continuous", solves=solves)
+    theta = alloc.optimize_phases(dec, p_bar, "continuous")
     if phase_mode == "binary":
         theta = phase_opt.discretize_binary(theta)
     theta = _sweep_phases_linear(dec, theta, tx_power)
@@ -142,11 +140,7 @@ def evaluate_allocation_linear(real, users, p_bar: float, phase_mode: str, *,
 
 
 def greedy_allocate_linear(real, p_bar: float, phase_mode: str,
-                           rng=None, *, solves: dict | None = None) -> LinearSolution:
-    """Greedy user allocation with the ZF sum SE as the metric.
-
-    ``solves``: the continuous-stage table of the realization, as in
-    ``alloc.greedy_allocate``.
-    """
+                           rng=None) -> LinearSolution:
+    """Greedy user allocation with the ZF sum SE as the metric."""
     return alloc._greedy(real, p_bar, phase_mode, rng, evaluate_allocation_linear,
-                         lambda s: s.sum_se, solves=solves)
+                         lambda s: s.sum_se)

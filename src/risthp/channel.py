@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import toeplitz
+
+
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number (a bool is not one)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -25,8 +31,9 @@ class PathlossModel:
     label: str = "custom"
 
     def __post_init__(self):
-        if not (self.alpha_db > 0 and self.beta_exponent > 0):
-            raise ValueError("pathloss coefficients must be positive")
+        if not all(_finite_real(c) and c > 0 for c in (self.alpha_db, self.beta_exponent)):
+            raise ValueError("pathloss coefficients must be positive finite real numbers, "
+                             f"got {self.alpha_db!r} and {self.beta_exponent!r}")
 
 
 WEAK = PathlossModel(35.1, 36.7, "weak")
@@ -66,8 +73,13 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("n_bs", "n_users", "n_ris", "n_blocked", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("tx_dbm", "noise_dbm", "blockage_extra_db", "rician_db"):
+            if not _finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite real number, "
+                                 f"got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_bs < 1 or self.n_users < 1 or self.n_ris < 1:
@@ -80,8 +92,8 @@ class ScenarioConfig:
             raise ValueError(f"asd must lie in [0, pi] radians, got {self.asd}")
         for name in ("bs_pos", "ris_pos", "user_circle_center"):
             pos = getattr(self, name)
-            if not all(math.isfinite(c) for c in pos):
-                raise ValueError(f"{name} must be finite")
+            if not (len(pos) == 2 and all(_finite_real(c) for c in pos)):
+                raise ValueError(f"{name} must be a pair of finite real numbers, got {pos!r}")
 
     @property
     def tx_power(self) -> float:
@@ -112,6 +124,10 @@ class ChannelRealization:
     ``h_cascaded`` are the RIS-user channels already multiplied by diag(a).
     ``b_vec`` has unit Euclidean norm, so the full channel for phase vector
     theta is ``h_direct + h_cascaded @ theta * b_vec^H``.
+
+    ``solves`` holds the continuous phase solves of every method run on it
+    (``alloc.optimize_phases``); ``dataclasses.replace`` starts an empty one.
+    A realization is not changed after its first phase solve.
     """
 
     h_direct: np.ndarray  # (K, N_B)
@@ -119,6 +135,7 @@ class ChannelRealization:
     b_vec: np.ndarray  # (N_B,), ||b||_2 = 1
     a_vec: np.ndarray  # (N_R,), includes the BS-RIS amplitude
     meta: RealizationMeta = None
+    solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_users(self) -> int:

@@ -7,7 +7,7 @@ C = H_d (I - b b^H) H_d^H and D = [H_c, H_d b].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -33,6 +33,7 @@ class GramDecomposition:
     c_mat: np.ndarray  # (K, K) Hermitian PSD
     d_mat: np.ndarray  # (K, N_R + 1)
     users: tuple  # the rows of the realization, in the order C and D hold them
+    solves: dict = field(repr=False)  # the realization's table (alloc.optimize_phases)
 
     @property
     def n_users(self) -> int:
@@ -65,7 +66,7 @@ def decompose(real, users) -> GramDecomposition:
     c_mat = h_d @ h_d.conj().T - np.outer(h_d_b, h_d_b.conj())
     c_mat = 0.5 * (c_mat + c_mat.conj().T)
     d_mat = np.concatenate([h_c, h_d_b[:, None]], axis=1)
-    return GramDecomposition(c_mat=c_mat, d_mat=d_mat, users=tuple(users))
+    return GramDecomposition(c_mat, d_mat, tuple(users), real.solves)
 
 
 def effective_channel(real, users, theta: np.ndarray) -> np.ndarray:

@@ -38,11 +38,18 @@ class RunConfig:
     sweep_values: tuple = ()
 
     def __post_init__(self):
-        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+        if (isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral)
+                or self.trials < 1):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (isinstance(self.methods, (list, tuple)) and self.methods):
+            raise ValueError(f"methods: expected a nonempty list of method names, "
+                             f"got {self.methods!r}")
+        self.methods = tuple(self.methods)
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"methods: unknown method {m!r}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods: {list(self.methods)} names a method twice")
         if self.sweep_name != "none":
             if self.sweep_name not in SWEEP_NAMES:
                 raise ValueError(f"sweep: unknown sweep {self.sweep_name!r}")
@@ -59,6 +66,10 @@ class RunConfig:
                     _scenario_at(self.scenario, self.sweep_name, value)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"sweep: {self.sweep_name}={value!r}: {exc}") from exc
+            # the CSV tells sweep points apart by their value only
+            if len(set(self.sweep_values)) < len(self.sweep_values):
+                raise ValueError(f"sweep: {self.sweep_name} repeats a value in "
+                                 f"{list(self.sweep_values)}")
 
 
 @dataclass
@@ -86,11 +97,16 @@ def _parse_pathloss(value, path):
         unknown = set(value) - allowed
         if unknown:
             raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-        return PathlossModel(**value)
+        try:
+            return PathlossModel(**value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}: expected preset name or mapping")
 
 
 def parse_scenario(data: dict, path: str = "scenario") -> ScenarioConfig:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {data!r}")
     allowed = {f.name for f in fields(ScenarioConfig)}
     unknown = set(data) - allowed
     if unknown:
@@ -101,6 +117,8 @@ def parse_scenario(data: dict, path: str = "scenario") -> ScenarioConfig:
             kwargs[key] = _parse_pathloss(kwargs[key], f"{path}.{key}")
     for key in ("bs_pos", "ris_pos", "user_circle_center"):
         if key in kwargs:
+            if not isinstance(kwargs[key], list):
+                raise ConfigError(f"{path}.{key}: expected an [x, y] list, got {kwargs[key]!r}")
             kwargs[key] = tuple(kwargs[key])
     try:
         return ScenarioConfig(**kwargs)
@@ -109,6 +127,8 @@ def parse_scenario(data: dict, path: str = "scenario") -> ScenarioConfig:
 
 
 def parse_run_config(data: dict) -> RunConfig:
+    if not isinstance(data, dict):
+        raise ConfigError(f"config: expected a mapping, got {data!r}")
     allowed = {"scenario", "trials", "methods", "sweep"}
     unknown = set(data) - allowed
     if unknown:
@@ -124,10 +144,12 @@ def parse_run_config(data: dict) -> RunConfig:
         sweep_name, values = next(iter(sweep.items()))
         if sweep_name not in SWEEP_NAMES:
             raise ConfigError(f"config.sweep: unknown sweep {sweep_name!r}")
+        if not isinstance(values, list):
+            raise ConfigError(f"config.sweep.{sweep_name}: expected a list, got {values!r}")
         sweep_values = tuple(values)
     try:
         return RunConfig(scenario=scenario, trials=data.get("trials", 10),
-                         methods=tuple(data.get("methods", ("thp", "linear_zf"))),
+                         methods=data.get("methods", ("thp", "linear_zf")),
                          sweep_name=sweep_name, sweep_values=sweep_values)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
@@ -145,26 +167,25 @@ def _scenario_at(scenario: ScenarioConfig, sweep_name: str, value) -> ScenarioCo
     return dataclasses.replace(scenario, **{sweep_name: SWEEP_TYPES[sweep_name](value)})
 
 
-def _thp(real, p_bar, phase_mode, rng, solves):
-    allocation = alloc.greedy_allocate(real, p_bar, phase_mode, rng, solves=solves)
+def _thp(real, p_bar, phase_mode, rng):
+    allocation = alloc.greedy_allocate(real, p_bar, phase_mode, rng)
     return len(allocation.users), max(0.0, allocation.se_exact)
 
 
-def _thp_no_ris(real, p_bar, phase_mode, rng, solves):
-    # another channel than the cell's, so the cell's solve table does not apply
+def _thp_no_ris(real, p_bar, phase_mode, rng):
     no_ris = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
-    return _thp(no_ris, p_bar, phase_mode, rng, None)
+    return _thp(no_ris, p_bar, phase_mode, rng)
 
 
-def _dpc(real, p_bar, phase_mode, rng, solves):
+def _dpc(real, p_bar, phase_mode, rng):
     users = list(range(real.n_users))
     dec = gram_mod.decompose(real, users)
-    theta = alloc.optimize_phases(dec, p_bar, phase_mode, solves=solves)
+    theta = alloc.optimize_phases(dec, p_bar, phase_mode)
     return len(users), gram_mod.dpc_sum_se(dec, gram_mod.extend_theta(theta.theta), p_bar)
 
 
-def _linear_zf(real, p_bar, phase_mode, rng, solves):
-    sol = baseline.greedy_allocate_linear(real, p_bar, phase_mode, rng, solves=solves)
+def _linear_zf(real, p_bar, phase_mode, rng):
+    sol = baseline.greedy_allocate_linear(real, p_bar, phase_mode, rng)
     return len(sol.users), sol.sum_se
 
 
@@ -183,26 +204,20 @@ _METHOD_TABLE = {
 METHODS = tuple(_METHOD_TABLE)
 
 
-def run_method(method: str, real, p_bar: float, rng: np.random.Generator, *,
-               solves: dict | None = None):
-    """Run one method on one realization; returns (n_allocated, sum_se_bits).
-
-    ``solves`` is the realization's table of continuous phase solves
-    (``alloc.optimize_phases``); methods given the same table share them.
-    """
+def run_method(method: str, real, p_bar: float, rng: np.random.Generator):
+    """Run one method on one realization; returns (n_allocated, sum_se_bits)."""
     if method not in _METHOD_TABLE:
         raise ValueError(f"unknown method {method!r}")
     family, phase_mode = _METHOD_TABLE[method]
-    return family(real, p_bar, phase_mode, rng, solves)
+    return family(real, p_bar, phase_mode, rng)
 
 
 def run(config: RunConfig) -> list:
     """Execute the Monte Carlo grid; records sorted by (sweep, trial, method).
 
-    The methods of a (sweep point, trial) cell share one solve table, so a
-    continuous phase solve made by one is reused by the next: a method's
-    ``wall_time_ms`` excludes the solves an earlier method in
-    ``sorted(methods)`` already made.
+    The methods of a (sweep point, trial) cell share its realization, and so
+    its continuous phase solves: a method's ``wall_time_ms`` excludes the
+    solves an earlier method in ``sorted(methods)`` already made.
     """
     records = []
     sweep_points = (list(config.sweep_values)
@@ -215,14 +230,12 @@ def run(config: RunConfig) -> list:
                 entropy=scenario.seed, spawn_key=(sweep_idx, trial))
             rng = np.random.default_rng(ss)
             real = draw_realization(scenario, rng)
-            solves = {}
             for method in sorted(config.methods):
                 method_rng = np.random.default_rng(np.random.SeedSequence(
                     entropy=scenario.seed,
                     spawn_key=(sweep_idx, trial, METHODS.index(method))))
                 start = time.perf_counter()
-                n_alloc, sum_se = run_method(method, real, p_bar, method_rng,
-                                             solves=solves)
+                n_alloc, sum_se = run_method(method, real, p_bar, method_rng)
                 elapsed_ms = (time.perf_counter() - start) * 1e3
                 records.append(ResultRecord(
                     trial=trial, method=method, sweep_name=config.sweep_name,
@@ -394,6 +407,8 @@ def main(argv=None) -> int:
                 name, values = "tx_dbm", [float(v) for v in args.sweep_tx.split(",")]
             changes.update(sweep_name=name, sweep_values=tuple(values))
         config = dataclasses.replace(config, **changes)
+        # an output path that cannot be written fails here, before any trial runs
+        open(args.out, "w", encoding="utf-8").close()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,10 +83,14 @@ def modulo(z):
 def check_full_row_rank(h: np.ndarray, compute_uv: bool = False):
     """Raise RankDeficientError when the rows of H are numerically dependent.
 
-    Returns ``np.linalg.svd(h, full_matrices=False, compute_uv=compute_uv)``,
-    the decomposition it tested, so a caller that needs the SVD takes no
-    second one.
+    More rows than columns are always dependent; the SVD of such an H holds
+    only min(K, N) singular values, so it cannot show that.  Returns
+    ``np.linalg.svd(h, full_matrices=False, compute_uv=compute_uv)``, the
+    decomposition it tested, so a caller that needs the SVD takes no second one.
     """
+    rows, cols = np.shape(h)
+    if rows > cols:
+        raise RankDeficientError(f"{rows} rows in {cols} dimensions are dependent")
     svd = np.linalg.svd(h, full_matrices=False, compute_uv=compute_uv)
     sv = svd.S if compute_uv else svd
     if sv[-1] <= _RANK_TOL * sv[0]:

@@ -57,6 +57,14 @@ class TestZfLinear:
         assert not sol.feasible
         assert sol.sum_se == 0.0
 
+    def test_more_rows_than_antennas_infeasible(self, rng):
+        # user 0 twice: seven rows in six dimensions, six nonzero singular values
+        real = random_realization(rng, k=6, n_bs=6)
+        theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
+        sol = B.zf_linear(real, [0, 1, 2, 3, 4, 5, 0], theta, tx_power=7.0)
+        assert not sol.feasible
+        assert sol.sum_se == 0.0
+
     def test_single_user_matched_filter_rate(self, rng):
         # for one user the ZF pinv direction is the matched filter, so the
         # rate is log2(1 + P ||h||^2)
@@ -94,6 +102,12 @@ class TestEvaluateAllocationLinear:
         sol = B.evaluate_allocation_linear(real, [0, 1], 2.0, "binary")
         assert sol.theta.alphabet == "binary"
         assert np.all(np.isin(sol.theta.theta, [-1.0 + 0j, 1.0 + 0j]))
+
+    def test_empty_subset_rejected(self, rng):
+        real = random_realization(rng)
+        theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
+        with pytest.raises(ValueError, match="nonempty"):
+            B.evaluate_allocation_linear(real, [], 2.0, "random", fixed_theta=theta)
 
     def test_fixed_theta_bypasses_optimization(self, rng):
         real = random_realization(rng)

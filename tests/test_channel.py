@@ -134,6 +134,12 @@ class TestPathloss:
         with pytest.raises(ValueError):
             PathlossModel(-1.0, 22.0)
 
+    @pytest.mark.parametrize("alpha, beta", [("x", 22.0), (30.0, math.inf),
+                                             (30.0, True)])
+    def test_coefficients_finite_real(self, alpha, beta):
+        with pytest.raises(ValueError, match="pathloss coefficients"):
+            PathlossModel(alpha, beta)
+
 
 class TestLaplacianCovariance:
     def test_zero_asd_rank_one(self):
@@ -295,7 +301,20 @@ class TestScenarioValidation:
         assert ScenarioConfig(asd=math.pi).asd == math.pi
 
     @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5),
-                                              ("n_ris", 8.5), ("n_blocked", 1.0)])
+                                              ("n_ris", 8.5), ("n_blocked", 1.0),
+                                              ("seed", True), ("n_ris", True)])
     def test_integer_fields_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["tx_dbm", "noise_dbm", "blockage_extra_db",
+                                       "rician_db"])
+    @pytest.mark.parametrize("value", ["30", math.nan, math.inf, True])
+    def test_real_fields_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("pos", [(1.0, 2.0, 3.0), (1.0, "2")])
+    def test_position_is_a_real_pair(self, pos):
+        with pytest.raises(ValueError, match="bs_pos"):
+            ScenarioConfig(bs_pos=pos)

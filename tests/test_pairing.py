@@ -1,9 +1,10 @@
 """Methods that share a realization share its continuous phase solves.
 
-``sim.run`` gives the methods of one (sweep point, trial) cell one solve table
-(``alloc.optimize_phases``).  Reading a solve from it must give exactly what
-solving again gives, so one run of all methods has to equal one run per
-method, record for record.
+The methods of one (sweep point, trial) cell of ``sim.run`` run on one
+realization, which owns the table of their continuous phase solves
+(``ChannelRealization.solves``, filled by ``alloc.optimize_phases``).
+Reading a solve from it must give exactly what solving again gives, so one
+run of all methods has to equal one run per method, record for record.
 """
 
 import dataclasses
@@ -12,9 +13,12 @@ import numpy as np
 import pytest
 
 from risthp import alloc as A
+from risthp import gram as G
 from risthp import phase_opt as P
 from risthp import sim as S
 from risthp.channel import ScenarioConfig, draw_realization
+
+from conftest import random_realization
 
 
 def _config(methods, **scenario):
@@ -63,12 +67,48 @@ def test_shared_cell_solves_fewer_subsets(monkeypatch):
 def test_stored_phases_are_read_only():
     scenario = ScenarioConfig(seed=0, n_ris=16)
     real = draw_realization(scenario, np.random.default_rng(0))
-    solves = {}
-    out = A.greedy_allocate(real, scenario.tx_power / scenario.n_users, "continuous",
-                            solves=solves)
-    assert solves
-    for theta, _ in solves.values():
+    out = A.greedy_allocate(real, scenario.tx_power / scenario.n_users, "continuous")
+    assert real.solves
+    for theta, _ in real.solves.values():
         with pytest.raises(ValueError):
             theta.theta[0] = 1.0
     with pytest.raises(ValueError):
         out.theta.theta[0] = 1.0
+
+
+def test_replaced_realization_starts_empty_table():
+    scenario = ScenarioConfig(seed=0, n_ris=16)
+    real = draw_realization(scenario, np.random.default_rng(0))
+    A.greedy_allocate(real, scenario.tx_power / scenario.n_users, "continuous")
+    no_ris = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
+    assert real.solves
+    assert no_ris.solves == {}
+    assert no_ris.solves is not real.solves
+
+
+def test_solves_of_one_realization_do_not_reach_another():
+    # the table is keyed by (users, p_bar), which does not name a channel:
+    # a's solves read for b served b [5, 4, 3] for 57.76 bits
+    scenario = ScenarioConfig(n_ris=16)
+    p_bar = scenario.tx_power / scenario.n_users
+
+    def draw(seed):
+        return draw_realization(scenario, np.random.default_rng(seed))
+
+    alone = A.greedy_allocate(draw(2), p_bar, "continuous")
+    a, b = draw(1), draw(2)
+    A.greedy_allocate(a, p_bar, "continuous")
+    assert a.solves and not b.solves
+    after = A.greedy_allocate(b, p_bar, "continuous")
+    assert alone.users == after.users == [5, 4, 3, 1]
+    assert after.se_exact == alone.se_exact
+
+
+def test_continuous_solve_stored_under_users_and_power(rng):
+    real = random_realization(rng, k=3, n_ris=8)
+    dec = G.decompose(real, [2, 0])
+    theta = A.optimize_phases(dec, 10.0, "continuous")
+    assert dec.solves is real.solves
+    assert list(real.solves) == [((2, 0), 10.0)]
+    stored, _ = real.solves[((2, 0), 10.0)]
+    assert stored is theta

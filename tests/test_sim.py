@@ -126,7 +126,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             S.parse_run_config({"scenario": {}, "sweep": {"asd": []}})
 
-    @pytest.mark.parametrize("trials", [0, 1.5, "2"])
+    @pytest.mark.parametrize("trials", [0, 1.5, "2", True])
     def test_invalid_trials(self, trials):
         with pytest.raises(ConfigError, match="trials"):
             S.parse_run_config({"scenario": {}, "trials": trials})
@@ -162,6 +162,25 @@ class TestConfigParsing:
     def test_integral_float_sweep_value_accepted(self):
         cfg = S.parse_run_config({"scenario": {}, "sweep": {"n_ris": [16.0, 32]}})
         assert cfg.sweep_values == (16.0, 32)
+
+    @pytest.mark.parametrize("extra, bad", [
+        ({"methods": []}, "methods: expected a nonempty list"),
+        ({"methods": ["thp", "thp"]}, "methods: .* twice"),
+        ({"methods": "thp"}, "methods: expected a nonempty list"),
+        ({"sweep": {"tx_dbm": [10, 10]}}, "tx_dbm repeats"),
+        ({"sweep": {"n_ris": [16, 16.0]}}, "n_ris repeats"),
+        ({"scenario": {"tx_dbm": "30"}}, "tx_dbm must be a finite real"),
+        ({"scenario": {"tx_dbm": math.nan}}, "tx_dbm must be a finite real"),
+        ({"scenario": {"tx_dbm": math.inf}}, "tx_dbm must be a finite real"),
+        ({"scenario": {"noise_dbm": math.nan}}, "noise_dbm must be a finite real"),
+        ({"scenario": {"seed": True}}, "seed must be an integer"),
+        ({"scenario": {"n_ris": True}}, "n_ris must be an integer"),
+    ], ids=["methods_empty", "methods_repeated", "methods_string", "sweep_repeated",
+            "sweep_repeated_as_float", "tx_dbm_string", "tx_dbm_nan", "tx_dbm_inf",
+            "noise_dbm_nan", "seed_bool", "n_ris_bool"])
+    def test_invalid_value_rejected(self, extra, bad):
+        with pytest.raises(ConfigError, match=bad):
+            S.parse_run_config({"scenario": {}, **extra})
 
 
 class TestCsv:
@@ -280,6 +299,35 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"scenario": {"bogus": 1}}))
         assert S.main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("data, path", [
+        (5, "config"),
+        ({"scenario": 5}, "scenario"),
+        ({"scenario": {}, "methods": 5}, "methods"),
+        ({"scenario": {}, "sweep": {"tx_dbm": 5}}, "config.sweep.tx_dbm"),
+        ({"scenario": {"bs_pos": 5}}, "scenario.bs_pos"),
+        ({"scenario": {"pathloss_direct": {"alpha_db": 30.0}}},
+         "scenario.pathloss_direct"),
+        ({"scenario": {"pathloss_direct": {"alpha_db": "x", "beta_exponent": 22.0}}},
+         "scenario.pathloss_direct"),
+    ], ids=["top_level", "scenario", "methods", "sweep_values", "bs_pos",
+            "pathloss_missing_key", "pathloss_not_a_number"])
+    def test_malformed_config_shape_exit_code(self, tmp_path, capsys, data, path):
+        cfg = tmp_path / "shape.json"
+        cfg.write_text(json.dumps(data))
+        assert S.main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
+
+    def test_unwritable_out_exit_code_before_any_trial(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_run(config):
+            raise AssertionError("ran trials for an output it cannot write")
+
+        monkeypatch.setattr(S, "run", no_run)
+        out = tmp_path / "missing_dir" / "o.csv"
+        assert S.main(["run", self.config_file(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_file_exit_code(self, tmp_path):
         assert S.main(["run", str(tmp_path / "none.json")]) == 2

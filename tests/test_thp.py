@@ -68,6 +68,15 @@ class TestLqDecompose:
             T.lq_decompose(h)
 
 
+@pytest.mark.parametrize("fn", [T.lq_decompose, T.order_users,
+                                lambda h: T.sum_se_asymptote(h, 1.0)],
+                         ids=["lq_decompose", "order_users", "sum_se_asymptote"])
+def test_more_rows_than_columns_rank_deficient(rng, fn):
+    # the SVD of a 3 x 2 matrix holds two singular values, both nonzero
+    with pytest.raises(RankDeficientError):
+        fn(random_channel(rng, 3, 2))
+
+
 class TestBuildFilters:
     def test_beta_formula(self, rng):
         h = random_channel(rng, 6, 8)
