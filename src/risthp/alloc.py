@@ -114,11 +114,9 @@ def evaluate_allocation(real, users, p_bar: float, phase_mode: str, *,
         gram_mod.decompose(real, users), p_bar, phase_mode)
     h_eff = gram_mod.effective_channel(real, users, theta.theta)
     try:
-        order = thp.order_users(h_eff)
-        l_mat, _ = thp.lq_decompose(h_eff[order])
+        order, diag_l = thp.order_users(h_eff)
     except thp.RankDeficientError:
         return _infeasible(users, theta, p_bar)
-    diag_l = np.real(np.diag(l_mat))
     se_bound = float(sum(max(0.0, thp.per_user_se(l, p_bar, "asymptote"))
                          for l in diag_l))
     return Allocation(users=users, theta=theta, order=order,

@@ -84,12 +84,14 @@ class ScenarioConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_bs < 1 or self.n_users < 1 or self.n_ris < 1:
             raise ValueError("array and user counts must be positive")
-        if not self.user_circle_radius > 0:
-            raise ValueError("user_circle_radius must be positive")
+        if not (_finite_real(self.user_circle_radius) and self.user_circle_radius > 0):
+            raise ValueError("user_circle_radius must be a positive finite real number, "
+                             f"got {self.user_circle_radius!r}")
         if not 0 <= self.n_blocked <= self.n_users:
             raise ValueError("n_blocked must lie in [0, n_users]")
-        if not 0 <= self.asd <= math.pi:
-            raise ValueError(f"asd must lie in [0, pi] radians, got {self.asd}")
+        if not (_finite_real(self.asd) and 0 <= self.asd <= math.pi):
+            raise ValueError(f"asd must be a finite real number in [0, pi] radians, "
+                             f"got {self.asd!r}")
         for name in ("bs_pos", "ris_pos", "user_circle_center"):
             pos = getattr(self, name)
             if not (len(pos) == 2 and all(_finite_real(c) for c in pos)):

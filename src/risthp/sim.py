@@ -335,7 +335,7 @@ def _validate_checks():
 
     # THP loop uniformity
     h = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    filters = thp.build_filters(h, thp.order_users(h), tx_power=4.0)
+    filters = thp.build_filters(h, thp.order_users(h)[0], tx_power=4.0)
     syms = thp.simulate_transmission(filters, h, 20000, rng)
     stat, passed = uniformity_test(syms.v.real.ravel(), alpha=0.01)
     checks.append((f"THP v-symbol KS uniformity (stat={stat:.4f})", passed))

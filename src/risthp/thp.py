@@ -83,12 +83,15 @@ def modulo(z):
 def check_full_row_rank(h: np.ndarray, compute_uv: bool = False):
     """Raise RankDeficientError when the rows of H are numerically dependent.
 
+    An H with no rows raises ValueError: it is no channel, not a deficient one.
     More rows than columns are always dependent; the SVD of such an H holds
     only min(K, N) singular values, so it cannot show that.  Returns
     ``np.linalg.svd(h, full_matrices=False, compute_uv=compute_uv)``, the
     decomposition it tested, so a caller that needs the SVD takes no second one.
     """
     rows, cols = np.shape(h)
+    if rows == 0:
+        raise ValueError("channel matrix is empty: it has no rows")
     if rows > cols:
         raise RankDeficientError(f"{rows} rows in {cols} dimensions are dependent")
     svd = np.linalg.svd(h, full_matrices=False, compute_uv=compute_uv)
@@ -191,27 +194,29 @@ def thp_mse(diag_l, tx_power: float, k_alloc: int) -> float:
     return k_alloc / (6.0 * tx_power) * float(np.sum(1.0 / diag_l ** 2))
 
 
-def order_users(h: np.ndarray) -> np.ndarray:
-    """MSE-based decoding order.
+def order_users(h: np.ndarray):
+    """MSE-based decoding order and the gains it gives: (order, diag_l).
 
     Built from the last decoding position backwards: at each step the user
     whose channel component orthogonal to the span of the still-unplaced
-    users' channels has maximal squared norm is placed.  That squared norm,
-    the L_kk^2 the user would receive at the position, is 1/[(H_R H_R^H)^-1]_kk
-    for the unplaced rows H_R, so the user with the smallest diagonal entry of
-    the inverse Gram matrix is placed (the first one on ties).  With
-    H_R^H = Q R that diagonal holds the squared row norms of R^-1, which avoids
-    squaring the condition number of H_R.
+    users' channels has maximal squared norm L_kk^2 = 1/[(H_R H_R^H)^-1]_kk
+    (H_R: the unplaced rows) is placed, the first one on ties, and diag_l
+    is the diagonal of L in ``lq_decompose(h[order])``.  With H_R^H = Q R the
+    diagonal of (H_R H_R^H)^-1 holds the squared row norms of R^-1, which
+    avoids squaring the condition number of H_R.  The first R is L^H of
+    ``lq_decompose(h)``, whose rank test is the only one.
     """
     h = np.asarray(h, dtype=complex)
-    check_full_row_rank(h)
+    r = lq_decompose(h)[0].conj().T
     remaining = list(range(h.shape[0]))
-    order = np.empty(len(remaining), dtype=int)
+    order, diag_l = np.empty(len(remaining), dtype=int), np.empty(len(remaining))
     for pos in range(len(remaining) - 1, -1, -1):
-        r = np.linalg.qr(h[remaining].conj().T, mode="r")
         inv_diag = np.sum(np.abs(np.linalg.inv(r)) ** 2, axis=1)
-        order[pos] = remaining.pop(int(np.argmin(inv_diag)))
-    return order
+        best = int(np.argmin(inv_diag))
+        order[pos], diag_l[pos] = remaining.pop(best), inv_diag[best] ** -0.5
+        if remaining:
+            r = np.linalg.qr(h[remaining].conj().T, mode="r")
+    return order, diag_l
 
 
 def simulate_transmission(filters: ThpFilters, h: np.ndarray, n_symbols: int,

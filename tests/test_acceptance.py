@@ -191,7 +191,7 @@ def test_criterion_07_modulo_symbol_uniformity():
     rng = np.random.default_rng(707)
     h = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     tx_power = 8.0
-    filters = T.build_filters(h, T.order_users(h), tx_power)
+    filters = T.build_filters(h, T.order_users(h)[0], tx_power)
     syms = T.simulate_transmission(filters, h, 25_000, rng)
     samples = syms.v.real.ravel()  # 4 x 25000 = 1e5 samples
     stat, passed_ks = S.uniformity_test(samples, alpha=0.01)
@@ -229,7 +229,7 @@ def test_criterion_08_mse_analytic_and_order():
             l_mat, _ = T.lq_decompose(h[np.asarray(order)])
             return T.thp_mse(np.real(np.diag(l_mat)), 1.0, 4)
 
-        greedy = mse_of(T.order_users(h))
+        greedy = mse_of(T.order_users(h)[0])
         best = min(mse_of(perm) for perm in itertools.permutations(range(4)))
         if greedy < best * (1.0 - 1e-9):
             order_ok = False

@@ -64,6 +64,24 @@ class TestEvaluateAllocation:
         assert not out.feasible
         assert out.se_exact == 0.0
 
+    @pytest.mark.parametrize("colinear", [False, True], ids=["feasible", "deficient"])
+    def test_one_rank_test_per_candidate(self, rng, monkeypatch, colinear):
+        real = random_realization(rng, k=3, n_bs=4)
+        if colinear:
+            real.h_direct[1] = real.h_direct[0]
+            real.h_cascaded[1] = real.h_cascaded[0]
+        calls = []
+        check = T.check_full_row_rank
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(T, "check_full_row_rank", counted)
+        out = A.evaluate_allocation(real, [0, 1, 2], 1.0, "continuous")
+        assert len(calls) == 1
+        assert isinstance(out, A.Allocation) and out.feasible == (not colinear)
+
 
 class TestGreedyAllocate:
     def test_random_mode_needs_rng(self, rng):

@@ -314,6 +314,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["asd", "user_circle_radius"])
+    @pytest.mark.parametrize("value", ["1", math.nan, math.inf, True])
+    def test_ranged_fields_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a .*finite real"):
+            ScenarioConfig(**{field: value})
+
     @pytest.mark.parametrize("pos", [(1.0, 2.0, 3.0), (1.0, "2")])
     def test_position_is_a_real_pair(self, pos):
         with pytest.raises(ValueError, match="bs_pos"):

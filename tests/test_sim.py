@@ -295,6 +295,13 @@ class TestCli:
         assert S.main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("asd", True), ("user_circle_radius", math.inf)])
+    def test_non_finite_ranged_field_in_config_exit_code(self, tmp_path, capsys, field, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"scenario": {field: value}}))
+        assert S.main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"{field} must be a" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"scenario": {"bogus": 1}}))

@@ -77,6 +77,15 @@ def test_more_rows_than_columns_rank_deficient(rng, fn):
         fn(random_channel(rng, 3, 2))
 
 
+@pytest.mark.parametrize("fn", [T.lq_decompose, T.order_users,
+                                lambda h: T.sum_se_asymptote(h, 1.0)],
+                         ids=["lq_decompose", "order_users", "sum_se_asymptote"])
+def test_empty_channel_rejected(fn):
+    with pytest.raises(ValueError, match="empty") as info:
+        fn(np.zeros((0, 3), dtype=complex))
+    assert not isinstance(info.value, RankDeficientError)
+
+
 class TestBuildFilters:
     def test_beta_formula(self, rng):
         h = random_channel(rng, 6, 8)
@@ -91,7 +100,7 @@ class TestBuildFilters:
 
     def test_perfect_pre_cancellation(self, rng):
         h = random_channel(rng)
-        order = T.order_users(h)
+        order, _ = T.order_users(h)
         f = T.build_filters(h, order, tx_power=10.0)
         chain = f.f_receive @ h[order] @ f.p_forward @ np.linalg.inv(f.b_feedback)
         assert np.max(np.abs(chain - np.eye(4))) < 1e-9
@@ -192,7 +201,7 @@ class TestThpMse:
 
     def test_monte_carlo_oracle(self, rng):
         h = random_channel(rng, 3, 5)
-        order = T.order_users(h)
+        order, _ = T.order_users(h)
         f = T.build_filters(h, order, tx_power=4.0)
         syms = T.simulate_transmission(f, h, 100_000, np.random.default_rng(3))
         empirical = float(np.mean(np.sum(np.abs(syms.d_hat - syms.s) ** 2,
@@ -200,14 +209,36 @@ class TestThpMse:
         assert empirical == pytest.approx(T.thp_mse(f.diag_l, 4.0, 3), rel=0.02)
 
 
+def _reference_order(h):
+    """The per-step loop without gains: a QR of the unplaced rows at every step."""
+    T.check_full_row_rank(h)
+    remaining = list(range(h.shape[0]))
+    order = np.empty(len(remaining), dtype=int)
+    for pos in range(len(remaining) - 1, -1, -1):
+        r = np.linalg.qr(h[remaining].conj().T, mode="r")
+        inv_diag = np.sum(np.abs(np.linalg.inv(r)) ** 2, axis=1)
+        order[pos] = remaining.pop(int(np.argmin(inv_diag)))
+    return order
+
+
 class TestOrderUsers:
+    def test_matches_reference_and_lq_gains(self, rng):
+        # row scales 10^-3 .. 10^3, as between blocked and unblocked users
+        for _ in range(600):
+            k = int(rng.integers(1, 7))
+            h = random_channel(rng, k, 6) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+            order, diag_l = T.order_users(h)
+            np.testing.assert_array_equal(order, _reference_order(h))
+            l_mat, _ = T.lq_decompose(h[order])
+            np.testing.assert_allclose(diag_l, np.real(np.diag(l_mat)), rtol=1e-12, atol=0)
+
     def test_single_user(self, rng):
         h = random_channel(rng, 1, 3)
-        np.testing.assert_array_equal(T.order_users(h), [0])
+        np.testing.assert_array_equal(T.order_users(h)[0], [0])
 
     def test_orthogonal_rows_mse_invariant(self):
         h = np.diag([3.0, 1.0, 2.0]).astype(complex)
-        order = T.order_users(h)
+        order, _ = T.order_users(h)
         l_ord, _ = T.lq_decompose(h[order])
         l_id, _ = T.lq_decompose(h)
         mse_ord = T.thp_mse(np.diag(l_ord).real, 1.0, 3)
@@ -218,7 +249,7 @@ class TestOrderUsers:
         ratios = []
         for _ in range(100):
             h = random_channel(rng, 3, 4)
-            order = T.order_users(h)
+            order, _ = T.order_users(h)
             l_mat, _ = T.lq_decompose(h[order])
             mse = T.thp_mse(np.diag(l_mat).real, 1.0, 3)
             best = min(
@@ -233,33 +264,33 @@ class TestOrderUsers:
 class TestSimulateTransmission:
     def test_noiseless_recovers_data(self, rng):
         h = random_channel(rng)
-        f = T.build_filters(h, T.order_users(h), tx_power=5.0)
+        f = T.build_filters(h, T.order_users(h)[0], tx_power=5.0)
         syms = T.simulate_transmission(f, h, 200, np.random.default_rng(0),
                                        noise_power=0.0)
         assert np.max(np.abs(T.modulo(syms.y - syms.s))) < 1e-9
 
     def test_v_power_one_sixth(self, rng):
         h = random_channel(rng)
-        f = T.build_filters(h, T.order_users(h), tx_power=5.0)
+        f = T.build_filters(h, T.order_users(h)[0], tx_power=5.0)
         syms = T.simulate_transmission(f, h, 100_000, np.random.default_rng(1))
         np.testing.assert_allclose(syms.mean_v_power, 1.0 / 6.0, rtol=0.01)
 
     def test_tx_power_met_with_equality(self, rng):
         h = random_channel(rng)
-        f = T.build_filters(h, T.order_users(h), tx_power=5.0)
+        f = T.build_filters(h, T.order_users(h)[0], tx_power=5.0)
         syms = T.simulate_transmission(f, h, 100_000, np.random.default_rng(2))
         assert syms.mean_x_power == pytest.approx(5.0, rel=0.01)
 
     def test_v_in_unit_square(self, rng):
         h = random_channel(rng)
-        f = T.build_filters(h, T.order_users(h), tx_power=5.0)
+        f = T.build_filters(h, T.order_users(h)[0], tx_power=5.0)
         syms = T.simulate_transmission(f, h, 1000, np.random.default_rng(4))
         assert np.all((syms.v.real >= -0.5) & (syms.v.real < 0.5))
         assert np.all((syms.v.imag >= -0.5) & (syms.v.imag < 0.5))
 
     def test_perturbation_is_gaussian_integer(self, rng):
         h = random_channel(rng)
-        f = T.build_filters(h, T.order_users(h), tx_power=5.0)
+        f = T.build_filters(h, T.order_users(h)[0], tx_power=5.0)
         syms = T.simulate_transmission(f, h, 1000, np.random.default_rng(5))
         assert np.max(np.abs(syms.a_perturb.real
                              - np.round(syms.a_perturb.real))) < 1e-9
@@ -268,7 +299,7 @@ class TestSimulateTransmission:
 
     def test_v_marginals_uniform(self, rng):
         h = random_channel(rng)
-        f = T.build_filters(h, T.order_users(h), tx_power=5.0)
+        f = T.build_filters(h, T.order_users(h)[0], tx_power=5.0)
         syms = T.simulate_transmission(f, h, 30_000, np.random.default_rng(6))
         stat, passed = uniformity_test(syms.v.real.ravel(), alpha=0.01)
         assert passed, f"KS statistic {stat}"
