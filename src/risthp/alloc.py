@@ -30,7 +30,7 @@ class Allocation:
 
     @property
     def feasible(self) -> bool:
-        return np.isfinite(self.se_bound)
+        return bool(np.isfinite(self.se_bound))
 
     @property
     def se_exact(self) -> float:

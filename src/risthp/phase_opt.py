@@ -1,9 +1,10 @@
 """RIS phase-shift optimization.
 
 Closed-form alignment when C has exactly one zero eigenvalue, a
-principal-eigenvector heuristic otherwise, plus element-wise coordinate
-ascent for refinement and for the binary (+-1) phase alphabet.  Every
-function reads only the decomposition (C, D) of ``gram.decompose``.
+principal-eigenvector heuristic otherwise, plus refinement: a
+majorization-minimization fixed point for continuous phases and element-wise
+coordinate ascent for the binary (+-1) alphabet.  Every function reads only
+the decomposition (C, D) of ``gram.decompose``.
 """
 
 from __future__ import annotations
@@ -117,60 +118,96 @@ def _phase_factor(gram: GramDecomposition, p_bar: float,
 def refine_elementwise(gram: GramDecomposition, theta_init: PhaseConfig,
                        p_bar: float, max_sweeps: int = DEFAULT_MAX_SWEEPS,
                        direction: np.ndarray | None = None) -> PhaseConfig:
-    """Coordinate ascent on the phase objective, one RIS element at a time.
+    """Refine phases by ascent on the phase objective ||G theta_bar||^2.
 
-    Continuous alphabet: each element is set to the closed-form unit-modulus
-    maximizer of the objective as a function of that element alone.  Binary
-    alphabet: each element is set to the better of {-1, +1}, ties keep the
-    current value.  The objective is nondecreasing; stops after a full sweep
-    without relative improvement or after max_sweeps.
+    G is the K-row factor of ``_phase_factor``.  Each pass updates every RIS
+    element once; the objective never falls, and refinement stops after a
+    pass whose relative rise is at most SWEEP_REL_TOL or after max_sweeps
+    passes.
 
-    Works on the K-row factor G of the objective ||G theta_bar||^2 and
-    carries y = G theta_bar, so an element costs O(K) scalar operations on
-    Python lists; y is recomputed once per sweep.
+    Continuous alphabet: the majorization-minimization fixed point
+    theta_bar <- exp(j angle(G^H y)), y = G theta_bar, over the whole vector
+    (an entry with (G^H y)_n = 0 keeps its value), rescaled so theta_bar ends
+    in 1; a pass that does not raise the objective is not taken.  A pass is
+    two K x (N_R+1) products.
+
+    Binary alphabet: coordinate ascent, each element set to the better of
+    {-1, +1}, ties keep the current value, so the result is single-flip
+    optimal.  It carries y = G theta_bar on Python lists, so an element costs
+    O(K) scalar operations; y is recomputed once per sweep.
     """
     if max_sweeps <= 0:
         raise ValueError("max_sweeps must be positive")
     g_mat = _phase_factor(gram, p_bar, direction)
+    theta_bar = extend_theta(theta_init.theta)
+    if theta_init.alphabet == "binary":
+        return PhaseConfig(_binary_ascent(g_mat, theta_bar, max_sweeps), alphabet="binary")
+    return PhaseConfig(_mm_ascent(g_mat, theta_bar, max_sweeps))
+
+
+def _rose_enough(obj: float, new_obj: float) -> bool:
+    """Whether a pass raised the objective by more than SWEEP_REL_TOL relative."""
+    return new_obj - obj > SWEEP_REL_TOL * max(abs(obj), 1.0)
+
+
+def _mm_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
+               max_passes: int) -> np.ndarray:
+    """Continuous refinement: theta (without the trailing 1) after MM passes.
+
+    The MM step maximizes Re(theta_bar^H G^H y), a minorizer of the objective
+    that touches it at the current point, so ||G theta_bar||^2 never falls
+    (Soltanalian & Stoica, IEEE TSP 2014).
+    """
+    g_h = g_mat.conj().T
+    y = g_mat @ theta_bar
+    obj = float(np.real(np.vdot(y, y)))
+    for _ in range(max_passes):
+        z = g_h @ y
+        mag = np.abs(z)
+        if mag[-1] > 0:  # rotate z so that the new theta_bar ends in 1
+            z *= z[-1].conj() / mag[-1]
+        new = np.divide(z, mag, out=theta_bar.copy(), where=mag > 0)
+        new[-1] = 1.0
+        new_y = g_mat @ new
+        new_obj = float(np.real(np.vdot(new_y, new_y)))
+        if not new_obj > obj:
+            break
+        rose = _rose_enough(obj, new_obj)
+        theta_bar, y, obj = new, new_y, new_obj
+        if not rose:
+            break
+    return theta_bar[:-1]
+
+
+def _binary_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
+                   max_sweeps: int) -> np.ndarray:
+    """Binary refinement: theta (without the trailing 1) after +-1 sweeps."""
     cols = g_mat.T.tolist()
     cols_conj = g_mat.T.conj().tolist()
     col_norms = np.sum(np.abs(g_mat) ** 2, axis=0).tolist()
-    theta_bar = extend_theta(theta_init.theta)
     th = theta_bar.tolist()
-    binary = theta_init.alphabet == "binary"
-
     y = g_mat @ theta_bar
     obj = float(np.real(np.vdot(y, y)))
     for _ in range(max_sweeps):
         changed = False
         yl = y.tolist()
-        for n in range(gram.n_ris):
+        for n in range(len(th) - 1):
             # objective in theta_n: 2 Re(conj(theta_n) c_n) + const,
             # c_n = g_n^H y - ||g_n||^2 theta_n
             old = th[n]
             c_n = sum(map(mul, cols_conj[n], yl)) - col_norms[n] * old
-            if binary:
-                new = 1.0 if c_n.real > 0 else (-1.0 if c_n.real < 0 else old)
-            else:
-                new = c_n / abs(c_n) if c_n != 0 else old
+            new = 1.0 if c_n.real > 0 else (-1.0 if c_n.real < 0 else old)
             if new != old:
                 step = new - old
                 yl = [y_k + g_k * step for y_k, g_k in zip(yl, cols[n])]
                 th[n] = new
                 changed = True
-        theta_bar = np.array(th, dtype=complex)
-        y = g_mat @ theta_bar
+        y = g_mat @ np.array(th, dtype=complex)
         new_obj = float(np.real(np.vdot(y, y)))
-        if not changed or new_obj - obj <= SWEEP_REL_TOL * max(abs(obj), 1.0):
+        if not changed or not _rose_enough(obj, new_obj):
             break
         obj = new_obj
-
-    theta = theta_bar[:-1]
-    if binary:
-        theta = np.real(theta).round().astype(complex)
-    else:
-        theta = theta / np.abs(theta)
-    return PhaseConfig(theta, alphabet=theta_init.alphabet)
+    return np.real(np.array(th[:-1], dtype=complex)).round().astype(complex)
 
 
 def discretize_binary(theta: PhaseConfig) -> PhaseConfig:

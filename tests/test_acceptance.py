@@ -248,23 +248,30 @@ def test_criterion_09_rank_improvement_trend():
                     methods=("thp", "thp_random", "linear_zf_random"),
                     sweep_name="n_ris", sweep_values=(64, 512))
     records = S.run(cfg)
-    means = {}
+    per_trial = {}
     for rec in records:
-        means.setdefault((rec.method, rec.sweep_value), []).append(rec.sum_se_bits)
-    means = {k: float(np.mean(v)) for k, v in means.items()}
+        per_trial.setdefault((rec.method, rec.sweep_value), {})[rec.trial] = rec.sum_se_bits
+    per_trial = {k: np.array([v[t] for t in sorted(v)]) for k, v in per_trial.items()}
+    means = {k: float(np.mean(v)) for k, v in per_trial.items()}
 
     thp_gain = means[("thp_random", 512.0)] - means[("thp_random", 64.0)]
     lin_gain = (means[("linear_zf_random", 512.0)]
                 - means[("linear_zf_random", 64.0)])
     cont_dominates = all(
         means[("thp", nr)] >= means[("thp_random", nr)] for nr in (64.0, 512.0))
+    # paired per-trial margin of the lin_gain < thp_gain leg (reported only)
+    gap = ((per_trial[("thp_random", 512.0)] - per_trial[("thp_random", 64.0)])
+           - (per_trial[("linear_zf_random", 512.0)]
+              - per_trial[("linear_zf_random", 64.0)]))
+    gap_se = float(np.std(gap, ddof=1) / np.sqrt(len(gap)))
     elapsed = time.perf_counter() - start
     _report(9, "RIS scaling lifts the nonlinear precoder far more than the "
                "linear one",
             thp_gain >= 1.0 and lin_gain < thp_gain and cont_dominates,
             f"THP-random gain {thp_gain:.3f} bits, linear gain "
-            f"{lin_gain:.3f} bits, continuous>=random {cont_dominates}, "
-            f"{elapsed:.0f} s")
+            f"{lin_gain:.3f} bits, paired gap {np.mean(gap):.3f} +- "
+            f"{gap_se:.3f} bits (1 s.e., {len(gap)} trials), "
+            f"continuous>=random {cont_dominates}, {elapsed:.0f} s")
 
 
 def test_criterion_10_greedy_allocation_sanity():

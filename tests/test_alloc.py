@@ -65,6 +65,16 @@ class TestEvaluateAllocation:
         assert out.se_exact == 0.0
 
     @pytest.mark.parametrize("colinear", [False, True], ids=["feasible", "deficient"])
+    def test_feasible_is_bool(self, rng, colinear):
+        real = random_realization(rng, k=2, n_bs=4)
+        if colinear:
+            real.h_direct[1] = real.h_direct[0]
+            real.h_cascaded[1] = real.h_cascaded[0]
+        out = A.evaluate_allocation(real, [0, 1], 1.0, "continuous")
+        assert type(out.feasible) is bool
+        assert out.feasible is (not colinear)
+
+    @pytest.mark.parametrize("colinear", [False, True], ids=["feasible", "deficient"])
     def test_one_rank_test_per_candidate(self, rng, monkeypatch, colinear):
         real = random_realization(rng, k=3, n_bs=4)
         if colinear:

@@ -216,8 +216,8 @@ class TestRayleighObjective:
 def _dense_refine(gram, theta_init, p_bar, max_sweeps=P.DEFAULT_MAX_SWEEPS,
                   direction=None):
     """Coordinate ascent on the dense (N_R+1)^2 matrix M, one numpy row per
-    element: the kernel the K-row factor G = L^-1 D replaced.  Returns the
-    phases and M."""
+    element: the kernel the K-row factor G = L^-1 D replaced, for both
+    alphabets.  Returns the phases and M."""
     d = gram.d_mat
     if direction is not None:
         c = d.conj().T @ direction
@@ -256,6 +256,11 @@ class TestRefineElementwise:
     @pytest.mark.parametrize("k", [1, 3, 6])
     @pytest.mark.parametrize("n_ris", [1, 2, 16, 64, 512])
     def test_matches_dense_reference(self, k, n_ris):
+        # binary: the same coordinate ascent, so the same phases.  continuous:
+        # the MM fixed point is another ascent on the same objective, so at
+        # the default cap it must reach the reference's objective (to 1e-9
+        # relative), and one pass must not fall below the start's objective;
+        # one MM pass is not compared with one coordinate-ascent sweep
         # the kernel takes the direction u as given, so any unit vector will do
         rng = np.random.default_rng(1000 * k + n_ris)
         dec = G.decompose(random_realization(rng, k=k, n_bs=k + 2,
@@ -271,15 +276,19 @@ class TestRefineElementwise:
                                                direction=direction)
                     ref, m = _dense_refine(dec, init, p_bar, sweeps, direction)
                     assert out.alphabet == init.alphabet
+
+                    def objective(theta):
+                        tb = G.extend_theta(theta)
+                        return float(np.real(tb.conj() @ m @ tb))
+
+                    obj = objective(out.theta)
                     if init.alphabet == "binary":
                         np.testing.assert_array_equal(out.theta, ref)
+                        assert obj == pytest.approx(objective(ref), rel=1e-12)
+                    elif sweeps == P.DEFAULT_MAX_SWEEPS:
+                        assert obj >= (1 - 1e-9) * objective(ref)
                     else:
-                        np.testing.assert_allclose(out.theta, ref, rtol=0,
-                                                   atol=1e-10)
-                    tb, tb_ref = G.extend_theta(out.theta), G.extend_theta(ref)
-                    obj = float(np.real(tb.conj() @ m @ tb))
-                    obj_ref = float(np.real(tb_ref.conj() @ m @ tb_ref))
-                    assert obj == pytest.approx(obj_ref, rel=1e-12)
+                        assert obj >= objective(init.theta)
                     n_moved += not np.array_equal(out.theta, init.theta)
         assert n_moved > 0
 
@@ -332,6 +341,43 @@ class TestRefineElementwise:
             obj = P.rayleigh_objective(dec, G.extend_theta(out.theta), p_bar)
             assert obj >= prev - 1e-10
             prev = obj
+
+    def test_zero_column_keeps_its_element(self, rng):
+        # an all-zero column of H_c makes a zero column of D, so
+        # (G^H y)_n = 0 and element n does not enter the objective
+        real = random_realization(rng, k=3, n_bs=5, n_ris=10)
+        real.h_cascaded[:, 4] = 0.0
+        dec = G.decompose(real, range(3))
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        start = PhaseConfig(random_unit_theta(rng, 10))
+        p_bar = 2.0
+        for direction in (None, u / np.linalg.norm(u)):
+            out = P.refine_elementwise(dec, start, p_bar, direction=direction)
+            assert out.theta[4] == start.theta[4]
+            assert np.all(np.isfinite(out.theta))
+            assert np.max(np.abs(np.abs(out.theta) - 1.0)) <= 1e-12
+            assert not np.array_equal(out.theta, start.theta)
+            if direction is None:
+                def objective(theta):
+                    return P.rayleigh_objective(dec, G.extend_theta(theta), p_bar)
+            else:
+                def objective(theta):
+                    return abs(direction.conj() @ dec.d_mat @ G.extend_theta(theta)) ** 2
+            assert objective(out.theta) >= objective(start.theta)
+
+    def test_zero_d_returns_start(self, rng):
+        # H_c = 0 and b orthogonal to every direct row make D = 0: every
+        # theta is optimal and the start comes back unchanged
+        real = random_realization(rng, k=2, n_bs=4, n_ris=6)
+        real.h_cascaded[:] = 0.0
+        real.h_direct[:, -1] = 0.0
+        real.b_vec = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+        dec = G.decompose(real, range(2))
+        assert not np.any(dec.d_mat)
+        start = PhaseConfig(random_unit_theta(rng, 6))
+        for direction in (None, np.array([0.6, 0.8j])):
+            out = P.refine_elementwise(dec, start, 2.0, direction=direction)
+            np.testing.assert_array_equal(out.theta, start.theta)
 
     def test_binary_init_comparison_recorded(self, rng):
         # sign-rounded continuous init vs all-ones init: record the fraction

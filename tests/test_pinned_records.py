@@ -36,6 +36,30 @@ def test_diff_counts_equal_records_allocation_changes_and_largest_delta(tmp_path
     assert lines[:3] == ["records: 3", "equal: 1", "n_allocated changes: 1"]
     assert "method=linear_zf" in lines[3] and lines[3].endswith(": 3 -> 2")
     assert lines[4] == "max |dSE| bits: 0.25"
+    assert lines[5:] == ["per method: changed records, min and max dSE bits",
+                         "  thp: 0 of 1, 0 .. 0",
+                         "  dpc_rate: 1 of 1, 9.09e-13 .. 9.09e-13",
+                         "  linear_zf: 1 of 1, -0.25 .. -0.25"]
+
+
+def test_diff_per_method_counts_changes_and_delta_range(tmp_path):
+    ses = (10.0, 20.0, 30.0, 40.0)
+    a = _write(tmp_path / "a.jsonl",
+               [_record(m, 4, se, seed=s) for s, se in enumerate(ses)
+                for m in ("thp", "linear_zf")])
+    # thp: two records move, one down and one up; linear_zf: all equal
+    moved = {0: -0.5, 2: 0.125}
+    b = _write(tmp_path / "b.jsonl",
+               [_record(m, 4, se + (moved.get(s, 0.0) if m == "thp" else 0.0), seed=s)
+                for s, se in enumerate(ses) for m in ("linear_zf", "thp")])
+    done = _diff(a, b)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:3] == ["records: 8", "equal: 6", "n_allocated changes: 0"]
+    assert lines[3:] == ["max |dSE| bits: 0.5",
+                         "per method: changed records, min and max dSE bits",
+                         "  thp: 2 of 4, -0.5 .. 0.125",
+                         "  linear_zf: 0 of 4, 0 .. 0"]
 
 
 def test_diff_rejects_files_with_different_records(tmp_path):

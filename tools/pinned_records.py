@@ -11,9 +11,11 @@ and the transmit-power sweep 0/20/40/50 dBm at N_R = 32): 768 records.
 
 ``diff`` matches the records of two such files by cell and method and prints
 the record count, how many sum SEs are exactly equal, every change of
-``n_allocated`` and the largest |delta SE| in bits.  Writing a file with the
-parent tree on the path and one with the changed tree, then diffing them,
-shows whether a change keeps every allocation and how far the SE moved.
+``n_allocated`` and the largest |delta SE| in bits, then per method how many
+records changed their sum SE and the smallest and largest delta SE (second
+file minus first), in the order the methods first appear.  Writing a file
+with the parent tree on the path and one with the changed tree, then diffing
+them, shows whether a change keeps every allocation and how far the SE moved.
 """
 
 from __future__ import annotations
@@ -60,12 +62,13 @@ def diff(path_a, path_b):
         raise SystemExit(f"{path_a} and {path_b} hold different records: "
                          f"{len(a.keys() - b.keys())} only in the first, "
                          f"{len(b.keys() - a.keys())} only in the second")
-    equal, worst, changed = 0, 0.0, []
+    equal, worst, changed, deltas = 0, 0.0, [], {}
     for key, ra in a.items():
         rb = b[key]
         se_a, se_b = float.fromhex(ra["sum_se_bits"]), float.fromhex(rb["sum_se_bits"])
         equal += se_a == se_b
         worst = max(worst, abs(se_a - se_b))
+        deltas.setdefault(ra["method"], []).append(se_b - se_a)
         if ra["n_allocated"] != rb["n_allocated"]:
             changed.append((key, ra["n_allocated"], rb["n_allocated"]))
     print(f"records: {len(a)}")
@@ -74,6 +77,10 @@ def diff(path_a, path_b):
     for key, n_a, n_b in changed:
         print("  " + ", ".join(f"{k}={v}" for k, v in zip(KEY, key)) + f": {n_a} -> {n_b}")
     print(f"max |dSE| bits: {worst:.3g}")
+    print("per method: changed records, min and max dSE bits")
+    for method, d in deltas.items():
+        n_changed = sum(x != 0 for x in d)
+        print(f"  {method}: {n_changed} of {len(d)}, {min(d):.3g} .. {max(d):.3g}")
 
 
 def main(argv):
