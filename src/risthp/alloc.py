@@ -2,7 +2,7 @@
 
 Maximizes the high-SNR sum-SE lower bound sum_k max(0, SE_k) with phase and
 decoding-order re-optimization per candidate allocation.  Also provides
-``relaxation_metric``, the two-norm relaxation N_R * lambda_max(C^-1 D D^H) of
+``relaxation_metric``, the two-norm relaxation N_R * ||C^-1/2 D||_2^2 of
 the high-power phase objective of a user subset; the greedy loop does not
 use it.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import gram as gram_mod
 from . import phase_opt, thp
@@ -53,47 +52,45 @@ def check_optimized_mode(phase_mode: str) -> None:
 
 
 def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: float):
-    """Continuous phases of the subset of ``gram`` and the direction they used.
+    """Continuous phases of the subset of ``gram`` and their phase factor G.
 
-    Alignment along C's zero-eigenvalue direction u when C has exactly one
-    zero eigenvalue, otherwise the eigenvector heuristic (direction None),
-    followed by element-wise refinement.  Returns (theta, u or None).
+    Alignment along C's zero-eigenvalue direction u (G the row u^H D) when C
+    has exactly one zero eigenvalue, else the eigenvector heuristic on
+    G = ``gram.factor(p_bar)``; then refinement on ||G theta_bar||^2.
     """
     try:
         direction = phase_opt.zero_eig_direction(gram)
-        theta = phase_opt.align_phases(gram, direction)
     except NotApplicableError:
-        direction = None
-        theta = phase_opt.heuristic_phases(gram, p_bar)
-    theta = phase_opt.refine_elementwise(gram, theta, p_bar, direction=direction)
-    return theta, direction
+        g_mat = gram.factor(p_bar)
+        theta = phase_opt.heuristic_phases(g_mat)
+    else:
+        g_mat = (direction.conj() @ gram.d_mat)[None, :]
+        theta = phase_opt.align_phases(gram, direction)
+    return phase_opt.refine_elementwise(g_mat, theta), g_mat
 
 
 def optimize_phases(gram: gram_mod.GramDecomposition, p_bar: float,
                     phase_mode: str) -> PhaseConfig:
     """Phase configuration for the user subset of ``gram`` under the requested mode.
 
-    continuous: the continuous stage (``_continuous_stage``).  binary: the
-    continuous result discretized, then element-wise +-1 sweeps along the
-    same direction.
+    continuous: the continuous stage (``_continuous_stage``).  binary: its
+    result discretized, then element-wise +-1 sweeps on the same factor G.
 
     The continuous stage is read from, or stored read-only in, the
-    realization's table ``gram.solves`` under (``gram.users``, p_bar), so
-    methods that share the realization solve each ordered subset once.
+    realization's table ``gram.solves`` as (theta, G) under (``gram.users``,
+    p_bar), so methods that share the realization solve each subset once.
     """
     check_optimized_mode(phase_mode)
     key = (gram.users, p_bar)
     if key in gram.solves:
-        theta, direction = gram.solves[key]
+        theta, g_mat = gram.solves[key]
     else:
-        theta, direction = _continuous_stage(gram, p_bar)
+        theta, g_mat = _continuous_stage(gram, p_bar)
         theta.theta.setflags(write=False)
-        if direction is not None:
-            direction.setflags(write=False)
-        gram.solves[key] = (theta, direction)
+        g_mat.setflags(write=False)
+        gram.solves[key] = (theta, g_mat)
     if phase_mode == "binary":
-        theta = phase_opt.discretize_binary(theta)
-        theta = phase_opt.refine_elementwise(gram, theta, p_bar, direction=direction)
+        theta = phase_opt.refine_elementwise(g_mat, phase_opt.discretize_binary(theta))
     return theta
 
 
@@ -164,11 +161,10 @@ def greedy_allocate(real, p_bar: float, phase_mode: str,
 def relaxation_metric(gram_subset, n_ris: int) -> float:
     """Two-norm relaxation N_R * lambda_max(C^-1 D D^H) of the phase objective.
 
-    Evaluated through the K x K product, never in the (N_R+1)-dimensional
-    space.  Requires invertible C.
+    Evaluated as N_R * ||G||_2^2 with G = C^-1/2 D, the factor
+    ``gram_subset.factor(inf)``, never in the (N_R+1)-dimensional space.
+    Requires invertible C.
     """
-    c = gram_subset.c_mat
-    if gram_mod.count_zero_eigenvalues(np.linalg.eigvalsh(c)):
+    if gram_mod.count_zero_eigenvalues(gram_subset.eig[0]):
         raise NotApplicableError("C is singular on this subset")
-    vals = scipy.linalg.eigh(gram_subset.ddh, c, eigvals_only=True)
-    return float(n_ris * vals[-1])
+    return float(n_ris * np.linalg.norm(gram_subset.factor(np.inf), 2) ** 2)

@@ -7,10 +7,10 @@ C = H_d (I - b b^H) H_d^H and D = [H_c, H_d b].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 # An eigenvalue of a K x K Gram-form matrix (C, or H H^H = C + d d^H) at or
 # below RANK_TOL * lambda_max counts as zero.  It differs from thp._RANK_TOL
@@ -36,22 +36,28 @@ class GramDecomposition:
     solves: dict = field(repr=False)  # the realization's table (alloc.optimize_phases)
 
     @property
-    def n_users(self) -> int:
-        return self.c_mat.shape[0]
-
-    @property
     def n_ris(self) -> int:
         return self.d_mat.shape[1] - 1
 
-    @property
-    def ddh(self) -> np.ndarray:
-        """The Hermitian K x K matrix D D^H."""
-        ddh = self.d_mat @ self.d_mat.conj().T
-        return 0.5 * (ddh + ddh.conj().T)
+    @functools.cached_property
+    def eig(self) -> tuple:
+        """Read-only (lam, V), C = V diag(lam) V^H, lam ascending, clipped at 0 (C is PSD)."""
+        lam, vecs = np.linalg.eigh(self.c_mat)
+        lam = np.clip(lam, 0.0, None)
+        lam.flags.writeable = vecs.flags.writeable = False
+        return lam, vecs
 
-    def a_mat(self, p_bar: float) -> np.ndarray:
-        """I/p_bar + C, the matrix every finite-power phase objective inverts."""
-        return np.eye(self.n_users) / p_bar + self.c_mat
+    def factor(self, p_bar: float) -> np.ndarray:
+        """G = diag(1/p_bar + lam)^-1/2 V^H D, so G^H G = D^H (I/p_bar + C)^-1 D.
+
+        p_bar = inf gives C^-1/2 D (invertible C only).  Once
+        p_bar * lam_max * eps >~ 1, a zero eigenvalue of C is not resolved
+        from rounding: G is defined and finite, but not accurate.
+        """
+        if not p_bar > 0:
+            raise ValueError("p_bar must be positive")
+        lam, vecs = self.eig
+        return (vecs.conj().T @ self.d_mat) / np.sqrt(1.0 / p_bar + lam)[:, None]
 
 
 def decompose(real, users) -> GramDecomposition:
@@ -102,41 +108,35 @@ def _check_theta_bar(theta_bar):
 
 
 def rayleigh_objective(gram: GramDecomposition, theta_bar, p_bar: float) -> float:
-    """Quadratic form theta_bar^H D^H (I/p_bar + C)^-1 D theta_bar."""
-    if not p_bar > 0:
-        raise ValueError("p_bar must be positive")
-    d_theta = gram.d_mat @ np.asarray(theta_bar, dtype=complex)
-    return float(np.real(d_theta.conj() @ scipy.linalg.solve(
-        gram.a_mat(p_bar), d_theta, assume_a="pos")))
+    """Quadratic form theta_bar^H D^H (I/p_bar + C)^-1 D theta_bar = ||G theta_bar||^2."""
+    y = gram.factor(p_bar) @ np.asarray(theta_bar, dtype=complex)
+    return float(np.real(np.vdot(y, y)))
 
 
 def dpc_sum_se(gram: GramDecomposition, theta_bar, p_bar: float) -> float:
-    """DPC sum SE log2 det(I + p_bar H H^H), evaluated in decomposed form."""
+    """DPC sum SE log2 det(I + p_bar H H^H) = sum_k log2(1 + p_bar lam_k) + log2(1 + quad)."""
     quad = rayleigh_objective(gram, _check_theta_bar(theta_bar), p_bar)
-    _, logdet = np.linalg.slogdet(np.eye(gram.n_users) + p_bar * gram.c_mat)
-    return logdet / np.log(2.0) + np.log2(1.0 + quad)
+    lam, _ = gram.eig
+    return float(np.sum(np.log2(1.0 + p_bar * lam)) + np.log2(1.0 + quad))
 
 
 def dpc_asymptote(gram: GramDecomposition, theta_bar, p_bar: float) -> float:
     """High-power DPC sum SE.
 
     Full-rank C: log2 det(p_bar C) + log2(theta_bar^H D^H C^-1 D theta_bar).
-    Exactly one zero eigenvalue: sum_k<K log2(lambda_k p_bar)
-    + log2(p_bar |u_K^H D theta_bar|^2).
+    Exactly one zero eigenvalue: sum_k>1 log2(lambda_k p_bar)
+    + log2(p_bar |u_1^H D theta_bar|^2), with lambda ascending.
     """
     if not p_bar > 0:
         raise ValueError("p_bar must be positive")
     theta_bar = _check_theta_bar(theta_bar)
-    vals, vecs = np.linalg.eigh(gram.c_mat)
-    lam = np.clip(vals[::-1], 0.0, None)  # nonincreasing
+    lam, vecs = gram.eig
     n_zero = count_zero_eigenvalues(lam)
-    d_theta = gram.d_mat @ theta_bar
-    proj = vecs[:, ::-1].conj().T @ d_theta  # coefficients u_k^H D theta_bar
     if n_zero == 0:
-        quad = np.sum(np.abs(proj) ** 2 / lam)
+        quad = rayleigh_objective(gram, theta_bar, np.inf)
         return np.sum(np.log2(lam * p_bar)) + np.log2(quad)
     if n_zero == 1:
-        gain = np.abs(proj[-1]) ** 2
-        return np.sum(np.log2(lam[:-1] * p_bar)) + np.log2(p_bar * gain)
+        gain = np.abs(vecs[:, 0].conj() @ gram.d_mat @ theta_bar) ** 2
+        return np.sum(np.log2(lam[1:] * p_bar)) + np.log2(p_bar * gain)
     raise DegenerateRankError(
         f"{n_zero} eigenvalues of C below tolerance; asymptote undefined")

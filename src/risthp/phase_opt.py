@@ -4,7 +4,7 @@ Closed-form alignment when C has exactly one zero eigenvalue, a
 principal-eigenvector heuristic otherwise, plus refinement: a
 majorization-minimization fixed point for continuous phases and element-wise
 coordinate ascent for the binary (+-1) alphabet.  Every function reads only
-the decomposition (C, D) of ``gram.decompose``.
+the pair (C, D) of ``gram.decompose``, through its ``eig`` or its factor G.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
-import scipy.linalg
 
 from . import gram as gram_mod
 from .gram import GramDecomposition, extend_theta
@@ -52,25 +51,24 @@ def random_phases(n_ris: int, rng: np.random.Generator) -> PhaseConfig:
 def zero_eig_direction(gram: GramDecomposition) -> np.ndarray:
     """Unit eigenvector of C for its zero eigenvalue.
 
-    One eigendecomposition of C decides: when exactly one eigenvalue counts
-    as zero (``gram.count_zero_eigenvalues``), its eigenvector is returned;
-    any other count raises NotApplicableError.
+    ``gram.eig`` decides: when exactly one eigenvalue counts as zero
+    (``gram.count_zero_eigenvalues``), its eigenvector is returned; any
+    other count raises NotApplicableError.
     """
-    vals, vecs = np.linalg.eigh(gram.c_mat)
-    n_zero = gram_mod.count_zero_eigenvalues(vals)
+    lam, vecs = gram.eig
+    n_zero = gram_mod.count_zero_eigenvalues(lam)
     if n_zero != 1:
         raise NotApplicableError(
             f"{n_zero} eigenvalues of C count as zero; alignment needs exactly one")
     return vecs[:, 0]
 
 
-def _lift(gram: GramDecomposition, w: np.ndarray) -> PhaseConfig:
-    """Phases of D^H w relative to its last entry, so theta_bar ends in 1.
+def _lift(w_bar: np.ndarray) -> PhaseConfig:
+    """Phases of w_bar relative to its last entry, so theta_bar ends in 1.
 
     Shared by both branches; a call of ``align_phases`` therefore always
     means the alignment branch ran.
     """
-    w_bar = gram.d_mat.conj().T @ w
     return PhaseConfig(np.exp(1j * (np.angle(w_bar[:-1]) - np.angle(w_bar[-1]))))
 
 
@@ -80,47 +78,27 @@ def align_phases(gram: GramDecomposition, u_k: np.ndarray) -> PhaseConfig:
     The phases of D^H u_K relative to its last entry make all terms of
     u_K^H D theta_bar add up in phase (a zero entry counts as angle 0).
     """
-    return _lift(gram, u_k)
+    return _lift(gram.d_mat.conj().T @ u_k)
 
 
-def heuristic_phases(gram: GramDecomposition, p_bar: float) -> PhaseConfig:
-    """Principal-eigenvector phase heuristic.
+def heuristic_phases(g_mat: np.ndarray) -> PhaseConfig:
+    """Principal-eigenvector phase heuristic on the phase factor G.
 
-    Computes the principal eigenvector w' of the K x K matrix
-    (I/p_bar + C)^-1 D D^H and lifts it like ``align_phases``: the phases of
-    D^H w' relative to its last entry.  D^H w' vanishes only for D = 0, where
-    every theta is optimal and the all-ones phases are returned.
+    Lifts G^H x like ``align_phases``, x the principal eigenvector of G G^H;
+    with G = ``gram.factor(p_bar)`` that is D^H w', w' the principal
+    eigenvector of (I/p_bar + C)^-1 D D^H.  G^H x vanishes only for G = 0,
+    where every theta is optimal and the all-ones phases are returned.
     """
-    if not p_bar > 0:
-        raise ValueError("p_bar must be positive")
-    _, vecs = scipy.linalg.eigh(gram.ddh, gram.a_mat(p_bar))
-    return _lift(gram, vecs[:, -1])
+    _, vecs = np.linalg.eigh(g_mat @ g_mat.conj().T)
+    return _lift(g_mat.conj().T @ vecs[:, -1])
 
 
-def _phase_factor(gram: GramDecomposition, p_bar: float,
-                  direction: np.ndarray | None) -> np.ndarray:
-    """Factor G with phase objective ||G theta_bar||^2, i.e. M = G^H G.
-
-    With a zero-eigenvalue direction u, G is the single row u^H D (objective
-    |u^H D theta_bar|^2).  Otherwise I/p_bar + C = L L^H and G = L^-1 D, so
-    G^H G is the Rayleigh quotient matrix D^H (I/p_bar + C)^-1 D.
-    """
-    d = gram.d_mat
-    if direction is not None:
-        return (direction.conj() @ d)[None, :]
-    if not p_bar > 0:
-        raise ValueError("p_bar must be positive")
-    # np.linalg.solve, not scipy.linalg.solve_triangular: with two OpenBLAS
-    # threads scipy's trsm stalled for up to ~8 ms on these K x (N_R+1) systems
-    return np.linalg.solve(np.linalg.cholesky(gram.a_mat(p_bar)), d)
-
-
-def refine_elementwise(gram: GramDecomposition, theta_init: PhaseConfig,
-                       p_bar: float, max_sweeps: int = DEFAULT_MAX_SWEEPS,
-                       direction: np.ndarray | None = None) -> PhaseConfig:
+def refine_elementwise(g_mat: np.ndarray, theta_init: PhaseConfig,
+                       max_sweeps: int = DEFAULT_MAX_SWEEPS) -> PhaseConfig:
     """Refine phases by ascent on the phase objective ||G theta_bar||^2.
 
-    G is the K-row factor of ``_phase_factor``.  Each pass updates every RIS
+    G is a K-row phase factor: ``gram.factor(p_bar)``, or the single row
+    u^H D along a zero-eigenvalue direction u.  Each pass updates every RIS
     element once; the objective never falls, and refinement stops after a
     pass whose relative rise is at most SWEEP_REL_TOL or after max_sweeps
     passes.
@@ -138,7 +116,6 @@ def refine_elementwise(gram: GramDecomposition, theta_init: PhaseConfig,
     """
     if max_sweeps <= 0:
         raise ValueError("max_sweeps must be positive")
-    g_mat = _phase_factor(gram, p_bar, direction)
     theta_bar = extend_theta(theta_init.theta)
     if theta_init.alphabet == "binary":
         return PhaseConfig(_binary_ascent(g_mat, theta_bar, max_sweeps), alphabet="binary")

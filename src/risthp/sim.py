@@ -50,6 +50,8 @@ class RunConfig:
                 raise ValueError(f"methods: unknown method {m!r}")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"methods: {list(self.methods)} names a method twice")
+        if self.sweep_name == "none" and self.sweep_values:
+            raise ValueError(f"sweep: values {list(self.sweep_values)} need a sweep name")
         if self.sweep_name != "none":
             if self.sweep_name not in SWEEP_NAMES:
                 raise ValueError(f"sweep: unknown sweep {self.sweep_name!r}")

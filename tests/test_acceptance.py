@@ -117,12 +117,12 @@ def test_criterion_05_eigenvector_heuristic_equivalence():
         real = _random_realization(rng, k=k, n_bs=k + 2, n_ris=n_ris)
         dec = G.decompose(real, range(k))
         p_bar = float(rng.uniform(0.5, 50.0))
-        # K-dimensional trick: lambda_max of (I/p_bar + C)^-1 D D^H
+        # K-dimensional trick: lambda_max of (I/p_bar + C)^-1 D D^H, read as
+        # lambda_max(G G^H) of the K-row phase factor G the heuristic uses
+        g_mat = dec.factor(p_bar)
+        lam_trick = np.linalg.eigvalsh(g_mat @ g_mat.conj().T)[-1]
         a_mat = np.eye(k) / p_bar + dec.c_mat
-        ddh = dec.d_mat @ dec.d_mat.conj().T
         import scipy.linalg
-        lam_trick = scipy.linalg.eigh(0.5 * (ddh + ddh.conj().T), a_mat,
-                                      eigvals_only=True)[-1]
         # direct (N_R+1)-dimensional eigen-solve of D^H (I/p_bar + C)^-1 D
         m = dec.d_mat.conj().T @ scipy.linalg.solve(a_mat, dec.d_mat,
                                                     assume_a="pos")
@@ -137,8 +137,8 @@ def test_criterion_05_eigenvector_heuristic_equivalence():
         p_bar = 1e7
         closed = P.rayleigh_objective(dec, G.extend_theta(
             P.align_phases(dec, P.zero_eig_direction(dec)).theta), p_bar)
-        heur = P.heuristic_phases(dec, p_bar)
-        heur = P.refine_elementwise(dec, heur, p_bar)
+        g_mat = dec.factor(p_bar)
+        heur = P.refine_elementwise(g_mat, P.heuristic_phases(g_mat))
         got = P.rayleigh_objective(dec, G.extend_theta(heur.theta), p_bar)
         worst_zero = max(worst_zero, abs(got - closed) / closed)
     _report(5, "K-dim eigenvector trick matches direct eigen-solve and the "
@@ -161,7 +161,7 @@ def test_criterion_06_binary_phases_local_and_global():
         dec = G.decompose(real, range(3))
         p_bar = float(r.uniform(1.0, 20.0))
         theta = alloc.optimize_phases(dec, p_bar, "binary")
-        m = dec.d_mat.conj().T @ np.linalg.solve(dec.a_mat(p_bar), dec.d_mat)
+        m = dec.d_mat.conj().T @ np.linalg.solve(np.eye(3) / p_bar + dec.c_mat, dec.d_mat)
         m = 0.5 * (m + m.conj().T)
         tb = G.extend_theta(theta.theta)
         achieved = float(np.real(tb.conj() @ m @ tb))

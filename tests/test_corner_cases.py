@@ -21,6 +21,8 @@ CASES = {
     "zero_asd": dict(asd=0.0),
     "tx_minus_20_dbm": dict(tx_dbm=-20.0),
     "tx_60_dbm": dict(tx_dbm=60.0),
+    "tx_150_dbm_more_users": dict(n_users=8, n_bs=4, tx_dbm=150.0),
+    "tx_200_dbm_zero_asd": dict(asd=0.0, tx_dbm=200.0),
 }
 
 

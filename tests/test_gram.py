@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from risthp import gram as G
-from risthp.channel import ChannelRealization
+from risthp.channel import ChannelRealization, ScenarioConfig, draw_realization
 from risthp.gram import DegenerateRankError
 
 from conftest import random_realization, random_unit_theta
@@ -44,6 +45,54 @@ class TestDecompose:
     def test_empty_subset(self, rng):
         with pytest.raises(ValueError):
             G.decompose(random_realization(rng), [])
+
+
+class TestEig:
+    def test_cached_and_nonnegative(self, rng):
+        dec = G.decompose(random_realization(rng, k=4, n_bs=4), range(4))
+        assert dec.eig is dec.eig
+        lam, vecs = dec.eig
+        assert np.all(lam >= 0.0)
+        assert np.all(np.diff(lam) >= 0.0)
+        np.testing.assert_allclose(vecs @ np.diag(lam) @ vecs.conj().T, dec.c_mat,
+                                   atol=1e-12 * lam[-1])
+
+    def test_read_only(self, rng):
+        lam, vecs = G.decompose(random_realization(rng), range(3)).eig
+        with pytest.raises(ValueError):
+            lam[0] = 1.0
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 1.0
+
+
+class TestFactor:
+    @pytest.mark.parametrize("n_bs", [5, 3])  # invertible C; singular C (K = N_B)
+    def test_matches_dense_quadratic_form(self, rng, n_bs):
+        for _ in range(10):
+            dec = G.decompose(random_realization(rng, k=3, n_bs=n_bs, n_ris=7), range(3))
+            assert (G.count_zero_eigenvalues(dec.eig[0]) == 1) == (n_bs == 3)
+            for p_bar in (0.1, 10.0, 1e4):
+                a_mat = np.eye(3) / p_bar + dec.c_mat
+                dense = dec.d_mat.conj().T @ scipy.linalg.solve(a_mat, dec.d_mat,
+                                                                assume_a="pos")
+                g_mat = dec.factor(p_bar)
+                assert g_mat.shape == (3, 8)
+                err = np.linalg.norm(g_mat.conj().T @ g_mat - dense)
+                assert err <= 1e-10 * np.linalg.norm(dense)
+
+    def test_infinite_power_inverts_c(self, rng):
+        dec = G.decompose(random_realization(rng, k=3, n_bs=5), range(3))
+        dense = dec.d_mat.conj().T @ scipy.linalg.solve(dec.c_mat, dec.d_mat,
+                                                        assume_a="pos")
+        g_mat = dec.factor(np.inf)
+        err = np.linalg.norm(g_mat.conj().T @ g_mat - dense)
+        assert err <= 1e-10 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("p_bar", [0.0, -1.0])
+    def test_nonpositive_p_bar_rejected(self, rng, p_bar):
+        dec = G.decompose(random_realization(rng), range(3))
+        with pytest.raises(ValueError, match="p_bar must be positive"):
+            dec.factor(p_bar)
 
 
 class TestEffectiveChannel:
@@ -111,6 +160,17 @@ class TestDpcSumSe:
         tb = G.extend_theta(random_unit_theta(rng, real.n_ris))
         values = [G.dpc_sum_se(dec, tb, p) for p in np.logspace(-2, 3, 12)]
         assert np.all(np.diff(values) > 0)
+
+    def test_finite_and_nondecreasing_to_extreme_power(self):
+        # zero angular spread: I + p_bar C is indefinite in floating point from
+        # p_bar ~ 1e15, where a log-determinant by LU loses its sign
+        scenario = ScenarioConfig(seed=3, n_ris=16, asd=0.0)
+        real = draw_realization(scenario, np.random.default_rng(0))
+        dec = G.decompose(real, range(scenario.n_users))
+        tb = G.extend_theta(np.ones(16, dtype=complex))
+        values = [G.dpc_sum_se(dec, tb, p) for p in 10.0 ** np.arange(23)]
+        assert all(np.isfinite(values))
+        assert np.all(np.diff(values) >= 0.0)
 
     def test_bad_power(self, rng):
         real = random_realization(rng)

@@ -69,9 +69,11 @@ def test_stored_phases_are_read_only():
     real = draw_realization(scenario, np.random.default_rng(0))
     out = A.greedy_allocate(real, scenario.tx_power / scenario.n_users, "continuous")
     assert real.solves
-    for theta, _ in real.solves.values():
+    for theta, g_mat in real.solves.values():
         with pytest.raises(ValueError):
             theta.theta[0] = 1.0
+        with pytest.raises(ValueError):
+            g_mat[0, 0] = 0.0
     with pytest.raises(ValueError):
         out.theta.theta[0] = 1.0
 

@@ -16,6 +16,13 @@ def zero_eig_fixture(rng, k=2, n_ris=3):
     return random_realization(rng, k=k, n_bs=k, n_ris=n_ris)
 
 
+def phase_factor(dec, p_bar, direction=None):
+    """The phase factor G: ``dec.factor(p_bar)``, or the row u^H D along u."""
+    if direction is None:
+        return dec.factor(p_bar)
+    return (direction.conj() @ dec.d_mat)[None, :]
+
+
 class TestZeroEigDirection:
     def test_identity_direct_channel(self):
         b = np.array([1.0, 0.0], dtype=complex)
@@ -70,7 +77,8 @@ class TestZeroEigDirection:
         with pytest.raises(NotApplicableError, match="2 eigenvalues"):
             P.zero_eig_direction(dec)
         p_bar = 3.0
-        heuristic = P.refine_elementwise(dec, P.heuristic_phases(dec, p_bar), p_bar)
+        g_mat = dec.factor(p_bar)
+        heuristic = P.refine_elementwise(g_mat, P.heuristic_phases(g_mat))
         np.testing.assert_array_equal(
             alloc.optimize_phases(dec, p_bar, "continuous").theta, heuristic.theta)
 
@@ -138,7 +146,7 @@ class TestHeuristicPhases:
             real = random_realization(rng, k=3, n_bs=5, n_ris=7)
             dec = G.decompose(real, range(3))
             p_bar = float(rng.uniform(0.5, 20.0))
-            theta = P.heuristic_phases(dec, p_bar).theta
+            theta = P.heuristic_phases(dec.factor(p_bar)).theta
             got = P.rayleigh_objective(dec, G.extend_theta(theta), p_bar)
 
             a_mat = np.eye(3) / p_bar + dec.c_mat
@@ -155,7 +163,7 @@ class TestHeuristicPhases:
         aligned = P.align_phases(dec, P.zero_eig_direction(dec)).theta
         p_bar = 1e7  # alignment is the high-power optimum
         obj_h = P.rayleigh_objective(dec, G.extend_theta(
-            P.heuristic_phases(dec, p_bar).theta), p_bar)
+            P.heuristic_phases(dec.factor(p_bar)).theta), p_bar)
         obj_a = P.rayleigh_objective(dec, G.extend_theta(aligned), p_bar)
         assert obj_h == pytest.approx(obj_a, rel=1e-8)
 
@@ -164,7 +172,7 @@ class TestHeuristicPhases:
         dec = G.decompose(real, range(3))
         p_bar = 1e6
         obj = P.rayleigh_objective(dec, G.extend_theta(
-            P.heuristic_phases(dec, p_bar).theta), p_bar)
+            P.heuristic_phases(dec.factor(p_bar)).theta), p_bar)
         for _ in range(100):
             rand = P.rayleigh_objective(
                 dec, G.extend_theta(random_unit_theta(rng, 5)), p_bar)
@@ -175,7 +183,7 @@ class TestHeuristicPhases:
         real.h_direct = np.zeros_like(real.h_direct)  # D = [H_c, 0]
         real.h_cascaded[:, 1:] = 0.0
         dec = G.decompose(real, range(2))
-        theta = P.heuristic_phases(dec, 5.0).theta
+        theta = P.heuristic_phases(dec.factor(5.0)).theta
         # only element 0 matters; its phase is well defined up to the global
         # reference, which is angle(w_last) = angle(0) = 0 here
         assert abs(abs(theta[0]) - 1.0) < 1e-12
@@ -223,7 +231,8 @@ def _dense_refine(gram, theta_init, p_bar, max_sweeps=P.DEFAULT_MAX_SWEEPS,
         c = d.conj().T @ direction
         m = np.outer(c, c.conj())
     else:
-        m = d.conj().T @ scipy.linalg.solve(gram.a_mat(p_bar), d, assume_a="pos")
+        a_mat = np.eye(gram.c_mat.shape[0]) / p_bar + gram.c_mat
+        m = d.conj().T @ scipy.linalg.solve(a_mat, d, assume_a="pos")
         m = 0.5 * (m + m.conj().T)
     theta_bar = G.extend_theta(theta_init.theta)
     binary = theta_init.alphabet == "binary"
@@ -272,8 +281,8 @@ class TestRefineElementwise:
             p_bar = float(rng.uniform(0.5, 50.0))
             for init in (start, P.discretize_binary(start)):
                 for sweeps in (1, P.DEFAULT_MAX_SWEEPS):
-                    out = P.refine_elementwise(dec, init, p_bar, sweeps,
-                                               direction=direction)
+                    out = P.refine_elementwise(phase_factor(dec, p_bar, direction),
+                                               init, sweeps)
                     ref, m = _dense_refine(dec, init, p_bar, sweeps, direction)
                     assert out.alphabet == init.alphabet
 
@@ -292,21 +301,13 @@ class TestRefineElementwise:
                     n_moved += not np.array_equal(out.theta, init.theta)
         assert n_moved > 0
 
-    @pytest.mark.parametrize("p_bar", [0.0, -1.0])
-    def test_nonpositive_p_bar_rejected(self, rng, p_bar):
-        real = random_realization(rng)
-        dec = G.decompose(real, range(3))
-        with pytest.raises(ValueError, match="p_bar must be positive"):
-            P.refine_elementwise(dec, PhaseConfig(np.ones(8, dtype=complex)),
-                                 p_bar)
-
     def test_binary_exhaustive_two_elements(self, rng):
         for _ in range(20):
             real = random_realization(rng, k=2, n_bs=4, n_ris=2)
             dec = G.decompose(real, range(2))
             p_bar = 5.0
             init = PhaseConfig(np.ones(2, dtype=complex), alphabet="binary")
-            out = P.refine_elementwise(dec, init, p_bar)
+            out = P.refine_elementwise(dec.factor(p_bar), init)
             got = P.rayleigh_objective(dec, G.extend_theta(out.theta), p_bar)
             best = max(P.rayleigh_objective(
                 dec, G.extend_theta(np.array(c, dtype=complex)), p_bar)
@@ -325,7 +326,7 @@ class TestRefineElementwise:
         dec = G.decompose(real, range(2))
         u = P.zero_eig_direction(dec)
         aligned = P.align_phases(dec, u)
-        refined = P.refine_elementwise(dec, aligned, 1.0, direction=u)
+        refined = P.refine_elementwise(phase_factor(dec, 1.0, u), aligned)
         obj0 = abs(u.conj() @ dec.d_mat @ G.extend_theta(aligned.theta)) ** 2
         obj1 = abs(u.conj() @ dec.d_mat @ G.extend_theta(refined.theta)) ** 2
         assert obj1 == pytest.approx(obj0, rel=1e-9)
@@ -337,7 +338,7 @@ class TestRefineElementwise:
         theta = PhaseConfig(random_unit_theta(rng, 10))
         prev = P.rayleigh_objective(dec, G.extend_theta(theta.theta), p_bar)
         for sweeps in range(1, 6):
-            out = P.refine_elementwise(dec, theta, p_bar, max_sweeps=sweeps)
+            out = P.refine_elementwise(dec.factor(p_bar), theta, max_sweeps=sweeps)
             obj = P.rayleigh_objective(dec, G.extend_theta(out.theta), p_bar)
             assert obj >= prev - 1e-10
             prev = obj
@@ -352,7 +353,7 @@ class TestRefineElementwise:
         start = PhaseConfig(random_unit_theta(rng, 10))
         p_bar = 2.0
         for direction in (None, u / np.linalg.norm(u)):
-            out = P.refine_elementwise(dec, start, p_bar, direction=direction)
+            out = P.refine_elementwise(phase_factor(dec, p_bar, direction), start)
             assert out.theta[4] == start.theta[4]
             assert np.all(np.isfinite(out.theta))
             assert np.max(np.abs(np.abs(out.theta) - 1.0)) <= 1e-12
@@ -376,7 +377,7 @@ class TestRefineElementwise:
         assert not np.any(dec.d_mat)
         start = PhaseConfig(random_unit_theta(rng, 6))
         for direction in (None, np.array([0.6, 0.8j])):
-            out = P.refine_elementwise(dec, start, 2.0, direction=direction)
+            out = P.refine_elementwise(phase_factor(dec, 2.0, direction), start)
             np.testing.assert_array_equal(out.theta, start.theta)
 
     def test_binary_init_comparison_recorded(self, rng):
@@ -388,13 +389,11 @@ class TestRefineElementwise:
             real = random_realization(rng, k=3, n_bs=5, n_ris=6)
             dec = G.decompose(real, range(3))
             p_bar = 5.0
-            cont = P.refine_elementwise(
-                dec, P.heuristic_phases(dec, p_bar), p_bar)
-            from_cont = P.refine_elementwise(
-                dec, P.discretize_binary(cont), p_bar)
+            g_mat = dec.factor(p_bar)
+            cont = P.refine_elementwise(g_mat, P.heuristic_phases(g_mat))
+            from_cont = P.refine_elementwise(g_mat, P.discretize_binary(cont))
             from_ones = P.refine_elementwise(
-                dec, PhaseConfig(np.ones(6, dtype=complex), alphabet="binary"),
-                p_bar)
+                g_mat, PhaseConfig(np.ones(6, dtype=complex), alphabet="binary"))
             o1 = P.rayleigh_objective(dec, G.extend_theta(from_cont.theta), p_bar)
             o2 = P.rayleigh_objective(dec, G.extend_theta(from_ones.theta), p_bar)
             wins += o1 >= o2 - 1e-12
@@ -404,8 +403,8 @@ class TestRefineElementwise:
         real = random_realization(rng)
         dec = G.decompose(real, range(3))
         with pytest.raises(ValueError):
-            P.refine_elementwise(dec, PhaseConfig(np.ones(8, dtype=complex)),
-                                 1.0, max_sweeps=0)
+            P.refine_elementwise(dec.factor(1.0), PhaseConfig(np.ones(8, dtype=complex)),
+                                 max_sweeps=0)
 
 
 class TestPhaseConfig:

@@ -68,6 +68,12 @@ class TestRun:
         with pytest.raises(ValueError):
             RunConfig(scenario=small_scenario(), methods=("nonsense",))
 
+    def test_sweep_values_without_sweep_rejected(self):
+        # they would run one point at the scenario's own N_R
+        with pytest.raises(ValueError, match="need a sweep name"):
+            RunConfig(ScenarioConfig(n_ris=8), trials=1, methods=("thp",),
+                      sweep_name="none", sweep_values=(16, 32))
+
 
 class TestUniformityTest:
     def test_uniform_passes(self):
