@@ -158,7 +158,7 @@ def greedy_allocate(real, p_bar: float, phase_mode: str,
                    lambda a: a.se_bound)
 
 
-def relaxation_metric(gram_subset, n_ris: int) -> float:
+def relaxation_metric(gram_subset) -> float:
     """Two-norm relaxation N_R * lambda_max(C^-1 D D^H) of the phase objective.
 
     Evaluated as N_R * ||G||_2^2 with G = C^-1/2 D, the factor
@@ -167,4 +167,4 @@ def relaxation_metric(gram_subset, n_ris: int) -> float:
     """
     if gram_mod.count_zero_eigenvalues(gram_subset.eig[0]):
         raise NotApplicableError("C is singular on this subset")
-    return float(n_ris * np.linalg.norm(gram_subset.factor(np.inf), 2) ** 2)
+    return float(gram_subset.n_ris * np.linalg.norm(gram_subset.factor(np.inf), 2) ** 2)

@@ -13,7 +13,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 
 def _finite_real(value) -> bool:
@@ -209,8 +208,10 @@ def laplacian_covariance(n: int, nominal_angle: float, asd: float) -> np.ndarray
     high = w * np.exp(1j * np.pi * np.outer(np.arange(math.ceil(n / step)) * step, u))
     r = (high @ low.T).ravel()[:n]  # r[q*B + p] = E[exp(j*pi*d*sin(phi))]
     r[0] = 1.0
-    # with r[0] real, toeplitz(r, r^*) is exactly Hermitian
-    return toeplitz(r, r.conj())
+    # toeplitz(r, r^*): row i is the window at n-1-i of [r_{n-1}, ..., r_0, ..., r_{n-1}^*],
+    # the usual strided Toeplitz construction; with r[0] real it is exactly Hermitian
+    lags = np.concatenate([r[::-1], r[1:].conj()])
+    return np.lib.stride_tricks.sliding_window_view(lags, n)[::-1].copy()
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:

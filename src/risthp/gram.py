@@ -78,7 +78,7 @@ def decompose(real, users) -> GramDecomposition:
 def effective_channel(real, users, theta: np.ndarray) -> np.ndarray:
     """H = H_d + H_c theta b^H for the selected rows."""
     theta = np.asarray(theta)
-    if np.max(np.abs(np.abs(theta) - 1.0)) > 1e-9:
+    if not np.max(np.abs(np.abs(theta) - 1.0)) <= 1e-9:  # NaN fails
         raise ValueError("theta entries must be unit modulus")
     users = list(users)
     return real.h_direct[users] + np.outer(real.h_cascaded[users] @ theta,
@@ -102,7 +102,7 @@ def count_zero_eigenvalues(lam: np.ndarray):
 
 def _check_theta_bar(theta_bar):
     theta_bar = np.asarray(theta_bar, dtype=complex)
-    if abs(theta_bar[-1] - 1.0) > 1e-9:
+    if not abs(theta_bar[-1] - 1.0) <= 1e-9:  # NaN fails
         raise ValueError("last entry of theta_bar must equal 1")
     return theta_bar
 

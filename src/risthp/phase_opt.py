@@ -34,7 +34,7 @@ class PhaseConfig:
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=complex)
         if self.alphabet == "continuous":
-            if np.max(np.abs(np.abs(self.theta) - 1.0)) > 1e-12:
+            if not np.max(np.abs(np.abs(self.theta) - 1.0)) <= 1e-12:  # NaN fails
                 raise ValueError("continuous phases must be unit modulus")
         elif self.alphabet == "binary":
             if not np.all(np.isin(self.theta, [-1.0 + 0j, 1.0 + 0j])):

@@ -251,8 +251,10 @@ def uniformity_test(samples, alpha: float):
     """One-sample KS test against the uniform distribution on [-0.5, 0.5).
 
     Returns (statistic, passed) using the asymptotic critical value
-    sqrt(-ln(alpha/2)/2)/sqrt(n).
+    sqrt(-ln(alpha/2)/2)/sqrt(n), which needs 0 < alpha < 1.
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     samples = np.asarray(samples, dtype=float)
     if samples.size < 1000:
         raise ValueError("need at least 1000 samples")
@@ -361,20 +363,16 @@ def main(argv=None) -> int:
         prog="risthp",
         description="RIS-aided MIMO broadcast channel precoding simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments shared by run and sweep
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config", help="path to the JSON run config")
+    common.add_argument("--out", default="results.csv", help="output CSV path")
+    common.add_argument("--trials", type=int, default=None)
+    common.add_argument("--seed", type=int, default=None)
 
-    p_run = sub.add_parser("run", help="run a Monte Carlo experiment")
-    p_run.add_argument("config", help="path to the JSON run config")
-    p_run.add_argument("--out", default="results.csv", help="output CSV path")
-    p_run.add_argument("--trials", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-
+    sub.add_parser("run", parents=[common], help="run a Monte Carlo experiment")
     sub.add_parser("validate", help="run the built-in invariant checks")
-
-    p_sweep = sub.add_parser("sweep", help="run with a sweep override")
-    p_sweep.add_argument("config", help="path to the JSON run config")
-    p_sweep.add_argument("--out", default="results.csv")
-    p_sweep.add_argument("--trials", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
+    p_sweep = sub.add_parser("sweep", parents=[common], help="run with a sweep override")
     group = p_sweep.add_mutually_exclusive_group(required=True)
     group.add_argument("--sweep-asd", help="comma-separated ASD values (degrees)")
     group.add_argument("--sweep-nr", help="comma-separated RIS element counts")

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import xlogy
 
 # per-user shaping loss of uniform (cubic) signaling: log2(pi*e/6)
 SHAPING_LOSS_BITS = math.log2(math.pi * math.e / 6.0)
@@ -22,12 +20,18 @@ SHAPING_LOSS_BITS = math.log2(math.pi * math.e / 6.0)
 _RANK_TOL = 1e-10
 
 # below this per-dimension std the wrapped Gaussian equals the plain Gaussian
-# to far beyond quadrature tolerance (tail mass < 1e-130 outside the cell)
+# to far beyond the grid rule's accuracy (tail mass < 1e-130 outside the cell)
 _NARROW_SIGMA = 0.02
 # above this per-dimension std the wrapped density is uniform to within
-# 2*exp(-2*pi^2*sigma^2) < 6e-9, so the entropy is 0 far beyond tolerance
+# 2*exp(-2*pi^2*sigma^2) < 6e-9: the entropy is 0 to ~1e-17, past the grid's accuracy
 _WIDE_SIGMA = 1.0
 _N_IMAGES = 20
+# Between the two, -g log2 g is periodic and analytic on [-1/2, 1/2), so the
+# trapezoid rule on the grid t_i = i/_N_GRID - 1/2 converges geometrically:
+# 128 points agree with 8192 to ~2e-15 on that range (64 points to ~2e-12).
+_N_GRID = 128
+_GRID_IMAGES = ((np.arange(_N_GRID) / _N_GRID - 0.5)[:, None]
+                + np.arange(-_N_IMAGES, _N_IMAGES + 1))  # t_i + k, |k| <= _N_IMAGES
 
 
 class RankDeficientError(ValueError):
@@ -151,16 +155,10 @@ def wrapped_noise_entropy(var_complex: float) -> float:
     elif sigma >= _WIDE_SIGMA:
         h_real = 0.0
     else:
-        n_img = max(_N_IMAGES, int(10.0 * sigma) + 1)
-        ks = np.arange(-n_img, n_img + 1)
-
-        def integrand(t):
-            g = np.sum(np.exp(-0.5 * ((t + ks) / sigma) ** 2)) \
-                / (math.sqrt(2.0 * math.pi) * sigma)
-            return -xlogy(g, g) / math.log(2.0)
-
-        h_real, _ = quad(integrand, -0.5, 0.5, epsabs=1e-10, limit=300,
-                         points=[0.0])
+        # g >= exp(-312.5) / sigma > 0 on the grid, so g log2 g is finite
+        g = np.sum(np.exp(-0.5 * (_GRID_IMAGES / sigma) ** 2), axis=1) \
+            / (math.sqrt(2.0 * math.pi) * sigma)
+        h_real = -float(np.mean(g * np.log2(g)))
     return 2.0 * h_real
 
 

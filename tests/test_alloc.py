@@ -21,6 +21,13 @@ class TestEvaluateAllocation:
         assert out.se_bound == pytest.approx(expected, rel=1e-9)
         np.testing.assert_array_equal(out.order, [0])
 
+    def test_nan_fixed_theta_rejected(self, rng):
+        real = random_realization(rng)
+        theta = P.PhaseConfig(np.ones(real.n_ris, dtype=complex))
+        theta.theta[0] = np.nan  # past PhaseConfig's own check
+        with pytest.raises(ValueError, match="unit modulus"):
+            A.evaluate_allocation(real, [0, 1], 2.0, "continuous", fixed_theta=theta)
+
     def test_random_mode_needs_fixed_theta(self, rng):
         # random phases are drawn once, by greedy_allocate, never per subset
         real = random_realization(rng)
@@ -181,12 +188,12 @@ class TestRelaxationMetric:
         c = dec.c_mat[0, 0].real
         d = dec.d_mat[0]
         expected = 3 * float(np.linalg.norm(d) ** 2 / c)
-        assert A.relaxation_metric(dec, 3) == pytest.approx(expected, rel=1e-9)
+        assert A.relaxation_metric(dec) == pytest.approx(expected, rel=1e-9)
 
     def test_matches_high_dimensional_form(self, rng):
         real = random_realization(rng, k=3, n_bs=5, n_ris=6)
         dec = G.decompose(real, range(3))
-        got = A.relaxation_metric(dec, 6)
+        got = A.relaxation_metric(dec)
         big = dec.d_mat.conj().T @ np.linalg.solve(dec.c_mat, dec.d_mat)
         lam = np.linalg.eigvalsh(0.5 * (big + big.conj().T))[-1]
         assert got == pytest.approx(6 * lam, rel=1e-9)
@@ -194,7 +201,7 @@ class TestRelaxationMetric:
     def test_upper_bounds_quadratic_form(self, rng):
         real = random_realization(rng, k=3, n_bs=5, n_ris=6)
         dec = G.decompose(real, range(3))
-        metric = A.relaxation_metric(dec, 6)
+        metric = A.relaxation_metric(dec)
         big = dec.d_mat.conj().T @ np.linalg.solve(dec.c_mat, dec.d_mat)
         for _ in range(50):
             tb = G.extend_theta(np.exp(2j * np.pi * rng.uniform(size=6)))
@@ -205,7 +212,7 @@ class TestRelaxationMetric:
         real = random_realization(rng, k=2, n_bs=2)  # square -> singular C
         dec = G.decompose(real, range(2))
         with pytest.raises(NotApplicableError):
-            A.relaxation_metric(dec, real.n_ris)
+            A.relaxation_metric(dec)
 
 
 class TestBoundMonotone:

@@ -183,6 +183,12 @@ class TestLaplacianCovariance:
         assert abs(cov[1, 0] - expected) < 1e-6
         assert abs(cov[1, 0]) < 1.0
 
+    @pytest.mark.parametrize("n", [1, 2, 6, 64, 512])
+    def test_scipy_toeplitz_bit_for_bit(self, n):
+        cov = laplacian_covariance(n, 0.4, math.radians(15))
+        r = cov[:, 0]
+        np.testing.assert_array_equal(cov, toeplitz(r, r.conj()))
+
 
 class TestDrawRealization:
     def scenario(self, **kw):

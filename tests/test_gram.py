@@ -125,6 +125,13 @@ class TestEffectiveChannel:
         with pytest.raises(ValueError):
             G.effective_channel(real, range(3), 0.5 * np.ones(real.n_ris))
 
+    def test_nan_rejected(self, rng):
+        real = random_realization(rng)
+        theta = np.ones(real.n_ris, dtype=complex)
+        theta[0] = np.nan
+        with pytest.raises(ValueError, match="unit modulus"):
+            G.effective_channel(real, range(3), theta)
+
 
 class TestDpcSumSe:
     def test_identity_channel(self):
@@ -185,6 +192,12 @@ class TestDpcSumSe:
         tb = np.ones(real.n_ris + 1, dtype=complex) * 1j
         with pytest.raises(ValueError):
             G.dpc_sum_se(dec, tb, 1.0)
+
+    def test_nan_theta_bar_rejected(self, rng):
+        real = random_realization(rng, n_ris=2)
+        dec = G.decompose(real, range(3))
+        with pytest.raises(ValueError, match="must equal 1"):
+            G.dpc_sum_se(dec, [1.0, 1.0, np.nan], 1.0)
 
 
 class TestDpcAsymptote:

@@ -412,6 +412,10 @@ class TestPhaseConfig:
         with pytest.raises(ValueError):
             PhaseConfig(np.array([0.5 + 0j]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="unit modulus"):
+            PhaseConfig(np.array([np.nan, 1.0]))
+
     def test_binary_exact_signs_enforced(self):
         with pytest.raises(ValueError):
             PhaseConfig(np.array([1j]), alphabet="binary")

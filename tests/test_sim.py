@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +102,22 @@ class TestUniformityTest:
         samples = np.linspace(-0.5, 0.6, 2000)
         with pytest.raises(ValueError):
             S.uniformity_test(samples, alpha=0.01)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 2.0, 3.0, -0.1, math.nan])
+    def test_alpha_outside_unit_interval(self, alpha):
+        samples = np.random.default_rng(5).uniform(-0.5, 0.5, size=2000)
+        with pytest.raises(ValueError, match="alpha"):
+            S.uniformity_test(samples, alpha=alpha)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(S.__file__).resolve().parents[1])
+    code = ("import sys, risthp; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestConfigParsing:

@@ -3,10 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import xlogy
 
 from risthp import thp as T
 from risthp.sim import uniformity_test
 from risthp.thp import RankDeficientError, SHAPING_LOSS_BITS
+
+
+def quad_entropy(var_complex):
+    """Reference: adaptive quadrature of -g log2 g over the same images."""
+    sigma = math.sqrt(var_complex / 2.0)
+    ks = np.arange(-T._N_IMAGES, T._N_IMAGES + 1)
+
+    def integrand(t):
+        g = np.sum(np.exp(-0.5 * ((t + ks) / sigma) ** 2)) / (math.sqrt(2.0 * math.pi) * sigma)
+        return -xlogy(g, g) / math.log(2.0)
+
+    return 2.0 * quad(integrand, -0.5, 0.5, epsabs=1e-13, epsrel=0.0)[0]
 
 
 def random_channel(rng, k=4, n_bs=6):
@@ -137,6 +151,22 @@ class TestWrappedNoiseEntropy:
     def test_always_nonpositive(self):
         for var in [1e-8, 1e-3, 0.05, 0.3, 2.0, 30.0]:
             assert T.wrapped_noise_entropy(var) <= 1e-12
+
+    def test_quad_oracle(self):
+        for sigma in np.linspace(T._NARROW_SIGMA, T._WIDE_SIGMA, 97, endpoint=False):
+            var = 2.0 * sigma ** 2
+            assert abs(T.wrapped_noise_entropy(var) - quad_entropy(var)) <= 1e-13, sigma
+
+    def test_branches_meet(self):
+        # just inside the grid branch at each edge, against the outer branch's
+        # value at the same variance
+        var = 2.0 * (T._NARROW_SIGMA * (1.0 + 1e-15)) ** 2
+        assert math.sqrt(var / 2.0) >= T._NARROW_SIGMA
+        gauss = math.log2(math.pi * math.e * var)
+        assert abs(T.wrapped_noise_entropy(var) - gauss) <= 1e-12
+        var = 2.0 * (T._WIDE_SIGMA * (1.0 - 1e-15)) ** 2
+        assert math.sqrt(var / 2.0) < T._WIDE_SIGMA
+        assert abs(T.wrapped_noise_entropy(var)) <= 1e-12
 
 
 class TestPerUserSe:
