@@ -82,16 +82,44 @@ def zf_sum_se_gram(c_mat: np.ndarray, d_vecs: np.ndarray, tx_power: float) -> np
     return se
 
 
+def zf_sum_se_rank_one(c_inv_diag: np.ndarray, d_vecs: np.ndarray,
+                       e_vecs: np.ndarray, tx_power: float) -> np.ndarray:
+    """``zf_sum_se_gram`` by the Sherman-Morrison update of an invertible C.
+
+    With e = C^-1 d, g_k = [(C + d d^H)^-1]_kk = [C^-1]_kk - |e_k|^2 / (1 + d^H e),
+    O(K) per row of ``d_vecs`` and ``e_vecs``.  The subtraction loses up to
+    eps * (lam_max(C) + ||d||^2) / lam_min(C) of g_k, relative.  There is no
+    zero-score rule: the caller keeps it for rows where C + d d^H has no
+    zero eigenvalue.
+    """
+    quad = (d_vecs.conj() * e_vecs).sum(axis=1).real
+    gains = c_inv_diag - (e_vecs * e_vecs.conj()).real / (1.0 + quad)[:, None]
+    return np.log2(1.0 + (tx_power / c_inv_diag.size) / gains).sum(axis=1)
+
+
 def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
                          tx_power: float) -> PhaseConfig:
     """Element-wise ascent of the ZF sum SE over candidate phase values.
 
     Continuous alphabet uses an N_GRID-point angular grid per element; binary
     uses {-1, +1}.  Every candidate is scored in K x K form through
-    ||pinv(H)[:, k]||^2 = [(C + d d^H)^-1]_kk with d = D theta_bar: setting
-    theta_n = c changes d by D[:, n] (c - theta_n), so all candidates of an
-    element take one batched eigendecomposition and H is never built.  An
-    element moves to its best candidate, the first on ties, when that
+    ||pinv(H)[:, k]||^2 = [(C + d d^H)^-1]_kk with d = D theta_bar, so H is
+    never built: setting theta_n = c moves d by D[:, n] delta, delta =
+    c - theta_n.
+
+    When C has no zero eigenvalue, C^-1 = V diag(1/lam) V^H comes from the
+    cached ``dec.eig`` and e = C^-1 d moves by (C^-1 D)[:, n] delta, so
+    ``zf_sum_se_rank_one`` scores a candidate in O(K).  It scores an element
+    when every row, current value and candidates, has
+    lam_min(C) > RANK_TOL * (lam_max(C) + ||d||^2).  That bound keeps every
+    eigenvalue of C + d d^H above RANK_TOL * lam_max, so no row falls under
+    ``zf_sum_se_gram``'s zero-score rule, and it holds the rank-one rounding
+    below eps / RANK_TOL (about 2e-7) relative.  Any other element, and every
+    element when C is singular (|S| >= N_B), takes ``zf_sum_se_gram``'s
+    batched eigendecomposition.
+
+    Each element scores its current value with the same scorer as its
+    candidates and moves to its best candidate, the first on ties, when that
     strictly beats the current sum SE; its current value is not a candidate.
     The sweep stops after a pass that changes nothing or after MAX_SWEEPS.
     """
@@ -100,20 +128,34 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
         candidates = np.array([-1.0 + 0j, 1.0 + 0j])
     else:
         candidates = np.exp(2j * np.pi * np.arange(N_GRID) / N_GRID)
-    d = dec.d_mat @ gram_mod.extend_theta(theta_vec)
-    best = zf_sum_se_gram(dec.c_mat, d[None, :], tx_power)[0]
+    k = dec.d_mat.shape[0]
+    lam, vecs = dec.eig
+    # cols[n] is D[:, n], followed by E[:, n] (E = C^-1 D) when C is invertible;
+    # ||d||^2 < max_sq is lam_min(C) > RANK_TOL * (lam_max(C) + ||d||^2)
+    cols, max_sq = dec.d_mat, -np.inf
+    if gram_mod.count_zero_eigenvalues(lam) == 0:
+        c_inv = (vecs / lam) @ vecs.conj().T
+        c_inv_diag = c_inv.diagonal().real
+        cols = np.concatenate([cols, c_inv @ cols])
+        max_sq = lam[0] / gram_mod.RANK_TOL - lam[-1]
+    de = cols @ gram_mod.extend_theta(theta_vec)  # d, then e = C^-1 d
+    cols = cols.T.copy()
+    # row 0 of a batch is the element's current value, row i > 0 candidate i - 1
+    rows = np.concatenate([[0.0], candidates])
     for _ in range(MAX_SWEEPS):
         changed = False
         for n in range(theta_vec.size):
-            col = dec.d_mat[:, n]
-            d_cands = (d - col * theta_vec[n]) + candidates[:, None] * col
-            vals = zf_sum_se_gram(dec.c_mat, d_cands, tx_power)
-            vals[candidates == theta_vec[n]] = -np.inf
-            i = int(np.argmax(vals))
-            if vals[i] > best:
-                best = vals[i]
-                theta_vec[n] = candidates[i]
-                d = d_cands[i]
+            rows[0] = theta_vec[n]
+            de_rows = de + (rows - theta_vec[n])[:, None] * cols[n]
+            d_rows = de_rows[:, :k]
+            if (d_rows * d_rows.conj()).sum(axis=1).real.max() < max_sq:
+                vals = zf_sum_se_rank_one(c_inv_diag, d_rows, de_rows[:, k:], tx_power)
+            else:
+                vals = zf_sum_se_gram(dec.c_mat, d_rows, tx_power)
+            vals[1:][candidates == theta_vec[n]] = -np.inf
+            i = 1 + int(vals[1:].argmax())
+            if vals[i] > vals[0]:
+                theta_vec[n], de = candidates[i - 1], de_rows[i]
                 changed = True
         if not changed:
             break

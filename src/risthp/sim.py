@@ -258,7 +258,7 @@ def uniformity_test(samples, alpha: float):
     samples = np.asarray(samples, dtype=float)
     if samples.size < 1000:
         raise ValueError("need at least 1000 samples")
-    if np.any(samples < -0.5) or np.any(samples >= 0.5):
+    if not np.all((samples >= -0.5) & (samples < 0.5)):  # NaN fails
         raise ValueError("samples must lie in [-0.5, 0.5)")
     sorted_s = np.sort(samples) + 0.5  # uniform CDF on [0, 1)
     n = sorted_s.size

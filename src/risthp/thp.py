@@ -187,8 +187,10 @@ def sum_se_asymptote(h: np.ndarray, p_bar: float) -> float:
 def thp_mse(diag_l, tx_power: float, k_alloc: int) -> float:
     """Analytic E||d_hat - d||^2 = (K / (6 P_Tx)) sum_k 1/L_kk^2."""
     diag_l = np.asarray(diag_l, dtype=float)
-    if np.any(diag_l <= 0):
+    if not np.all(diag_l > 0):  # NaN fails
         raise ValueError("all diagonal entries must be positive")
+    if not tx_power > 0:
+        raise ValueError("tx_power must be positive")
     return k_alloc / (6.0 * tx_power) * float(np.sum(1.0 / diag_l ** 2))
 
 

@@ -206,16 +206,22 @@ def _start_theta(rng, n_ris, alphabet):
     return PhaseConfig(random_unit_theta(rng, n_ris))
 
 
+def _candidate_thetas(theta, n):
+    """theta with element n set to each candidate of its alphabet, one per row."""
+    vecs = np.repeat(theta.theta[None, :], len(_ALPHABETS[theta.alphabet]), axis=0)
+    vecs[:, n] = _ALPHABETS[theta.alphabet]
+    return vecs
+
+
+def _candidate_d_vecs(dec, theta, n):
+    return np.array([dec.d_mat @ G.extend_theta(v) for v in _candidate_thetas(theta, n)])
+
+
 def _element_scores(real, users, theta, n, tx_power):
     """Scorer output and zf_linear oracle for every candidate of element n."""
     dec = G.decompose(real, users)
-    candidates = _ALPHABETS[theta.alphabet]
-    vecs = []
-    for cand in candidates:
-        vec = theta.theta.copy()
-        vec[n] = cand
-        vecs.append(vec)
-    d_vecs = np.array([dec.d_mat @ G.extend_theta(v) for v in vecs])
+    vecs = _candidate_thetas(theta, n)
+    d_vecs = _candidate_d_vecs(dec, theta, n)
     oracle = [B.zf_linear(real, users, PhaseConfig(v, alphabet=theta.alphabet),
                           tx_power).sum_se for v in vecs]
     return B.zf_sum_se_gram(dec.c_mat, d_vecs, tx_power), np.array(oracle)
@@ -251,6 +257,90 @@ class TestZfSumSeGram:
         swept = B._sweep_phases_linear(G.decompose(real, [0, 1]), theta, 2.0)
         np.testing.assert_array_equal(swept.theta, theta.theta)
         assert swept.alphabet == alphabet
+
+
+def _rank_one_scores(dec, d_vecs, tx_power):
+    """zf_sum_se_rank_one with C^-1 and e = C^-1 d taken by np.linalg.inv."""
+    c_inv = np.linalg.inv(dec.c_mat)
+    return B.zf_sum_se_rank_one(np.real(np.diag(c_inv)), d_vecs,
+                                d_vecs @ c_inv.T, tx_power)
+
+
+def _counting(monkeypatch, name):
+    """Replace baseline.<name> by a wrapper that counts its calls."""
+    calls = []
+    func = getattr(B, name)
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return func(*args)
+
+    monkeypatch.setattr(B, name, counted)
+    return calls
+
+
+class TestZfSumSeRankOne:
+    @pytest.mark.parametrize("alphabet", ["continuous", "binary"])
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_matches_zf_linear(self, rng, alphabet, blocked):
+        # rtol 1e-10, or the rounding of the subtraction in g_k where that is
+        # larger: eps * [C^-1]_kk / g_k <= eps * (lam_max(C) + ||d||^2) / lam_min(C)
+        for _ in range(5):
+            real = random_realization(rng, k=3, n_bs=4, n_ris=8)
+            if blocked:
+                real.h_direct[1] *= 1e-3
+            dec = G.decompose(real, [0, 1, 2])
+            lam = dec.eig[0]
+            assert G.count_zero_eigenvalues(lam) == 0
+            theta = _start_theta(rng, real.n_ris, alphabet)
+            for n in range(real.n_ris):
+                d_vecs = _candidate_d_vecs(dec, theta, n)
+                _, oracle = _element_scores(real, [0, 1, 2], theta, n, 5.0)
+                got = _rank_one_scores(dec, d_vecs, 5.0)
+                rtol = np.maximum(1e-10, np.finfo(float).eps * (
+                    lam[-1] + np.sum(np.abs(d_vecs) ** 2, axis=1)) / lam[0])
+                assert np.all(np.abs(got - oracle) <= rtol * oracle)
+
+    def test_sweep_takes_no_eigh_on_invertible_c(self, rng, monkeypatch):
+        real = random_realization(rng, k=3, n_bs=4, n_ris=8)
+        dec = G.decompose(real, [0, 1, 2])
+        theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
+        eigh_calls = _counting(monkeypatch, "zf_sum_se_gram")
+        rank_one_calls = _counting(monkeypatch, "zf_sum_se_rank_one")
+        swept = B._sweep_phases_linear(dec, theta, 5.0)
+        assert eigh_calls == []
+        # one call per element and pass, current value plus N_GRID candidates
+        assert len(rank_one_calls) % real.n_ris == 0
+        assert set(rank_one_calls) == {1 + B.N_GRID}
+        want = _reference_sweep(real, [0, 1, 2], theta, 5.0)
+        assert np.all(swept.theta == want.theta)
+
+    def test_near_singular_c_keeps_zero_score_rule(self, monkeypatch):
+        # C = [[1, 1], [1, 1 + 1e-6]] has lam_min ~ 5e-7, above RANK_TOL * lam_max,
+        # so C counts as invertible.  Both users see the same cascaded channel,
+        # so d lies along C's strong eigenvector and C + d d^H keeps an
+        # eigenvalue near 5e-7 while lam_max grows to ~1e5: every candidate has
+        # a zero eigenvalue, scores 0 and leaves theta where it is.
+        real = ChannelRealization(
+            h_direct=np.array([[1.0, 0.0, 0.0], [1.0, 1e-3, 0.0]], dtype=complex),
+            h_cascaded=np.full((2, 4), 100.0, dtype=complex),
+            b_vec=np.array([0.0, 0.0, 1.0], dtype=complex),
+            a_vec=np.ones(4, dtype=complex))
+        dec = G.decompose(real, [0, 1])
+        assert G.count_zero_eigenvalues(dec.eig[0]) == 0
+        theta = PhaseConfig(np.ones(4, dtype=complex))
+        for n in range(real.n_ris):
+            d_vecs = _candidate_d_vecs(dec, theta, n)
+            np.testing.assert_array_equal(
+                B.zf_sum_se_gram(dec.c_mat, d_vecs, 2.0), 0.0)
+            # the rank-one form alone would score these candidates
+            assert np.all(_rank_one_scores(dec, d_vecs, 2.0) > 0)
+        eigh_calls = _counting(monkeypatch, "zf_sum_se_gram")
+        rank_one_calls = _counting(monkeypatch, "zf_sum_se_rank_one")
+        swept = B._sweep_phases_linear(dec, theta, 2.0)
+        np.testing.assert_array_equal(swept.theta, theta.theta)
+        assert rank_one_calls == []
+        assert len(eigh_calls) == real.n_ris
 
 
 class TestSweepEquivalence:

@@ -103,6 +103,12 @@ class TestUniformityTest:
         with pytest.raises(ValueError):
             S.uniformity_test(samples, alpha=0.01)
 
+    def test_nan_samples_rejected(self):
+        samples = np.random.default_rng(5).uniform(-0.5, 0.5, size=2000)
+        samples = np.concatenate([samples, np.full(10, math.nan)])
+        with pytest.raises(ValueError, match=r"\[-0.5, 0.5\)"):
+            S.uniformity_test(samples, alpha=0.01)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 2.0, 3.0, -0.1, math.nan])
     def test_alpha_outside_unit_interval(self, alpha):
         samples = np.random.default_rng(5).uniform(-0.5, 0.5, size=2000)

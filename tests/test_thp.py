@@ -229,6 +229,15 @@ class TestThpMse:
         assert T.thp_mse(3.0 * diag, 5.0, 4) == pytest.approx(base / 9.0,
                                                               rel=1e-12)
 
+    def test_nan_gain_rejected(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            T.thp_mse([math.nan, 1.0], 1.0, 2)
+
+    @pytest.mark.parametrize("tx_power", [-2.0, 0.0, math.nan])
+    def test_nonpositive_power_rejected(self, tx_power):
+        with pytest.raises(ValueError, match="tx_power"):
+            T.thp_mse([1.0], tx_power, 1)
+
     def test_monte_carlo_oracle(self, rng):
         h = random_channel(rng, 3, 5)
         order, _ = T.order_users(h)
