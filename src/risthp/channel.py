@@ -176,6 +176,15 @@ def los_bs_ris(n_ris: int, n_bs: int, angle_ris: float = np.pi / 2,
 N_POINTS = 4096
 
 
+def _running_powers(first, ratio: np.ndarray, rows: int) -> np.ndarray:
+    """Rows first * ratio**p for p < rows, each the previous row times ratio."""
+    out = np.empty((rows, ratio.size), dtype=complex)
+    out[0] = first
+    for p in range(1, rows):
+        np.multiply(out[p - 1], ratio, out=out[p])
+    return out
+
+
 def laplacian_covariance(n: int, nominal_angle: float, asd: float) -> np.ndarray:
     """Spatial covariance for a Laplacian angle density on a half-wavelength ULA.
 
@@ -187,11 +196,17 @@ def laplacian_covariance(n: int, nominal_angle: float, asd: float) -> np.ndarray
     The quadrature r[d] = sum_i w_i exp(j*pi*d*sin(phi_i)) is factored with
     d = q*B + p, B = ceil(sqrt(n)): a table of exp(j*pi*p*sin(phi_i)) for
     p < B and one of w_i exp(j*pi*q*B*sin(phi_i)) for q < ceil(n/B), joined
-    by one matrix product, so only about 2*sqrt(n) rows of exponentials are
-    formed instead of n.
+    by one matrix product.  Each table holds the running powers of one row,
+    exp(j*pi*sin(phi)) or exp(j*pi*B*sin(phi)), so only these two rows of
+    exponentials are formed; row p carries at most p roundings, which keeps
+    r within max(1e-13, 2*pi*(n-1)*eps) of the directly evaluated sum.
     """
-    if asd < 0:
-        raise ValueError("asd must be nonnegative")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not math.isfinite(nominal_angle):
+        raise ValueError(f"nominal_angle must be finite, got {nominal_angle!r}")
+    if not asd >= 0:  # NaN fails
+        raise ValueError(f"asd must be nonnegative, got {asd!r}")
     if asd == 0:
         v = steering_vector(n, nominal_angle)
         return np.outer(v, v.conj())
@@ -204,8 +219,8 @@ def laplacian_covariance(n: int, nominal_angle: float, asd: float) -> np.ndarray
     w = w / w.sum()
     u = np.sin(phi)
     step = math.isqrt(n - 1) + 1  # B = ceil(sqrt(n))
-    low = np.exp(1j * np.pi * np.outer(np.arange(step), u))
-    high = w * np.exp(1j * np.pi * np.outer(np.arange(math.ceil(n / step)) * step, u))
+    low = _running_powers(1.0, np.exp(1j * np.pi * u), step)
+    high = _running_powers(w, np.exp(1j * np.pi * step * u), math.ceil(n / step))
     r = (high @ low.T).ravel()[:n]  # r[q*B + p] = E[exp(j*pi*d*sin(phi))]
     r[0] = 1.0
     # toeplitz(r, r^*): row i is the window at n-1-i of [r_{n-1}, ..., r_0, ..., r_{n-1}^*],

@@ -125,6 +125,8 @@ def lq_decompose(h: np.ndarray):
 
 def build_filters(h: np.ndarray, order, tx_power: float) -> ThpFilters:
     """THP filters for the given decoding order and transmit power."""
+    if not tx_power > 0:
+        raise ValueError("tx_power must be positive")
     order = np.asarray(order)
     h_ord = np.asarray(h)[order]
     k = h_ord.shape[0]
@@ -176,6 +178,8 @@ def per_user_se(l_kk: float, p_bar: float, mode: str = "exact") -> float:
 
 def sum_se_asymptote(h: np.ndarray, p_bar: float) -> float:
     """High-SNR THP sum SE: log2 det(p_bar H H^H) - K log2(pi e / 6)."""
+    if not p_bar > 0:
+        raise ValueError("p_bar must be positive")
     h = np.asarray(h, dtype=complex)
     k = h.shape[0]
     gram = h @ h.conj().T

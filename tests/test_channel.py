@@ -157,6 +157,21 @@ class TestLaplacianCovariance:
         np.testing.assert_allclose(cov, cov.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True])
+    def test_rejects_bad_size(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            laplacian_covariance(n, 0.3, math.radians(15))
+
+    @pytest.mark.parametrize("nominal", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_angle(self, nominal):
+        with pytest.raises(ValueError, match="nominal_angle must be finite"):
+            laplacian_covariance(8, nominal, math.radians(15))
+
+    @pytest.mark.parametrize("asd", [np.nan, -1e-3])
+    def test_rejects_bad_asd(self, asd):
+        with pytest.raises(ValueError, match="asd must be nonnegative"):
+            laplacian_covariance(8, 0.3, asd)
+
     @pytest.mark.parametrize("asd_deg", [0.1, 15.0, 180.0])
     @pytest.mark.parametrize("nominal", [-np.pi / 2, -0.7, 0.0, 1.1, np.pi / 2])
     def test_dense_quadrature_oracle(self, asd_deg, nominal):
@@ -170,6 +185,28 @@ class TestLaplacianCovariance:
             tol = max(1e-13, 2.0 * np.pi * (n - 1) * eps)
             ref = dense_covariance(n, nominal, math.radians(asd_deg))
             assert np.max(np.abs(cov - ref)) <= tol, (n, np.max(np.abs(cov - ref)))
+
+    @pytest.mark.parametrize("nominal", [-np.pi / 2, -0.7, 0.0, 1.1, np.pi / 2])
+    def test_longdouble_oracle(self, nominal):
+        # the same grid and weights, with the phases pi*d*sin(phi_i) and the
+        # sums taken in extended precision; r[d] depends on neither n nor asd
+        eps = np.finfo(float).eps
+        phi = np.linspace(nominal - np.pi, nominal + np.pi, N_POINTS)
+        pi = 4 * np.arctan(np.longdouble(1))
+        phase = pi * np.outer(np.arange(512, dtype=np.longdouble),
+                              np.sin(phi.astype(np.longdouble)))
+        cos, sin = np.cos(phase), np.sin(phase)
+        for asd_deg in (0.1, 15.0, 180.0):
+            asd = math.radians(asd_deg)
+            w = np.gradient(phi) * np.exp(-np.abs(phi - nominal) / (asd / math.sqrt(2.0)))
+            w = (w / w.sum()).astype(np.longdouble)
+            r = (cos @ w).astype(float) + 1j * (sin @ w).astype(float)
+            for n in (1, 2, 6, 7, 63, 64, 65, 511, 512):
+                cov = laplacian_covariance(n, nominal, asd)
+                lag = np.subtract.outer(np.arange(n), np.arange(n))
+                ref = np.where(lag >= 0, r[np.abs(lag)], r[np.abs(lag)].conj())
+                err = np.max(np.abs(cov - ref))
+                assert err <= max(1e-13, 2.0 * np.pi * (n - 1) * eps), (asd_deg, n, err)
 
     def test_quadrature_oracle(self):
         # independent high-resolution trapezoidal integration

@@ -124,6 +124,11 @@ class TestBuildFilters:
         f = T.build_filters(h, np.arange(4), tx_power=2.0)
         np.testing.assert_allclose(np.diag(f.b_feedback), np.ones(4), atol=1e-12)
 
+    @pytest.mark.parametrize("tx_power", [math.nan, 0.0, -1.0])
+    def test_nonpositive_power_rejected(self, rng, tx_power):
+        with pytest.raises(ValueError, match="tx_power must be positive"):
+            T.build_filters(random_channel(rng), np.arange(4), tx_power)
+
 
 class TestWrappedNoiseEntropy:
     def test_uniform_limit(self):
@@ -216,6 +221,11 @@ class TestSumSeAsymptote:
         per_user = sum(T.per_user_se(l, p_bar, "asymptote")
                        for l in np.diag(l_mat).real)
         assert per_user == pytest.approx(T.sum_se_asymptote(h, p_bar), rel=1e-9)
+
+    @pytest.mark.parametrize("p_bar", [math.nan, 0.0, -1.0])
+    def test_nonpositive_power_rejected(self, rng, p_bar):
+        with pytest.raises(ValueError, match="p_bar must be positive"):
+            T.sum_se_asymptote(random_channel(rng), p_bar)
 
 
 class TestThpMse:

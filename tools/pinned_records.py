@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tools/pinned_records.py write OUT
     python tools/pinned_records.py diff A B
+    PYTHONPATH=src python tools/pinned_records.py golden tests/data/golden_n_ris.csv
 
 ``write`` runs every method of ``risthp.sim.METHODS`` on one trial of each
 grid cell with the ``risthp`` found on the import path, and writes one JSON
@@ -16,10 +17,16 @@ records changed their sum SE and the smallest and largest delta SE (second
 file minus first), in the order the methods first appear.  Writing a file
 with the parent tree on the path and one with the changed tree, then diffing
 them, shows whether a change keeps every allocation and how far the SE moved.
+
+``golden`` writes the CSV that ``tests/test_golden.py`` pins: every method,
+``ScenarioConfig(seed=11)``, two trials, the N_R sweep {16, 64}, written by
+``sim.emit_csv`` with ``wall_time_ms`` zeroed.  A change that declares a
+re-baseline regenerates that file with this command.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -48,6 +55,16 @@ def write(path):
                             "trial": rec.trial, "method": rec.method,
                             "n_allocated": rec.n_allocated,
                             "sum_se_bits": float.hex(rec.sum_se_bits)}) + "\n")
+
+
+def golden(path):
+    from risthp import sim
+    from risthp.channel import ScenarioConfig
+
+    config = sim.RunConfig(ScenarioConfig(seed=11), trials=2, methods=sim.METHODS,
+                           sweep_name="n_ris", sweep_values=(16, 64))
+    sim.emit_csv([dataclasses.replace(rec, wall_time_ms=0)
+                  for rec in sim.run(config)], path)
 
 
 def _read(path):
@@ -88,6 +105,8 @@ def main(argv):
         write(argv[1])
     elif len(argv) == 3 and argv[0] == "diff":
         diff(argv[1], argv[2])
+    elif len(argv) == 2 and argv[0] == "golden":
+        golden(argv[1])
     else:
         raise SystemExit(__doc__)
 
