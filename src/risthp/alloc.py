@@ -1,10 +1,7 @@
 """Greedy user allocation for ZF-dTHP.
 
 Maximizes the high-SNR sum-SE lower bound sum_k max(0, SE_k) with phase and
-decoding-order re-optimization per candidate allocation.  Also provides
-``relaxation_metric``, the two-norm relaxation N_R * ||C^-1/2 D||_2^2 of
-the high-power phase objective of a user subset; the greedy loop does not
-use it.
+decoding-order re-optimization per candidate allocation.
 """
 
 from __future__ import annotations
@@ -157,14 +154,3 @@ def greedy_allocate(real, p_bar: float, phase_mode: str,
     return _greedy(real, p_bar, phase_mode, rng, evaluate_allocation,
                    lambda a: a.se_bound)
 
-
-def relaxation_metric(gram_subset) -> float:
-    """Two-norm relaxation N_R * lambda_max(C^-1 D D^H) of the phase objective.
-
-    Evaluated as N_R * ||G||_2^2 with G = C^-1/2 D, the factor
-    ``gram_subset.factor(inf)``, never in the (N_R+1)-dimensional space.
-    Requires invertible C.
-    """
-    if gram_mod.count_zero_eigenvalues(gram_subset.eig[0]):
-        raise NotApplicableError("C is singular on this subset")
-    return float(gram_subset.n_ris * np.linalg.norm(gram_subset.factor(np.inf), 2) ** 2)

@@ -2,7 +2,9 @@
 
 Shares the phase optimizers and the greedy allocation shape with the THP
 pipeline so paired comparisons consume identical realizations and seeds.
-Power is split equally across allocated users.
+Power is split equally across allocated users.  Phases and rates are scored
+from the pair (C, d = D theta_bar) of ``gram.decompose`` alone: the channel H
+and its precoder are never formed.
 """
 
 from __future__ import annotations
@@ -11,31 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import alloc, gram as gram_mod, phase_opt, thp
+from . import alloc, gram as gram_mod, phase_opt
 from .phase_opt import PhaseConfig
 
 
 @dataclass
 class LinearSolution:
     users: list
-    precoder: np.ndarray  # (N_B, |users|), unit-norm columns
-    powers: np.ndarray  # per-user transmit power
-    per_user_se: np.ndarray  # bits
-    theta: PhaseConfig = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.precoder.size > 0 or not self.users
+    theta: PhaseConfig
+    per_user_se: np.ndarray  # bits, all 0 when infeasible
+    feasible: bool
 
     @property
     def sum_se(self) -> float:
-        return float(np.sum(self.per_user_se)) if self.per_user_se.size else 0.0
-
-
-def _infeasible(users, theta):
-    return LinearSolution(users=list(users), precoder=np.empty((0, 0)),
-                          powers=np.array([]), per_user_se=np.array([]),
-                          theta=theta)
+        return float(np.sum(self.per_user_se))
 
 
 # Phase sweep of the linear baseline: an N_GRID-point angular grid per element
@@ -44,47 +35,41 @@ N_GRID = 8
 MAX_SWEEPS = 2
 
 
-def zf_linear(real, users, theta: PhaseConfig, tx_power: float) -> LinearSolution:
-    """Zero-forcing precoder with equal power split for a user subset."""
-    users = list(users)
-    h = gram_mod.effective_channel(real, users, theta.theta)
-    try:
-        u, s, vh = thp.check_full_row_rank(h, compute_uv=True)
-    except thp.RankDeficientError:
-        return _infeasible(users, theta)
-    # pinv(H) = V diag(1/s) U^H, columns w_k with H @ pinv = I
-    pinv = vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
-    col_norms = np.linalg.norm(pinv, axis=0)
-    precoder = pinv / col_norms[None, :]
-    k = len(users)
-    powers = np.full(k, tx_power / k)
-    se = np.log2(1.0 + powers / col_norms ** 2)
-    return LinearSolution(users=users, precoder=precoder, powers=powers,
-                          per_user_se=se, theta=theta)
+def zf_se_gram(c_mat: np.ndarray, d_vecs: np.ndarray, tx_power: float):
+    """Equal-power ZF per-user SE for each row d of ``d_vecs``, in K x K form.
 
-
-def zf_sum_se_gram(c_mat: np.ndarray, d_vecs: np.ndarray, tx_power: float) -> np.ndarray:
-    """Equal-power ZF sum SE for each row d of ``d_vecs``, in K x K form.
-
-    The Gram matrix of H is C + d d^H, so the squared column norms of pinv(H)
-    are g_k = [(C + d d^H)^-1]_kk and the sum SE is
-    sum_k log2(1 + (P/K) / g_k).  A candidate whose Gram matrix has a zero
-    eigenvalue (``gram.count_zero_eigenvalues``) scores 0, as an infeasible
-    ``zf_linear`` does.
+    The Gram matrix of H is C + d d^H, so the squared column norms of the
+    pseudo-inverse H^+ are g_k = [(C + d d^H)^-1]_kk and user k gets
+    log2(1 + (P/K) / g_k).  Returns (se, ok): se is (rows, K), and ok marks
+    the rows whose Gram matrix has no zero eigenvalue
+    (``gram.count_zero_eigenvalues``); the other rows are infeasible, with se 0.
     """
     k = c_mat.shape[0]
     grams = c_mat + d_vecs[:, :, None] * d_vecs[:, None, :].conj()
     lam, vecs = np.linalg.eigh(grams)
     ok = gram_mod.count_zero_eigenvalues(lam) == 0
     gains = np.einsum("cki,ci->ck", np.abs(vecs[ok]) ** 2, 1.0 / lam[ok])
-    se = np.zeros(len(d_vecs))
-    se[ok] = np.sum(np.log2(1.0 + (tx_power / k) / gains), axis=1)
-    return se
+    se = np.zeros((len(d_vecs), k))
+    se[ok] = np.log2(1.0 + (tx_power / k) / gains)
+    return se, ok
+
+
+def zf_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
+              tx_power: float) -> LinearSolution:
+    """Equal-power ZF for the subset of ``dec`` at phases ``theta``.
+
+    Scores d = D theta_bar with ``zf_se_gram``, the formula and zero-eigenvalue
+    rule the phase sweep falls back to, so neither H nor a precoder is formed.
+    """
+    d_vec = dec.d_mat @ gram_mod.extend_theta(theta.theta)
+    se, ok = zf_se_gram(dec.c_mat, d_vec[None, :], tx_power)
+    return LinearSolution(users=list(dec.users), theta=theta, per_user_se=se[0],
+                          feasible=bool(ok[0]))
 
 
 def zf_sum_se_rank_one(c_inv_diag: np.ndarray, d_vecs: np.ndarray,
                        e_vecs: np.ndarray, tx_power: float) -> np.ndarray:
-    """``zf_sum_se_gram`` by the Sherman-Morrison update of an invertible C.
+    """Sum SE of ``zf_se_gram`` by the Sherman-Morrison update of an invertible C.
 
     With e = C^-1 d, g_k = [(C + d d^H)^-1]_kk = [C^-1]_kk - |e_k|^2 / (1 + d^H e),
     O(K) per row of ``d_vecs`` and ``e_vecs``.  The subtraction loses up to
@@ -103,7 +88,7 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
 
     Continuous alphabet uses an N_GRID-point angular grid per element; binary
     uses {-1, +1}.  Every candidate is scored in K x K form through
-    ||pinv(H)[:, k]||^2 = [(C + d d^H)^-1]_kk with d = D theta_bar, so H is
+    ||H^+[:, k]||^2 = [(C + d d^H)^-1]_kk with d = D theta_bar, so H is
     never built: setting theta_n = c moves d by D[:, n] delta, delta =
     c - theta_n.
 
@@ -113,9 +98,9 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
     when every row, current value and candidates, has
     lam_min(C) > RANK_TOL * (lam_max(C) + ||d||^2).  That bound keeps every
     eigenvalue of C + d d^H above RANK_TOL * lam_max, so no row falls under
-    ``zf_sum_se_gram``'s zero-score rule, and it holds the rank-one rounding
+    ``zf_se_gram``'s zero-score rule, and it holds the rank-one rounding
     below eps / RANK_TOL (about 2e-7) relative.  Any other element, and every
-    element when C is singular (|S| >= N_B), takes ``zf_sum_se_gram``'s
+    element when C is singular (|S| >= N_B), takes ``zf_se_gram``'s
     batched eigendecomposition.
 
     Each element scores its current value with the same scorer as its
@@ -151,7 +136,7 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
             if (d_rows * d_rows.conj()).sum(axis=1).real.max() < max_sq:
                 vals = zf_sum_se_rank_one(c_inv_diag, d_rows, de_rows[:, k:], tx_power)
             else:
-                vals = zf_sum_se_gram(dec.c_mat, d_rows, tx_power)
+                vals = zf_se_gram(dec.c_mat, d_rows, tx_power)[0].sum(axis=1)
             vals[1:][candidates == theta_vec[n]] = -np.inf
             i = 1 + int(vals[1:].argmax())
             if vals[i] > vals[0]:
@@ -165,20 +150,16 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
 def evaluate_allocation_linear(real, users, p_bar: float, phase_mode: str, *,
                                fixed_theta: PhaseConfig | None = None) -> LinearSolution:
     """ZF solution for a subset at P = p_bar * K, with phase optimization per mode."""
-    users = list(users)
-    if not users:
-        raise ValueError("user subset must be nonempty")
-    tx_power = p_bar * real.n_users
-    if fixed_theta is not None:
-        return zf_linear(real, users, fixed_theta, tx_power)
-    alloc.check_optimized_mode(phase_mode)
     dec = gram_mod.decompose(real, users)
-    # seed the sweep from the nonlinear continuous heuristic
-    theta = alloc.optimize_phases(dec, p_bar, "continuous")
-    if phase_mode == "binary":
-        theta = phase_opt.discretize_binary(theta)
-    theta = _sweep_phases_linear(dec, theta, tx_power)
-    return zf_linear(real, users, theta, tx_power)
+    tx_power = p_bar * real.n_users
+    if fixed_theta is None:
+        alloc.check_optimized_mode(phase_mode)
+        # seed the sweep from the nonlinear continuous heuristic
+        theta = alloc.optimize_phases(dec, p_bar, "continuous")
+        if phase_mode == "binary":
+            theta = phase_opt.discretize_binary(theta)
+        fixed_theta = _sweep_phases_linear(dec, theta, tx_power)
+    return zf_linear(dec, fixed_theta, tx_power)
 
 
 def greedy_allocate_linear(real, p_bar: float, phase_mode: str,

@@ -151,10 +151,15 @@ class ChannelRealization:
         return self.h_cascaded.shape[1]
 
 
+def _check_size(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def steering_vector(n_elems: int, angle: float) -> np.ndarray:
     """Half-wavelength ULA steering vector exp(j*pi*(m-1)*sin(angle))."""
-    if n_elems < 1:
-        raise ValueError("n_elems must be >= 1")
+    _check_size("n_elems", n_elems)
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
     return np.exp(1j * np.pi * np.arange(n_elems) * math.sin(angle))
@@ -201,8 +206,7 @@ def laplacian_covariance(n: int, nominal_angle: float, asd: float) -> np.ndarray
     exponentials are formed; row p carries at most p roundings, which keeps
     r within max(1e-13, 2*pi*(n-1)*eps) of the directly evaluated sum.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _check_size("n", n)
     if not math.isfinite(nominal_angle):
         raise ValueError(f"nominal_angle must be finite, got {nominal_angle!r}")
     if not asd >= 0:  # NaN fails

@@ -13,14 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # An eigenvalue of a K x K Gram-form matrix (C, or H H^H = C + d d^H) at or
-# below RANK_TOL * lambda_max counts as zero.  It differs from thp._RANK_TOL
-# (1e-10 on the singular values of H) because it answers another question:
-# whether C has exactly one zero eigenvalue, which selects the closed-form
-# alignment branch and, as that eigenvalue's eigenvector, its direction; or
-# whether a phase candidate of the linear-ZF sweep is worth scoring.
-# Eigenvalues scale like squared singular values, and a ratio of 1e-20 is
-# below what a Gram matrix in double precision resolves, so the two thresholds
-# are not comparable numbers.
+# below RANK_TOL * lambda_max counts as zero.  This rule decides whether C
+# has exactly one zero eigenvalue, which selects the closed-form alignment
+# branch and, as that eigenvalue's eigenvector, its direction; and it is the
+# only feasibility rule of linear ZF: a subset whose C + d d^H has a zero
+# eigenvalue scores 0, in the phase sweep and in ``baseline.zf_linear`` alike
+# (a singular-value ratio of about 3.2e-5).  THP decides on H itself, by
+# thp._RANK_TOL on its singular values, because it factors H by QR and never
+# squares its condition number; a ratio of 1e-20, the square of that
+# threshold, is below what a Gram matrix in double precision resolves.
 RANK_TOL = 1e-9
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import gram as gram_mod
 from .gram import GramDecomposition, extend_theta
-from .gram import rayleigh_objective  # the phase objective, shared with dpc_sum_se
 
 DEFAULT_MAX_SWEEPS = 50
 SWEEP_REL_TOL = 1e-10

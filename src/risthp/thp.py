@@ -15,8 +15,10 @@ import numpy as np
 # per-user shaping loss of uniform (cubic) signaling: log2(pi*e/6)
 SHAPING_LOSS_BITS = math.log2(math.pi * math.e / 6.0)
 
-# The rows of H count as dependent when sigma_min <= _RANK_TOL * sigma_max
-# (gram.RANK_TOL, the test for a zero eigenvalue of C, says why they differ).
+# THP's rank rule: the rows of H count as dependent when
+# sigma_min <= _RANK_TOL * sigma_max (``check_full_row_rank``, run by every
+# LQ factorisation).  Linear ZF and the phase branch decide by gram.RANK_TOL
+# on Gram-form eigenvalues instead; its comment says why the two differ.
 _RANK_TOL = 1e-10
 
 # below this per-dimension std the wrapped Gaussian equals the plain Gaussian
@@ -84,25 +86,21 @@ def modulo(z):
     return z - np.floor(z + 0.5)
 
 
-def check_full_row_rank(h: np.ndarray, compute_uv: bool = False):
+def check_full_row_rank(h: np.ndarray) -> None:
     """Raise RankDeficientError when the rows of H are numerically dependent.
 
     An H with no rows raises ValueError: it is no channel, not a deficient one.
     More rows than columns are always dependent; the SVD of such an H holds
-    only min(K, N) singular values, so it cannot show that.  Returns
-    ``np.linalg.svd(h, full_matrices=False, compute_uv=compute_uv)``, the
-    decomposition it tested, so a caller that needs the SVD takes no second one.
+    only min(K, N) singular values, so it cannot show that.
     """
     rows, cols = np.shape(h)
     if rows == 0:
         raise ValueError("channel matrix is empty: it has no rows")
     if rows > cols:
         raise RankDeficientError(f"{rows} rows in {cols} dimensions are dependent")
-    svd = np.linalg.svd(h, full_matrices=False, compute_uv=compute_uv)
-    sv = svd.S if compute_uv else svd
+    sv = np.linalg.svd(h, compute_uv=False)
     if sv[-1] <= _RANK_TOL * sv[0]:
         raise RankDeficientError("channel matrix is rank deficient")
-    return svd
 
 
 def lq_decompose(h: np.ndarray):
@@ -188,14 +186,14 @@ def sum_se_asymptote(h: np.ndarray, p_bar: float) -> float:
     return k * math.log2(p_bar) + logdet / math.log(2.0) - k * SHAPING_LOSS_BITS
 
 
-def thp_mse(diag_l, tx_power: float, k_alloc: int) -> float:
-    """Analytic E||d_hat - d||^2 = (K / (6 P_Tx)) sum_k 1/L_kk^2."""
+def thp_mse(diag_l, tx_power: float) -> float:
+    """Analytic E||d_hat - d||^2 = (K / (6 P_Tx)) sum_k 1/L_kk^2, K = diag_l.size."""
     diag_l = np.asarray(diag_l, dtype=float)
     if not np.all(diag_l > 0):  # NaN fails
         raise ValueError("all diagonal entries must be positive")
     if not tx_power > 0:
         raise ValueError("tx_power must be positive")
-    return k_alloc / (6.0 * tx_power) * float(np.sum(1.0 / diag_l ** 2))
+    return diag_l.size / (6.0 * tx_power) * float(np.sum(1.0 / diag_l ** 2))
 
 
 def order_users(h: np.ndarray):

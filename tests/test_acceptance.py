@@ -135,11 +135,11 @@ def test_criterion_05_eigenvector_heuristic_equivalence():
         real = _random_realization(rng, k=3, n_bs=3, n_ris=6)
         dec = G.decompose(real, range(3))
         p_bar = 1e7
-        closed = P.rayleigh_objective(dec, G.extend_theta(
+        closed = G.rayleigh_objective(dec, G.extend_theta(
             P.align_phases(dec, P.zero_eig_direction(dec)).theta), p_bar)
         g_mat = dec.factor(p_bar)
         heur = P.refine_elementwise(g_mat, P.heuristic_phases(g_mat))
-        got = P.rayleigh_objective(dec, G.extend_theta(heur.theta), p_bar)
+        got = G.rayleigh_objective(dec, G.extend_theta(heur.theta), p_bar)
         worst_zero = max(worst_zero, abs(got - closed) / closed)
     _report(5, "K-dim eigenvector trick matches direct eigen-solve and the "
                "zero-eigenvalue closed form",
@@ -214,7 +214,7 @@ def test_criterion_08_mse_analytic_and_order():
         h = rng.standard_normal((k, 6)) + 1j * rng.standard_normal((k, 6))
         tx_power = float(rng.uniform(2.0, 20.0))
         filters = T.build_filters(h, np.arange(k), tx_power)
-        analytic = T.thp_mse(filters.diag_l, tx_power, k)
+        analytic = T.thp_mse(filters.diag_l, tx_power)
         syms = T.simulate_transmission(filters, h, 40_000, rng)
         mc = float(np.mean(np.sum(np.abs(syms.d_hat - syms.s) ** 2, axis=0)))
         worst_rel = max(worst_rel, abs(mc - analytic) / analytic)
@@ -227,7 +227,7 @@ def test_criterion_08_mse_analytic_and_order():
 
         def mse_of(order):
             l_mat, _ = T.lq_decompose(h[np.asarray(order)])
-            return T.thp_mse(np.real(np.diag(l_mat)), 1.0, 4)
+            return T.thp_mse(np.real(np.diag(l_mat)), 1.0)
 
         greedy = mse_of(T.order_users(h)[0])
         best = min(mse_of(perm) for perm in itertools.permutations(range(4)))

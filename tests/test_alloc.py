@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from risthp import alloc as A, gram as G, phase_opt as P, thp as T
-from risthp.phase_opt import NotApplicableError
 
 from conftest import random_realization
 
@@ -179,40 +178,6 @@ class TestGreedyAllocate:
         se = out.se_exact
         assert len(calls) == len(out.users) >= 2
         assert se > 0.0
-
-
-class TestRelaxationMetric:
-    def test_scalar_case(self, rng):
-        real = random_realization(rng, k=1, n_bs=4, n_ris=3)
-        dec = G.decompose(real, [0])
-        c = dec.c_mat[0, 0].real
-        d = dec.d_mat[0]
-        expected = 3 * float(np.linalg.norm(d) ** 2 / c)
-        assert A.relaxation_metric(dec) == pytest.approx(expected, rel=1e-9)
-
-    def test_matches_high_dimensional_form(self, rng):
-        real = random_realization(rng, k=3, n_bs=5, n_ris=6)
-        dec = G.decompose(real, range(3))
-        got = A.relaxation_metric(dec)
-        big = dec.d_mat.conj().T @ np.linalg.solve(dec.c_mat, dec.d_mat)
-        lam = np.linalg.eigvalsh(0.5 * (big + big.conj().T))[-1]
-        assert got == pytest.approx(6 * lam, rel=1e-9)
-
-    def test_upper_bounds_quadratic_form(self, rng):
-        real = random_realization(rng, k=3, n_bs=5, n_ris=6)
-        dec = G.decompose(real, range(3))
-        metric = A.relaxation_metric(dec)
-        big = dec.d_mat.conj().T @ np.linalg.solve(dec.c_mat, dec.d_mat)
-        for _ in range(50):
-            tb = G.extend_theta(np.exp(2j * np.pi * rng.uniform(size=6)))
-            quad = float(np.real(tb.conj() @ big @ tb))
-            assert metric >= quad * 6 / (6 + 1) - 1e-9
-
-    def test_singular_c(self, rng):
-        real = random_realization(rng, k=2, n_bs=2)  # square -> singular C
-        dec = G.decompose(real, range(2))
-        with pytest.raises(NotApplicableError):
-            A.relaxation_metric(dec)
 
 
 class TestBoundMonotone:

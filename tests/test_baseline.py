@@ -17,43 +17,85 @@ def _no_ris_realization(h_direct, n_ris=4):
         a_vec=np.ones(n_ris, dtype=complex))
 
 
+def _oracle_se(real, users, theta_vec, tx_power):
+    """Equal-power ZF per-user SE from H itself, and whether its rows are independent.
+
+    The squared column norms of pinv(H), H = ``effective_channel``, are the
+    noise gains of the ZF precoder; dependent rows (more rows than columns,
+    or a numerical rank below the row count) give all-zero SE.
+    """
+    h = G.effective_channel(real, users, theta_vec)
+    k = h.shape[0]
+    if k > h.shape[1] or np.linalg.matrix_rank(h) < k:
+        return np.zeros(k), False
+    norms_sq = np.sum(np.abs(np.linalg.pinv(h)) ** 2, axis=0)
+    return np.log2(1.0 + (tx_power / k) / norms_sq), True
+
+
+def _zf_linear(real, users, theta, tx_power):
+    return B.zf_linear(G.decompose(real, users), theta, tx_power)
+
+
+def _colinear(real):
+    """Row 1 set equal to row 0."""
+    real.h_direct[1] = real.h_direct[0]
+    real.h_cascaded[1] = real.h_cascaded[0]
+    return real
+
+
+def _scaled_row(real):
+    """Row 1 scaled by 1e-3, as a blocked direct link."""
+    real.h_direct[1] *= 1e-3
+    return real
+
+
+# name -> (realization, users): well-conditioned rows, a row scaled by 1e-3,
+# |S| = N_B (C singular, H square), |S| > N_B, and two equal rows
+_ZF_CASES = {
+    "random": (lambda rng: random_realization(rng, k=3, n_bs=5), [0, 1, 2]),
+    "blocked": (lambda rng: _scaled_row(random_realization(rng, k=3, n_bs=5)),
+                [0, 1, 2]),
+    "square": (lambda rng: random_realization(rng, k=4, n_bs=4), [0, 1, 2, 3]),
+    "more_rows": (lambda rng: random_realization(rng, k=5, n_bs=4), [0, 1, 2, 3, 4]),
+    "colinear": (lambda rng: _colinear(random_realization(rng, k=3, n_bs=5)), [0, 1, 2]),
+}
+
+
 class TestZfLinear:
     def test_identity_channel_rates(self):
         real = _no_ris_realization(np.eye(2))
         theta = PhaseConfig(np.ones(4, dtype=complex))
-        sol = B.zf_linear(real, [0, 1], theta, tx_power=2.0)
+        sol = _zf_linear(real, [0, 1], theta, tx_power=2.0)
         # each user gets power 1 over a unit-gain interference-free link
         np.testing.assert_allclose(sol.per_user_se, [1.0, 1.0], rtol=1e-12)
         assert sol.sum_se == pytest.approx(2.0, rel=1e-12)
 
-    def test_zero_interference(self, rng):
-        real = random_realization(rng, k=3, n_bs=5)
-        theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
-        sol = B.zf_linear(real, [0, 1, 2], theta, tx_power=4.0)
-        h = G.effective_channel(real, [0, 1, 2], theta.theta)
-        cross = h @ sol.precoder
-        off_diag = cross - np.diag(np.diag(cross))
-        assert np.max(np.abs(off_diag)) < 1e-9
-
-    def test_unit_norm_columns(self, rng):
-        real = random_realization(rng, k=3, n_bs=5)
-        theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
-        sol = B.zf_linear(real, [0, 1, 2], theta, tx_power=4.0)
-        np.testing.assert_allclose(np.linalg.norm(sol.precoder, axis=0),
-                                   1.0, rtol=1e-12)
+    @pytest.mark.parametrize("case", list(_ZF_CASES))
+    def test_matches_h_oracle(self, rng, case):
+        make, users = _ZF_CASES[case]
+        for _ in range(5):
+            real = make(rng)
+            theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
+            sol = _zf_linear(real, users, theta, tx_power=4.0)
+            want, feasible = _oracle_se(real, users, theta.theta, 4.0)
+            assert sol.feasible is feasible is (case not in ("more_rows", "colinear"))
+            np.testing.assert_allclose(sol.per_user_se, want, rtol=1e-10, atol=0)
+            assert sol.users == users and sol.theta is theta
 
     def test_equal_power_split(self, rng):
+        # P = 6 over three users: each gets log2(1 + 2 / ||pinv(H)[:, k]||^2)
         real = random_realization(rng, k=3, n_bs=5)
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
-        sol = B.zf_linear(real, [0, 1, 2], theta, tx_power=6.0)
-        np.testing.assert_allclose(sol.powers, 2.0)
+        sol = _zf_linear(real, [0, 1, 2], theta, tx_power=6.0)
+        h = G.effective_channel(real, [0, 1, 2], theta.theta)
+        norms_sq = np.sum(np.abs(np.linalg.pinv(h)) ** 2, axis=0)
+        np.testing.assert_allclose(sol.per_user_se, np.log2(1.0 + 2.0 / norms_sq),
+                                   rtol=1e-10)
 
     def test_colinear_infeasible(self, rng):
-        real = random_realization(rng, k=2, n_bs=4)
-        real.h_direct[1] = real.h_direct[0]
-        real.h_cascaded[1] = real.h_cascaded[0]
+        real = _colinear(random_realization(rng, k=2, n_bs=4))
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
-        sol = B.zf_linear(real, [0, 1], theta, tx_power=2.0)
+        sol = _zf_linear(real, [0, 1], theta, tx_power=2.0)
         assert not sol.feasible
         assert sol.sum_se == 0.0
 
@@ -61,7 +103,7 @@ class TestZfLinear:
         # user 0 twice: seven rows in six dimensions, six nonzero singular values
         real = random_realization(rng, k=6, n_bs=6)
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
-        sol = B.zf_linear(real, [0, 1, 2, 3, 4, 5, 0], theta, tx_power=7.0)
+        sol = _zf_linear(real, [0, 1, 2, 3, 4, 5, 0], theta, tx_power=7.0)
         assert not sol.feasible
         assert sol.sum_se == 0.0
 
@@ -70,7 +112,7 @@ class TestZfLinear:
         # rate is log2(1 + P ||h||^2)
         real = random_realization(rng, k=1, n_bs=4)
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
-        sol = B.zf_linear(real, [0], theta, tx_power=3.0)
+        sol = _zf_linear(real, [0], theta, tx_power=3.0)
         h = G.effective_channel(real, [0], theta.theta)[0]
         expected = np.log2(1.0 + 3.0 * np.linalg.norm(h) ** 2)
         assert sol.sum_se == pytest.approx(expected, rel=1e-12)
@@ -117,6 +159,26 @@ class TestEvaluateAllocationLinear:
         np.testing.assert_array_equal(sol.theta.theta, theta.theta)
 
 
+    @pytest.mark.parametrize("phase_mode", ["continuous", "binary", "random"])
+    def test_one_decomposition(self, rng, monkeypatch, phase_mode):
+        real = random_realization(rng)
+        fixed = (PhaseConfig(random_unit_theta(rng, real.n_ris))
+                 if phase_mode == "random" else None)
+        calls = []
+        decompose = G.decompose
+
+        def counted(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(G, "decompose", counted)
+        sol = B.evaluate_allocation_linear(real, [0, 2], 2.0, phase_mode,
+                                           fixed_theta=fixed)
+        assert len(calls) == 1
+        want, _ = _oracle_se(real, [0, 2], sol.theta.theta, 2.0 * real.n_users)
+        np.testing.assert_allclose(sol.per_user_se, want, rtol=1e-10)
+
+
 class TestGreedyAllocateLinear:
     def test_identity_allocates_all(self):
         real = _no_ris_realization(10.0 * np.eye(3))
@@ -159,9 +221,25 @@ class TestGreedyAllocateLinear:
         sol = B.greedy_allocate_linear(real, 1e-6, "continuous")
         assert sol.sum_se >= 0.0
 
+    @pytest.mark.parametrize("phase_mode", ["continuous", "binary", "random"])
+    def test_no_channel_and_no_svd(self, rng, monkeypatch, phase_mode):
+        # the baseline reads only the Gram pair (C, D): it never forms H or an SVD
+        real = random_realization(rng, k=5, n_bs=4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the linear baseline formed H or took an SVD")
+
+        monkeypatch.setattr(G, "effective_channel", forbidden)
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        sol = B.greedy_allocate_linear(real, 5.0, phase_mode, np.random.default_rng(3))
+        monkeypatch.undo()
+        assert sol.feasible
+        want, _ = _oracle_se(real, sol.users, sol.theta.theta, 5.0 * real.n_users)
+        np.testing.assert_allclose(sol.per_user_se, want, rtol=1e-10)
+
 
 def _reference_sweep(real, users, theta, tx_power):
-    """The per-candidate ZF sweep the K x K scorer replaced: one zf_linear call
+    """The per-candidate ZF sweep the K x K scorer replaced: one H-oracle sum SE
     per candidate phase, same grid, acceptance rule and sweep cap."""
     theta_vec = theta.theta.copy()
     if theta.alphabet == "binary":
@@ -170,8 +248,7 @@ def _reference_sweep(real, users, theta, tx_power):
         candidates = np.exp(2j * np.pi * np.arange(B.N_GRID) / B.N_GRID)
 
     def objective(vec):
-        return B.zf_linear(real, users, PhaseConfig(vec, alphabet=theta.alphabet),
-                           tx_power).sum_se
+        return float(np.sum(_oracle_se(real, users, vec, tx_power)[0]))
 
     best = objective(theta_vec)
     for _ in range(B.MAX_SWEEPS):
@@ -218,13 +295,20 @@ def _candidate_d_vecs(dec, theta, n):
 
 
 def _element_scores(real, users, theta, n, tx_power):
-    """Scorer output and zf_linear oracle for every candidate of element n."""
+    """The sweep's fallback sum SE and the H oracle's for every candidate of element n.
+
+    Also checks that ``zf_linear`` scores each candidate as the fallback does,
+    bit for bit.
+    """
     dec = G.decompose(real, users)
     vecs = _candidate_thetas(theta, n)
     d_vecs = _candidate_d_vecs(dec, theta, n)
-    oracle = [B.zf_linear(real, users, PhaseConfig(v, alphabet=theta.alphabet),
-                          tx_power).sum_se for v in vecs]
-    return B.zf_sum_se_gram(dec.c_mat, d_vecs, tx_power), np.array(oracle)
+    got = B.zf_se_gram(dec.c_mat, d_vecs, tx_power)[0].sum(axis=1)
+    for v, score in zip(vecs, got):
+        assert B.zf_linear(dec, PhaseConfig(v, alphabet=theta.alphabet),
+                           tx_power).sum_se == score
+    oracle = [np.sum(_oracle_se(real, users, v, tx_power)[0]) for v in vecs]
+    return got, np.array(oracle)
 
 
 class TestZfSumSeGram:
@@ -283,8 +367,9 @@ class TestZfSumSeRankOne:
     @pytest.mark.parametrize("alphabet", ["continuous", "binary"])
     @pytest.mark.parametrize("blocked", [False, True])
     def test_matches_zf_linear(self, rng, alphabet, blocked):
-        # rtol 1e-10, or the rounding of the subtraction in g_k where that is
-        # larger: eps * [C^-1]_kk / g_k <= eps * (lam_max(C) + ||d||^2) / lam_min(C)
+        # against the H oracle: rtol 1e-10, or the rounding of the subtraction
+        # in g_k where that is larger:
+        # eps * [C^-1]_kk / g_k <= eps * (lam_max(C) + ||d||^2) / lam_min(C)
         for _ in range(5):
             real = random_realization(rng, k=3, n_bs=4, n_ris=8)
             if blocked:
@@ -305,7 +390,7 @@ class TestZfSumSeRankOne:
         real = random_realization(rng, k=3, n_bs=4, n_ris=8)
         dec = G.decompose(real, [0, 1, 2])
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
-        eigh_calls = _counting(monkeypatch, "zf_sum_se_gram")
+        eigh_calls = _counting(monkeypatch, "zf_se_gram")
         rank_one_calls = _counting(monkeypatch, "zf_sum_se_rank_one")
         swept = B._sweep_phases_linear(dec, theta, 5.0)
         assert eigh_calls == []
@@ -331,16 +416,19 @@ class TestZfSumSeRankOne:
         theta = PhaseConfig(np.ones(4, dtype=complex))
         for n in range(real.n_ris):
             d_vecs = _candidate_d_vecs(dec, theta, n)
-            np.testing.assert_array_equal(
-                B.zf_sum_se_gram(dec.c_mat, d_vecs, 2.0), 0.0)
+            se, ok = B.zf_se_gram(dec.c_mat, d_vecs, 2.0)
+            np.testing.assert_array_equal(se, 0.0)
+            assert not ok.any()
             # the rank-one form alone would score these candidates
             assert np.all(_rank_one_scores(dec, d_vecs, 2.0) > 0)
-        eigh_calls = _counting(monkeypatch, "zf_sum_se_gram")
+        eigh_calls = _counting(monkeypatch, "zf_se_gram")
         rank_one_calls = _counting(monkeypatch, "zf_sum_se_rank_one")
         swept = B._sweep_phases_linear(dec, theta, 2.0)
         np.testing.assert_array_equal(swept.theta, theta.theta)
         assert rank_one_calls == []
         assert len(eigh_calls) == real.n_ris
+        # zf_linear keeps the same rule, though H's sigma ratio is 1.25e-6
+        assert not B.zf_linear(dec, theta, 2.0).feasible
 
 
 class TestSweepEquivalence:

@@ -96,6 +96,15 @@ class TestSteeringVector:
         with pytest.raises(ValueError):
             steering_vector(4, np.nan)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, np.float64(3.0)])
+    def test_rejects_bad_size(self, n):
+        with pytest.raises(ValueError, match="n_elems must be an integer"):
+            steering_vector(n, 0.3)
+
+    def test_numpy_integer_size(self):
+        np.testing.assert_array_equal(steering_vector(np.int64(3), 0.3),
+                                      steering_vector(3, 0.3))
+
 
 class TestLosBsRis:
     def test_scalars(self):
@@ -108,6 +117,12 @@ class TestLosBsRis:
         np.testing.assert_allclose(b, np.array([1.0, -1.0]) / math.sqrt(2),
                                    atol=1e-12)
         assert abs(np.linalg.norm(b) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n_ris, n_bs", [(2.5, 3), (4, 3.7), (2.5, 3.7),
+                                             (0, 2), (3, False)])
+    def test_rejects_bad_size(self, n_ris, n_bs):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            los_bs_ris(n_ris, n_bs)
 
     def test_rank_one(self):
         a, b = los_bs_ris(4, 6)

@@ -147,14 +147,14 @@ class TestHeuristicPhases:
             dec = G.decompose(real, range(3))
             p_bar = float(rng.uniform(0.5, 20.0))
             theta = P.heuristic_phases(dec.factor(p_bar)).theta
-            got = P.rayleigh_objective(dec, G.extend_theta(theta), p_bar)
+            got = G.rayleigh_objective(dec, G.extend_theta(theta), p_bar)
 
             a_mat = np.eye(3) / p_bar + dec.c_mat
             m = dec.d_mat.conj().T @ np.linalg.solve(a_mat, dec.d_mat)
             _, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
             w = vecs[:, -1]
             ref_theta = np.exp(1j * (np.angle(w[:-1]) - np.angle(w[-1])))
-            ref = P.rayleigh_objective(dec, G.extend_theta(ref_theta), p_bar)
+            ref = G.rayleigh_objective(dec, G.extend_theta(ref_theta), p_bar)
             assert got == pytest.approx(ref, rel=1e-9)
 
     def test_optimal_on_zero_eig_case(self, rng):
@@ -162,19 +162,19 @@ class TestHeuristicPhases:
         dec = G.decompose(real, range(2))
         aligned = P.align_phases(dec, P.zero_eig_direction(dec)).theta
         p_bar = 1e7  # alignment is the high-power optimum
-        obj_h = P.rayleigh_objective(dec, G.extend_theta(
+        obj_h = G.rayleigh_objective(dec, G.extend_theta(
             P.heuristic_phases(dec.factor(p_bar)).theta), p_bar)
-        obj_a = P.rayleigh_objective(dec, G.extend_theta(aligned), p_bar)
+        obj_a = G.rayleigh_objective(dec, G.extend_theta(aligned), p_bar)
         assert obj_h == pytest.approx(obj_a, rel=1e-8)
 
     def test_beats_random_thetas(self, rng):
         real = zero_eig_fixture(rng, k=3, n_ris=5)
         dec = G.decompose(real, range(3))
         p_bar = 1e6
-        obj = P.rayleigh_objective(dec, G.extend_theta(
+        obj = G.rayleigh_objective(dec, G.extend_theta(
             P.heuristic_phases(dec.factor(p_bar)).theta), p_bar)
         for _ in range(100):
-            rand = P.rayleigh_objective(
+            rand = G.rayleigh_objective(
                 dec, G.extend_theta(random_unit_theta(rng, 5)), p_bar)
             assert rand <= obj * (1 + 1e-9)
 
@@ -198,15 +198,15 @@ class TestRayleighObjective:
         p_bar = 3.0
         a_mat = np.eye(2) / p_bar + dec.c_mat
         expected = np.real(d.conj() @ np.linalg.solve(a_mat, d))
-        got = P.rayleigh_objective(dec, G.extend_theta(np.ones(3)), p_bar)
+        got = G.rayleigh_objective(dec, G.extend_theta(np.ones(3)), p_bar)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_global_phase_invariance(self, rng):
         real = random_realization(rng)
         dec = G.decompose(real, range(3))
         tb = G.extend_theta(random_unit_theta(rng, real.n_ris))
-        v1 = P.rayleigh_objective(dec, tb, 2.0)
-        v2 = P.rayleigh_objective(dec, tb * np.exp(0.7j), 2.0)
+        v1 = G.rayleigh_objective(dec, tb, 2.0)
+        v2 = G.rayleigh_objective(dec, tb * np.exp(0.7j), 2.0)
         assert v1 == pytest.approx(v2, rel=1e-12)
 
     def test_consistent_with_dpc_sum_se(self, rng):
@@ -214,7 +214,7 @@ class TestRayleighObjective:
         dec = G.decompose(real, range(3))
         tb = G.extend_theta(random_unit_theta(rng, real.n_ris))
         p_bar = 4.0
-        obj = P.rayleigh_objective(dec, tb, p_bar)
+        obj = G.rayleigh_objective(dec, tb, p_bar)
         logdet = float(np.log2(np.linalg.det(
             np.eye(3) + p_bar * dec.c_mat).real))
         assert np.log2(1 + obj) == pytest.approx(
@@ -308,8 +308,8 @@ class TestRefineElementwise:
             p_bar = 5.0
             init = PhaseConfig(np.ones(2, dtype=complex), alphabet="binary")
             out = P.refine_elementwise(dec.factor(p_bar), init)
-            got = P.rayleigh_objective(dec, G.extend_theta(out.theta), p_bar)
-            best = max(P.rayleigh_objective(
+            got = G.rayleigh_objective(dec, G.extend_theta(out.theta), p_bar)
+            best = max(G.rayleigh_objective(
                 dec, G.extend_theta(np.array(c, dtype=complex)), p_bar)
                 for c in itertools.product([-1.0, 1.0], repeat=2))
             # coordinate ascent from all-ones may stop in a local optimum,
@@ -318,7 +318,7 @@ class TestRefineElementwise:
             for n in range(2):
                 flipped = out.theta.copy()
                 flipped[n] = -flipped[n]
-                assert P.rayleigh_objective(
+                assert G.rayleigh_objective(
                     dec, G.extend_theta(flipped), p_bar) <= got + 1e-12
 
     def test_continuous_fixed_point(self, rng):
@@ -336,10 +336,10 @@ class TestRefineElementwise:
         dec = G.decompose(real, range(3))
         p_bar = 2.0
         theta = PhaseConfig(random_unit_theta(rng, 10))
-        prev = P.rayleigh_objective(dec, G.extend_theta(theta.theta), p_bar)
+        prev = G.rayleigh_objective(dec, G.extend_theta(theta.theta), p_bar)
         for sweeps in range(1, 6):
             out = P.refine_elementwise(dec.factor(p_bar), theta, max_sweeps=sweeps)
-            obj = P.rayleigh_objective(dec, G.extend_theta(out.theta), p_bar)
+            obj = G.rayleigh_objective(dec, G.extend_theta(out.theta), p_bar)
             assert obj >= prev - 1e-10
             prev = obj
 
@@ -360,7 +360,7 @@ class TestRefineElementwise:
             assert not np.array_equal(out.theta, start.theta)
             if direction is None:
                 def objective(theta):
-                    return P.rayleigh_objective(dec, G.extend_theta(theta), p_bar)
+                    return G.rayleigh_objective(dec, G.extend_theta(theta), p_bar)
             else:
                 def objective(theta):
                     return abs(direction.conj() @ dec.d_mat @ G.extend_theta(theta)) ** 2
@@ -394,8 +394,8 @@ class TestRefineElementwise:
             from_cont = P.refine_elementwise(g_mat, P.discretize_binary(cont))
             from_ones = P.refine_elementwise(
                 g_mat, PhaseConfig(np.ones(6, dtype=complex), alphabet="binary"))
-            o1 = P.rayleigh_objective(dec, G.extend_theta(from_cont.theta), p_bar)
-            o2 = P.rayleigh_objective(dec, G.extend_theta(from_ones.theta), p_bar)
+            o1 = G.rayleigh_objective(dec, G.extend_theta(from_cont.theta), p_bar)
+            o2 = G.rayleigh_objective(dec, G.extend_theta(from_ones.theta), p_bar)
             wins += o1 >= o2 - 1e-12
         print(f"\nbinary init from continuous >= all-ones: {wins}/{trials}")
 

@@ -230,23 +230,23 @@ class TestSumSeAsymptote:
 
 class TestThpMse:
     def test_formula(self):
-        assert T.thp_mse(np.ones(2), tx_power=12.0, k_alloc=2) \
-            == pytest.approx(1.0 / 18.0, rel=1e-12)
+        assert T.thp_mse(np.ones(2), 12.0) == pytest.approx(1.0 / 18.0, rel=1e-12)
+        # K is the number of gains: 3 / 72 * 3
+        assert T.thp_mse(np.ones(3), 12.0) == pytest.approx(0.125, rel=1e-12)
 
     def test_homogeneity(self, rng):
         diag = rng.uniform(0.5, 2.0, size=4)
-        base = T.thp_mse(diag, 5.0, 4)
-        assert T.thp_mse(3.0 * diag, 5.0, 4) == pytest.approx(base / 9.0,
-                                                              rel=1e-12)
+        base = T.thp_mse(diag, 5.0)
+        assert T.thp_mse(3.0 * diag, 5.0) == pytest.approx(base / 9.0, rel=1e-12)
 
     def test_nan_gain_rejected(self):
         with pytest.raises(ValueError, match="diagonal"):
-            T.thp_mse([math.nan, 1.0], 1.0, 2)
+            T.thp_mse([math.nan, 1.0], 1.0)
 
     @pytest.mark.parametrize("tx_power", [-2.0, 0.0, math.nan])
     def test_nonpositive_power_rejected(self, tx_power):
         with pytest.raises(ValueError, match="tx_power"):
-            T.thp_mse([1.0], tx_power, 1)
+            T.thp_mse([1.0], tx_power)
 
     def test_monte_carlo_oracle(self, rng):
         h = random_channel(rng, 3, 5)
@@ -255,7 +255,7 @@ class TestThpMse:
         syms = T.simulate_transmission(f, h, 100_000, np.random.default_rng(3))
         empirical = float(np.mean(np.sum(np.abs(syms.d_hat - syms.s) ** 2,
                                          axis=0)))
-        assert empirical == pytest.approx(T.thp_mse(f.diag_l, 4.0, 3), rel=0.02)
+        assert empirical == pytest.approx(T.thp_mse(f.diag_l, 4.0), rel=0.02)
 
 
 def _reference_order(h):
@@ -290,8 +290,8 @@ class TestOrderUsers:
         order, _ = T.order_users(h)
         l_ord, _ = T.lq_decompose(h[order])
         l_id, _ = T.lq_decompose(h)
-        mse_ord = T.thp_mse(np.diag(l_ord).real, 1.0, 3)
-        mse_id = T.thp_mse(np.diag(l_id).real, 1.0, 3)
+        mse_ord = T.thp_mse(np.diag(l_ord).real, 1.0)
+        mse_id = T.thp_mse(np.diag(l_id).real, 1.0)
         assert mse_ord == pytest.approx(mse_id, abs=1e-12)
 
     def test_greedy_vs_exhaustive(self, rng):
@@ -300,9 +300,9 @@ class TestOrderUsers:
             h = random_channel(rng, 3, 4)
             order, _ = T.order_users(h)
             l_mat, _ = T.lq_decompose(h[order])
-            mse = T.thp_mse(np.diag(l_mat).real, 1.0, 3)
+            mse = T.thp_mse(np.diag(l_mat).real, 1.0)
             best = min(
-                T.thp_mse(np.diag(T.lq_decompose(h[list(p)])[0]).real, 1.0, 3)
+                T.thp_mse(np.diag(T.lq_decompose(h[list(p)])[0]).real, 1.0)
                 for p in itertools.permutations(range(3)))
             assert mse >= best - 1e-12
             ratios.append(mse / best)
