@@ -101,12 +101,22 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
     ``zf_se_gram``'s zero-score rule, and it holds the rank-one rounding
     below eps / RANK_TOL (about 2e-7) relative.  Any other element, and every
     element when C is singular (|S| >= N_B), takes ``zf_se_gram``'s
-    batched eigendecomposition.
+    batched eigendecomposition of its own rows.
 
     Each element scores its current value with the same scorer as its
     candidates and moves to its best candidate, the first on ties, when that
     strictly beats the current sum SE; its current value is not a candidate.
-    The sweep stops after a pass that changes nothing or after MAX_SWEEPS.
+    Elements are taken in order by first-improvement search: a scan builds
+    the rows of the next elements against the current (d, e), and those
+    before the first element that breaks the bound are scored in one
+    rank-one call.  The first of them that gains moves; if none does, the
+    element that breaks the bound is judged alone.  The next scan starts
+    after the element handled, so each element is judged in the state an
+    element-by-element loop would give it.  A pass starts with a scan of
+    every element; later scans are twice as long as the gap to the last
+    move, or as the last scan when it found none, so dense moves do not
+    rebuild the rest of the pass each time.  The sweep stops after a pass
+    that changes nothing or after MAX_SWEEPS.
     """
     theta_vec = theta.theta.copy()
     if theta.alphabet == "binary":
@@ -124,25 +134,37 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
         cols = np.concatenate([cols, c_inv @ cols])
         max_sq = lam[0] / gram_mod.RANK_TOL - lam[-1]
     de = cols @ gram_mod.extend_theta(theta_vec)  # d, then e = C^-1 d
-    cols = cols.T.copy()
-    # row 0 of a batch is the element's current value, row i > 0 candidate i - 1
-    rows = np.concatenate([[0.0], candidates])
+    cols = cols[:, :-1].T.copy()
     for _ in range(MAX_SWEEPS):
-        changed = False
-        for n in range(theta_vec.size):
-            rows[0] = theta_vec[n]
-            de_rows = de + (rows - theta_vec[n])[:, None] * cols[n]
-            d_rows = de_rows[:, :k]
-            if (d_rows * d_rows.conj()).sum(axis=1).real.max() < max_sq:
-                vals = zf_sum_se_rank_one(c_inv_diag, d_rows, de_rows[:, k:], tx_power)
+        start = theta_vec.copy()
+        m, width = 0, theta_vec.size  # the next element to judge, the scan's length
+        while m < theta_vec.size:
+            # rows[i, j] sets element m + i to candidate j: for the next width
+            # elements when d keeps the bound (never when C is singular, where
+            # max_sq = -inf), else for element m alone; flat[0] is (d, e)
+            scan = max_sq > 0 and (de[:k] * de[:k].conj()).sum().real < max_sq
+            end = m + width if scan else m + 1
+            rows = de + (candidates - theta_vec[m:end, None])[:, :, None] * cols[m:end, None]
+            n_ok = 0  # the elements before the first that breaks the bound
+            if scan:
+                d_sq = (rows[..., :k] * rows[..., :k].conj()).sum(axis=2).real
+                n_ok = int(np.logical_and.accumulate(d_sq.max(axis=1) < max_sq).sum())
+            flat = np.concatenate([de[None], rows[:max(n_ok, 1)].reshape(-1, de.size)])
+            if n_ok:  # rank one judges those
+                vals = zf_sum_se_rank_one(c_inv_diag, flat[:, :k], flat[:, k:], tx_power)
+            else:  # eigh judges element m alone
+                vals = zf_se_gram(dec.c_mat, flat[:, :k], tx_power)[0].sum(axis=1)
+            scores = vals[1:].reshape(-1, candidates.size)
+            scores[candidates == theta_vec[m:m + len(scores), None]] = -np.inf
+            moves = np.flatnonzero(scores.max(axis=1) > vals[0])
+            if moves.size:  # the next scan is twice as long as the gap to this move
+                j = int(moves[0])
+                i = int(scores[j].argmax())
+                theta_vec[m + j], de = candidates[i], rows[j, i]
+                m, width = m + j + 1, 2 * (j + 1)
             else:
-                vals = zf_se_gram(dec.c_mat, d_rows, tx_power)[0].sum(axis=1)
-            vals[1:][candidates == theta_vec[n]] = -np.inf
-            i = 1 + int(vals[1:].argmax())
-            if vals[i] > vals[0]:
-                theta_vec[n], de = candidates[i - 1], de_rows[i]
-                changed = True
-        if not changed:
+                m, width = m + len(scores), min(2 * width, theta_vec.size)
+        if np.array_equal(theta_vec, start):
             break
     return PhaseConfig(theta_vec, alphabet=theta.alphabet)
 

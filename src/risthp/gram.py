@@ -36,10 +36,6 @@ class GramDecomposition:
     users: tuple  # the rows of the realization, in the order C and D hold them
     solves: dict = field(repr=False)  # the realization's table (alloc.optimize_phases)
 
-    @property
-    def n_ris(self) -> int:
-        return self.d_mat.shape[1] - 1
-
     @functools.cached_property
     def eig(self) -> tuple:
         """Read-only (lam, V), C = V diag(lam) V^H, lam ascending, clipped at 0 (C is PSD)."""

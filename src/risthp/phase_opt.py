@@ -10,11 +10,11 @@ the pair (C, D) of ``gram.decompose``, through its ``eig`` or its factor G.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
 from . import gram as gram_mod
+from .channel import _check_size
 from .gram import GramDecomposition, extend_theta
 
 DEFAULT_MAX_SWEEPS = 50
@@ -108,13 +108,23 @@ def refine_elementwise(g_mat: np.ndarray, theta_init: PhaseConfig,
     in 1; a pass that does not raise the objective is not taken.  A pass is
     two K x (N_R+1) products.
 
-    Binary alphabet: coordinate ascent, each element set to the better of
-    {-1, +1}, ties keep the current value, so the result is single-flip
-    optimal.  It carries y = G theta_bar on Python lists, so an element costs
-    O(K) scalar operations; y is recomputed once per sweep.
+    Binary alphabet: coordinate ascent in element order, each element set to
+    the better of {-1, +1}, ties keep the current value, so the result is
+    single-flip optimal.  It carries y = G theta_bar and searches for the
+    first improvement: one product scores the next elements of the pass, the
+    first that flips is moved, and the next scan starts after it.  A pass
+    starts with a scan of every element; later scans are twice as long as
+    the gap to the last flip, or as the last scan when it found none.  So a
+    pass costs about one product per flip, not a step per element.  y is
+    recomputed once per sweep.
+
+    Raises ValueError unless max_sweeps is an integer >= 1 and theta has one
+    entry per RIS column of G (G.shape[1] - 1).
     """
-    if max_sweeps <= 0:
-        raise ValueError("max_sweeps must be positive")
+    _check_size("max_sweeps", max_sweeps)
+    if theta_init.theta.size != g_mat.shape[1] - 1:
+        raise ValueError(f"theta has {theta_init.theta.size} entries, G has "
+                         f"{g_mat.shape[1] - 1} RIS columns")
     theta_bar = extend_theta(theta_init.theta)
     if theta_init.alphabet == "binary":
         return PhaseConfig(_binary_ascent(g_mat, theta_bar, max_sweeps), alphabet="binary")
@@ -158,32 +168,33 @@ def _mm_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
 def _binary_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
                    max_sweeps: int) -> np.ndarray:
     """Binary refinement: theta (without the trailing 1) after +-1 sweeps."""
-    cols = g_mat.T.tolist()
-    cols_conj = g_mat.T.conj().tolist()
-    col_norms = np.sum(np.abs(g_mat) ** 2, axis=0).tolist()
-    th = theta_bar.tolist()
+    g_h = g_mat[:, :-1].conj().T
+    col_norms = (g_h * g_h.conj()).real.sum(axis=1)
+    signs = theta_bar[:-1].real.copy()
     y = g_mat @ theta_bar
     obj = float(np.real(np.vdot(y, y)))
     for _ in range(max_sweeps):
-        changed = False
-        yl = y.tolist()
-        for n in range(len(th) - 1):
+        start = signs.copy()
+        n, width = 0, signs.size  # the next element to judge, the scan's length
+        while n < signs.size:
             # objective in theta_n: 2 Re(conj(theta_n) c_n) + const,
-            # c_n = g_n^H y - ||g_n||^2 theta_n
-            old = th[n]
-            c_n = sum(map(mul, cols_conj[n], yl)) - col_norms[n] * old
-            new = 1.0 if c_n.real > 0 else (-1.0 if c_n.real < 0 else old)
-            if new != old:
-                step = new - old
-                yl = [y_k + g_k * step for y_k, g_k in zip(yl, cols[n])]
-                th[n] = new
-                changed = True
-        y = g_mat @ np.array(th, dtype=complex)
+            # c_n = g_n^H y - ||g_n||^2 theta_n; theta_n flips where the signs differ
+            end = n + width
+            c_real = (g_h[n:end] @ y).real - col_norms[n:end] * signs[n:end]
+            flips = np.flatnonzero(c_real * signs[n:end] < 0)
+            if flips.size:  # the next scan is twice as long as the gap to this flip
+                j = n + int(flips[0])
+                y += g_mat[:, j] * (-2.0 * signs[j])
+                signs[j] = -signs[j]
+                n, width = j + 1, 2 * (j + 1 - n)
+            else:
+                n, width = end, min(2 * width, signs.size)
+        y = g_mat @ np.append(signs, 1.0)
         new_obj = float(np.real(np.vdot(y, y)))
-        if not changed or not _rose_enough(obj, new_obj):
+        if np.array_equal(signs, start) or not _rose_enough(obj, new_obj):
             break
         obj = new_obj
-    return np.real(np.array(th[:-1], dtype=complex)).round().astype(complex)
+    return signs.astype(complex)
 
 
 def discretize_binary(theta: PhaseConfig) -> PhaseConfig:

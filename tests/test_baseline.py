@@ -270,6 +270,63 @@ def _reference_sweep(real, users, theta, tx_power):
     return PhaseConfig(theta_vec, alphabet=theta.alphabet)
 
 
+def _elementwise_sweep(dec, theta, tx_power):
+    """The K x K sweep one element at a time, each scored on its own rows by
+    the rank-one form or eigh under the same bound, as before the
+    first-improvement scan.  Returns the phases and, per pass, the elements
+    that moved."""
+    theta_vec = theta.theta.copy()
+    candidates = _ALPHABETS[theta.alphabet]
+    k = dec.d_mat.shape[0]
+    lam, vecs = dec.eig
+    cols, max_sq = dec.d_mat, -np.inf
+    if G.count_zero_eigenvalues(lam) == 0:
+        c_inv = (vecs / lam) @ vecs.conj().T
+        c_inv_diag = c_inv.diagonal().real
+        cols = np.concatenate([cols, c_inv @ cols])
+        max_sq = lam[0] / G.RANK_TOL - lam[-1]
+    de = cols @ G.extend_theta(theta_vec)
+    cols = cols.T.copy()
+    rows = np.concatenate([[0.0], candidates])
+    moved = []
+    for _ in range(B.MAX_SWEEPS):
+        moved.append([])
+        for n in range(theta_vec.size):
+            rows[0] = theta_vec[n]
+            de_rows = de + (rows - theta_vec[n])[:, None] * cols[n]
+            d_rows = de_rows[:, :k]
+            if (d_rows * d_rows.conj()).sum(axis=1).real.max() < max_sq:
+                vals = B.zf_sum_se_rank_one(c_inv_diag, d_rows, de_rows[:, k:], tx_power)
+            else:
+                vals = B.zf_se_gram(dec.c_mat, d_rows, tx_power)[0].sum(axis=1)
+            vals[1:][candidates == theta_vec[n]] = -np.inf
+            i = 1 + int(vals[1:].argmax())
+            if vals[i] > vals[0]:
+                theta_vec[n], de = candidates[i - 1], de_rows[i]
+                moved[-1].append(n)
+        if not moved[-1]:
+            break
+    return theta_vec, moved
+
+
+def _scan_count(moved, size):
+    """Scans of the first-improvement search over passes whose moves are
+    ``moved``: a pass starts with a scan of every element, and each later
+    scan is twice as long as the gap to the last move, or as the last scan
+    when it found none."""
+    count = 0
+    for pass_moves in moved:
+        m, width = 0, size
+        while m < size:
+            count += 1
+            hit = [n for n in pass_moves if m <= n < m + width]
+            if hit:
+                m, width = hit[0] + 1, 2 * (hit[0] + 1 - m)
+            else:
+                m, width = m + width, min(2 * width, size)
+    return count
+
+
 _ALPHABETS = {
     "continuous": np.exp(2j * np.pi * np.arange(B.N_GRID) / B.N_GRID),
     "binary": np.array([-1.0 + 0j, 1.0 + 0j]),
@@ -350,13 +407,16 @@ def _rank_one_scores(dec, d_vecs, tx_power):
                                 d_vecs @ c_inv.T, tx_power)
 
 
-def _counting(monkeypatch, name):
-    """Replace baseline.<name> by a wrapper that counts its calls."""
+def _counting(monkeypatch, name, order=None):
+    """Replace baseline.<name> by a wrapper that records each call's row count,
+    and appends the name to ``order`` when one is given."""
     calls = []
     func = getattr(B, name)
 
     def counted(*args):
         calls.append(len(args[1]))
+        if order is not None:
+            order.append(name)
         return func(*args)
 
     monkeypatch.setattr(B, name, counted)
@@ -390,15 +450,48 @@ class TestZfSumSeRankOne:
         real = random_realization(rng, k=3, n_bs=4, n_ris=8)
         dec = G.decompose(real, [0, 1, 2])
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
+        loop, moved = _elementwise_sweep(dec, theta, 5.0)
         eigh_calls = _counting(monkeypatch, "zf_se_gram")
         rank_one_calls = _counting(monkeypatch, "zf_sum_se_rank_one")
         swept = B._sweep_phases_linear(dec, theta, 5.0)
         assert eigh_calls == []
-        # one call per element and pass, current value plus N_GRID candidates
-        assert len(rank_one_calls) % real.n_ris == 0
-        assert set(rank_one_calls) == {1 + B.N_GRID}
+        # one rank-one call per scan: a move ends a scan, and a scan that finds
+        # none doubles the next one, so the count follows the moves, not N_R
+        assert sum(map(len, moved)) > 0
+        assert len(rank_one_calls) == _scan_count(moved, real.n_ris)
+        assert np.all(swept.theta == loop)
         want = _reference_sweep(real, [0, 1, 2], theta, 5.0)
         assert np.all(swept.theta == want.theta)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bound_failures_between_rank_one_elements(self, seed, monkeypatch):
+        # C = diag(1, 1e-6) is invertible with lam_min / RANK_TOL - lam_max = 999;
+        # columns 3 and 8 are +-v with ||v|| = 20, so their candidates reach
+        # ||d||^2 ~ 1600 and break the bound, while every other element keeps it:
+        # a pass switches scorers in the middle and back
+        rng = np.random.default_rng(seed)
+        d_mat = 0.3 * (rng.standard_normal((2, 13)) + 1j * rng.standard_normal((2, 13)))
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        v *= 20.0 / np.linalg.norm(v)
+        d_mat[:, 3], d_mat[:, 8] = v, -v
+        dec = G.GramDecomposition(np.diag([1.0, 1e-6]).astype(complex), d_mat, (0, 1), {})
+        lam = dec.eig[0]
+        assert G.count_zero_eigenvalues(lam) == 0
+        theta = PhaseConfig(np.ones(12, dtype=complex))
+        d_sq = np.array([np.sum(np.abs(_candidate_d_vecs(dec, theta, n)) ** 2, axis=1).max()
+                         for n in range(12)])
+        assert np.flatnonzero(d_sq >= lam[0] / G.RANK_TOL - lam[-1]).tolist() == [3, 8]
+        loop, moved = _elementwise_sweep(dec, theta, 10.0)
+        order = []
+        eigh_calls = _counting(monkeypatch, "zf_se_gram", order)
+        rank_one_calls = _counting(monkeypatch, "zf_sum_se_rank_one", order)
+        swept = B._sweep_phases_linear(dec, theta, 10.0)
+        assert sum(map(len, moved)) > 0
+        assert np.all(swept.theta == loop)
+        # the first pass scores elements 0-2 by rank one, 3 by eigh, then
+        # rank one again up to 8
+        assert order[order.index("zf_se_gram") + 1] == "zf_sum_se_rank_one"
+        assert len(eigh_calls) >= 2 and rank_one_calls
 
     def test_near_singular_c_keeps_zero_score_rule(self, monkeypatch):
         # C = [[1, 1], [1, 1 + 1e-6]] has lam_min ~ 5e-7, above RANK_TOL * lam_max,

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -239,7 +240,7 @@ def _dense_refine(gram, theta_init, p_bar, max_sweeps=P.DEFAULT_MAX_SWEEPS,
     obj = float(np.real(theta_bar.conj() @ m @ theta_bar))
     for _ in range(max_sweeps):
         changed = False
-        for n in range(gram.n_ris):
+        for n in range(gram.d_mat.shape[1] - 1):
             c_n = m[n] @ theta_bar - m[n, n] * theta_bar[n]
             if binary:
                 new = 1.0 if np.real(c_n) > 0 else (-1.0 if np.real(c_n) < 0
@@ -259,6 +260,34 @@ def _dense_refine(gram, theta_init, p_bar, max_sweeps=P.DEFAULT_MAX_SWEEPS,
     else:
         theta = theta / np.abs(theta)
     return theta, m
+
+
+def _list_binary_ascent(g_mat, theta_bar, max_sweeps):
+    """The +-1 coordinate ascent one element at a time on Python lists of G's
+    columns, as before the first-improvement scan."""
+    cols = g_mat.T.tolist()
+    cols_conj = g_mat.T.conj().tolist()
+    col_norms = np.sum(np.abs(g_mat) ** 2, axis=0).tolist()
+    th = theta_bar.tolist()
+    y = g_mat @ theta_bar
+    obj = float(np.real(np.vdot(y, y)))
+    for _ in range(max_sweeps):
+        changed = False
+        yl = y.tolist()
+        for n in range(len(th) - 1):
+            old = th[n]
+            c_n = sum(map(operator.mul, cols_conj[n], yl)) - col_norms[n] * old
+            new = 1.0 if c_n.real > 0 else (-1.0 if c_n.real < 0 else old)
+            if new != old:
+                yl = [y_k + g_k * (new - old) for y_k, g_k in zip(yl, cols[n])]
+                th[n] = new
+                changed = True
+        y = g_mat @ np.array(th, dtype=complex)
+        new_obj = float(np.real(np.vdot(y, y)))
+        if not changed or new_obj - obj <= P.SWEEP_REL_TOL * max(abs(obj), 1.0):
+            break
+        obj = new_obj
+    return np.real(np.array(th[:-1], dtype=complex)).round().astype(complex)
 
 
 class TestRefineElementwise:
@@ -405,6 +434,55 @@ class TestRefineElementwise:
         with pytest.raises(ValueError):
             P.refine_elementwise(dec.factor(1.0), PhaseConfig(np.ones(8, dtype=complex)),
                                  max_sweeps=0)
+
+    @pytest.mark.parametrize("sweeps", [2.5, float("nan"), True])
+    def test_sweeps_must_be_integer(self, rng, sweeps):
+        dec = G.decompose(random_realization(rng), range(3))
+        with pytest.raises(ValueError, match="max_sweeps"):
+            P.refine_elementwise(dec.factor(1.0), PhaseConfig(np.ones(8, dtype=complex)),
+                                 max_sweeps=sweeps)
+
+    @pytest.mark.parametrize("alphabet", ["continuous", "binary"])
+    def test_theta_length_checked(self, rng, alphabet):
+        dec = G.decompose(random_realization(rng, n_ris=8), range(3))
+        with pytest.raises(ValueError, match="7 entries.*8 RIS columns"):
+            P.refine_elementwise(dec.factor(1.0),
+                                 PhaseConfig(np.ones(7, dtype=complex), alphabet=alphabet))
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize("n_ris", [1, 2, 16, 64, 512])
+    def test_binary_matches_list_loop(self, k, n_ris):
+        # same phases as the element-by-element loop, from random +-1 starts;
+        # on odd draws the middle column of G is zero and its element stays
+        rng = np.random.default_rng(7000 + 100 * k + n_ris)
+        n_moved = 0
+        for draw in range(6):
+            g_mat = (rng.standard_normal((k, n_ris + 1))
+                     + 1j * rng.standard_normal((k, n_ris + 1)))
+            if draw % 2:
+                g_mat[:, n_ris // 2] = 0.0
+            start = PhaseConfig(rng.choice([-1.0, 1.0], size=n_ris).astype(complex),
+                                alphabet="binary")
+            for sweeps in (1, P.DEFAULT_MAX_SWEEPS):
+                out = P.refine_elementwise(g_mat, start, sweeps)
+                want = _list_binary_ascent(g_mat, G.extend_theta(start.theta), sweeps)
+                np.testing.assert_array_equal(out.theta, want)
+                if draw % 2:
+                    assert out.theta[n_ris // 2] == start.theta[n_ris // 2]
+                n_moved += not np.array_equal(out.theta, start.theta)
+        assert n_moved > 0
+
+    def test_binary_exact_tie_keeps_value(self):
+        # objective |theta_0 + theta_1 - theta_2|^2 + const, integer entries so
+        # every c_n is exact: from (-1, 1, 1), c_0 = theta_1 - theta_2 = 0 keeps
+        # theta_0, then c_1 = -2 flips theta_1, and theta_2 agrees with c_2 = 2
+        g_mat = np.array([[1, 1, -1, 0], [0, 0, 0, 2]], dtype=complex)
+        start = PhaseConfig(np.array([-1, 1, 1], dtype=complex), alphabet="binary")
+        out = P.refine_elementwise(g_mat, start)
+        np.testing.assert_array_equal(out.theta, [-1, -1, 1])
+        np.testing.assert_array_equal(
+            out.theta, _list_binary_ascent(g_mat, G.extend_theta(start.theta),
+                                           P.DEFAULT_MAX_SWEEPS))
 
 
 class TestPhaseConfig:
