@@ -91,37 +91,71 @@ def optimize_phases(gram: gram_mod.GramDecomposition, p_bar: float,
     return theta
 
 
-def evaluate_allocation(real, users, p_bar: float, phase_mode: str, *,
-                        fixed_theta: PhaseConfig | None = None) -> Allocation:
-    """Phase + order optimization and the SE bound for one user subset.
+class Step(list):
+    """The allocations of one greedy step, in the order of its subsets."""
 
-    ``fixed_theta`` bypasses the per-subset phase optimization (used for
-    random phases that are a property of the RIS, not of the allocation).
+    @property
+    def feasible(self) -> bool:
+        """Whether every subset of the step is feasible.
+
+        Read as ``Allocation.feasible`` is, so the benchmark's outcome counter
+        for ``evaluate_allocation`` counts the steps with an infeasible subset.
+        """
+        return all(a.feasible for a in self)
+
+
+def evaluate_allocation(real, subsets, p_bar: float, phase_mode: str, *,
+                        fixed_theta: PhaseConfig | None = None) -> Step:
+    """Phase + order optimization and the SE bound for user subsets of one size.
+
+    Each subset gets its own phases (``optimize_phases``, or ``fixed_theta``,
+    used for random phases that are a property of the RIS, not of the
+    allocation).  Their effective channels are stacked, so one call of
+    ``thp.order_users`` runs the rank test, the QR, the inverse and the
+    ordering for all of them, and the bounds come from one vector step.  A
+    subset whose rows are dependent is infeasible; the others are ordered
+    again without it.
     """
-    users = list(users)
-    if not users:
+    subsets = [list(users) for users in subsets]
+    if not subsets:
+        raise ValueError("no user subsets to evaluate")
+    size = len(subsets[0])
+    if any(len(users) != size for users in subsets):
+        raise ValueError("user subsets of one step must have the same size")
+    if not size:
         raise ValueError("user subset must be nonempty")
-    if len(users) > real.n_bs:
+    if size > real.n_bs:
         raise ValueError("cannot allocate more users than BS antennas")
 
-    theta = fixed_theta if fixed_theta is not None else optimize_phases(
-        gram_mod.decompose(real, users), p_bar, phase_mode)
-    h_eff = gram_mod.effective_channel(real, users, theta.theta)
+    thetas = [fixed_theta if fixed_theta is not None else optimize_phases(
+        gram_mod.decompose(real, users), p_bar, phase_mode) for users in subsets]
+    h_eff = np.stack([gram_mod.effective_channel(real, users, theta.theta)
+                      for users, theta in zip(subsets, thetas)])
+    feasible = np.ones(len(subsets), dtype=bool)
     try:
         order, diag_l = thp.order_users(h_eff)
-    except thp.RankDeficientError:
-        return _infeasible(users, theta, p_bar)
-    se_bound = float(sum(max(0.0, thp.per_user_se(l, p_bar, "asymptote"))
-                         for l in diag_l))
-    return Allocation(users=users, theta=theta, order=order,
-                      se_bound=se_bound, p_bar=p_bar, diag_l=diag_l)
+    except thp.RankDeficientError as exc:
+        feasible = ~exc.deficient
+        order, diag_l = thp.order_users(h_eff[feasible])
+    se_bound = np.maximum(0.0, thp.se_asymptote(diag_l, p_bar)).sum(axis=1)
+    solved = iter(zip(order, se_bound, diag_l))
+    step = Step()
+    for users, theta, ok in zip(subsets, thetas, feasible):
+        if ok:
+            order_u, bound, gains = next(solved)
+            step.append(Allocation(users=users, theta=theta, order=order_u,
+                                   se_bound=float(bound), p_bar=p_bar, diag_l=gains))
+        else:
+            step.append(_infeasible(users, theta, p_bar))
+    return step
 
 
 def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score):
     """Greedy allocation: add users one by one while the score rises.
 
-    ``evaluate(real, users, p_bar, phase_mode, fixed_theta=...)``
-    solves one user subset and ``score`` maps its solution to a float.
+    ``evaluate(real, subsets, p_bar, phase_mode, fixed_theta=...)`` solves
+    the user subsets of one step, all of one size, and returns their
+    solutions in order; ``score`` maps a solution to a float.
     Random phases are drawn here, once, as a property of the RIS, and shared
     by every candidate subset.  Starts from the single user with the largest score.
     Each step appends every unallocated user in index order, keeps the first
@@ -134,14 +168,14 @@ def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score):
             raise ValueError("random phases need an rng")
         fixed_theta = phase_opt.random_phases(real.n_ris, rng)
 
-    def solve(users):
-        return evaluate(real, users, p_bar, phase_mode, fixed_theta=fixed_theta)
+    def solve(subsets):
+        return max(evaluate(real, subsets, p_bar, phase_mode, fixed_theta=fixed_theta),
+                   key=score)
 
     k = real.n_users
-    best = max((solve([u]) for u in range(k)), key=score)
+    best = solve([[u] for u in range(k)])
     while len(best.users) < min(k, real.n_bs):
-        step = max((solve(best.users + [u]) for u in range(k)
-                    if u not in best.users), key=score)
+        step = solve([best.users + [u] for u in range(k) if u not in best.users])
         if score(step) <= score(best):
             break
         best = step

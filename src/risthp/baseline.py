@@ -187,5 +187,7 @@ def evaluate_allocation_linear(real, users, p_bar: float, phase_mode: str, *,
 def greedy_allocate_linear(real, p_bar: float, phase_mode: str,
                            rng=None) -> LinearSolution:
     """Greedy user allocation with the ZF sum SE as the metric."""
-    return alloc._greedy(real, p_bar, phase_mode, rng, evaluate_allocation_linear,
-                         lambda s: s.sum_se)
+    def evaluate(real, subsets, *args, **kwargs):
+        return [evaluate_allocation_linear(real, users, *args, **kwargs) for users in subsets]
+
+    return alloc._greedy(real, p_bar, phase_mode, rng, evaluate, lambda s: s.sum_se)

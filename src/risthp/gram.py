@@ -8,6 +8,7 @@ C = H_d (I - b b^H) H_d^H and D = [H_c, H_d b].
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,9 +58,25 @@ class GramDecomposition:
         return (vecs.conj().T @ self.d_mat) / np.sqrt(1.0 / p_bar + lam)[:, None]
 
 
+def check_users(real, users) -> list:
+    """The subset as a list of row indices of ``real``.
+
+    Raises ValueError naming the first entry that is not an integer in
+    [0, K): negative, too large, a bool or not an integer (numpy integers
+    are integers).  A repeated user passes; its subset is rank deficient.
+    """
+    users = list(users)
+    for user in users:
+        if (isinstance(user, bool) or not isinstance(user, numbers.Integral)
+                or not 0 <= user < real.n_users):
+            raise ValueError(f"user index {user!r} is not an integer in "
+                             f"[0, {real.n_users})")
+    return users
+
+
 def decompose(real, users) -> GramDecomposition:
     """Build C and D for the selected user subset."""
-    users = list(users)
+    users = check_users(real, users)
     if not users:
         raise ValueError("user subset must be nonempty")
     h_d = real.h_direct[users]
@@ -77,7 +94,7 @@ def effective_channel(real, users, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta)
     if not np.max(np.abs(np.abs(theta) - 1.0)) <= 1e-9:  # NaN fails
         raise ValueError("theta entries must be unit modulus")
-    users = list(users)
+    users = check_users(real, users)
     return real.h_direct[users] + np.outer(real.h_cascaded[users] @ theta,
                                            real.b_vec.conj())
 

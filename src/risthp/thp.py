@@ -37,7 +37,15 @@ _GRID_IMAGES = ((np.arange(_N_GRID) / _N_GRID - 0.5)[:, None]
 
 
 class RankDeficientError(ValueError):
-    """Channel rows are (numerically) linearly dependent."""
+    """Channel rows are (numerically) linearly dependent.
+
+    ``deficient`` marks which matrices of the checked stack are dependent, as a
+    bool array over its leading axes (0-d for a single matrix).
+    """
+
+    def __init__(self, message: str, deficient=True):
+        super().__init__(message)
+        self.deficient = np.asarray(deficient, dtype=bool)
 
 
 @dataclass
@@ -89,35 +97,42 @@ def modulo(z):
 def check_full_row_rank(h: np.ndarray) -> None:
     """Raise RankDeficientError when the rows of H are numerically dependent.
 
-    An H with no rows raises ValueError: it is no channel, not a deficient one.
-    More rows than columns are always dependent; the SVD of such an H holds
-    only min(K, N) singular values, so it cannot show that.
+    H may be a stack of matrices over leading axes: one batched SVD tests them
+    all, and the error's ``deficient`` marks the dependent ones, so a caller
+    can keep the others.  An H with no rows raises ValueError: it is no
+    channel, not a deficient one.  More rows than columns are always
+    dependent; the SVD of such an H holds only min(K, N) singular values, so
+    it cannot show that.
     """
-    rows, cols = np.shape(h)
+    shape = np.shape(h)
+    rows, cols = shape[-2:]
     if rows == 0:
         raise ValueError("channel matrix is empty: it has no rows")
     if rows > cols:
-        raise RankDeficientError(f"{rows} rows in {cols} dimensions are dependent")
+        raise RankDeficientError(f"{rows} rows in {cols} dimensions are dependent",
+                                 np.ones(shape[:-2], dtype=bool))
     sv = np.linalg.svd(h, compute_uv=False)
-    if sv[-1] <= _RANK_TOL * sv[0]:
-        raise RankDeficientError("channel matrix is rank deficient")
+    deficient = sv[..., -1] <= _RANK_TOL * sv[..., 0]
+    if np.any(deficient):
+        raise RankDeficientError("channel matrix is rank deficient", deficient)
 
 
 def lq_decompose(h: np.ndarray):
     """LQ decomposition H = L Q with positive real diagonal of L.
 
     Q has orthonormal rows; raises RankDeficientError when the rows of H are
-    numerically dependent.
+    numerically dependent.  A stack of matrices over leading axes is factored
+    matrix by matrix, as ``np.linalg`` does.
     """
     h = np.asarray(h, dtype=complex)
     check_full_row_rank(h)
-    q_t, r = np.linalg.qr(h.conj().T)
-    l_mat = r.conj().T
-    q_mat = q_t.conj().T
+    q_t, r = np.linalg.qr(np.swapaxes(h.conj(), -1, -2))
+    l_mat = np.swapaxes(r.conj(), -1, -2)
+    q_mat = np.swapaxes(q_t.conj(), -1, -2)
     # rotate out the diagonal phases so L_kk > 0
-    phases = np.exp(-1j * np.angle(np.diag(l_mat)))
-    l_mat = l_mat * phases[None, :]
-    q_mat = q_mat * phases[:, None].conj()
+    phases = np.exp(-1j * np.angle(np.diagonal(l_mat, axis1=-2, axis2=-1)))
+    l_mat = l_mat * phases[..., None, :]
+    q_mat = q_mat * phases[..., :, None].conj()
     return l_mat, q_mat
 
 
@@ -166,12 +181,22 @@ def per_user_se(l_kk: float, p_bar: float, mode: str = "exact") -> float:
     """SE (bits) of one scalar modulo channel with gain L_kk at power p_bar."""
     if not (l_kk > 0 and p_bar > 0):
         raise ValueError("l_kk and p_bar must be positive")
-    snr = 6.0 * p_bar * l_kk ** 2
     if mode == "asymptote":
-        return math.log2(snr / (math.pi * math.e))
+        return float(se_asymptote(l_kk, p_bar))
     if mode == "exact":
-        return -wrapped_noise_entropy(1.0 / snr)
+        return -wrapped_noise_entropy(1.0 / (6.0 * p_bar * l_kk ** 2))
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def se_asymptote(diag_l, p_bar: float) -> np.ndarray:
+    """High-SNR SE (bits) of the modulo channels with gains diag_l at power p_bar.
+
+    log2(6 p_bar L_kk^2 / (pi e)) entry by entry, for any array of gains.
+    """
+    diag_l = np.asarray(diag_l, dtype=float)
+    if not (np.all(diag_l > 0) and p_bar > 0):  # NaN fails
+        raise ValueError("l_kk and p_bar must be positive")
+    return np.log2(6.0 * p_bar * diag_l ** 2 / (math.pi * math.e))
 
 
 def sum_se_asymptote(h: np.ndarray, p_bar: float) -> float:
@@ -203,22 +228,35 @@ def order_users(h: np.ndarray):
     whose channel component orthogonal to the span of the still-unplaced
     users' channels has maximal squared norm L_kk^2 = 1/[(H_R H_R^H)^-1]_kk
     (H_R: the unplaced rows) is placed, the first one on ties, and diag_l
-    is the diagonal of L in ``lq_decompose(h[order])``.  With H_R^H = Q R the
-    diagonal of (H_R H_R^H)^-1 holds the squared row norms of R^-1, which
-    avoids squaring the condition number of H_R.  The first R is L^H of
-    ``lq_decompose(h)``, whose rank test is the only one.
+    is the diagonal of L in ``lq_decompose(h[order])``.  A stack of matrices
+    over leading axes is ordered matrix by matrix.
+
+    With R = L^H of one ``lq_decompose(h)``, whose rank test is the only one,
+    and W = R^-1, (H H^H)^-1 = W W^H: the diagonal entries are the squared
+    row norms of W, which avoids squaring the condition number of H.
+    Placing user j removes row j of H; the inverse of the remaining Gram
+    matrix is then W' W'^H, W' being W with row w_j projected out of every
+    row (modified Gram-Schmidt on R^-1, Hassibi's square-root ordering).  So
+    one inverse serves every step.  Placed rows are masked with +inf.
     """
     h = np.asarray(h, dtype=complex)
-    r = lq_decompose(h)[0].conj().T
-    remaining = list(range(h.shape[0]))
-    order, diag_l = np.empty(len(remaining), dtype=int), np.empty(len(remaining))
-    for pos in range(len(remaining) - 1, -1, -1):
-        inv_diag = np.sum(np.abs(np.linalg.inv(r)) ** 2, axis=1)
-        best = int(np.argmin(inv_diag))
-        order[pos], diag_l[pos] = remaining.pop(best), inv_diag[best] ** -0.5
-        if remaining:
-            r = np.linalg.qr(h[remaining].conj().T, mode="r")
-    return order, diag_l
+    r = np.swapaxes(lq_decompose(h)[0].conj(), -1, -2)
+    lead, k = h.shape[:-2], h.shape[-2]
+    w = np.linalg.inv(r).reshape(-1, k, k)
+    stack = np.arange(len(w))
+    order, diag_l = np.empty((len(w), k), dtype=int), np.empty((len(w), k))
+    placed = np.zeros((len(w), k), dtype=bool)
+    for pos in range(k - 1, -1, -1):
+        inv_diag = np.sum(np.abs(w) ** 2, axis=2)
+        inv_diag[placed] = np.inf
+        best = np.argmin(inv_diag, axis=1)
+        best_sq = inv_diag[stack, best]
+        order[:, pos], diag_l[:, pos] = best, best_sq ** -0.5
+        placed[stack, best] = True
+        if pos:
+            row = w[stack, best]
+            w = w - ((w @ row.conj()[:, :, None]) / best_sq[:, None, None]) * row[:, None, :]
+    return order.reshape(*lead, k), diag_l.reshape(*lead, k)
 
 
 def simulate_transmission(filters: ThpFilters, h: np.ndarray, n_symbols: int,

@@ -285,8 +285,8 @@ def test_criterion_10_greedy_allocation_sanity():
         best = -np.inf
         for size in range(1, 5):
             for users in itertools.combinations(range(4), size):
-                cand = alloc.evaluate_allocation(real, list(users), p_bar,
-                                                 "continuous")
+                cand = alloc.evaluate_allocation(real, [list(users)], p_bar,
+                                                 "continuous")[0]
                 best = max(best, cand.se_bound)
         if greedy.se_bound > best * (1.0 + 1e-9):
             never_exceeds = False

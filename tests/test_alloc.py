@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from risthp import alloc as A, gram as G, phase_opt as P, thp as T
+from risthp import alloc as A, baseline as B, gram as G, phase_opt as P, thp as T
+from risthp.channel import ScenarioConfig, draw_realization
 
 from conftest import random_realization
 
@@ -13,7 +15,7 @@ class TestEvaluateAllocation:
     def test_single_user_bound(self, rng):
         real = random_realization(rng, k=3, n_bs=4)
         p_bar = 2.0
-        out = A.evaluate_allocation(real, [1], p_bar, "continuous")
+        out = A.evaluate_allocation(real, [[1]], p_bar, "continuous")[0]
         h = G.effective_channel(real, [1], out.theta.theta)
         expected = max(0.0, math.log2(
             6.0 * p_bar * np.linalg.norm(h) ** 2 / (math.pi * math.e)))
@@ -25,15 +27,15 @@ class TestEvaluateAllocation:
         theta = P.PhaseConfig(np.ones(real.n_ris, dtype=complex))
         theta.theta[0] = np.nan  # past PhaseConfig's own check
         with pytest.raises(ValueError, match="unit modulus"):
-            A.evaluate_allocation(real, [0, 1], 2.0, "continuous", fixed_theta=theta)
+            A.evaluate_allocation(real, [[0, 1]], 2.0, "continuous", fixed_theta=theta)
 
     def test_random_mode_needs_fixed_theta(self, rng):
         # random phases are drawn once, by greedy_allocate, never per subset
         real = random_realization(rng)
         with pytest.raises(ValueError, match="greedy_allocate"):
-            A.evaluate_allocation(real, [0, 2], 3.0, "random")
+            A.evaluate_allocation(real, [[0, 2]], 3.0, "random")
         with pytest.raises(TypeError):
-            A.evaluate_allocation(real, [0, 2], 3.0, "random",
+            A.evaluate_allocation(real, [[0, 2]], 3.0, "random",
                                   np.random.default_rng(9))
         with pytest.raises(ValueError, match="greedy_allocate"):
             A.optimize_phases(G.decompose(real, [0, 2]), 3.0, "random")
@@ -41,7 +43,7 @@ class TestEvaluateAllocation:
     def test_zero_eig_matches_alignment(self, rng):
         real = random_realization(rng, k=2, n_bs=2, n_ris=6)
         p_bar = 5.0
-        out = A.evaluate_allocation(real, [0, 1], p_bar, "continuous")
+        out = A.evaluate_allocation(real, [[0, 1]], p_bar, "continuous")[0]
         dec = G.decompose(real, [0, 1])
         u = P.zero_eig_direction(dec)
         aligned = P.align_phases(dec, u).theta
@@ -52,20 +54,20 @@ class TestEvaluateAllocation:
 
     def test_binary_mode_alphabet(self, rng):
         real = random_realization(rng)
-        out = A.evaluate_allocation(real, [0, 1], 3.0, "binary")
+        out = A.evaluate_allocation(real, [[0, 1]], 3.0, "binary")[0]
         assert out.theta.alphabet == "binary"
         assert np.all(np.isin(out.theta.theta, [-1.0 + 0j, 1.0 + 0j]))
 
     def test_too_many_users(self, rng):
         real = random_realization(rng, k=5, n_bs=3)
         with pytest.raises(ValueError):
-            A.evaluate_allocation(real, range(5), 1.0, "continuous")
+            A.evaluate_allocation(real, [range(5)], 1.0, "continuous")
 
     def test_infeasible_colinear(self, rng):
         real = random_realization(rng, k=2, n_bs=4)
         real.h_direct[1] = real.h_direct[0]
         real.h_cascaded[1] = real.h_cascaded[0]
-        out = A.evaluate_allocation(real, [0, 1], 1.0, "continuous")
+        out = A.evaluate_allocation(real, [[0, 1]], 1.0, "continuous")[0]
         assert out.se_bound == -np.inf
         assert not out.feasible
         assert out.se_exact == 0.0
@@ -76,27 +78,102 @@ class TestEvaluateAllocation:
         if colinear:
             real.h_direct[1] = real.h_direct[0]
             real.h_cascaded[1] = real.h_cascaded[0]
-        out = A.evaluate_allocation(real, [0, 1], 1.0, "continuous")
+        out = A.evaluate_allocation(real, [[0, 1]], 1.0, "continuous")[0]
         assert type(out.feasible) is bool
         assert out.feasible is (not colinear)
 
     @pytest.mark.parametrize("colinear", [False, True], ids=["feasible", "deficient"])
     def test_one_rank_test_per_candidate(self, rng, monkeypatch, colinear):
-        real = random_realization(rng, k=3, n_bs=4)
+        # one batched rank test covers every candidate of a step; a deficient
+        # candidate costs one more, on the stack of the others
+        real = random_realization(rng, k=4, n_bs=4)
         if colinear:
             real.h_direct[1] = real.h_direct[0]
             real.h_cascaded[1] = real.h_cascaded[0]
         calls = []
         check = T.check_full_row_rank
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return check(*args, **kwargs)
+        def counted(h, *args, **kwargs):
+            calls.append(np.shape(h))
+            return check(h, *args, **kwargs)
 
         monkeypatch.setattr(T, "check_full_row_rank", counted)
-        out = A.evaluate_allocation(real, [0, 1, 2], 1.0, "continuous")
-        assert len(calls) == 1
-        assert isinstance(out, A.Allocation) and out.feasible == (not colinear)
+        out = A.evaluate_allocation(real, [[0, 1, 2], [0, 2, 3], [0, 1, 3]], 1.0,
+                                    "continuous")
+        assert calls == ([(3, 3, 4)] if not colinear else [(3, 3, 4), (1, 3, 4)])
+        assert all(isinstance(a, A.Allocation) for a in out)
+        assert [a.feasible for a in out] == [not colinear, True, not colinear]
+
+
+    def test_step_matches_single_subsets(self, rng):
+        real = random_realization(rng, k=4, n_bs=4)
+        subsets = [[2, 0], [2, 1], [2, 3]]
+        step = A.evaluate_allocation(real, subsets, 3.0, "continuous")
+        assert isinstance(step, A.Step) and len(step) == 3 and step.feasible
+        for users, out in zip(subsets, step):
+            alone = A.evaluate_allocation(real, [users], 3.0, "continuous")[0]
+            assert out.users == users
+            np.testing.assert_array_equal(out.theta.theta, alone.theta.theta)
+            np.testing.assert_array_equal(out.order, alone.order)
+            np.testing.assert_array_equal(out.diag_l, alone.diag_l)
+            assert out.se_bound == alone.se_bound
+
+    @pytest.mark.parametrize("subsets", [[], [[0], [0, 1]], [[0, 1], [2]]],
+                             ids=["empty", "growing", "shrinking"])
+    def test_step_of_one_size(self, rng, subsets):
+        real = random_realization(rng)
+        with pytest.raises(ValueError, match="subsets"):
+            A.evaluate_allocation(real, subsets, 2.0, "continuous")
+
+    def test_deficient_candidate_alone_infeasible(self, rng):
+        real = random_realization(rng, k=4, n_bs=4)
+        real.h_direct[3] = real.h_direct[1]
+        real.h_cascaded[3] = real.h_cascaded[1]
+        step = A.evaluate_allocation(real, [[1, 0], [1, 2], [1, 3]], 2.0, "continuous")
+        assert [a.feasible for a in step] == [True, True, False]
+        assert not step.feasible
+        for users, out in zip([[1, 0], [1, 2]], step):
+            alone = A.evaluate_allocation(real, [users], 2.0, "continuous")[0]
+            np.testing.assert_array_equal(out.diag_l, alone.diag_l)
+
+    def test_every_candidate_deficient(self, rng):
+        real = random_realization(rng, k=3, n_bs=4)
+        real.h_direct[1:] = real.h_direct[0]
+        real.h_cascaded[1:] = real.h_cascaded[0]
+        step = A.evaluate_allocation(real, [[0, 1], [0, 2]], 2.0, "continuous")
+        assert [a.se_bound for a in step] == [-np.inf, -np.inf]
+
+
+class TestUserIndices:
+    """Bad user indices raise ValueError naming them, in both families."""
+
+    @pytest.mark.parametrize("bad", [-1, 6, 1.0, True, np.bool_(True), "1"],
+                             ids=["negative", "K", "float", "bool", "numpy_bool", "str"])
+    @pytest.mark.parametrize("phase_mode", ["continuous", "random"])
+    def test_rejected(self, rng, bad, phase_mode):
+        real = random_realization(rng, k=6, n_bs=6)
+        fixed = (P.PhaseConfig(np.ones(real.n_ris, dtype=complex))
+                 if phase_mode == "random" else None)
+        with pytest.raises(ValueError, match=f"user index {bad!r} "):
+            A.evaluate_allocation(real, [[0, bad]], 2.0, phase_mode, fixed_theta=fixed)
+        with pytest.raises(ValueError, match=f"user index {bad!r} "):
+            B.evaluate_allocation_linear(real, [0, bad], 2.0, phase_mode,
+                                         fixed_theta=fixed)
+        assert real.solves == {}
+
+    def test_numpy_integers_accepted(self, rng):
+        real = random_realization(rng, k=3, n_bs=4)
+        plain = A.evaluate_allocation(real, [[0, 2]], 2.0, "continuous")[0]
+        numpy = A.evaluate_allocation(real, [np.array([0, 2])], 2.0, "continuous")[0]
+        assert numpy.se_bound == plain.se_bound
+        assert len(real.solves) == 1
+        linear = B.evaluate_allocation_linear(real, np.array([0, 2]), 2.0, "continuous")
+        assert linear.feasible
+
+    def test_duplicate_user_infeasible(self, rng):
+        real = random_realization(rng, k=3, n_bs=4)
+        assert not A.evaluate_allocation(real, [[1, 1]], 2.0, "continuous")[0].feasible
+        assert not B.evaluate_allocation_linear(real, [1, 1], 2.0, "continuous").feasible
 
 
 class TestGreedyAllocate:
@@ -111,15 +188,15 @@ class TestGreedyAllocate:
         p_bar = 1e-4
         out = A.greedy_allocate(real, p_bar, "continuous")
         best_single = max(
-            A.evaluate_allocation(real, [u], p_bar, "continuous").se_bound
+            A.evaluate_allocation(real, [[u]], p_bar, "continuous")[0].se_bound
             for u in range(3))
         assert len(out.users) == 1
         assert out.se_bound == pytest.approx(best_single, rel=1e-9)
         # exhaustive check that no subset does better
         for size in (2, 3):
             for users in itertools.combinations(range(3), size):
-                cand = A.evaluate_allocation(real, list(users), p_bar,
-                                             "continuous")
+                cand = A.evaluate_allocation(real, [list(users)], p_bar,
+                                             "continuous")[0]
                 assert cand.se_bound <= out.se_bound + 1e-9
 
     def test_rank_improvement_one_blocked_user(self, rng):
@@ -145,7 +222,7 @@ class TestGreedyAllocate:
         for size in range(1, 5):
             for users in itertools.combinations(range(4), size):
                 best = max(best, A.evaluate_allocation(
-                    real, list(users), p_bar, "continuous").se_bound)
+                    real, [list(users)], p_bar, "continuous")[0].se_bound)
         assert out.se_bound <= best + 1e-9
 
     def test_deterministic(self, rng):
@@ -188,7 +265,71 @@ class TestBoundMonotone:
         out = A.greedy_allocate(real, p_bar, "continuous")
         prev = -np.inf
         for size in range(1, len(out.users) + 1):
-            cand = A.evaluate_allocation(real, out.users[:size], p_bar,
-                                         "continuous")
+            cand = A.evaluate_allocation(real, [out.users[:size]], p_bar,
+                                         "continuous")[0]
             assert cand.se_bound >= prev - 1e-9
             prev = cand.se_bound
+
+
+def _reference_order_users(h):
+    """The per-candidate ordering: a QR of the unplaced rows at every step."""
+    r = T.lq_decompose(h)[0].conj().T
+    remaining = list(range(h.shape[0]))
+    order, diag_l = np.empty(len(remaining), dtype=int), np.empty(len(remaining))
+    for pos in range(len(remaining) - 1, -1, -1):
+        inv_diag = np.sum(np.abs(np.linalg.inv(r)) ** 2, axis=1)
+        best = int(np.argmin(inv_diag))
+        order[pos], diag_l[pos] = remaining.pop(best), inv_diag[best] ** -0.5
+        if remaining:
+            r = np.linalg.qr(h[remaining].conj().T, mode="r")
+    return order, diag_l
+
+
+def _reference_greedy(real, p_bar, phase_mode, rng):
+    """The greedy loop with each candidate phased, ordered and bounded alone.
+
+    Returns the kept (users, order, se_bound).
+    """
+    fixed = P.random_phases(real.n_ris, rng) if phase_mode == "random" else None
+
+    def solve(users):
+        theta = fixed if fixed is not None else A.optimize_phases(
+            G.decompose(real, users), p_bar, phase_mode)
+        try:
+            order, diag_l = _reference_order_users(
+                G.effective_channel(real, users, theta.theta))
+        except T.RankDeficientError:
+            return users, None, -np.inf
+        return users, order, sum(max(0.0, T.per_user_se(l, p_bar, "asymptote"))
+                                 for l in diag_l)
+
+    k = real.n_users
+    best = max((solve([u]) for u in range(k)), key=lambda c: c[2])
+    while len(best[0]) < min(k, real.n_bs):
+        step = max((solve(best[0] + [u]) for u in range(k) if u not in best[0]),
+                   key=lambda c: c[2])
+        if step[2] <= best[2]:
+            break
+        best = step
+    return best
+
+
+class TestStackedGreedy:
+    """The stacked greedy keeps the per-candidate greedy's choices."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("tx_dbm", [0.0, 20.0, 40.0])
+    @pytest.mark.parametrize("phase_mode", ["continuous", "binary", "random", "no_ris"])
+    def test_matches_per_candidate_greedy(self, seed, tx_dbm, phase_mode):
+        scenario = ScenarioConfig(seed=seed, n_ris=16, tx_dbm=tx_dbm)
+        real = draw_realization(scenario, np.random.default_rng(seed))
+        if phase_mode == "no_ris":
+            real = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
+            phase_mode = "random"
+        p_bar = scenario.tx_power / scenario.n_users
+        out = A.greedy_allocate(real, p_bar, phase_mode, np.random.default_rng(seed))
+        users, order, bound = _reference_greedy(
+            dataclasses.replace(real), p_bar, phase_mode, np.random.default_rng(seed))
+        assert out.users == users
+        np.testing.assert_array_equal(out.order, order)
+        assert out.se_bound == pytest.approx(bound, rel=1e-12, abs=0)

@@ -68,3 +68,34 @@ def test_diff_rejects_files_with_different_records(tmp_path):
     done = _diff(a, b)
     assert done.returncode != 0
     assert "1 only in the first, 1 only in the second" in done.stderr
+
+
+def test_diff_lists_nonfinite_records_and_reports_no_finite_maximum(tmp_path):
+    a = _write(tmp_path / "a.jsonl", [_record("thp", 4, 40.0), _record("thp", 4, 41.0, seed=1),
+                                      _record("linear_zf", 3, 30.25)])
+    # the NaN delta comes after a finite one, where max() and min() would drop it
+    b = _write(tmp_path / "b.jsonl", [_record("thp", 4, 40.5),
+                                      _record("thp", 4, float("nan"), seed=1),
+                                      _record("linear_zf", 3, 30.0)])
+    done = _diff(a, b)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:4] == ["records: 3", "equal: 0", "n_allocated changes: 0",
+                         "non-finite SE: 1"]
+    assert "seed=1" in lines[4] and lines[4].endswith(": 41 -> nan")
+    assert lines[5:] == ["max |dSE| bits: nan",
+                         "per method: changed records, min and max dSE bits",
+                         "  thp: 2 of 2, nan .. nan",
+                         "  linear_zf: 1 of 1, -0.25 .. -0.25"]
+
+
+def test_diff_counts_records_nonfinite_in_both_files(tmp_path):
+    # a record NaN on both sides is not equal and is listed, not skipped
+    records = [_record("thp", 4, float("nan"), seed=0), _record("thp", 4, 40.0, seed=1)]
+    a = _write(tmp_path / "a.jsonl", records)
+    b = _write(tmp_path / "b.jsonl", records[::-1])
+    lines = _diff(a, b).stdout.splitlines()
+    assert lines[:4] == ["records: 2", "equal: 1", "n_allocated changes: 0",
+                         "non-finite SE: 1"]
+    assert "seed=0" in lines[4] and lines[4].endswith(": nan -> nan")
+    assert lines[5] == "max |dSE| bits: nan"

@@ -310,6 +310,68 @@ class TestOrderUsers:
               f"max={np.max(ratios):.4f}")
 
 
+
+class TestStackedOrdering:
+    """order_users and lq_decompose over a stack: each matrix as if alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_per_matrix_calls(self, rng, n, k):
+        # row scales 10^-3 .. 10^3, as between blocked and unblocked users
+        for _ in range(20):
+            h = np.stack([random_channel(rng, k, 6) for _ in range(n)]) \
+                * 10.0 ** rng.uniform(-3, 3, size=(n, k, 1))
+            order, diag_l = T.order_users(h)
+            l_mat, q_mat = T.lq_decompose(h)
+            assert order.shape == diag_l.shape == (n, k)
+            assert l_mat.shape == (n, k, k) and q_mat.shape == (n, k, 6)
+            for i in range(n):
+                order_i, diag_i = T.order_users(h[i])
+                l_i, q_i = T.lq_decompose(h[i])
+                np.testing.assert_array_equal(order[i], order_i)
+                np.testing.assert_allclose(diag_l[i], diag_i, rtol=1e-13, atol=0)
+                scale = np.max(np.abs(h[i]))
+                np.testing.assert_allclose(l_mat[i], l_i, rtol=1e-13, atol=1e-13 * scale)
+                np.testing.assert_allclose(q_mat[i], q_i, rtol=1e-13, atol=1e-13)
+
+    def test_first_row_wins_ties(self):
+        # equal gains at every step: the lowest unplaced index is placed last
+        h = np.stack([np.eye(3, 4, dtype=complex), 2.0 * np.eye(3, 4, dtype=complex)])
+        order, diag_l = T.order_users(h)
+        np.testing.assert_array_equal(order, [[2, 1, 0], [2, 1, 0]])
+        np.testing.assert_array_equal(diag_l, [[1.0] * 3, [2.0] * 3])
+
+    def test_leading_axes_broadcast(self, rng):
+        h = np.stack([random_channel(rng, 3, 6) for _ in range(6)]).reshape(2, 3, 3, 6)
+        order, diag_l = T.order_users(h)
+        assert order.shape == diag_l.shape == (2, 3, 3)
+        np.testing.assert_array_equal(order[1, 2], T.order_users(h[1, 2])[0])
+
+    @pytest.mark.parametrize("fn", [T.check_full_row_rank, T.lq_decompose, T.order_users],
+                             ids=["check_full_row_rank", "lq_decompose", "order_users"])
+    def test_colinear_member_marked_alone(self, rng, fn):
+        h = np.stack([random_channel(rng, 3, 6) for _ in range(5)])
+        h[2, 1] = 2.0 * h[2, 0]
+        with pytest.raises(RankDeficientError) as info:
+            fn(h)
+        np.testing.assert_array_equal(info.value.deficient, [False, False, True, False, False])
+        # the others order as without it
+        order, _ = T.order_users(np.delete(h, 2, axis=0))
+        np.testing.assert_array_equal(order[2], T.order_users(h[3])[0])
+
+    def test_single_matrix_error_marks_it(self, rng):
+        h = random_channel(rng, 2, 4)
+        h[1] = h[0]
+        with pytest.raises(RankDeficientError) as info:
+            T.order_users(h)
+        assert info.value.deficient.shape == () and info.value.deficient
+
+    def test_more_rows_than_columns_marks_every_member(self, rng):
+        with pytest.raises(RankDeficientError) as info:
+            T.order_users(np.stack([random_channel(rng, 3, 2) for _ in range(4)]))
+        np.testing.assert_array_equal(info.value.deficient, [True] * 4)
+
+
 class TestSimulateTransmission:
     def test_noiseless_recovers_data(self, rng):
         h = random_channel(rng)

@@ -12,11 +12,13 @@ and the transmit-power sweep 0/20/40/50 dBm at N_R = 32): 768 records.
 
 ``diff`` matches the records of two such files by cell and method and prints
 the record count, how many sum SEs are exactly equal, every change of
-``n_allocated`` and the largest |delta SE| in bits, then per method how many
+``n_allocated``, every record whose sum SE is not finite in either file (when
+there is one) and the largest |delta SE| in bits, then per method how many
 records changed their sum SE and the smallest and largest delta SE (second
-file minus first), in the order the methods first appear.  Writing a file
-with the parent tree on the path and one with the changed tree, then diffing
-them, shows whether a change keeps every allocation and how far the SE moved.
+file minus first), in the order the methods first appear.  A maximum or
+minimum over a NaN delta prints as nan.  Writing a file with the parent tree
+on the path and one with the changed tree, then diffing them, shows whether a
+change keeps every allocation and how far the SE moved.
 
 ``golden`` writes the CSV that ``tests/test_golden.py`` pins: every method,
 ``ScenarioConfig(seed=11)``, two trials, the N_R sweep {16, 64}, written by
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 
 SEEDS = (0, 1, 2, 3)
@@ -79,25 +82,44 @@ def diff(path_a, path_b):
         raise SystemExit(f"{path_a} and {path_b} hold different records: "
                          f"{len(a.keys() - b.keys())} only in the first, "
                          f"{len(b.keys() - a.keys())} only in the second")
-    equal, worst, changed, deltas = 0, 0.0, [], {}
+    equal, changed, nonfinite, deltas = 0, [], [], {}
     for key, ra in a.items():
         rb = b[key]
         se_a, se_b = float.fromhex(ra["sum_se_bits"]), float.fromhex(rb["sum_se_bits"])
         equal += se_a == se_b
-        worst = max(worst, abs(se_a - se_b))
         deltas.setdefault(ra["method"], []).append(se_b - se_a)
         if ra["n_allocated"] != rb["n_allocated"]:
             changed.append((key, ra["n_allocated"], rb["n_allocated"]))
+        if not (math.isfinite(se_a) and math.isfinite(se_b)):
+            nonfinite.append((key, se_a, se_b))
     print(f"records: {len(a)}")
     print(f"equal: {equal}")
     print(f"n_allocated changes: {len(changed)}")
     for key, n_a, n_b in changed:
-        print("  " + ", ".join(f"{k}={v}" for k, v in zip(KEY, key)) + f": {n_a} -> {n_b}")
-    print(f"max |dSE| bits: {worst:.3g}")
+        print(f"  {_cell(key)}: {n_a} -> {n_b}")
+    if nonfinite:
+        print(f"non-finite SE: {len(nonfinite)}")
+        for key, se_a, se_b in nonfinite:
+            print(f"  {_cell(key)}: {se_a:.6g} -> {se_b:.6g}")
+    print(f"max |dSE| bits: {_extreme(max, [abs(x) for d in deltas.values() for x in d]):.3g}")
     print("per method: changed records, min and max dSE bits")
     for method, d in deltas.items():
         n_changed = sum(x != 0 for x in d)
-        print(f"  {method}: {n_changed} of {len(d)}, {min(d):.3g} .. {max(d):.3g}")
+        print(f"  {method}: {n_changed} of {len(d)}, "
+              f"{_extreme(min, d):.3g} .. {_extreme(max, d):.3g}")
+
+
+def _cell(key):
+    return ", ".join(f"{k}={v}" for k, v in zip(KEY, key))
+
+
+def _extreme(pick, deltas):
+    """``pick`` (min or max) of the deltas, NaN when any is NaN.
+
+    A record whose SE is not finite in either file gives a NaN or infinite
+    delta, and Python's min and max skip a NaN depending on where it falls.
+    """
+    return math.nan if any(math.isnan(x) for x in deltas) else pick(deltas)
 
 
 def main(argv):
