@@ -6,6 +6,7 @@ decoding-order re-optimization per candidate allocation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,22 +49,63 @@ def check_optimized_mode(phase_mode: str) -> None:
         raise ValueError(f"unknown phase mode {phase_mode!r}")
 
 
-def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: float):
-    """Continuous phases of the subset of ``gram`` and their phase factor G.
+def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: float) -> list:
+    """Continuous phases and phase factor G, as [(theta, G)], of each subset of ``gram``.
 
-    Alignment along C's zero-eigenvalue direction u (G the row u^H D) when C
-    has exactly one zero eigenvalue, else the eigenvector heuristic on
-    G = ``gram.factor(p_bar)``; then refinement on ||G theta_bar||^2.
+    ``gram`` is one subset or a stack.  One ``zero_eig_direction`` call picks
+    each subset's branch: alignment along C's zero-eigenvalue direction u
+    (G the row u^H D) when C has exactly one zero eigenvalue, else the
+    eigenvector heuristic on G = ``gram.factor(p_bar)``.  Each branch runs
+    once, on the stack of its subsets; refinement on ||G theta_bar||^2 runs
+    per subset.
     """
     try:
-        direction = phase_opt.zero_eig_direction(gram)
-    except NotApplicableError:
-        g_mat = gram.factor(p_bar)
-        theta = phase_opt.heuristic_phases(g_mat)
-    else:
-        g_mat = (direction.conj() @ gram.d_mat)[None, :]
-        theta = phase_opt.align_phases(gram, direction)
-    return phase_opt.refine_elementwise(g_mat, theta), g_mat
+        directions = phase_opt.zero_eig_direction(gram)
+        aligned = np.ones(np.shape(directions)[:-1], dtype=bool)
+    except NotApplicableError as exc:
+        aligned = exc.applicable
+    n_aligned, solved = np.count_nonzero(aligned), [None] * aligned.size
+
+    def refine(mask, theta: PhaseConfig, g_mat: np.ndarray):
+        if g_mat.ndim == 2:  # one subset
+            thetas, g_rows = [theta], [g_mat]
+        else:  # a stack's rows are its subsets; every row is stored, so no
+            # table entry holds more than itself
+            thetas, g_rows = map(PhaseConfig, theta.theta), g_mat
+        for i, theta_i, g_i in zip(mask.ravel().nonzero()[0], thetas, g_rows):
+            solved[i] = (phase_opt.refine_elementwise(g_i, theta_i), g_i)
+
+    if n_aligned:
+        group = gram
+        if n_aligned < aligned.size:  # the first call raised: one more on these subsets
+            group = gram.take(aligned)
+            directions = phase_opt.zero_eig_direction(group)
+        refine(aligned, phase_opt.align_phases(group, directions),
+               directions.conj()[..., None, :] @ group.d_mat)
+    if n_aligned < aligned.size:
+        group = gram.take(~aligned) if n_aligned else gram
+        g_mat = group.factor(p_bar)
+        refine(~aligned, phase_opt.heuristic_phases(g_mat), g_mat)
+    return solved
+
+
+def _store(solves: dict, keys, solved) -> None:
+    """Store each (theta, G) read-only in the realization's table under its key."""
+    for key, (theta, g_mat) in zip(keys, solved):
+        theta.theta.setflags(write=False)
+        g_mat.setflags(write=False)
+        solves[key] = (theta, g_mat)
+
+
+def _phases(solve, phase_mode: str) -> PhaseConfig:
+    """The phases of ``phase_mode`` from a stored continuous solve (theta, G).
+
+    binary: theta discretized, then element-wise +-1 sweeps on the same G.
+    """
+    theta, g_mat = solve
+    if phase_mode == "binary":
+        theta = phase_opt.refine_elementwise(g_mat, phase_opt.discretize_binary(theta))
+    return theta
 
 
 def optimize_phases(gram: gram_mod.GramDecomposition, p_bar: float,
@@ -79,16 +121,23 @@ def optimize_phases(gram: gram_mod.GramDecomposition, p_bar: float,
     """
     check_optimized_mode(phase_mode)
     key = (gram.users, p_bar)
-    if key in gram.solves:
-        theta, g_mat = gram.solves[key]
-    else:
-        theta, g_mat = _continuous_stage(gram, p_bar)
-        theta.theta.setflags(write=False)
-        g_mat.setflags(write=False)
-        gram.solves[key] = (theta, g_mat)
-    if phase_mode == "binary":
-        theta = phase_opt.refine_elementwise(g_mat, phase_opt.discretize_binary(theta))
-    return theta
+    if key not in gram.solves:
+        _store(gram.solves, [key], _continuous_stage(gram, p_bar))
+    return _phases(gram.solves[key], phase_mode)
+
+
+def _solve_step(real, stack: np.ndarray, p_bar: float) -> list:
+    """The stored continuous solve (theta, G) of each subset (row) of ``stack``.
+
+    The table is read first, under (users, p_bar); the subsets it lacks are
+    decomposed as one stack, solved by ``_continuous_stage`` and stored.
+    """
+    keys = [(tuple(users), p_bar) for users in stack.tolist()]
+    missed = [i for i, key in enumerate(keys) if key not in real.solves]
+    if missed:
+        gram = gram_mod.decompose(real, stack[missed])
+        _store(real.solves, [keys[i] for i in missed], _continuous_stage(gram, p_bar))
+    return [real.solves[key] for key in keys]
 
 
 class Step(list):
@@ -108,13 +157,15 @@ def evaluate_allocation(real, subsets, p_bar: float, phase_mode: str, *,
                         fixed_theta: PhaseConfig | None = None) -> Step:
     """Phase + order optimization and the SE bound for user subsets of one size.
 
-    Each subset gets its own phases (``optimize_phases``, or ``fixed_theta``,
-    used for random phases that are a property of the RIS, not of the
-    allocation).  Their effective channels are stacked, so one call of
-    ``thp.order_users`` runs the rank test, the QR, the inverse and the
-    ordering for all of them, and the bounds come from one vector step.  A
-    subset whose rows are dependent is infeasible; the others are ordered
-    again without it.
+    Each subset gets its own phases, as ``optimize_phases`` gives them, or
+    ``fixed_theta``, used for random phases that are a property of the RIS,
+    not of the allocation.  The realization's table is read before anything
+    is decomposed, and the subsets it lacks are solved as one stack
+    (``_solve_step``).  The effective channels come from one batched product,
+    so one call of ``thp.order_users`` runs the rank test, the QR, the
+    inverse and the ordering for all of them, and the bounds come from one
+    vector step.  A subset whose rows are dependent is infeasible; the others
+    are ordered again without it.
     """
     subsets = [list(users) for users in subsets]
     if not subsets:
@@ -126,11 +177,18 @@ def evaluate_allocation(real, subsets, p_bar: float, phase_mode: str, *,
         raise ValueError("user subset must be nonempty")
     if size > real.n_bs:
         raise ValueError("cannot allocate more users than BS antennas")
+    gram_mod.check_users(real, itertools.chain.from_iterable(subsets))
+    stack = np.array(subsets)
 
-    thetas = [fixed_theta if fixed_theta is not None else optimize_phases(
-        gram_mod.decompose(real, users), p_bar, phase_mode) for users in subsets]
-    h_eff = np.stack([gram_mod.effective_channel(real, users, theta.theta)
-                      for users, theta in zip(subsets, thetas)])
+    if fixed_theta is not None:
+        thetas = [fixed_theta] * len(subsets)
+        theta_rows = fixed_theta.theta
+    else:
+        check_optimized_mode(phase_mode)
+        thetas = [_phases(solve, phase_mode)
+                  for solve in _solve_step(real, stack, p_bar)]
+        theta_rows = np.stack([theta.theta for theta in thetas])
+    h_eff = gram_mod.effective_channel(real, stack, theta_rows)
     feasible = np.ones(len(subsets), dtype=bool)
     try:
         order, diag_l = thp.order_users(h_eff)

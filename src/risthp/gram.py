@@ -8,6 +8,7 @@ C = H_d (I - b b^H) H_d^H and D = [H_c, H_d b].
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from dataclasses import dataclass, field
 
@@ -32,6 +33,13 @@ class DegenerateRankError(RuntimeError):
 
 @dataclass
 class GramDecomposition:
+    """The pair (C, D) of one user subset, or of a stack of subsets of one size.
+
+    A stack holds C as (c, K, K) and D as (c, K, N_R + 1), one subset per
+    leading index, and ``users`` holds one tuple per subset; ``eig`` and
+    ``factor`` broadcast over the stack.
+    """
+
     c_mat: np.ndarray  # (K, K) Hermitian PSD
     d_mat: np.ndarray  # (K, N_R + 1)
     users: tuple  # the rows of the realization, in the order C and D hold them
@@ -55,16 +63,35 @@ class GramDecomposition:
         if not p_bar > 0:
             raise ValueError("p_bar must be positive")
         lam, vecs = self.eig
-        return (vecs.conj().T @ self.d_mat) / np.sqrt(1.0 / p_bar + lam)[:, None]
+        return (conj_t(vecs) @ self.d_mat) / np.sqrt(1.0 / p_bar + lam)[..., None]
+
+    def take(self, mask) -> GramDecomposition:
+        """The subsets of a stack that the bool array ``mask`` selects, as a stack."""
+        return GramDecomposition(self.c_mat[mask], self.d_mat[mask],
+                                 tuple(itertools.compress(self.users, mask)), self.solves)
 
 
-def check_users(real, users) -> list:
+def conj_t(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes: A^H, matrix by matrix over a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def check_users(real, users):
     """The subset as a list of row indices of ``real``.
 
     Raises ValueError naming the first entry that is not an integer in
     [0, K): negative, too large, a bool or not an integer (numpy integers
     are integers).  A repeated user passes; its subset is rank deficient.
+    A stack of subsets is a 2-D integer array (c, K), returned as it is;
+    an array of another dtype (bool included) fails at its first entry.
     """
+    if isinstance(users, np.ndarray) and users.ndim == 2:
+        bad = (users[(users < 0) | (users >= real.n_users)]
+               if users.dtype.kind in "iu" else users.ravel())
+        if bad.size:
+            raise ValueError(f"user index {bad[0]!r} is not an integer in "
+                             f"[0, {real.n_users})")
+        return users
     users = list(users)
     for user in users:
         if (isinstance(user, bool) or not isinstance(user, numbers.Integral)
@@ -75,28 +102,39 @@ def check_users(real, users) -> list:
 
 
 def decompose(real, users) -> GramDecomposition:
-    """Build C and D for the selected user subset."""
+    """Build C and D for the selected user subset, or for a stack of subsets.
+
+    ``users`` is one subset, or a 2-D integer array (c, K) of subsets
+    (``check_users``); a stack gets one set of products for all of them.
+    """
     users = check_users(real, users)
-    if not users:
+    stacked = isinstance(users, np.ndarray)
+    if not (users.size if stacked else users):
         raise ValueError("user subset must be nonempty")
     h_d = real.h_direct[users]
     h_c = real.h_cascaded[users]
     b = real.b_vec
     h_d_b = h_d @ b
-    c_mat = h_d @ h_d.conj().T - np.outer(h_d_b, h_d_b.conj())
-    c_mat = 0.5 * (c_mat + c_mat.conj().T)
-    d_mat = np.concatenate([h_c, h_d_b[:, None]], axis=1)
-    return GramDecomposition(c_mat, d_mat, tuple(users), real.solves)
+    c_mat = h_d @ conj_t(h_d) - h_d_b[..., :, None] * h_d_b[..., None, :].conj()
+    c_mat = 0.5 * (c_mat + conj_t(c_mat))
+    d_mat = np.concatenate([h_c, h_d_b[..., None]], axis=-1)
+    users = tuple(map(tuple, users.tolist())) if stacked else tuple(users)
+    return GramDecomposition(c_mat, d_mat, users, real.solves)
 
 
 def effective_channel(real, users, theta: np.ndarray) -> np.ndarray:
-    """H = H_d + H_c theta b^H for the selected rows."""
+    """H = H_d + H_c theta b^H for the selected rows.
+
+    For a stack of subsets (a 2-D integer array, ``check_users``) ``theta``
+    is one phase vector for every subset or one row per subset (c, N_R), and
+    H is (c, K, N_B), from one product and one unit-modulus check.
+    """
     theta = np.asarray(theta)
     if not np.max(np.abs(np.abs(theta) - 1.0)) <= 1e-9:  # NaN fails
         raise ValueError("theta entries must be unit modulus")
     users = check_users(real, users)
-    return real.h_direct[users] + np.outer(real.h_cascaded[users] @ theta,
-                                           real.b_vec.conj())
+    h_c_theta = (real.h_cascaded[users] @ theta[..., None])[..., 0]
+    return real.h_direct[users] + h_c_theta[..., None] * real.b_vec.conj()
 
 
 def extend_theta(theta: np.ndarray) -> np.ndarray:

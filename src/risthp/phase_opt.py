@@ -5,6 +5,9 @@ principal-eigenvector heuristic otherwise, plus refinement: a
 majorization-minimization fixed point for continuous phases and element-wise
 coordinate ascent for the binary (+-1) alphabet.  Every function reads only
 the pair (C, D) of ``gram.decompose``, through its ``eig`` or its factor G.
+The branch functions (``zero_eig_direction``, ``align_phases``,
+``heuristic_phases``) broadcast over a stack of subsets; refinement runs on
+one subset at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ SWEEP_REL_TOL = 1e-10
 
 
 class NotApplicableError(RuntimeError):
-    """The closed-form zero-eigenvalue solution does not apply."""
+    """The closed-form zero-eigenvalue solution does not apply.
+
+    ``applicable`` marks the subsets of the checked stack it does apply to,
+    as a bool array over its leading axes (0-d, False, for a single subset).
+    """
+
+    def __init__(self, message: str, applicable=False):
+        super().__init__(message)
+        self.applicable = np.asarray(applicable, dtype=bool)
 
 
 @dataclass
@@ -36,7 +47,7 @@ class PhaseConfig:
             if not np.max(np.abs(np.abs(self.theta) - 1.0)) <= 1e-12:  # NaN fails
                 raise ValueError("continuous phases must be unit modulus")
         elif self.alphabet == "binary":
-            if not np.all(np.isin(self.theta, [-1.0 + 0j, 1.0 + 0j])):
+            if not np.all((self.theta == 1.0) | (self.theta == -1.0)):  # NaN fails
                 raise ValueError("binary phases must be exactly +-1")
         else:
             raise ValueError(f"unknown alphabet {self.alphabet!r}")
@@ -52,14 +63,19 @@ def zero_eig_direction(gram: GramDecomposition) -> np.ndarray:
 
     ``gram.eig`` decides: when exactly one eigenvalue counts as zero
     (``gram.count_zero_eigenvalues``), its eigenvector is returned; any
-    other count raises NotApplicableError.
+    other count raises NotApplicableError.  A stack returns one vector per
+    subset (c, K), or raises when any subset has another count, its
+    ``applicable`` marking the subsets with exactly one.
     """
     lam, vecs = gram.eig
     n_zero = gram_mod.count_zero_eigenvalues(lam)
-    if n_zero != 1:
-        raise NotApplicableError(
-            f"{n_zero} eigenvalues of C count as zero; alignment needs exactly one")
-    return vecs[:, 0]
+    applicable = n_zero == 1
+    if not applicable.all():
+        counted = (f"{n_zero} eigenvalues of C count as zero" if n_zero.ndim == 0 else
+                   f"C has another number of zero eigenvalues in "
+                   f"{np.count_nonzero(~applicable)} of {applicable.size} subsets")
+        raise NotApplicableError(f"{counted}; alignment needs exactly one", applicable)
+    return vecs[..., :, 0]
 
 
 def _lift(w_bar: np.ndarray) -> PhaseConfig:
@@ -68,7 +84,7 @@ def _lift(w_bar: np.ndarray) -> PhaseConfig:
     Shared by both branches; a call of ``align_phases`` therefore always
     means the alignment branch ran.
     """
-    return PhaseConfig(np.exp(1j * (np.angle(w_bar[:-1]) - np.angle(w_bar[-1]))))
+    return PhaseConfig(np.exp(1j * (np.angle(w_bar[..., :-1]) - np.angle(w_bar[..., -1:]))))
 
 
 def align_phases(gram: GramDecomposition, u_k: np.ndarray) -> PhaseConfig:
@@ -76,8 +92,9 @@ def align_phases(gram: GramDecomposition, u_k: np.ndarray) -> PhaseConfig:
 
     The phases of D^H u_K relative to its last entry make all terms of
     u_K^H D theta_bar add up in phase (a zero entry counts as angle 0).
+    A stacked ``gram`` takes one u per subset (c, K) and gives theta (c, N_R).
     """
-    return _lift(gram.d_mat.conj().T @ u_k)
+    return _lift((gram_mod.conj_t(gram.d_mat) @ u_k[..., None])[..., 0])
 
 
 def heuristic_phases(g_mat: np.ndarray) -> PhaseConfig:
@@ -87,9 +104,12 @@ def heuristic_phases(g_mat: np.ndarray) -> PhaseConfig:
     with G = ``gram.factor(p_bar)`` that is D^H w', w' the principal
     eigenvector of (I/p_bar + C)^-1 D D^H.  G^H x vanishes only for G = 0,
     where every theta is optimal and the all-ones phases are returned.
+    A stack of factors (c, K, N_R + 1) takes one batched eigh and gives
+    theta (c, N_R).
     """
-    _, vecs = np.linalg.eigh(g_mat @ g_mat.conj().T)
-    return _lift(g_mat.conj().T @ vecs[:, -1])
+    g_h = gram_mod.conj_t(g_mat)
+    _, vecs = np.linalg.eigh(g_mat @ g_h)
+    return _lift((g_h @ vecs[..., :, -1:])[..., 0])
 
 
 def refine_elementwise(g_mat: np.ndarray, theta_init: PhaseConfig,

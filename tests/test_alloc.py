@@ -144,6 +144,111 @@ class TestEvaluateAllocation:
         assert [a.se_bound for a in step] == [-np.inf, -np.inf]
 
 
+def _stored_alone(real, subsets, p_bar):
+    """The (theta, G) that single-subset ``optimize_phases`` calls store."""
+    alone = dataclasses.replace(real)  # an empty table
+    for users in subsets:
+        A.optimize_phases(G.decompose(alone, users), p_bar, "continuous")
+    return alone.solves
+
+
+class TestStackedSolve:
+    """A step's misses are solved as one stack and stored as single calls store them."""
+
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_random_stacks_match_single_calls(self, rng, c, k):
+        real = random_realization(rng, k=8, n_bs=6, n_ris=12)
+        subsets = [list(users) for users in
+                   {tuple(rng.permutation(8)[:k].tolist()) for _ in range(c)}]
+        step = A.evaluate_allocation(real, subsets, 4.0, "continuous")
+        alone = _stored_alone(real, subsets, 4.0)
+        assert real.solves.keys() == alone.keys()
+        for users, out in zip(subsets, step):
+            theta, g_mat = real.solves[(tuple(users), 4.0)]
+            theta_1, g_1 = alone[(tuple(users), 4.0)]
+            np.testing.assert_array_equal(theta.theta, theta_1.theta)
+            np.testing.assert_array_equal(g_mat, g_1)
+            assert out.theta is theta
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("tx_dbm", [0.0, 30.0, 50.0])
+    def test_pinned_greedy_stores_single_call_solves(self, seed, tx_dbm):
+        scenario = ScenarioConfig(seed=seed, n_ris=16, tx_dbm=tx_dbm)
+        real = draw_realization(scenario, np.random.default_rng(seed))
+        p_bar = scenario.tx_power / scenario.n_users
+        A.greedy_allocate(real, p_bar, "continuous")
+        alone = _stored_alone(real, [list(users) for users, _ in real.solves], p_bar)
+        assert real.solves.keys() == alone.keys()
+        for key, (theta, g_mat) in real.solves.items():
+            np.testing.assert_array_equal(theta.theta, alone[key][0].theta)
+            np.testing.assert_array_equal(g_mat, alone[key][1])
+
+    def test_mixed_branches_match_single_calls(self, rng, monkeypatch):
+        # user 3 has no direct channel: C of a subset holding it has exactly
+        # one zero eigenvalue (alignment), the others none (heuristic)
+        real = random_realization(rng, k=4, n_bs=4, n_ris=6)
+        real.h_direct[3] = 0.0
+        branches = []
+        for name in ("align_phases", "heuristic_phases"):
+            def counted(*args, _name=name, _fn=getattr(P, name)):
+                out = _fn(*args)
+                branches.append((_name, out.theta.shape[0]))
+                return out
+            monkeypatch.setattr(P, name, counted)
+        subsets = [[0, 1], [0, 3], [0, 2], [3, 1]]
+        step = A.evaluate_allocation(real, subsets, 2.0, "continuous")
+        assert branches == [("align_phases", 2), ("heuristic_phases", 2)]
+        monkeypatch.undo()
+        alone = _stored_alone(real, subsets, 2.0)
+        for users, out in zip(subsets, step):
+            theta_1, g_1 = alone[(tuple(users), 2.0)]
+            np.testing.assert_array_equal(out.theta.theta, theta_1.theta)
+            np.testing.assert_array_equal(real.solves[(tuple(users), 2.0)][1], g_1)
+            assert g_1.shape[0] == (1 if 3 in users else 2)
+
+    def test_solved_step_decomposes_nothing(self, rng, monkeypatch):
+        # thp_discrete after thp: the table holds every subset, binary needs only G
+        real = random_realization(rng, k=5, n_bs=4)
+        subsets = [[2, 0, u] for u in (1, 3, 4)]
+        calls = []
+        decompose = G.decompose
+
+        def counted(real, users):
+            calls.append(np.shape(users))
+            return decompose(real, users)
+
+        monkeypatch.setattr(G, "decompose", counted)
+        A.evaluate_allocation(real, subsets[:1], 3.0, "continuous")
+        A.evaluate_allocation(real, subsets, 3.0, "continuous")
+        assert calls == [(1, 3), (2, 3)]  # one stack per step, of its misses only
+        calls.clear()
+        step = A.evaluate_allocation(real, subsets, 3.0, "binary")
+        assert calls == []
+        assert all(out.theta.alphabet == "binary" for out in step)
+
+    def test_batched_channel_matches_per_subset(self, rng, monkeypatch):
+        real = random_realization(rng, k=5, n_bs=4)
+        subsets = [[2, 0, u] for u in (1, 3, 4)]
+        fixed = P.random_phases(real.n_ris, rng)
+        for fixed_theta in (None, fixed):
+            channels = []
+            effective = G.effective_channel
+
+            def kept(real, users, theta):
+                channels.append(effective(real, users, theta))
+                return channels[-1]
+
+            monkeypatch.setattr(G, "effective_channel", kept)
+            step = A.evaluate_allocation(real, subsets, 3.0, "continuous",
+                                         fixed_theta=fixed_theta)
+            monkeypatch.undo()
+            assert len(channels) == 1
+            for users, out, h in zip(subsets, step, channels[0]):
+                np.testing.assert_array_equal(
+                    h, G.effective_channel(real, users, out.theta.theta))
+
+
 class TestUserIndices:
     """Bad user indices raise ValueError naming them, in both families."""
 

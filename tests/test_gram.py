@@ -47,6 +47,44 @@ class TestDecompose:
             G.decompose(random_realization(rng), [])
 
 
+class TestStackedDecompose:
+    """A (c, K) index array decomposes every subset of one step at once."""
+
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_rows_match_single_calls(self, rng, c, k):
+        real = random_realization(rng, k=8, n_bs=6, n_ris=9)
+        stack = np.array([rng.permutation(8)[:k] for _ in range(c)])
+        dec = G.decompose(real, stack)
+        assert dec.c_mat.shape == (c, k, k) and dec.d_mat.shape == (c, k, 10)
+        assert dec.users == tuple(tuple(int(u) for u in users) for users in stack)
+        lam, vecs = dec.eig
+        for i, users in enumerate(stack):
+            alone = G.decompose(real, list(users))
+            np.testing.assert_array_equal(dec.c_mat[i], alone.c_mat)
+            np.testing.assert_array_equal(dec.d_mat[i], alone.d_mat)
+            np.testing.assert_array_equal(lam[i], alone.eig[0])
+            np.testing.assert_array_equal(vecs[i], alone.eig[1])
+            np.testing.assert_array_equal(dec.factor(2.5)[i], alone.factor(2.5))
+
+    def test_take_selects_subsets(self, rng):
+        real = random_realization(rng, k=4)
+        dec = G.decompose(real, np.array([[0, 1], [2, 3], [1, 2]]))
+        sub = dec.take(np.array([True, False, True]))
+        assert sub.users == ((0, 1), (1, 2)) and sub.solves is real.solves
+        np.testing.assert_array_equal(sub.d_mat, dec.d_mat[[0, 2]])
+        np.testing.assert_array_equal(sub.eig[1], dec.eig[1][[0, 2]])
+
+    @pytest.mark.parametrize("bad", [np.array([[0, -1]]), np.array([[0, 4]]),
+                                     np.array([[0.0, 1.0]]), np.array([[False, True]]),
+                                     np.zeros((1, 0), dtype=int)],
+                             ids=["negative", "K", "float", "bool", "empty"])
+    def test_bad_index_arrays_rejected(self, rng, bad):
+        real = random_realization(rng, k=4)
+        with pytest.raises(ValueError, match="user index|nonempty"):
+            G.decompose(real, bad)
+
+
 class TestEig:
     def test_cached_and_nonnegative(self, rng):
         dec = G.decompose(random_realization(rng, k=4, n_bs=4), range(4))
@@ -131,6 +169,34 @@ class TestEffectiveChannel:
         theta[0] = np.nan
         with pytest.raises(ValueError, match="unit modulus"):
             G.effective_channel(real, range(3), theta)
+
+
+class TestStackedEffectiveChannel:
+    """The batched effective channel equals the per-subset one, bit for bit."""
+
+    @pytest.mark.parametrize("n_ris", [8, 32, 512])
+    @pytest.mark.parametrize("per_subset", [False, True], ids=["one_theta", "theta_per_row"])
+    def test_matches_per_subset(self, rng, n_ris, per_subset):
+        real = random_realization(rng, k=6, n_bs=6, n_ris=n_ris)
+        for k in range(1, 7):
+            c = int(rng.integers(1, 6))
+            stack = np.array([rng.permutation(6)[:k] for _ in range(c)])
+            theta = random_unit_theta(rng, n_ris)
+            thetas = (np.stack([random_unit_theta(rng, n_ris) for _ in range(c)])
+                      if per_subset else theta)
+            h = G.effective_channel(real, stack, thetas)
+            assert h.shape == (c, k, 6)
+            for i, users in enumerate(stack):
+                alone = G.effective_channel(real, list(users),
+                                            thetas[i] if per_subset else theta)
+                np.testing.assert_array_equal(h[i], alone)
+
+    def test_one_bad_row_rejects_the_stack(self, rng):
+        real = random_realization(rng, k=4)
+        thetas = np.stack([random_unit_theta(rng, real.n_ris) for _ in range(2)])
+        thetas[1, 3] = np.nan
+        with pytest.raises(ValueError, match="unit modulus"):
+            G.effective_channel(real, np.array([[0, 1], [2, 3]]), thetas)
 
 
 class TestDpcSumSe:

@@ -84,6 +84,56 @@ class TestZeroEigDirection:
             alloc.optimize_phases(dec, p_bar, "continuous").theta, heuristic.theta)
 
 
+class TestStackedBranches:
+    """The branch functions on a stack equal their single-subset calls, bit for bit."""
+
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_stack_matches_single_calls(self, rng, c, k):
+        real = random_realization(rng, k=8, n_bs=6, n_ris=12)
+        stack = np.array([rng.permutation(8)[:k] for _ in range(c)])
+        dec = G.decompose(real, stack)
+        g_mat = dec.factor(3.0)
+        heur = P.heuristic_phases(g_mat).theta
+        assert heur.shape == (c, 12)
+        for i, users in enumerate(stack):
+            alone = G.decompose(real, list(users))
+            g_alone = alone.factor(3.0)
+            np.testing.assert_array_equal(g_mat[i], g_alone)
+            np.testing.assert_array_equal(heur[i], P.heuristic_phases(g_alone).theta)
+
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    def test_aligned_stack_matches_single_calls(self, rng, c):
+        # K = N_B: every C has one zero eigenvalue
+        real = zero_eig_fixture(rng, k=4, n_ris=5)
+        stack = np.array([rng.permutation(4) for _ in range(c)])
+        dec = G.decompose(real, stack)
+        u = P.zero_eig_direction(dec)
+        aligned = P.align_phases(dec, u).theta
+        assert u.shape == (c, 4) and aligned.shape == (c, 5)
+        for i, users in enumerate(stack):
+            alone = G.decompose(real, list(users))
+            u_alone = P.zero_eig_direction(alone)
+            np.testing.assert_array_equal(u[i], u_alone)
+            np.testing.assert_array_equal(aligned[i], P.align_phases(alone, u_alone).theta)
+
+    def test_mixed_stack_marks_applicable(self, rng):
+        real = random_realization(rng, k=4, n_bs=4, n_ris=5)
+        real.h_direct[3] = 0.0  # C of a subset holding user 3 has one zero eigenvalue
+        dec = G.decompose(real, np.array([[0, 1], [0, 3], [3, 2]]))
+        with pytest.raises(NotApplicableError, match="in 1 of 3 subsets") as info:
+            P.zero_eig_direction(dec)
+        np.testing.assert_array_equal(info.value.applicable, [False, True, True])
+        u = P.zero_eig_direction(dec.take(info.value.applicable))
+        np.testing.assert_array_equal(u[1], P.zero_eig_direction(G.decompose(real, [3, 2])))
+
+    def test_single_not_applicable_marks_nothing(self, rng):
+        real = random_realization(rng, k=2, n_bs=5)
+        with pytest.raises(NotApplicableError) as info:
+            P.zero_eig_direction(G.decompose(real, range(2)))
+        assert info.value.applicable.shape == () and not info.value.applicable
+
+
 class TestAlignPhases:
     def test_blocked_user_gain_maximization(self, rng):
         real = random_realization(rng, k=3, n_bs=3, blocked=(1,))
@@ -497,6 +547,16 @@ class TestPhaseConfig:
     def test_binary_exact_signs_enforced(self):
         with pytest.raises(ValueError):
             PhaseConfig(np.array([1j]), alphabet="binary")
+
+    @pytest.mark.parametrize("bad", [1 + 1e-300j, np.nan, -1 + 5e-324j, 1 - 1e-16])
+    def test_binary_rejects_near_signs_and_nan(self, bad):
+        with pytest.raises(ValueError, match="exactly"):
+            PhaseConfig(np.array([1.0, bad]), alphabet="binary")
+
+    def test_binary_accepts_negative_zero_imaginary(self):
+        theta = PhaseConfig(np.array([-1 - 0j, complex(1.0, -0.0), -1.0]),
+                            alphabet="binary")
+        np.testing.assert_array_equal(theta.theta, [-1, 1, -1])
 
     def test_random_phases_unit_modulus(self, rng):
         pc = P.random_phases(32, rng)
