@@ -50,30 +50,24 @@ def check_optimized_mode(phase_mode: str) -> None:
 
 
 def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: float) -> list:
-    """Continuous phases and phase factor G, as [(theta, G)], of each subset of ``gram``.
+    """Continuous phases and phase factor G, as [(theta, G)], of each subset of a stack.
 
-    ``gram`` is one subset or a stack.  One ``zero_eig_direction`` call picks
-    each subset's branch: alignment along C's zero-eigenvalue direction u
-    (G the row u^H D) when C has exactly one zero eigenvalue, else the
-    eigenvector heuristic on G = ``gram.factor(p_bar)``.  Each branch runs
-    once, on the stack of its subsets; refinement on ||G theta_bar||^2 runs
-    per subset.
+    One ``zero_eig_direction`` call picks each subset's branch: alignment
+    along C's zero-eigenvalue direction u (G the row u^H D) when C has
+    exactly one zero eigenvalue, else the eigenvector heuristic on
+    G = ``gram.factor(p_bar)``.  Each branch runs once, on the stack of its
+    subsets; refinement on ||G theta_bar||^2 runs per subset.
     """
     try:
         directions = phase_opt.zero_eig_direction(gram)
-        aligned = np.ones(np.shape(directions)[:-1], dtype=bool)
+        aligned = np.ones(len(directions), dtype=bool)
     except NotApplicableError as exc:
         aligned = exc.applicable
     n_aligned, solved = np.count_nonzero(aligned), [None] * aligned.size
 
     def refine(mask, theta: PhaseConfig, g_mat: np.ndarray):
-        if g_mat.ndim == 2:  # one subset
-            thetas, g_rows = [theta], [g_mat]
-        else:  # a stack's rows are its subsets; every row is stored, so no
-            # table entry holds more than itself
-            thetas, g_rows = map(PhaseConfig, theta.theta), g_mat
-        for i, theta_i, g_i in zip(mask.ravel().nonzero()[0], thetas, g_rows):
-            solved[i] = (phase_opt.refine_elementwise(g_i, theta_i), g_i)
+        for i, theta_i, g_i in zip(np.flatnonzero(mask), theta.theta, g_mat):
+            solved[i] = (phase_opt.refine_elementwise(g_i, PhaseConfig(theta_i)), g_i)
 
     if n_aligned:
         group = gram
@@ -89,55 +83,54 @@ def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: float) -> list:
     return solved
 
 
-def _store(solves: dict, keys, solved) -> None:
-    """Store each (theta, G) read-only in the realization's table under its key."""
-    for key, (theta, g_mat) in zip(keys, solved):
-        theta.theta.setflags(write=False)
-        g_mat.setflags(write=False)
-        solves[key] = (theta, g_mat)
+def optimize_phases(real, stack: np.ndarray, p_bar: float, phase_mode: str) -> list:
+    """Phase configuration of each user subset (row) of ``stack`` under the requested mode.
 
+    ``stack`` is a 2-D integer array (c, K) of subsets (``gram.check_users``).
+    This is the only route into the realization's table ``real.solves``,
+    which holds each continuous solve (theta, G) read-only under
+    (users, p_bar), so methods that share the realization solve each subset
+    once.  The table is read first; the subsets it lacks are decomposed as
+    one stack, solved by ``_continuous_stage`` and stored.
 
-def _phases(solve, phase_mode: str) -> PhaseConfig:
-    """The phases of ``phase_mode`` from a stored continuous solve (theta, G).
-
-    binary: theta discretized, then element-wise +-1 sweeps on the same G.
-    """
-    theta, g_mat = solve
-    if phase_mode == "binary":
-        theta = phase_opt.refine_elementwise(g_mat, phase_opt.discretize_binary(theta))
-    return theta
-
-
-def optimize_phases(gram: gram_mod.GramDecomposition, p_bar: float,
-                    phase_mode: str) -> PhaseConfig:
-    """Phase configuration for the user subset of ``gram`` under the requested mode.
-
-    continuous: the continuous stage (``_continuous_stage``).  binary: its
-    result discretized, then element-wise +-1 sweeps on the same factor G.
-
-    The continuous stage is read from, or stored read-only in, the
-    realization's table ``gram.solves`` as (theta, G) under (``gram.users``,
-    p_bar), so methods that share the realization solve each subset once.
+    continuous: the stored theta.  binary: it discretized, then element-wise
+    +-1 sweeps on the stored G.
     """
     check_optimized_mode(phase_mode)
-    key = (gram.users, p_bar)
-    if key not in gram.solves:
-        _store(gram.solves, [key], _continuous_stage(gram, p_bar))
-    return _phases(gram.solves[key], phase_mode)
-
-
-def _solve_step(real, stack: np.ndarray, p_bar: float) -> list:
-    """The stored continuous solve (theta, G) of each subset (row) of ``stack``.
-
-    The table is read first, under (users, p_bar); the subsets it lacks are
-    decomposed as one stack, solved by ``_continuous_stage`` and stored.
-    """
-    keys = [(tuple(users), p_bar) for users in stack.tolist()]
+    keys = [(tuple(users), p_bar) for users in gram_mod.check_users(real, stack).tolist()]
     missed = [i for i, key in enumerate(keys) if key not in real.solves]
     if missed:
-        gram = gram_mod.decompose(real, stack[missed])
-        _store(real.solves, [keys[i] for i in missed], _continuous_stage(gram, p_bar))
-    return [real.solves[key] for key in keys]
+        solved = _continuous_stage(gram_mod.decompose(real, stack[missed]), p_bar)
+        for i, (theta, g_mat) in zip(missed, solved):
+            theta.theta.setflags(write=False)
+            g_mat.setflags(write=False)
+            real.solves[keys[i]] = (theta, g_mat)
+    thetas = []
+    for key in keys:
+        theta, g_mat = real.solves[key]
+        if phase_mode == "binary":
+            theta = phase_opt.refine_elementwise(g_mat, phase_opt.discretize_binary(theta))
+        thetas.append(theta)
+    return thetas
+
+
+def check_step(real, subsets) -> tuple:
+    """The user subsets of one greedy step, as lists and as one (c, K) integer array.
+
+    Raises ValueError for a step without subsets, subsets of different
+    sizes, an empty subset, or a bad user index (``gram.check_users``, run
+    on every entry before the array is built, so none is converted).
+    """
+    subsets = [list(users) for users in subsets]
+    if not subsets:
+        raise ValueError("no user subsets to evaluate")
+    size = len(subsets[0])
+    if any(len(users) != size for users in subsets):
+        raise ValueError("user subsets of one step must have the same size")
+    if not size:
+        raise ValueError("user subset must be nonempty")
+    gram_mod.check_users(real, itertools.chain.from_iterable(subsets))
+    return subsets, np.array(subsets)
 
 
 class Step(list):
@@ -159,34 +152,21 @@ def evaluate_allocation(real, subsets, p_bar: float, phase_mode: str, *,
 
     Each subset gets its own phases, as ``optimize_phases`` gives them, or
     ``fixed_theta``, used for random phases that are a property of the RIS,
-    not of the allocation.  The realization's table is read before anything
-    is decomposed, and the subsets it lacks are solved as one stack
-    (``_solve_step``).  The effective channels come from one batched product,
+    not of the allocation.  The effective channels come from one batched product,
     so one call of ``thp.order_users`` runs the rank test, the QR, the
     inverse and the ordering for all of them, and the bounds come from one
     vector step.  A subset whose rows are dependent is infeasible; the others
     are ordered again without it.
     """
-    subsets = [list(users) for users in subsets]
-    if not subsets:
-        raise ValueError("no user subsets to evaluate")
-    size = len(subsets[0])
-    if any(len(users) != size for users in subsets):
-        raise ValueError("user subsets of one step must have the same size")
-    if not size:
-        raise ValueError("user subset must be nonempty")
-    if size > real.n_bs:
+    subsets, stack = check_step(real, subsets)
+    if stack.shape[1] > real.n_bs:
         raise ValueError("cannot allocate more users than BS antennas")
-    gram_mod.check_users(real, itertools.chain.from_iterable(subsets))
-    stack = np.array(subsets)
 
     if fixed_theta is not None:
         thetas = [fixed_theta] * len(subsets)
         theta_rows = fixed_theta.theta
     else:
-        check_optimized_mode(phase_mode)
-        thetas = [_phases(solve, phase_mode)
-                  for solve in _solve_step(real, stack, p_bar)]
+        thetas = optimize_phases(real, stack, p_bar, phase_mode)
         theta_rows = np.stack([theta.theta for theta in thetas])
     h_eff = gram_mod.effective_channel(real, stack, theta_rows)
     feasible = np.ones(len(subsets), dtype=bool)

@@ -169,25 +169,36 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
     return PhaseConfig(theta_vec, alphabet=theta.alphabet)
 
 
-def evaluate_allocation_linear(real, users, p_bar: float, phase_mode: str, *,
-                               fixed_theta: PhaseConfig | None = None) -> LinearSolution:
-    """ZF solution for a subset at P = p_bar * K, with phase optimization per mode."""
-    dec = gram_mod.decompose(real, users)
+def evaluate_allocation_linear(real, subsets, p_bar: float, phase_mode: str, *,
+                               fixed_theta: PhaseConfig | None = None) -> list:
+    """ZF solutions for the user subsets of one step, at P = p_bar * K.
+
+    Each subset's sweep starts from its continuous phases (discretized for
+    binary), which one ``alloc.optimize_phases`` call gives for the whole
+    step; ``fixed_theta`` skips the sweep.  Each subset is then decomposed,
+    swept and scored on its own.  A subset with more users than BS antennas
+    is infeasible, not an error.
+    """
+    subsets, stack = alloc.check_step(real, subsets)
     tx_power = p_bar * real.n_users
     if fixed_theta is None:
         alloc.check_optimized_mode(phase_mode)
-        # seed the sweep from the nonlinear continuous heuristic
-        theta = alloc.optimize_phases(dec, p_bar, "continuous")
-        if phase_mode == "binary":
-            theta = phase_opt.discretize_binary(theta)
-        fixed_theta = _sweep_phases_linear(dec, theta, tx_power)
-    return zf_linear(dec, fixed_theta, tx_power)
+        seeds = alloc.optimize_phases(real, stack, p_bar, "continuous")
+    else:
+        seeds = [fixed_theta] * len(subsets)
+    solutions = []
+    for users, theta in zip(subsets, seeds):
+        dec = gram_mod.decompose(real, users)
+        if fixed_theta is None:
+            if phase_mode == "binary":
+                theta = phase_opt.discretize_binary(theta)
+            theta = _sweep_phases_linear(dec, theta, tx_power)
+        solutions.append(zf_linear(dec, theta, tx_power))
+    return solutions
 
 
 def greedy_allocate_linear(real, p_bar: float, phase_mode: str,
                            rng=None) -> LinearSolution:
     """Greedy user allocation with the ZF sum SE as the metric."""
-    def evaluate(real, subsets, *args, **kwargs):
-        return [evaluate_allocation_linear(real, users, *args, **kwargs) for users in subsets]
-
-    return alloc._greedy(real, p_bar, phase_mode, rng, evaluate, lambda s: s.sum_se)
+    return alloc._greedy(real, p_bar, phase_mode, rng, evaluate_allocation_linear,
+                         lambda s: s.sum_se)

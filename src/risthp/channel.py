@@ -126,9 +126,10 @@ class ChannelRealization:
     ``b_vec`` has unit Euclidean norm, so the full channel for phase vector
     theta is ``h_direct + h_cascaded @ theta * b_vec^H``.
 
-    ``solves`` holds the continuous phase solves of every method run on it
-    (``alloc.optimize_phases``); ``dataclasses.replace`` starts an empty one.
-    A realization is not changed after its first phase solve.
+    ``solves`` holds the continuous phase solves of every method run on it,
+    read and written only by ``alloc.optimize_phases`` under (users, p_bar);
+    ``dataclasses.replace`` starts an empty one.  A realization is not
+    changed after its first phase solve.
     """
 
     h_direct: np.ndarray  # (K, N_B)

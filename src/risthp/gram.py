@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class GramDecomposition:
     c_mat: np.ndarray  # (K, K) Hermitian PSD
     d_mat: np.ndarray  # (K, N_R + 1)
     users: tuple  # the rows of the realization, in the order C and D hold them
-    solves: dict = field(repr=False)  # the realization's table (alloc.optimize_phases)
 
     @functools.cached_property
     def eig(self) -> tuple:
@@ -68,7 +67,7 @@ class GramDecomposition:
     def take(self, mask) -> GramDecomposition:
         """The subsets of a stack that the bool array ``mask`` selects, as a stack."""
         return GramDecomposition(self.c_mat[mask], self.d_mat[mask],
-                                 tuple(itertools.compress(self.users, mask)), self.solves)
+                                 tuple(itertools.compress(self.users, mask)))
 
 
 def conj_t(a: np.ndarray) -> np.ndarray:
@@ -119,7 +118,7 @@ def decompose(real, users) -> GramDecomposition:
     c_mat = 0.5 * (c_mat + conj_t(c_mat))
     d_mat = np.concatenate([h_c, h_d_b[..., None]], axis=-1)
     users = tuple(map(tuple, users.tolist())) if stacked else tuple(users)
-    return GramDecomposition(c_mat, d_mat, users, real.solves)
+    return GramDecomposition(c_mat, d_mat, users)
 
 
 def effective_channel(real, users, theta: np.ndarray) -> np.ndarray:

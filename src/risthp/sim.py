@@ -181,8 +181,8 @@ def _thp_no_ris(real, p_bar, phase_mode, rng):
 
 def _dpc(real, p_bar, phase_mode, rng):
     users = list(range(real.n_users))
+    theta, = alloc.optimize_phases(real, np.array([users]), p_bar, phase_mode)
     dec = gram_mod.decompose(real, users)
-    theta = alloc.optimize_phases(dec, p_bar, phase_mode)
     return len(users), gram_mod.dpc_sum_se(dec, gram_mod.extend_theta(theta.theta), p_bar)
 
 
@@ -351,8 +351,7 @@ def _validate_checks():
         b_vec=(lambda v: v / np.linalg.norm(v))(
             rng.standard_normal(4) + 1j * rng.standard_normal(4)),
         a_vec=np.ones(8, dtype=complex))
-    theta = alloc.optimize_phases(gram_mod.decompose(real, range(4)), 10.0,
-                                  "continuous")
+    theta, = alloc.optimize_phases(real, np.arange(4)[None], 10.0, "continuous")
     checks.append(("continuous phases unit modulus",
                    bool(np.max(np.abs(np.abs(theta.theta) - 1.0)) < 1e-12)))
     return checks

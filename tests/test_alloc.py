@@ -38,7 +38,7 @@ class TestEvaluateAllocation:
             A.evaluate_allocation(real, [[0, 2]], 3.0, "random",
                                   np.random.default_rng(9))
         with pytest.raises(ValueError, match="greedy_allocate"):
-            A.optimize_phases(G.decompose(real, [0, 2]), 3.0, "random")
+            A.optimize_phases(real, np.array([[0, 2]]), 3.0, "random")
 
     def test_zero_eig_matches_alignment(self, rng):
         real = random_realization(rng, k=2, n_bs=2, n_ris=6)
@@ -145,10 +145,10 @@ class TestEvaluateAllocation:
 
 
 def _stored_alone(real, subsets, p_bar):
-    """The (theta, G) that single-subset ``optimize_phases`` calls store."""
+    """The (theta, G) that one-subset ``optimize_phases`` calls store."""
     alone = dataclasses.replace(real)  # an empty table
     for users in subsets:
-        A.optimize_phases(G.decompose(alone, users), p_bar, "continuous")
+        A.optimize_phases(alone, np.array([users]), p_bar, "continuous")
     return alone.solves
 
 
@@ -262,8 +262,25 @@ class TestUserIndices:
         with pytest.raises(ValueError, match=f"user index {bad!r} "):
             A.evaluate_allocation(real, [[0, bad]], 2.0, phase_mode, fixed_theta=fixed)
         with pytest.raises(ValueError, match=f"user index {bad!r} "):
-            B.evaluate_allocation_linear(real, [0, bad], 2.0, phase_mode,
+            B.evaluate_allocation_linear(real, [[0, bad]], 2.0, phase_mode,
                                          fixed_theta=fixed)
+        assert real.solves == {}
+
+    @pytest.mark.parametrize("bad", [-1, 6, 1.0, True, np.bool_(True), "1"],
+                             ids=["negative", "K", "float", "bool", "numpy_bool", "str"])
+    def test_checked_before_any_solve(self, rng, bad):
+        # the valid first subset is neither solved nor stored
+        real = random_realization(rng, k=6, n_bs=6)
+        with pytest.raises(ValueError, match=f"user index {bad!r} "):
+            B.evaluate_allocation_linear(real, [[0, 1], [0, bad]], 2.0, "continuous")
+        assert real.solves == {}
+
+    @pytest.mark.parametrize("evaluate", [A.evaluate_allocation, B.evaluate_allocation_linear],
+                             ids=["thp", "linear"])
+    def test_step_of_one_size(self, rng, evaluate):
+        real = random_realization(rng, k=6, n_bs=6)
+        with pytest.raises(ValueError, match="same size"):
+            evaluate(real, [[0, 1], [0, 1, 2]], 2.0, "continuous")
         assert real.solves == {}
 
     def test_numpy_integers_accepted(self, rng):
@@ -272,13 +289,13 @@ class TestUserIndices:
         numpy = A.evaluate_allocation(real, [np.array([0, 2])], 2.0, "continuous")[0]
         assert numpy.se_bound == plain.se_bound
         assert len(real.solves) == 1
-        linear = B.evaluate_allocation_linear(real, np.array([0, 2]), 2.0, "continuous")
+        linear, = B.evaluate_allocation_linear(real, [np.array([0, 2])], 2.0, "continuous")
         assert linear.feasible
 
     def test_duplicate_user_infeasible(self, rng):
         real = random_realization(rng, k=3, n_bs=4)
         assert not A.evaluate_allocation(real, [[1, 1]], 2.0, "continuous")[0].feasible
-        assert not B.evaluate_allocation_linear(real, [1, 1], 2.0, "continuous").feasible
+        assert not B.evaluate_allocation_linear(real, [[1, 1]], 2.0, "continuous")[0].feasible
 
 
 class TestGreedyAllocate:
@@ -399,7 +416,7 @@ def _reference_greedy(real, p_bar, phase_mode, rng):
 
     def solve(users):
         theta = fixed if fixed is not None else A.optimize_phases(
-            G.decompose(real, users), p_bar, phase_mode)
+            real, np.array([users]), p_bar, phase_mode)[0]
         try:
             order, diag_l = _reference_order_users(
                 G.effective_channel(real, users, theta.theta))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,25 +125,25 @@ class TestEvaluateAllocationLinear:
         # random phases are drawn once, by greedy_allocate_linear
         real = random_realization(rng)
         with pytest.raises(ValueError, match="greedy_allocate_linear"):
-            B.evaluate_allocation_linear(real, [0, 1], 2.0, "random")
+            B.evaluate_allocation_linear(real, [[0, 1]], 2.0, "random")
         with pytest.raises(TypeError):
-            B.evaluate_allocation_linear(real, [0, 1], 2.0, "random",
+            B.evaluate_allocation_linear(real, [[0, 1]], 2.0, "random",
                                          np.random.default_rng(7))
 
     def test_continuous_beats_mean_random(self, rng):
         real = random_realization(rng, k=2, n_bs=4, n_ris=8)
-        opt = B.evaluate_allocation_linear(real, [0, 1], 2.0, "continuous")
+        opt, = B.evaluate_allocation_linear(real, [[0, 1]], 2.0, "continuous")
         rnd = np.mean([
             B.evaluate_allocation_linear(
-                real, [0, 1], 2.0, "random",
+                real, [[0, 1]], 2.0, "random",
                 fixed_theta=phase_opt.random_phases(real.n_ris,
-                                                    np.random.default_rng(i))).sum_se
+                                                    np.random.default_rng(i)))[0].sum_se
             for i in range(20)])
         assert opt.sum_se >= rnd
 
     def test_binary_alphabet(self, rng):
         real = random_realization(rng)
-        sol = B.evaluate_allocation_linear(real, [0, 1], 2.0, "binary")
+        sol, = B.evaluate_allocation_linear(real, [[0, 1]], 2.0, "binary")
         assert sol.theta.alphabet == "binary"
         assert np.all(np.isin(sol.theta.theta, [-1.0 + 0j, 1.0 + 0j]))
 
@@ -149,34 +151,58 @@ class TestEvaluateAllocationLinear:
         real = random_realization(rng)
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
         with pytest.raises(ValueError, match="nonempty"):
-            B.evaluate_allocation_linear(real, [], 2.0, "random", fixed_theta=theta)
+            B.evaluate_allocation_linear(real, [[]], 2.0, "random", fixed_theta=theta)
+
+    @pytest.mark.parametrize("phase_mode", ["continuous", "binary"])
+    def test_step_matches_single_subsets(self, rng, phase_mode):
+        real = random_realization(rng, k=5, n_bs=4)
+        subsets = [[2, 0, u] for u in (1, 3, 4)]
+        step = B.evaluate_allocation_linear(real, subsets, 3.0, phase_mode)
+        for users, sol in zip(subsets, step):
+            alone, = B.evaluate_allocation_linear(dataclasses.replace(real), [users], 3.0,
+                                                  phase_mode)
+            assert sol.users == alone.users == users
+            np.testing.assert_array_equal(sol.theta.theta, alone.theta.theta)
+            np.testing.assert_array_equal(sol.per_user_se, alone.per_user_se)
+
+    def test_more_users_than_antennas_infeasible(self, rng):
+        # linear ZF scores |S| > N_B as infeasible, where THP raises
+        real = random_realization(rng, k=5, n_bs=3)
+        step = B.evaluate_allocation_linear(real, [[0, 1, 2, 3]], 2.0, "continuous")
+        assert not step[0].feasible and step[0].sum_se == 0.0
+        with pytest.raises(ValueError, match="BS antennas"):
+            alloc.evaluate_allocation(real, [[0, 1, 2, 3]], 2.0, "continuous")
 
     def test_fixed_theta_bypasses_optimization(self, rng):
         real = random_realization(rng)
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
-        sol = B.evaluate_allocation_linear(real, [0, 2], 2.0, "continuous",
-                                           fixed_theta=theta)
+        sol, = B.evaluate_allocation_linear(real, [[0, 2]], 2.0, "continuous",
+                                            fixed_theta=theta)
         np.testing.assert_array_equal(sol.theta.theta, theta.theta)
 
 
     @pytest.mark.parametrize("phase_mode", ["continuous", "binary", "random"])
     def test_one_decomposition(self, rng, monkeypatch, phase_mode):
+        # the sweep and the score share one decomposition of the subset; the
+        # seed's solve decomposes it, as a stack, only when the table lacks it
         real = random_realization(rng)
         fixed = (PhaseConfig(random_unit_theta(rng, real.n_ris))
                  if phase_mode == "random" else None)
         calls = []
         decompose = G.decompose
 
-        def counted(*args):
-            calls.append(args)
-            return decompose(*args)
+        def counted(real, users):
+            calls.append(np.shape(users))
+            return decompose(real, users)
 
         monkeypatch.setattr(G, "decompose", counted)
-        sol = B.evaluate_allocation_linear(real, [0, 2], 2.0, phase_mode,
-                                           fixed_theta=fixed)
-        assert len(calls) == 1
-        want, _ = _oracle_se(real, [0, 2], sol.theta.theta, 2.0 * real.n_users)
-        np.testing.assert_allclose(sol.per_user_se, want, rtol=1e-10)
+        for solved in (False, True):
+            calls.clear()
+            sol, = B.evaluate_allocation_linear(real, [[0, 2]], 2.0, phase_mode,
+                                                fixed_theta=fixed)
+            assert calls == ([(2,)] if fixed or solved else [(1, 2), (2,)])
+            want, _ = _oracle_se(real, [0, 2], sol.theta.theta, 2.0 * real.n_users)
+            np.testing.assert_allclose(sol.per_user_se, want, rtol=1e-10)
 
 
 class TestGreedyAllocateLinear:
@@ -215,6 +241,22 @@ class TestGreedyAllocateLinear:
                                       np.random.default_rng(11))
         assert s1.users == s2.users
         assert s1.sum_se == s2.sum_se
+
+    def test_one_phase_solve_per_step(self, rng, monkeypatch):
+        real = random_realization(rng, k=4, n_bs=4)
+        steps = []
+        optimize = alloc.optimize_phases
+
+        def counted(real, stack, *args):
+            steps.append(stack.shape)
+            return optimize(real, stack, *args)
+
+        monkeypatch.setattr(alloc, "optimize_phases", counted)
+        sol = B.greedy_allocate_linear(real, 10.0, "continuous")
+        # the first step holds every single user, each later one the rest
+        assert steps[0] == (4, 1)
+        assert steps[1:] == [(4 - k, k + 1) for k in range(1, len(steps))]
+        assert len(sol.users) in (len(steps), len(steps) - 1)
 
     def test_nonnegative_sum_se(self, rng):
         real = random_realization(rng)
@@ -474,7 +516,7 @@ class TestZfSumSeRankOne:
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v *= 20.0 / np.linalg.norm(v)
         d_mat[:, 3], d_mat[:, 8] = v, -v
-        dec = G.GramDecomposition(np.diag([1.0, 1e-6]).astype(complex), d_mat, (0, 1), {})
+        dec = G.GramDecomposition(np.diag([1.0, 1e-6]).astype(complex), d_mat, (0, 1))
         lam = dec.eig[0]
         assert G.count_zero_eigenvalues(lam) == 0
         theta = PhaseConfig(np.ones(12, dtype=complex))
@@ -536,8 +578,8 @@ class TestSweepEquivalence:
         moved = False
         for users in ([0, 1, 2, 3, 4, 5], [1, 3, 4]):
             dec = G.decompose(real, users)
-            theta = alloc.optimize_phases(dec, scenario.tx_power / len(users),
-                                          "continuous")
+            theta, = alloc.optimize_phases(real, np.array([users]),
+                                           scenario.tx_power / len(users), "continuous")
             for start in (theta, phase_opt.discretize_binary(theta)):
                 got = B._sweep_phases_linear(dec, start, scenario.tx_power)
                 want = _reference_sweep(real, users, start, scenario.tx_power)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from risthp import alloc as A
-from risthp import gram as G
+from risthp import baseline as B
 from risthp import phase_opt as P
 from risthp import sim as S
 from risthp.channel import ScenarioConfig, draw_realization
@@ -64,6 +64,22 @@ def test_shared_cell_solves_fewer_subsets(monkeypatch):
     assert count(("thp", "thp_discrete")) < separate
 
 
+@pytest.mark.parametrize("phase_mode", ["continuous", "binary"])
+def test_linear_step_reads_thp_solves(rng, monkeypatch, phase_mode):
+    # linear ZF seeds its sweep from the table thp filled: no key is added
+    # and no continuous or +-1 refinement runs again
+    real = random_realization(rng, k=5, n_bs=4)
+    subsets = [[2, 0, u] for u in (1, 3, 4)]
+    A.evaluate_allocation(real, subsets, 3.0, "continuous")
+    keys = list(real.solves)
+    calls = []
+    monkeypatch.setattr(P, "refine_elementwise", lambda *args: calls.append(args))
+    step = B.evaluate_allocation_linear(real, subsets, 3.0, phase_mode)
+    assert list(real.solves) == keys
+    assert calls == []
+    assert [sol.users for sol in step] == subsets
+
+
 def test_stored_phases_are_read_only():
     scenario = ScenarioConfig(seed=0, n_ris=16)
     real = draw_realization(scenario, np.random.default_rng(0))
@@ -108,9 +124,7 @@ def test_solves_of_one_realization_do_not_reach_another():
 
 def test_continuous_solve_stored_under_users_and_power(rng):
     real = random_realization(rng, k=3, n_ris=8)
-    dec = G.decompose(real, [2, 0])
-    theta = A.optimize_phases(dec, 10.0, "continuous")
-    assert dec.solves is real.solves
+    theta, = A.optimize_phases(real, np.array([[2, 0]]), 10.0, "continuous")
     assert list(real.solves) == [((2, 0), 10.0)]
     stored, _ = real.solves[((2, 0), 10.0)]
     assert stored is theta

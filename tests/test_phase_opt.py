@@ -81,7 +81,8 @@ class TestZeroEigDirection:
         g_mat = dec.factor(p_bar)
         heuristic = P.refine_elementwise(g_mat, P.heuristic_phases(g_mat))
         np.testing.assert_array_equal(
-            alloc.optimize_phases(dec, p_bar, "continuous").theta, heuristic.theta)
+            alloc.optimize_phases(real, np.array([[0, 1, 2, 3]]), p_bar,
+                                  "continuous")[0].theta, heuristic.theta)
 
 
 class TestStackedBranches:
