@@ -8,6 +8,7 @@ AWGN has unit variance per receive dimension.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -178,8 +179,22 @@ def los_bs_ris(n_ris: int, n_bs: int, angle_ris: float = np.pi / 2,
     return a, b
 
 
-# points of the angle grid of the Laplacian covariance quadrature
+# points of the Laplacian covariance's angle grid, and its offsets t from the nominal
+# angle a with cos t and sin t, read-only: sin(a + t) = sin a cos t + cos a sin t
 N_POINTS = 4096
+_GRID = np.linspace(-np.pi, np.pi, N_POINTS)
+_COS_GRID, _SIN_GRID = np.cos(_GRID), np.sin(_GRID)
+for _table in (_GRID, _COS_GRID, _SIN_GRID):
+    _table.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=1)
+def _weights(asd: float) -> np.ndarray:
+    """Read-only normalized weights np.gradient(t) * exp(-|t|*sqrt(2)/asd) of a spread."""
+    w = np.gradient(_GRID) * np.exp(-np.abs(_GRID) / (asd / math.sqrt(2.0)))
+    w /= w.sum()
+    w.setflags(write=False)
+    return w
 
 
 def _running_powers(first, ratio: np.ndarray, rows: int) -> np.ndarray:
@@ -196,16 +211,18 @@ def laplacian_covariance(n: int, nominal_angle: float, asd: float) -> np.ndarray
 
     Entry (m, k) is the integral of exp(j*pi*(m-k)*sin(phi)) against a
     Laplacian density centered at nominal_angle with standard deviation asd,
-    truncated to +-pi around the center and renormalized, by the trapezoid
-    rule on an N_POINTS grid.
+    truncated to +-pi around the center and renormalized, on the N_POINTS
+    grid phi = nominal_angle + t, t = linspace(-pi, pi) with step h, weights
+    np.gradient(t) * density: the trapezoid rule, but with the full h at both
+    ends, which are one direction, so that direction gets 2h, not h.
 
     The quadrature r[d] = sum_i w_i exp(j*pi*d*sin(phi_i)) is factored with
     d = q*B + p, B = ceil(sqrt(n)): a table of exp(j*pi*p*sin(phi_i)) for
     p < B and one of w_i exp(j*pi*q*B*sin(phi_i)) for q < ceil(n/B), joined
-    by one matrix product.  Each table holds the running powers of one row,
-    exp(j*pi*sin(phi)) or exp(j*pi*B*sin(phi)), so only these two rows of
-    exponentials are formed; row p carries at most p roundings, which keeps
-    r within max(1e-13, 2*pi*(n-1)*eps) of the directly evaluated sum.
+    by one matrix product.  Both are running products of e = exp(j*pi*sin(phi)),
+    the only exponentials: e**B is the first table's last row times e.  Lag d
+    takes about d roundings, which keeps r within max(1e-13, 2*pi*(n-1)*eps)
+    of the directly evaluated sum.
     """
     _check_size("n", n)
     if not math.isfinite(nominal_angle):
@@ -215,17 +232,14 @@ def laplacian_covariance(n: int, nominal_angle: float, asd: float) -> np.ndarray
     if asd == 0:
         v = steering_vector(n, nominal_angle)
         return np.outer(v, v.conj())
-    # Laplace(b) has std b*sqrt(2)
-    scale = asd / math.sqrt(2.0)
-    phi = np.linspace(nominal_angle - np.pi, nominal_angle + np.pi, N_POINTS)
-    pdf = np.exp(-np.abs(phi - nominal_angle) / scale)
-    # trapezoid weights, renormalized after truncation
-    w = np.gradient(phi) * pdf
-    w = w / w.sum()
-    u = np.sin(phi)
+    w = _weights(float(asd))
+    x = np.pi * (math.sin(nominal_angle) * _COS_GRID + math.cos(nominal_angle) * _SIN_GRID)
+    e = np.empty(N_POINTS, dtype=complex)  # exp(j*x) bit for bit, and faster
+    np.cos(x, out=e.real)
+    np.sin(x, out=e.imag)
     step = math.isqrt(n - 1) + 1  # B = ceil(sqrt(n))
-    low = _running_powers(1.0, np.exp(1j * np.pi * u), step)
-    high = _running_powers(w, np.exp(1j * np.pi * step * u), math.ceil(n / step))
+    low = _running_powers(1.0, e, step)
+    high = _running_powers(w, low[-1] * e, math.ceil(n / step))
     r = (high @ low.T).ravel()[:n]  # r[q*B + p] = E[exp(j*pi*d*sin(phi))]
     r[0] = 1.0
     # toeplitz(r, r^*): row i is the window at n-1-i of [r_{n-1}, ..., r_0, ..., r_{n-1}^*],

@@ -5,6 +5,7 @@ import pytest
 
 from scipy.linalg import toeplitz
 
+from risthp import channel
 from risthp.channel import (LOS, N_POINTS, STRONG, WEAK, PathlossModel,
                             ScenarioConfig, complex_gaussian, draw_realization,
                             laplacian_covariance, los_bs_ris, pathloss_db,
@@ -156,6 +157,11 @@ class TestPathloss:
             PathlossModel(alpha, beta)
 
 
+# nominal angles for the oracles: draws pass arctan2's, in (-pi, pi], so the
+# ends of that range are tried as well as the middle
+NOMINAL_ANGLES = [-np.pi, -3.0, -np.pi / 2, -0.7, 0.0, 1.1, np.pi / 2, 3.0, np.pi]
+
+
 class TestLaplacianCovariance:
     def test_zero_asd_rank_one(self):
         cov = laplacian_covariance(4, 0.3, 0.0)
@@ -188,9 +194,10 @@ class TestLaplacianCovariance:
             laplacian_covariance(8, 0.3, asd)
 
     @pytest.mark.parametrize("asd_deg", [0.1, 15.0, 180.0])
-    @pytest.mark.parametrize("nominal", [-np.pi / 2, -0.7, 0.0, 1.1, np.pi / 2])
+    @pytest.mark.parametrize("nominal", NOMINAL_ANGLES)
     def test_dense_quadrature_oracle(self, asd_deg, nominal):
         eps = np.finfo(float).eps
+        # n = 1 and 2 take B = 1 and 2: the ratio e**B is one product at most
         for n in (1, 2, 6, 7, 63, 64, 65, 511, 512):
             cov = laplacian_covariance(n, nominal, math.radians(asd_deg))
             np.testing.assert_array_equal(cov, cov.conj().T)
@@ -201,7 +208,7 @@ class TestLaplacianCovariance:
             ref = dense_covariance(n, nominal, math.radians(asd_deg))
             assert np.max(np.abs(cov - ref)) <= tol, (n, np.max(np.abs(cov - ref)))
 
-    @pytest.mark.parametrize("nominal", [-np.pi / 2, -0.7, 0.0, 1.1, np.pi / 2])
+    @pytest.mark.parametrize("nominal", NOMINAL_ANGLES)
     def test_longdouble_oracle(self, nominal):
         # the same grid and weights, with the phases pi*d*sin(phi_i) and the
         # sums taken in extended precision; r[d] depends on neither n nor asd
@@ -234,6 +241,21 @@ class TestLaplacianCovariance:
         cov = laplacian_covariance(2, nominal, asd)
         assert abs(cov[1, 0] - expected) < 1e-6
         assert abs(cov[1, 0]) < 1.0
+
+    def test_shared_tables_read_only(self):
+        for table in (channel._GRID, channel._COS_GRID, channel._SIN_GRID,
+                      channel._weights(math.radians(15))):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    def test_other_spread_between_calls(self):
+        # the weights cache holds one spread: a call at another spread in
+        # between recomputes them, and no result depends on the calls before it
+        first = laplacian_covariance(64, 0.3, math.radians(15))
+        other = laplacian_covariance(64, 0.3, math.radians(40))
+        np.testing.assert_array_equal(laplacian_covariance(64, 0.3, math.radians(15)), first)
+        channel._weights.cache_clear()
+        np.testing.assert_array_equal(laplacian_covariance(64, 0.3, math.radians(40)), other)
 
     @pytest.mark.parametrize("n", [1, 2, 6, 64, 512])
     def test_scipy_toeplitz_bit_for_bit(self, n):
