@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import alloc, baseline, gram as gram_mod, thp
+from . import alloc, baseline, channel, gram as gram_mod, thp
 from .channel import (PATHLOSS_PRESETS, PathlossModel, ScenarioConfig,
                       draw_realization)
 
@@ -354,6 +354,17 @@ def _validate_checks():
     theta, = alloc.optimize_phases(real, np.arange(4)[None], 10.0, "continuous")
     checks.append(("continuous phases unit modulus",
                    bool(np.max(np.abs(np.abs(theta.theta) - 1.0)) < 1e-12)))
+
+    # the covariance on rule_points(n) points against the full folded rule
+    n, asd = 512, math.radians(15.0)
+    points, full = channel.rule_points(n), channel.N_POINTS - 1
+    worst = max(float(np.max(np.abs(
+        channel._lags(n, nominal, channel._rule(asd, points))
+        - channel._lags(n, nominal, channel._rule.__wrapped__(asd, full)))))
+        for nominal in (-3.0, -0.7, 0.3, 1.1, math.pi))
+    tol = max(1e-13, 2.0 * math.pi * (n - 1) * np.finfo(float).eps)
+    checks.append((f"covariance on {points} of {full} points, n={n}, asd=15 deg "
+                   f"(max |delta| {worst:.1e} <= {tol:.1e})", worst <= tol))
     return checks
 
 

@@ -1,15 +1,20 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scipy.linalg import toeplitz
+from scipy.special import jv
 
 from risthp import channel
 from risthp.channel import (LOS, N_POINTS, STRONG, WEAK, PathlossModel,
                             ScenarioConfig, complex_gaussian, draw_realization,
                             laplacian_covariance, los_bs_ris, pathloss_db,
-                            psd_factor, steering_vector)
+                            psd_factor, rule_points, steering_vector)
+
+ACCURACY_TOOL = Path(__file__).resolve().parents[1] / "tools" / "covariance_accuracy.py"
 
 
 def dense_covariance(n, nominal_angle, asd):
@@ -243,18 +248,97 @@ class TestLaplacianCovariance:
         assert abs(cov[1, 0]) < 1.0
 
     def test_shared_tables_read_only(self):
-        for table in (channel._GRID, channel._COS_GRID, channel._SIN_GRID,
-                      channel._weights(math.radians(15))):
+        for table in (channel._GRID, channel._weights(math.radians(15)),
+                      *channel._rule(math.radians(15), rule_points(64))):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
 
+    def test_rule_cache_bounded(self):
+        # one entry per (spread, points): the two array sizes of a draw stay, a third evicts
+        assert channel._rule.cache_info().maxsize == 2
+        assert channel._weights.cache_info().maxsize == 1
+        for n in (6, 32, 64, 6):
+            laplacian_covariance(n, 0.3, math.radians(15))
+            assert channel._rule.cache_info().currsize <= 2
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 63, 64, 65, 511, 512, 2048])
+    def test_bandwidth_tail(self, n):
+        # Jacobi-Anger: exp(j*x*sin(a + t)) = sum_m J_m(x) exp(j*m*(a + t)); the modes
+        # |m| > M of the largest lag x = pi*(n-1) sum to below 1e-16 (|J_-m| = |J_m|,
+        # and J_m(x) falls faster than geometrically once m > x)
+        x = math.pi * (n - 1)
+        m = math.ceil(x + 10.0 * x ** (1.0 / 3.0) + 20.0)
+        assert rule_points(n) == min(N_POINTS - 1, 2 * m + 1)
+        tail = 2.0 * np.sum(np.abs(jv(np.arange(m + 1, m + 400), x)))
+        assert tail <= 1e-16, tail
+
+    def test_rule_points_bounded(self):
+        points = [rule_points(n) for n in range(1, 5000)]
+        assert max(points) == N_POINTS - 1
+        assert all(p % 2 == 1 and p <= N_POINTS - 1 for p in points)
+        assert rule_points(10 ** 6) == N_POINTS - 1
+        assert [rule_points(n) for n in (6, 32, 64, 512)] == [123, 329, 555, 3487]
+
+    @pytest.mark.parametrize("asd_deg", [0.1, 15.0, 180.0])
+    @pytest.mark.parametrize("n", [1, 6, 32, 512, 700])
+    def test_resampled_rule_keeps_the_modes(self, asd_deg, n):
+        # the folded N_POINTS rule on t_i = -pi + 2*pi*i/(N_POINTS - 1), with both ends'
+        # weights on t_0, and the resampled rule share every Fourier mode |m| <= M;
+        # each sum is direct and in extended precision, with
+        # exp(j*m*t_i) = (-1)**m exp(2j*pi*(m*i mod P)/P) reduced in integers
+        def modes(weights, m):
+            p = weights.size
+            pi = 4 * np.arctan(np.longdouble(1))
+            phase = 2 * pi * (np.outer(m, np.arange(p)) % p).astype(np.longdouble) / p
+            weights = weights.astype(np.longdouble)
+            return (-1.0) ** m * ((np.cos(phase) @ weights).astype(float)
+                                  + 1j * (np.sin(phase) @ weights).astype(float))
+
+        w = channel._weights(math.radians(asd_deg))
+        folded = np.append(w[0] + w[-1], w[1:-1])
+        _, _, v = channel._rule(math.radians(asd_deg), rule_points(n))
+        assert v.dtype == float and v.size == rule_points(n)
+        # the lowest, the highest and evenly spaced ones between, of both signs
+        top = v.size // 2
+        m = np.unique(np.r_[0:33, np.linspace(0, top, 65).round(), top - 32:top + 1])
+        m = np.unique(np.r_[-m, m]).astype(int)
+        m = m[np.abs(m) <= top]
+        assert np.max(np.abs(modes(v, m) - modes(folded, m))) <= 1e-15
+
+    def test_resampled_equals_full_rule(self):
+        # the N'-point evaluation against the folded N_POINTS - 1 point one
+        eps = np.finfo(float).eps
+        asd = math.radians(15)
+        full = channel._rule.__wrapped__(asd, N_POINTS - 1)
+        for n in (6, 64, 512):
+            tol = max(1e-13, 2.0 * np.pi * (n - 1) * eps)
+            for nominal in NOMINAL_ANGLES:
+                r = laplacian_covariance(n, nominal, asd)[:, 0]
+                assert np.max(np.abs(r - channel._lags(n, nominal, full))) <= tol
+
+    def test_exact_integral(self):
+        # an independent reference: composite Gauss-Legendre split at the density's cusp
+        spec = importlib.util.spec_from_file_location("covariance_accuracy", ACCURACY_TOOL)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        nominal, asd = 0.3, math.radians(15)
+        exact = tool.exact_lags(512, nominal, asd)
+        assert np.max(np.abs(tool.exact_lags(512, nominal, asd, 2 * tool.PANELS)
+                             - exact)) <= 2e-14
+        for n in (6, 32, 512):
+            r = laplacian_covariance(n, nominal, asd)[:, 0]
+            assert np.max(np.abs(r - exact[:n])) <= 1e-5
+
     def test_other_spread_between_calls(self):
-        # the weights cache holds one spread: a call at another spread in
-        # between recomputes them, and no result depends on the calls before it
+        # the caches hold one spread's weights and two (spread, points) rules: calls
+        # at another spread and two sizes in between evict the first, which is
+        # recomputed, and no result depends on the calls before it
         first = laplacian_covariance(64, 0.3, math.radians(15))
         other = laplacian_covariance(64, 0.3, math.radians(40))
+        laplacian_covariance(6, 0.3, math.radians(40))
         np.testing.assert_array_equal(laplacian_covariance(64, 0.3, math.radians(15)), first)
         channel._weights.cache_clear()
+        channel._rule.cache_clear()
         np.testing.assert_array_equal(laplacian_covariance(64, 0.3, math.radians(40)), other)
 
     @pytest.mark.parametrize("n", [1, 2, 6, 64, 512])
