@@ -13,7 +13,7 @@ import numpy as np
 
 from . import gram as gram_mod
 from . import phase_opt, thp
-from .phase_opt import NotApplicableError, PhaseConfig
+from .phase_opt import PhaseConfig
 
 
 @dataclass
@@ -52,66 +52,64 @@ def check_optimized_mode(phase_mode: str) -> None:
 def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: float) -> list:
     """Continuous phases and phase factor G, as [(theta, G)], of each subset of a stack.
 
-    One ``zero_eig_direction`` call picks each subset's branch: alignment
-    along C's zero-eigenvalue direction u (G the row u^H D) when C has
-    exactly one zero eigenvalue, else the eigenvector heuristic on
-    G = ``gram.factor(p_bar)``.  Each branch runs once, on the stack of its
-    subsets; refinement on ||G theta_bar||^2 runs per subset.
+    One batched eigh of C (``gram.eig``) picks each subset's branch:
+    alignment along C's zero-eigenvalue direction u (G the row u^H D) when C
+    has exactly one zero eigenvalue (``gram.count_zero_eigenvalues``), else
+    the eigenvector heuristic on G = ``gram.factor(p_bar)``.  Each branch
+    runs once, on the sub-stack of its subsets (``take`` keeps that eig), or
+    on the stack itself when every subset takes it; refinement on
+    ||G theta_bar||^2 runs per subset.
     """
-    try:
-        directions = phase_opt.zero_eig_direction(gram)
-        aligned = np.ones(len(directions), dtype=bool)
-    except NotApplicableError as exc:
-        aligned = exc.applicable
-    n_aligned, solved = np.count_nonzero(aligned), [None] * aligned.size
+    aligned = gram_mod.count_zero_eigenvalues(gram.eig[0]) == 1
+    solved = [None] * aligned.size
 
     def refine(mask, theta: PhaseConfig, g_mat: np.ndarray):
         for i, theta_i, g_i in zip(np.flatnonzero(mask), theta.theta, g_mat):
             solved[i] = (phase_opt.refine_elementwise(g_i, PhaseConfig(theta_i)), g_i)
 
-    if n_aligned:
-        group = gram
-        if n_aligned < aligned.size:  # the first call raised: one more on these subsets
-            group = gram.take(aligned)
-            directions = phase_opt.zero_eig_direction(group)
+    if aligned.any():
+        group = gram if aligned.all() else gram.take(aligned)
+        directions = phase_opt.zero_eig_direction(group)
         refine(aligned, phase_opt.align_phases(group, directions),
                directions.conj()[..., None, :] @ group.d_mat)
-    if n_aligned < aligned.size:
-        group = gram.take(~aligned) if n_aligned else gram
-        g_mat = group.factor(p_bar)
+    if not aligned.all():
+        g_mat = (gram.take(~aligned) if aligned.any() else gram).factor(p_bar)
         refine(~aligned, phase_opt.heuristic_phases(g_mat), g_mat)
     return solved
 
 
 def optimize_phases(real, stack: np.ndarray, p_bar: float, phase_mode: str) -> list:
-    """Phase configuration of each user subset (row) of ``stack`` under the requested mode.
+    """Phases and decomposition, as [(theta, gram)], of each user subset (row) of ``stack``.
 
     ``stack`` is a 2-D integer array (c, K) of subsets (``gram.check_users``).
     This is the only route into the realization's table ``real.solves``,
-    which holds each continuous solve (theta, G) read-only under
-    (users, p_bar), so methods that share the realization solve each subset
-    once.  The table is read first; the subsets it lacks are decomposed as
-    one stack, solved by ``_continuous_stage`` and stored.
+    which holds each continuous solve (theta, G, gram) read-only under
+    (users, p_bar): gram is the subset's own row of the stacked
+    ``gram.decompose``, with C, D and the eig its branch was picked by.  So
+    methods that share the realization decompose and solve each subset once.
+    The table is read first; the subsets it lacks are decomposed as one
+    stack, solved by ``_continuous_stage`` and stored.
 
-    continuous: the stored theta.  binary: it discretized, then element-wise
-    +-1 sweeps on the stored G.
+    theta is, for continuous, the stored theta; for binary, it discretized,
+    then element-wise +-1 sweeps on the stored G.  gram is the stored row.
     """
     check_optimized_mode(phase_mode)
     keys = [(tuple(users), p_bar) for users in gram_mod.check_users(real, stack).tolist()]
     missed = [i for i, key in enumerate(keys) if key not in real.solves]
     if missed:
-        solved = _continuous_stage(gram_mod.decompose(real, stack[missed]), p_bar)
-        for i, (theta, g_mat) in zip(missed, solved):
-            theta.theta.setflags(write=False)
-            g_mat.setflags(write=False)
-            real.solves[keys[i]] = (theta, g_mat)
-    thetas = []
+        dec = gram_mod.decompose(real, stack[missed])
+        for j, (theta, g_mat) in enumerate(_continuous_stage(dec, p_bar)):
+            row = dec.take(j)
+            for array in (theta.theta, g_mat, row.c_mat, row.d_mat):
+                array.setflags(write=False)
+            real.solves[keys[missed[j]]] = (theta, g_mat, row)
+    solved = []
     for key in keys:
-        theta, g_mat = real.solves[key]
+        theta, g_mat, row = real.solves[key]
         if phase_mode == "binary":
             theta = phase_opt.refine_elementwise(g_mat, phase_opt.discretize_binary(theta))
-        thetas.append(theta)
-    return thetas
+        solved.append((theta, row))
+    return solved
 
 
 def check_step(real, subsets) -> tuple:
@@ -166,7 +164,7 @@ def evaluate_allocation(real, subsets, p_bar: float, phase_mode: str, *,
         thetas = [fixed_theta] * len(subsets)
         theta_rows = fixed_theta.theta
     else:
-        thetas = optimize_phases(real, stack, p_bar, phase_mode)
+        thetas = [theta for theta, _ in optimize_phases(real, stack, p_bar, phase_mode)]
         theta_rows = np.stack([theta.theta for theta in thetas])
     h_eff = gram_mod.effective_channel(real, stack, theta_rows)
     feasible = np.ones(len(subsets), dtype=bool)

@@ -173,27 +173,24 @@ def evaluate_allocation_linear(real, subsets, p_bar: float, phase_mode: str, *,
                                fixed_theta: PhaseConfig | None = None) -> list:
     """ZF solutions for the user subsets of one step, at P = p_bar * K.
 
-    Each subset's sweep starts from its continuous phases (discretized for
-    binary), which one ``alloc.optimize_phases`` call gives for the whole
-    step; ``fixed_theta`` skips the sweep.  Each subset is then decomposed,
-    swept and scored on its own.  A subset with more users than BS antennas
-    is infeasible, not an error.
+    One ``alloc.optimize_phases`` call gives each subset its continuous
+    phases and its stored decomposition (C, D and eig), read by the sweep
+    and the score; the sweep starts from those phases (discretized for
+    binary).  ``fixed_theta`` skips the solve and the sweep, and scores on
+    the rows of one ``gram.decompose`` of the step's stack.  A subset with
+    more users than BS antennas is infeasible, not an error.
     """
     subsets, stack = alloc.check_step(real, subsets)
     tx_power = p_bar * real.n_users
-    if fixed_theta is None:
-        alloc.check_optimized_mode(phase_mode)
-        seeds = alloc.optimize_phases(real, stack, p_bar, "continuous")
-    else:
-        seeds = [fixed_theta] * len(subsets)
+    if fixed_theta is not None:
+        dec = gram_mod.decompose(real, stack)
+        return [zf_linear(dec.take(i), fixed_theta, tx_power) for i in range(len(subsets))]
+    alloc.check_optimized_mode(phase_mode)
     solutions = []
-    for users, theta in zip(subsets, seeds):
-        dec = gram_mod.decompose(real, users)
-        if fixed_theta is None:
-            if phase_mode == "binary":
-                theta = phase_opt.discretize_binary(theta)
-            theta = _sweep_phases_linear(dec, theta, tx_power)
-        solutions.append(zf_linear(dec, theta, tx_power))
+    for theta, dec in alloc.optimize_phases(real, stack, p_bar, "continuous"):
+        if phase_mode == "binary":
+            theta = phase_opt.discretize_binary(theta)
+        solutions.append(zf_linear(dec, _sweep_phases_linear(dec, theta, tx_power), tx_power))
     return solutions
 
 

@@ -128,7 +128,10 @@ class ChannelRealization:
     theta is ``h_direct + h_cascaded @ theta * b_vec^H``.
 
     ``solves`` holds the continuous phase solves of every method run on it,
-    read and written only by ``alloc.optimize_phases`` under (users, p_bar);
+    read and written only by ``alloc.optimize_phases`` under (users, p_bar)
+    as read-only (theta, G, gram): the refined phases, the phase factor they
+    were refined on and the subset's decomposition (C, D and eig).  THP's
+    binary path reads G; linear ZF and ``dpc_rate`` read theta and gram.
     ``dataclasses.replace`` starts an empty one.  A realization is not
     changed after its first phase solve.
     """

@@ -64,10 +64,19 @@ class GramDecomposition:
         lam, vecs = self.eig
         return (conj_t(vecs) @ self.d_mat) / np.sqrt(1.0 / p_bar + lam)[..., None]
 
-    def take(self, mask) -> GramDecomposition:
-        """The subsets of a stack that the bool array ``mask`` selects, as a stack."""
-        return GramDecomposition(self.c_mat[mask], self.d_mat[mask],
-                                 tuple(itertools.compress(self.users, mask)))
+    def take(self, index) -> GramDecomposition:
+        """The subsets of a stack that a bool mask selects, as a stack, or the one at a position.
+
+        A computed ``eig`` comes along, read-only; none is computed here.
+        """
+        users = (self.users[index] if isinstance(index, numbers.Integral)
+                 else tuple(itertools.compress(self.users, index)))
+        taken = GramDecomposition(self.c_mat[index], self.d_mat[index], users)
+        if "eig" in self.__dict__:
+            lam, vecs = (part[index] for part in self.eig)
+            lam.flags.writeable = vecs.flags.writeable = False
+            taken.eig = lam, vecs
+        return taken
 
 
 def conj_t(a: np.ndarray) -> np.ndarray:

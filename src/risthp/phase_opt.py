@@ -25,15 +25,7 @@ SWEEP_REL_TOL = 1e-10
 
 
 class NotApplicableError(RuntimeError):
-    """The closed-form zero-eigenvalue solution does not apply.
-
-    ``applicable`` marks the subsets of the checked stack it does apply to,
-    as a bool array over its leading axes (0-d, False, for a single subset).
-    """
-
-    def __init__(self, message: str, applicable=False):
-        super().__init__(message)
-        self.applicable = np.asarray(applicable, dtype=bool)
+    """The closed-form zero-eigenvalue solution does not apply."""
 
 
 @dataclass
@@ -64,17 +56,15 @@ def zero_eig_direction(gram: GramDecomposition) -> np.ndarray:
     ``gram.eig`` decides: when exactly one eigenvalue counts as zero
     (``gram.count_zero_eigenvalues``), its eigenvector is returned; any
     other count raises NotApplicableError.  A stack returns one vector per
-    subset (c, K), or raises when any subset has another count, its
-    ``applicable`` marking the subsets with exactly one.
+    subset (c, K), or raises when any subset has another count.
     """
     lam, vecs = gram.eig
     n_zero = gram_mod.count_zero_eigenvalues(lam)
-    applicable = n_zero == 1
-    if not applicable.all():
+    if not np.all(n_zero == 1):
         counted = (f"{n_zero} eigenvalues of C count as zero" if n_zero.ndim == 0 else
                    f"C has another number of zero eigenvalues in "
-                   f"{np.count_nonzero(~applicable)} of {applicable.size} subsets")
-        raise NotApplicableError(f"{counted}; alignment needs exactly one", applicable)
+                   f"{np.count_nonzero(n_zero != 1)} of {n_zero.size} subsets")
+        raise NotApplicableError(f"{counted}; alignment needs exactly one")
     return vecs[..., :, 0]
 
 

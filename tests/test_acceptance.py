@@ -160,7 +160,7 @@ def test_criterion_06_binary_phases_local_and_global():
         real = _random_realization(r, k=3, n_bs=5, n_ris=n_ris)
         dec = G.decompose(real, range(3))
         p_bar = float(r.uniform(1.0, 20.0))
-        theta, = alloc.optimize_phases(real, np.array([[0, 1, 2]]), p_bar, "binary")
+        (theta, _), = alloc.optimize_phases(real, np.array([[0, 1, 2]]), p_bar, "binary")
         m = dec.d_mat.conj().T @ np.linalg.solve(np.eye(3) / p_bar + dec.c_mat, dec.d_mat)
         m = 0.5 * (m + m.conj().T)
         tb = G.extend_theta(theta.theta)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ class TestEvaluateAllocation:
 
 
 def _stored_alone(real, subsets, p_bar):
-    """The (theta, G) that one-subset ``optimize_phases`` calls store."""
+    """The (theta, G, gram) that one-subset ``optimize_phases`` calls store."""
     alone = dataclasses.replace(real)  # an empty table
     for users in subsets:
         A.optimize_phases(alone, np.array([users]), p_bar, "continuous")
@@ -165,10 +166,14 @@ class TestStackedSolve:
         alone = _stored_alone(real, subsets, 4.0)
         assert real.solves.keys() == alone.keys()
         for users, out in zip(subsets, step):
-            theta, g_mat = real.solves[(tuple(users), 4.0)]
-            theta_1, g_1 = alone[(tuple(users), 4.0)]
+            theta, g_mat, dec = real.solves[(tuple(users), 4.0)]
+            theta_1, g_1, dec_1 = alone[(tuple(users), 4.0)]
             np.testing.assert_array_equal(theta.theta, theta_1.theta)
             np.testing.assert_array_equal(g_mat, g_1)
+            assert dec.users == dec_1.users == tuple(users)
+            for a, b in ((dec.c_mat, dec_1.c_mat), (dec.d_mat, dec_1.d_mat),
+                         *zip(dec.eig, dec_1.eig)):
+                np.testing.assert_array_equal(a, b)
             assert out.theta is theta
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -180,7 +185,7 @@ class TestStackedSolve:
         A.greedy_allocate(real, p_bar, "continuous")
         alone = _stored_alone(real, [list(users) for users, _ in real.solves], p_bar)
         assert real.solves.keys() == alone.keys()
-        for key, (theta, g_mat) in real.solves.items():
+        for key, (theta, g_mat, _) in real.solves.items():
             np.testing.assert_array_equal(theta.theta, alone[key][0].theta)
             np.testing.assert_array_equal(g_mat, alone[key][1])
 
@@ -202,10 +207,37 @@ class TestStackedSolve:
         monkeypatch.undo()
         alone = _stored_alone(real, subsets, 2.0)
         for users, out in zip(subsets, step):
-            theta_1, g_1 = alone[(tuple(users), 2.0)]
+            theta_1, g_1, _ = alone[(tuple(users), 2.0)]
             np.testing.assert_array_equal(out.theta.theta, theta_1.theta)
             np.testing.assert_array_equal(real.solves[(tuple(users), 2.0)][1], g_1)
             assert g_1.shape[0] == (1 if 3 in users else 2)
+
+    def test_mixed_branches_one_eigh_of_c(self, rng, monkeypatch):
+        # the stack's one eigh of C picks the branches and serves both:
+        # zero_eig_direction runs once, on the aligned rows only
+        real = random_realization(rng, k=4, n_bs=4, n_ris=6)
+        real.h_direct[3] = 0.0
+        subsets = [[0, 1], [0, 3], [0, 2], [3, 1]]
+        eigh_args, directions = [], []
+        eigh, direction = np.linalg.eigh, P.zero_eig_direction
+
+        def counted_eigh(a):
+            eigh_args.append(a)
+            return eigh(a)
+
+        def counted_direction(gram):
+            directions.append(gram.users)
+            return direction(gram)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(P, "zero_eig_direction", counted_direction)
+        A.evaluate_allocation(real, subsets, 2.0, "continuous")
+        monkeypatch.undo()
+        assert directions == [((0, 3), (3, 1))]
+        c_stack = G.decompose(real, np.array(subsets)).c_mat
+        # one eigh of C, then the heuristic's one eigh of G G^H on two rows
+        assert [a.shape for a in eigh_args] == [(4, 2, 2), (2, 2, 2)]
+        np.testing.assert_array_equal(eigh_args[0], c_stack)
 
     def test_solved_step_decomposes_nothing(self, rng, monkeypatch):
         # thp_discrete after thp: the table holds every subset, binary needs only G
@@ -282,6 +314,18 @@ class TestUserIndices:
         with pytest.raises(ValueError, match="same size"):
             evaluate(real, [[0, 1], [0, 1, 2]], 2.0, "continuous")
         assert real.solves == {}
+
+    @pytest.mark.parametrize("bad", [np.array([[0.0, 1.0]]), np.array([[False, True]])],
+                             ids=["float", "bool"])
+    def test_stack_checked_before_table_read(self, rng, bad):
+        # as keys these stacks equal (0, 1), already in the table: the check
+        # in optimize_phases keeps them from reading it
+        real = random_realization(rng, k=3, n_bs=4)
+        A.optimize_phases(real, np.array([[0, 1]]), 2.0, "continuous")
+        keys = list(real.solves)
+        with pytest.raises(ValueError, match=re.escape(f"user index {bad[0, 0]!r} ")):
+            A.optimize_phases(real, bad, 2.0, "continuous")
+        assert list(real.solves) == keys
 
     def test_numpy_integers_accepted(self, rng):
         real = random_realization(rng, k=3, n_bs=4)
@@ -416,7 +460,7 @@ def _reference_greedy(real, p_bar, phase_mode, rng):
 
     def solve(users):
         theta = fixed if fixed is not None else A.optimize_phases(
-            real, np.array([users]), p_bar, phase_mode)[0]
+            real, np.array([users]), p_bar, phase_mode)[0][0]
         try:
             order, diag_l = _reference_order_users(
                 G.effective_channel(real, users, theta.theta))

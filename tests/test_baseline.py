@@ -183,8 +183,9 @@ class TestEvaluateAllocationLinear:
 
     @pytest.mark.parametrize("phase_mode", ["continuous", "binary", "random"])
     def test_one_decomposition(self, rng, monkeypatch, phase_mode):
-        # the sweep and the score share one decomposition of the subset; the
-        # seed's solve decomposes it, as a stack, only when the table lacks it
+        # the sweep and the score read the decomposition of the seed's solve,
+        # made as a stack only when the table lacks it; fixed phases are
+        # scored on the rows of one decomposition of the step
         real = random_realization(rng)
         fixed = (PhaseConfig(random_unit_theta(rng, real.n_ris))
                  if phase_mode == "random" else None)
@@ -200,7 +201,7 @@ class TestEvaluateAllocationLinear:
             calls.clear()
             sol, = B.evaluate_allocation_linear(real, [[0, 2]], 2.0, phase_mode,
                                                 fixed_theta=fixed)
-            assert calls == ([(2,)] if fixed or solved else [(1, 2), (2,)])
+            assert calls == ([] if solved and not fixed else [(1, 2)])
             want, _ = _oracle_se(real, [0, 2], sol.theta.theta, 2.0 * real.n_users)
             np.testing.assert_allclose(sol.per_user_se, want, rtol=1e-10)
 
@@ -578,8 +579,8 @@ class TestSweepEquivalence:
         moved = False
         for users in ([0, 1, 2, 3, 4, 5], [1, 3, 4]):
             dec = G.decompose(real, users)
-            theta, = alloc.optimize_phases(real, np.array([users]),
-                                           scenario.tx_power / len(users), "continuous")
+            (theta, _), = alloc.optimize_phases(real, np.array([users]),
+                                                scenario.tx_power / len(users), "continuous")
             for start in (theta, phase_opt.discretize_binary(theta)):
                 got = B._sweep_phases_linear(dec, start, scenario.tx_power)
                 want = _reference_sweep(real, users, start, scenario.tx_power)

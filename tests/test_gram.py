@@ -67,13 +67,27 @@ class TestStackedDecompose:
             np.testing.assert_array_equal(vecs[i], alone.eig[1])
             np.testing.assert_array_equal(dec.factor(2.5)[i], alone.factor(2.5))
 
-    def test_take_selects_subsets(self, rng):
+    def test_take_selects_subsets(self, rng, monkeypatch):
         real = random_realization(rng, k=4)
-        dec = G.decompose(real, np.array([[0, 1], [2, 3], [1, 2]]))
-        sub = dec.take(np.array([True, False, True]))
-        assert sub.users == ((0, 1), (1, 2))
-        np.testing.assert_array_equal(sub.d_mat, dec.d_mat[[0, 2]])
-        np.testing.assert_array_equal(sub.eig[1], dec.eig[1][[0, 2]])
+        stack = np.array([[0, 1], [2, 3], [1, 2]])
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        dec = G.decompose(real, stack)
+        assert "eig" not in dec.take(1).__dict__  # none computed: none taken
+        assert "eig" not in dec.take(np.array([True, False, True])).__dict__
+        assert calls == []
+        lam, vecs = dec.eig
+        assert len(calls) == 1
+        for index, rows, users in ((np.array([True, False, True]), [0, 2], ((0, 1), (1, 2))),
+                                   (1, 1, (2, 3))):
+            sub = dec.take(index)
+            assert sub.users == users
+            for got, want in ((sub.c_mat, dec.c_mat[rows]), (sub.d_mat, dec.d_mat[rows]),
+                              (sub.eig[0], lam[rows]), (sub.eig[1], vecs[rows])):
+                np.testing.assert_array_equal(got, want)
+            assert not sub.eig[0].flags.writeable and not sub.eig[1].flags.writeable
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("bad", [np.array([[0, -1]]), np.array([[0, 4]]),
                                      np.array([[0.0, 1.0]]), np.array([[False, True]]),

@@ -14,6 +14,7 @@ import pytest
 
 from risthp import alloc as A
 from risthp import baseline as B
+from risthp import gram as G
 from risthp import phase_opt as P
 from risthp import sim as S
 from risthp.channel import ScenarioConfig, draw_realization
@@ -64,20 +65,47 @@ def test_shared_cell_solves_fewer_subsets(monkeypatch):
     assert count(("thp", "thp_discrete")) < separate
 
 
+def _count_decompositions(monkeypatch):
+    """The shapes of the user arguments of every later ``gram.decompose`` call."""
+    calls = []
+    decompose = G.decompose
+
+    def counted(real, users):
+        calls.append(np.shape(users))
+        return decompose(real, users)
+
+    monkeypatch.setattr(G, "decompose", counted)
+    return calls
+
+
 @pytest.mark.parametrize("phase_mode", ["continuous", "binary"])
 def test_linear_step_reads_thp_solves(rng, monkeypatch, phase_mode):
-    # linear ZF seeds its sweep from the table thp filled: no key is added
-    # and no continuous or +-1 refinement runs again
+    # linear ZF seeds its sweep from the table thp filled, and sweeps and
+    # scores on the stored decompositions: no key is added, nothing is
+    # decomposed and no continuous or +-1 refinement runs again
     real = random_realization(rng, k=5, n_bs=4)
     subsets = [[2, 0, u] for u in (1, 3, 4)]
     A.evaluate_allocation(real, subsets, 3.0, "continuous")
     keys = list(real.solves)
+    decompositions = _count_decompositions(monkeypatch)
     calls = []
     monkeypatch.setattr(P, "refine_elementwise", lambda *args: calls.append(args))
     step = B.evaluate_allocation_linear(real, subsets, 3.0, phase_mode)
     assert list(real.solves) == keys
+    assert decompositions == []
     assert calls == []
     assert [sol.users for sol in step] == subsets
+
+
+def test_dpc_decomposes_once(rng, monkeypatch):
+    # the solve's stacked decomposition serves dpc_sum_se; a second run
+    # reads the table and decomposes nothing
+    real = random_realization(rng, k=4, n_bs=4)
+    calls = _count_decompositions(monkeypatch)
+    first = S.run_method("dpc_rate", real, 3.0, np.random.default_rng(0))
+    assert calls == [(1, 4)]
+    assert S.run_method("dpc_rate", real, 3.0, np.random.default_rng(0)) == first
+    assert calls == [(1, 4)]
 
 
 def test_stored_phases_are_read_only():
@@ -85,11 +113,14 @@ def test_stored_phases_are_read_only():
     real = draw_realization(scenario, np.random.default_rng(0))
     out = A.greedy_allocate(real, scenario.tx_power / scenario.n_users, "continuous")
     assert real.solves
-    for theta, g_mat in real.solves.values():
-        with pytest.raises(ValueError):
-            theta.theta[0] = 1.0
-        with pytest.raises(ValueError):
-            g_mat[0, 0] = 0.0
+    for theta, g_mat, dec in real.solves.values():
+        lam, vecs = dec.eig
+        for array in (theta.theta, lam, vecs):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        for array in (g_mat, dec.c_mat, dec.d_mat):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
     with pytest.raises(ValueError):
         out.theta.theta[0] = 1.0
 
@@ -124,7 +155,8 @@ def test_solves_of_one_realization_do_not_reach_another():
 
 def test_continuous_solve_stored_under_users_and_power(rng):
     real = random_realization(rng, k=3, n_ris=8)
-    theta, = A.optimize_phases(real, np.array([[2, 0]]), 10.0, "continuous")
+    (theta, dec), = A.optimize_phases(real, np.array([[2, 0]]), 10.0, "continuous")
     assert list(real.solves) == [((2, 0), 10.0)]
-    stored, _ = real.solves[((2, 0), 10.0)]
-    assert stored is theta
+    stored, _, stored_dec = real.solves[((2, 0), 10.0)]
+    assert stored is theta and stored_dec is dec
+    assert dec.users == (2, 0)
