@@ -281,6 +281,12 @@ def laplacian_covariance(n: int, nominal_angle: float, asd: float) -> np.ndarray
     (see rule_points), so they are taken on rule_points(n) points with
     weights that keep exactly those modes (_rule, _lags), within
     max(1e-13, 2*pi*(n-1)*eps) of the directly evaluated N_POINTS sum.
+
+    The result is read-only.  For asd > 0 it is a strided view of the 2n - 1
+    lags, O(n) memory: entry (m, k) and every entry on its diagonal share one
+    element, so the matrix is exactly Hermitian.  np.array(cov) gives a
+    writable copy.  For asd = 0 it is the outer product v v^H of the steering
+    vector, an n x n array.
     """
     _check_size("n", n)
     if not math.isfinite(nominal_angle):
@@ -289,20 +295,35 @@ def laplacian_covariance(n: int, nominal_angle: float, asd: float) -> np.ndarray
         raise ValueError(f"asd must be nonnegative, got {asd!r}")
     if asd == 0:
         v = steering_vector(n, nominal_angle)
-        return np.outer(v, v.conj())
+        cov = np.outer(v, v.conj())
+        cov.setflags(write=False)
+        return cov
     r = _lags(n, nominal_angle, _rule(float(asd), rule_points(n)))
     # toeplitz(r, r^*): row i is the window at n-1-i of [r_{n-1}, ..., r_0, ..., r_{n-1}^*],
-    # the usual strided Toeplitz construction; with r[0] real it is exactly Hermitian
+    # the usual strided Toeplitz construction; with r[0] real it is exactly Hermitian.
+    # Column k is lags[n-1+k] down to lags[k], one contiguous run read backwards, which
+    # is how the Cholesky copies it into LAPACK's column-major buffer
     lags = np.concatenate([r[::-1], r[1:].conj()])
-    return np.lib.stride_tricks.sliding_window_view(lags, n)[::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(lags, n)[::-1]
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor A with A A^H = cov for a Hermitian PSD matrix."""
+    """Factor A with A A^H = cov for a Hermitian PSD matrix.
+
+    Reads the lower triangle of cov in any memory layout, a read-only strided
+    view included; both factorizations copy it into a column-major buffer
+    first, so the layout changes no bit of A.  A is the Cholesky factor when
+    cov is positive definite.  Otherwise A = V sqrt(max(lambda, 0)) from the
+    eigendecomposition: eigenvalues down to -1e-10 * lambda_max are rounding
+    and clip to 0, a more negative one raises ValueError.
+    """
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(cov)
+        if vals[0] < -1e-10 * vals[-1]:
+            raise ValueError("covariance is not positive semidefinite: "
+                             f"lambda_min = {vals[0]:.3g}, lambda_max = {vals[-1]:.3g}") from None
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +348,25 @@ class TestLaplacianCovariance:
         r = cov[:, 0]
         np.testing.assert_array_equal(cov, toeplitz(r, r.conj()))
 
+    @pytest.mark.parametrize("asd_deg", [0.0, 15.0])
+    @pytest.mark.parametrize("n", [1, 2, 6, 64, 512])
+    def test_read_only_layout(self, n, asd_deg):
+        # returned read-only (for asd > 0 a window view over the 2n - 1 lags); its
+        # values and its factor are those of a writable C-ordered copy, bit for bit
+        cov = laplacian_covariance(n, 0.3, math.radians(asd_deg))
+        with pytest.raises(ValueError, match="read-only"):
+            cov[0, 0] = 0.0
+        dense = np.array(cov)
+        assert dense.flags.c_contiguous and dense.flags.writeable
+        np.testing.assert_array_equal(cov, dense)
+        np.testing.assert_array_equal(psd_factor(cov), psd_factor(dense))
+        if asd_deg:
+            np.testing.assert_array_equal(cov, cov.conj().T)
+        else:
+            # each v_m conj(v_k) is rounded on its own: the diagonal's imaginary parts
+            # are not 0 and mirrored entries can differ in the last bit
+            np.testing.assert_allclose(cov, cov.conj().T, rtol=0, atol=1e-15)
+
 
 class TestDrawRealization:
     def scenario(self, **kw):
@@ -444,6 +464,34 @@ class TestPsdFactor:
         cov = np.outer(v, v.conj())
         fac = psd_factor(cov)
         np.testing.assert_allclose(fac @ fac.conj().T, cov, atol=1e-10)
+
+    def test_not_psd_rejected(self):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            psd_factor(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("asd_deg", [0.0, 0.1])
+    def test_rounding_negatives_clip(self, asd_deg):
+        # both fail the Cholesky and take the eigendecomposition, whose negative
+        # eigenvalues here are rounding (below 1e-14 of the largest)
+        cov = laplacian_covariance(512, 0.3, math.radians(asd_deg))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov)
+        fac = psd_factor(cov)
+        np.testing.assert_allclose(fac @ fac.conj().T, cov, rtol=0, atol=1e-10)
+
+    def test_factor_memory(self):
+        # numpy reports its arrays to tracemalloc, but LAPACK's column-major work
+        # buffer is not traced: at N = 512 the factor is N^2 * 16 bytes (4 MiB), and
+        # an N x N copy of the covariance would add as much again
+        n, asd = 512, math.radians(15)
+        psd_factor(laplacian_covariance(n, 0.3, asd))  # fills the rule cache
+        tracemalloc.start()
+        try:
+            psd_factor(laplacian_covariance(n, 0.3, asd))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 16, peak
 
 
 class TestScenarioValidation:
