@@ -113,22 +113,27 @@ def optimize_phases(real, stack: np.ndarray, p_bar: float, phase_mode: str) -> l
 
 
 def check_step(real, subsets) -> tuple:
-    """The user subsets of one greedy step, as lists and as one (c, K) integer array.
+    """The user subsets of one greedy step, as lists of ints and as one (c, K) integer array.
 
-    Raises ValueError for a step without subsets, subsets of different
-    sizes, an empty subset, or a bad user index (``gram.check_users``, run
-    on every entry before the array is built, so none is converted).
+    ``subsets`` is the step as one 2-D array, one subset per row, as
+    ``_greedy`` builds it: ``gram.check_users`` tests its dtype and range in
+    one vector operation.  Any other iterable of subsets is checked entry by
+    entry before the array is built, so none is converted.  Raises
+    ValueError for a step without subsets, subsets of different sizes, an
+    empty subset, or a bad user index.
     """
-    subsets = [list(users) for users in subsets]
-    if not subsets:
+    if not (isinstance(subsets, np.ndarray) and subsets.ndim == 2):
+        subsets = [list(users) for users in subsets]
+        if any(len(users) != len(subsets[0]) for users in subsets):
+            raise ValueError("user subsets of one step must have the same size")
+        gram_mod.check_users(real, itertools.chain.from_iterable(subsets))
+        subsets = np.array(subsets)
+    if not len(subsets):
         raise ValueError("no user subsets to evaluate")
-    size = len(subsets[0])
-    if any(len(users) != size for users in subsets):
-        raise ValueError("user subsets of one step must have the same size")
-    if not size:
+    if not subsets.shape[1]:
         raise ValueError("user subset must be nonempty")
-    gram_mod.check_users(real, itertools.chain.from_iterable(subsets))
-    return subsets, np.array(subsets)
+    stack = gram_mod.check_users(real, subsets)
+    return stack.tolist(), stack
 
 
 class Step(list):
@@ -165,7 +170,7 @@ def evaluate_allocation(real, subsets, p_bar: float, phase_mode: str, *,
         theta_rows = fixed_theta.theta
     else:
         thetas = [theta for theta, _ in optimize_phases(real, stack, p_bar, phase_mode)]
-        theta_rows = np.stack([theta.theta for theta in thetas])
+        theta_rows = np.array([theta.theta for theta in thetas])
     h_eff = gram_mod.effective_channel(real, stack, theta_rows)
     feasible = np.ones(len(subsets), dtype=bool)
     try:
@@ -191,7 +196,9 @@ def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score):
 
     ``evaluate(real, subsets, p_bar, phase_mode, fixed_theta=...)`` solves
     the user subsets of one step, all of one size, and returns their
-    solutions in order; ``score`` maps a solution to a float.
+    solutions in order; ``score`` maps a solution to a float.  Each step is
+    handed over as one (c, K) integer array, one subset per row, so
+    ``check_step`` checks it by one vector test, not entry by entry.
     Random phases are drawn here, once, as a property of the RIS, and shared
     by every candidate subset.  Starts from the single user with the largest score.
     Each step appends every unallocated user in index order, keeps the first
@@ -209,9 +216,9 @@ def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score):
                    key=score)
 
     k = real.n_users
-    best = solve([[u] for u in range(k)])
+    best = solve(np.arange(k)[:, None])
     while len(best.users) < min(k, real.n_bs):
-        step = solve([best.users + [u] for u in range(k) if u not in best.users])
+        step = solve(np.array([best.users + [u] for u in range(k) if u not in best.users]))
         if score(step) <= score(best):
             break
         best = step

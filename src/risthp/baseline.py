@@ -26,7 +26,7 @@ class LinearSolution:
 
     @property
     def sum_se(self) -> float:
-        return float(np.sum(self.per_user_se))
+        return float(self.per_user_se.sum())
 
 
 # Phase sweep of the linear baseline: an N_GRID-point angular grid per element
@@ -156,7 +156,7 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
                 vals = zf_se_gram(dec.c_mat, flat[:, :k], tx_power)[0].sum(axis=1)
             scores = vals[1:].reshape(-1, candidates.size)
             scores[candidates == theta_vec[m:m + len(scores), None]] = -np.inf
-            moves = np.flatnonzero(scores.max(axis=1) > vals[0])
+            moves = (scores.max(axis=1) > vals[0]).nonzero()[0]
             if moves.size:  # the next scan is twice as long as the gap to this move
                 j = int(moves[0])
                 i = int(scores[j].argmax())
@@ -164,7 +164,7 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
                 m, width = m + j + 1, 2 * (j + 1)
             else:
                 m, width = m + len(scores), min(2 * width, theta_vec.size)
-        if np.array_equal(theta_vec, start):
+        if (theta_vec == start).all():
             break
     return PhaseConfig(theta_vec, alphabet=theta.alphabet)
 

@@ -158,6 +158,8 @@ class ChannelRealization:
 
 def _check_size(name: str, value) -> None:
     """Raise ValueError unless ``value`` is an integer >= 1 (a bool is not one)."""
+    if type(value) is int and value >= 1:  # the common case, without the ABC check
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 

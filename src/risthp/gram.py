@@ -90,10 +90,13 @@ def check_users(real, users):
     Raises ValueError naming the first entry that is not an integer in
     [0, K): negative, too large, a bool or not an integer (numpy integers
     are integers).  A repeated user passes; its subset is rank deficient.
-    A stack of subsets is a 2-D integer array (c, K), returned as it is;
-    an array of another dtype (bool included) fails at its first entry.
+    A stack of subsets is a 2-D integer array (c, K), checked by one vector
+    test and returned as it is; a bool, float or complex array fails at its
+    first entry, and a non-numeric one (object, str, ...) names its dtype.
     """
     if isinstance(users, np.ndarray) and users.ndim == 2:
+        if users.dtype.kind not in "biufc":
+            raise ValueError(f"user index array has dtype {users.dtype}, not an integer dtype")
         bad = (users[(users < 0) | (users >= real.n_users)]
                if users.dtype.kind in "iu" else users.ravel())
         if bad.size:
@@ -138,7 +141,7 @@ def effective_channel(real, users, theta: np.ndarray) -> np.ndarray:
     H is (c, K, N_B), from one product and one unit-modulus check.
     """
     theta = np.asarray(theta)
-    if not np.max(np.abs(np.abs(theta) - 1.0)) <= 1e-9:  # NaN fails
+    if not np.abs(np.abs(theta) - 1.0).max() <= 1e-9:  # NaN fails
         raise ValueError("theta entries must be unit modulus")
     users = check_users(real, users)
     h_c_theta = (real.h_cascaded[users] @ theta[..., None])[..., 0]
@@ -156,8 +159,8 @@ def count_zero_eigenvalues(lam: np.ndarray):
     ``lam`` holds the eigenvalues of one Gram-form matrix along its last axis;
     a stack of spectra gives one count per matrix.
     """
-    lam_max = np.maximum(np.max(lam, axis=-1, keepdims=True), 0.0)
-    return np.sum(lam <= RANK_TOL * lam_max, axis=-1)
+    lam_max = np.maximum(lam.max(axis=-1, keepdims=True), 0.0)
+    return (lam <= RANK_TOL * lam_max).sum(axis=-1)
 
 
 def _check_theta_bar(theta_bar):
@@ -170,14 +173,14 @@ def _check_theta_bar(theta_bar):
 def rayleigh_objective(gram: GramDecomposition, theta_bar, p_bar: float) -> float:
     """Quadratic form theta_bar^H D^H (I/p_bar + C)^-1 D theta_bar = ||G theta_bar||^2."""
     y = gram.factor(p_bar) @ np.asarray(theta_bar, dtype=complex)
-    return float(np.real(np.vdot(y, y)))
+    return float(np.vdot(y, y).real)
 
 
 def dpc_sum_se(gram: GramDecomposition, theta_bar, p_bar: float) -> float:
     """DPC sum SE log2 det(I + p_bar H H^H) = sum_k log2(1 + p_bar lam_k) + log2(1 + quad)."""
     quad = rayleigh_objective(gram, _check_theta_bar(theta_bar), p_bar)
     lam, _ = gram.eig
-    return float(np.sum(np.log2(1.0 + p_bar * lam)) + np.log2(1.0 + quad))
+    return float(np.log2(1.0 + p_bar * lam).sum() + np.log2(1.0 + quad))
 
 
 def dpc_asymptote(gram: GramDecomposition, theta_bar, p_bar: float) -> float:

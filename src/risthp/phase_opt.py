@@ -36,10 +36,10 @@ class PhaseConfig:
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=complex)
         if self.alphabet == "continuous":
-            if not np.max(np.abs(np.abs(self.theta) - 1.0)) <= 1e-12:  # NaN fails
+            if not np.abs(np.abs(self.theta) - 1.0).max() <= 1e-12:  # NaN fails
                 raise ValueError("continuous phases must be unit modulus")
         elif self.alphabet == "binary":
-            if not np.all((self.theta == 1.0) | (self.theta == -1.0)):  # NaN fails
+            if not ((self.theta == 1.0) | (self.theta == -1.0)).all():  # NaN fails
                 raise ValueError("binary phases must be exactly +-1")
         else:
             raise ValueError(f"unknown alphabet {self.alphabet!r}")
@@ -60,7 +60,7 @@ def zero_eig_direction(gram: GramDecomposition) -> np.ndarray:
     """
     lam, vecs = gram.eig
     n_zero = gram_mod.count_zero_eigenvalues(lam)
-    if not np.all(n_zero == 1):
+    if not (n_zero == 1).all():
         counted = (f"{n_zero} eigenvalues of C count as zero" if n_zero.ndim == 0 else
                    f"C has another number of zero eigenvalues in "
                    f"{np.count_nonzero(n_zero != 1)} of {n_zero.size} subsets")
@@ -74,7 +74,8 @@ def _lift(w_bar: np.ndarray) -> PhaseConfig:
     Shared by both branches; a call of ``align_phases`` therefore always
     means the alignment branch ran.
     """
-    return PhaseConfig(np.exp(1j * (np.angle(w_bar[..., :-1]) - np.angle(w_bar[..., -1:]))))
+    angles = np.arctan2(w_bar.imag, w_bar.real)  # np.angle(w_bar)
+    return PhaseConfig(np.exp(1j * (angles[..., :-1] - angles[..., -1:])))
 
 
 def align_phases(gram: GramDecomposition, u_k: np.ndarray) -> PhaseConfig:
@@ -156,7 +157,7 @@ def _mm_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
     """
     g_h = g_mat.conj().T
     y = g_mat @ theta_bar
-    obj = float(np.real(np.vdot(y, y)))
+    obj = float(np.vdot(y, y).real)
     for _ in range(max_passes):
         z = g_h @ y
         mag = np.abs(z)
@@ -165,7 +166,7 @@ def _mm_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
         new = np.divide(z, mag, out=theta_bar.copy(), where=mag > 0)
         new[-1] = 1.0
         new_y = g_mat @ new
-        new_obj = float(np.real(np.vdot(new_y, new_y)))
+        new_obj = float(np.vdot(new_y, new_y).real)
         if not new_obj > obj:
             break
         rose = _rose_enough(obj, new_obj)
@@ -182,16 +183,17 @@ def _binary_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
     col_norms = (g_h * g_h.conj()).real.sum(axis=1)
     signs = theta_bar[:-1].real.copy()
     y = g_mat @ theta_bar
-    obj = float(np.real(np.vdot(y, y)))
+    obj = float(np.vdot(y, y).real)
     for _ in range(max_sweeps):
         start = signs.copy()
         n, width = 0, signs.size  # the next element to judge, the scan's length
         while n < signs.size:
             # objective in theta_n: 2 Re(conj(theta_n) c_n) + const,
-            # c_n = g_n^H y - ||g_n||^2 theta_n; theta_n flips where the signs differ
+            # c_n = g_n^H y - ||g_n||^2 theta_n; theta_n flips where Re(c_n) theta_n < 0,
+            # that is theta_n Re(g_n^H y) < ||g_n||^2 (theta_n = +-1, so the products
+            # are exact and a rounded difference has the sign of the exact one)
             end = n + width
-            c_real = (g_h[n:end] @ y).real - col_norms[n:end] * signs[n:end]
-            flips = np.flatnonzero(c_real * signs[n:end] < 0)
+            flips = ((g_h[n:end] @ y).real * signs[n:end] < col_norms[n:end]).nonzero()[0]
             if flips.size:  # the next scan is twice as long as the gap to this flip
                 j = n + int(flips[0])
                 y += g_mat[:, j] * (-2.0 * signs[j])
@@ -199,9 +201,9 @@ def _binary_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
                 n, width = j + 1, 2 * (j + 1 - n)
             else:
                 n, width = end, min(2 * width, signs.size)
-        y = g_mat @ np.append(signs, 1.0)
-        new_obj = float(np.real(np.vdot(y, y)))
-        if np.array_equal(signs, start) or not _rose_enough(obj, new_obj):
+        y = g_mat @ np.concatenate([signs, [1.0]])
+        new_obj = float(np.vdot(y, y).real)
+        if (signs == start).all() or not _rose_enough(obj, new_obj):
             break
         obj = new_obj
     return signs.astype(complex)
@@ -209,5 +211,5 @@ def _binary_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
 
 def discretize_binary(theta: PhaseConfig) -> PhaseConfig:
     """Per-element closest +-1 pattern to a continuous phase vector."""
-    signs = np.where(np.real(theta.theta) >= 0.0, 1.0, -1.0).astype(complex)
+    signs = np.where(theta.theta.real >= 0.0, 1.0, -1.0).astype(complex)
     return PhaseConfig(signs, alphabet="binary")

@@ -113,7 +113,7 @@ def check_full_row_rank(h: np.ndarray) -> None:
                                  np.ones(shape[:-2], dtype=bool))
     sv = np.linalg.svd(h, compute_uv=False)
     deficient = sv[..., -1] <= _RANK_TOL * sv[..., 0]
-    if np.any(deficient):
+    if deficient.any():
         raise RankDeficientError("channel matrix is rank deficient", deficient)
 
 
@@ -126,11 +126,12 @@ def lq_decompose(h: np.ndarray):
     """
     h = np.asarray(h, dtype=complex)
     check_full_row_rank(h)
-    q_t, r = np.linalg.qr(np.swapaxes(h.conj(), -1, -2))
-    l_mat = np.swapaxes(r.conj(), -1, -2)
-    q_mat = np.swapaxes(q_t.conj(), -1, -2)
+    q_t, r = np.linalg.qr(h.conj().swapaxes(-1, -2))
+    l_mat = r.conj().swapaxes(-1, -2)
+    q_mat = q_t.conj().swapaxes(-1, -2)
     # rotate out the diagonal phases so L_kk > 0
-    phases = np.exp(-1j * np.angle(np.diagonal(l_mat, axis1=-2, axis2=-1)))
+    diag = l_mat.diagonal(axis1=-2, axis2=-1)
+    phases = np.exp(-1j * np.arctan2(diag.imag, diag.real))  # np.angle(diag)
     l_mat = l_mat * phases[..., None, :]
     q_mat = q_mat * phases[..., :, None].conj()
     return l_mat, q_mat
@@ -194,7 +195,7 @@ def se_asymptote(diag_l, p_bar: float) -> np.ndarray:
     log2(6 p_bar L_kk^2 / (pi e)) entry by entry, for any array of gains.
     """
     diag_l = np.asarray(diag_l, dtype=float)
-    if not (np.all(diag_l > 0) and p_bar > 0):  # NaN fails
+    if not ((diag_l > 0).all() and p_bar > 0):  # NaN fails
         raise ValueError("l_kk and p_bar must be positive")
     return np.log2(6.0 * p_bar * diag_l ** 2 / (math.pi * math.e))
 
@@ -240,23 +241,22 @@ def order_users(h: np.ndarray):
     one inverse serves every step.  Placed rows are masked with +inf.
     """
     h = np.asarray(h, dtype=complex)
-    r = np.swapaxes(lq_decompose(h)[0].conj(), -1, -2)
+    r = lq_decompose(h)[0].conj().swapaxes(-1, -2)
     lead, k = h.shape[:-2], h.shape[-2]
     w = np.linalg.inv(r).reshape(-1, k, k)
     stack = np.arange(len(w))
-    order, diag_l = np.empty((len(w), k), dtype=int), np.empty((len(w), k))
-    placed = np.zeros((len(w), k), dtype=bool)
+    order, inv_sq = np.empty((len(w), k), dtype=int), np.empty((len(w), k))
+    placed = np.zeros((len(w), k))  # +inf on placed rows; x + 0.0 == x for x >= 0
     for pos in range(k - 1, -1, -1):
-        inv_diag = np.sum(np.abs(w) ** 2, axis=2)
-        inv_diag[placed] = np.inf
-        best = np.argmin(inv_diag, axis=1)
+        inv_diag = (np.abs(w) ** 2).sum(axis=2) + placed
+        best = inv_diag.argmin(axis=1)
         best_sq = inv_diag[stack, best]
-        order[:, pos], diag_l[:, pos] = best, best_sq ** -0.5
-        placed[stack, best] = True
+        order[:, pos], inv_sq[:, pos] = best, best_sq
+        placed[stack, best] = np.inf
         if pos:
             row = w[stack, best]
             w = w - ((w @ row.conj()[:, :, None]) / best_sq[:, None, None]) * row[:, None, :]
-    return order.reshape(*lead, k), diag_l.reshape(*lead, k)
+    return order.reshape(*lead, k), (inv_sq ** -0.5).reshape(*lead, k)
 
 
 def simulate_transmission(filters: ThpFilters, h: np.ndarray, n_symbols: int,

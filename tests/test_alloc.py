@@ -281,30 +281,46 @@ class TestStackedSolve:
                     h, G.effective_channel(real, users, out.theta.theta))
 
 
+def _step(subsets, as_array):
+    """A greedy step as a list of subsets, or as the (c, K) integer array ``_greedy`` passes."""
+    return np.array(subsets) if as_array else subsets
+
+
+# a bad entry of a list step, or an out-of-range one of an integer step array,
+# where the error names it as the numpy integer it is
+BAD_ENTRIES = pytest.mark.parametrize(
+    "bad, as_array",
+    [(-1, False), (6, False), (1.0, False), (True, False), (np.bool_(True), False),
+     ("1", False), (-1, True), (6, True)],
+    ids=["negative", "K", "float", "bool", "numpy_bool", "str", "negative_array", "K_array"])
+
+
 class TestUserIndices:
     """Bad user indices raise ValueError naming them, in both families."""
 
-    @pytest.mark.parametrize("bad", [-1, 6, 1.0, True, np.bool_(True), "1"],
-                             ids=["negative", "K", "float", "bool", "numpy_bool", "str"])
+    @BAD_ENTRIES
     @pytest.mark.parametrize("phase_mode", ["continuous", "random"])
-    def test_rejected(self, rng, bad, phase_mode):
+    def test_rejected(self, rng, bad, as_array, phase_mode):
         real = random_realization(rng, k=6, n_bs=6)
         fixed = (P.PhaseConfig(np.ones(real.n_ris, dtype=complex))
                  if phase_mode == "random" else None)
-        with pytest.raises(ValueError, match=f"user index {bad!r} "):
-            A.evaluate_allocation(real, [[0, bad]], 2.0, phase_mode, fixed_theta=fixed)
-        with pytest.raises(ValueError, match=f"user index {bad!r} "):
-            B.evaluate_allocation_linear(real, [[0, bad]], 2.0, phase_mode,
+        named = re.escape(f"user index {np.int64(bad) if as_array else bad!r} ")
+        with pytest.raises(ValueError, match=named):
+            A.evaluate_allocation(real, _step([[0, bad]], as_array), 2.0, phase_mode,
+                                  fixed_theta=fixed)
+        with pytest.raises(ValueError, match=named):
+            B.evaluate_allocation_linear(real, _step([[0, bad]], as_array), 2.0, phase_mode,
                                          fixed_theta=fixed)
         assert real.solves == {}
 
-    @pytest.mark.parametrize("bad", [-1, 6, 1.0, True, np.bool_(True), "1"],
-                             ids=["negative", "K", "float", "bool", "numpy_bool", "str"])
-    def test_checked_before_any_solve(self, rng, bad):
+    @BAD_ENTRIES
+    def test_checked_before_any_solve(self, rng, bad, as_array):
         # the valid first subset is neither solved nor stored
         real = random_realization(rng, k=6, n_bs=6)
-        with pytest.raises(ValueError, match=f"user index {bad!r} "):
-            B.evaluate_allocation_linear(real, [[0, 1], [0, bad]], 2.0, "continuous")
+        named = re.escape(f"user index {np.int64(bad) if as_array else bad!r} ")
+        with pytest.raises(ValueError, match=named):
+            B.evaluate_allocation_linear(real, _step([[0, 1], [0, bad]], as_array), 2.0,
+                                         "continuous")
         assert real.solves == {}
 
     @pytest.mark.parametrize("evaluate", [A.evaluate_allocation, B.evaluate_allocation_linear],
@@ -315,17 +331,62 @@ class TestUserIndices:
             evaluate(real, [[0, 1], [0, 1, 2]], 2.0, "continuous")
         assert real.solves == {}
 
-    @pytest.mark.parametrize("bad", [np.array([[0.0, 1.0]]), np.array([[False, True]])],
-                             ids=["float", "bool"])
-    def test_stack_checked_before_table_read(self, rng, bad):
+    @pytest.mark.parametrize("step, message", [
+        ([], "no user subsets to evaluate"),
+        (np.zeros((0, 2), dtype=int), "no user subsets to evaluate"),
+        ([[], []], "user subset must be nonempty"),
+        (np.zeros((2, 0), dtype=int), "user subset must be nonempty")],
+        ids=["no_subsets", "no_subsets_array", "empty_subsets", "empty_subsets_array"])
+    @pytest.mark.parametrize("evaluate", [A.evaluate_allocation, B.evaluate_allocation_linear],
+                             ids=["thp", "linear"])
+    def test_empty_step_rejected(self, rng, evaluate, step, message):
+        # a (0, K) or (c, 0) array gets the message of the list form
+        real = random_realization(rng, k=6, n_bs=6)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate(real, step, 2.0, "continuous")
+        assert real.solves == {}
+
+    @pytest.mark.parametrize("bad, named", [
+        (np.array([[0.0, 1.0]]), "user index np.float64(0.0) "),
+        (np.array([[False, True]]), "user index np.False_ "),
+        (np.array([[0, 1]], dtype=object), "user index array has dtype object")],
+        ids=["float", "bool", "object"])
+    def test_stack_checked_before_table_read(self, rng, bad, named):
         # as keys these stacks equal (0, 1), already in the table: the check
-        # in optimize_phases keeps them from reading it
+        # in optimize_phases keeps them from reading it; an object array
+        # names its dtype, not an entry that is a valid index
         real = random_realization(rng, k=3, n_bs=4)
         A.optimize_phases(real, np.array([[0, 1]]), 2.0, "continuous")
         keys = list(real.solves)
-        with pytest.raises(ValueError, match=re.escape(f"user index {bad[0, 0]!r} ")):
+        with pytest.raises(ValueError, match=re.escape(named)):
             A.optimize_phases(real, bad, 2.0, "continuous")
         assert list(real.solves) == keys
+
+    @pytest.mark.parametrize("phase_mode", ["continuous", "binary", "random"])
+    def test_step_array_matches_list(self, phase_mode):
+        # the array _greedy passes and the list it holds give the same
+        # solutions bit for bit, with the users as lists of Python ints
+        step = [[0, 1], [0, 2], [2, 1]]
+        fixed = (P.random_phases(8, np.random.default_rng(3))
+                 if phase_mode == "random" else None)
+        solved = []
+        for form in (step, np.array(step)):  # each on a fresh copy of one realization
+            real = random_realization(np.random.default_rng(11), k=3, n_bs=4)
+            solved.append((
+                A.evaluate_allocation(real, form, 2.0, phase_mode, fixed_theta=fixed),
+                B.evaluate_allocation_linear(real, form, 2.0, phase_mode, fixed_theta=fixed)))
+        (thp_list, lin_list), (thp_array, lin_array) = solved
+        for got, want in itertools.chain(zip(thp_array, thp_list), zip(lin_array, lin_list)):
+            assert got.users == want.users
+            assert all(type(u) is int for u in got.users + want.users)
+            np.testing.assert_array_equal(got.theta.theta, want.theta.theta)
+        for got, want, users in zip(thp_array, thp_list, step):
+            assert got.users == users and got.feasible
+            assert got.se_bound == want.se_bound
+            np.testing.assert_array_equal(got.order, want.order)
+            np.testing.assert_array_equal(got.diag_l, want.diag_l)
+        for got, want in zip(lin_array, lin_list):
+            assert got.sum_se == want.sum_se and got.feasible == want.feasible
 
     def test_numpy_integers_accepted(self, rng):
         real = random_realization(rng, k=3, n_bs=4)
@@ -343,6 +404,27 @@ class TestUserIndices:
 
 
 class TestGreedyAllocate:
+    @pytest.mark.parametrize("module, name, greedy", [
+        (A, "evaluate_allocation", A.greedy_allocate),
+        (B, "evaluate_allocation_linear", B.greedy_allocate_linear)], ids=["thp", "linear"])
+    def test_steps_passed_as_integer_arrays(self, module, name, greedy, monkeypatch):
+        # every step reaches the evaluator as one (c, K) integer array
+        real = random_realization(np.random.default_rng(5), k=4, n_bs=4)
+        evaluate, steps = getattr(module, name), []
+
+        def spy(real, subsets, *args, **kwargs):
+            steps.append(subsets)
+            return evaluate(real, subsets, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        best = greedy(real, 100.0, "continuous")
+        # one step per kept size, and one more that was not kept unless all 4 are in
+        assert len(steps) == len(best.users) + (len(best.users) < 4)
+        assert len(steps) >= 2
+        for size, step in enumerate(steps, start=1):
+            assert isinstance(step, np.ndarray) and step.dtype.kind == "i"
+            assert step.shape == (4 - size + 1, size)
+
     def test_random_mode_needs_rng(self, rng):
         real = random_realization(rng)
         with pytest.raises(ValueError, match="random phases need an rng"):

@@ -1,3 +1,4 @@
+import enum
 import importlib.util
 import math
 import tracemalloc
@@ -16,6 +17,12 @@ from risthp.channel import (LOS, N_POINTS, STRONG, WEAK, PathlossModel,
                             psd_factor, rule_points, steering_vector)
 
 ACCURACY_TOOL = Path(__file__).resolve().parents[1] / "tools" / "covariance_accuracy.py"
+
+
+class Size(enum.IntEnum):
+    """An integer size whose type is not exactly int."""
+
+    THREE = 3
 
 
 def dense_covariance(n, nominal_angle, asd):
@@ -103,14 +110,17 @@ class TestSteeringVector:
         with pytest.raises(ValueError):
             steering_vector(4, np.nan)
 
-    @pytest.mark.parametrize("n", [0, -1, 2.5, True, np.float64(3.0)])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, np.float64(3.0),
+                                   pytest.param(3.0, id="float_3.0"),
+                                   pytest.param(np.bool_(True), id="numpy_bool")])
     def test_rejects_bad_size(self, n):
         with pytest.raises(ValueError, match="n_elems must be an integer"):
             steering_vector(n, 0.3)
 
     def test_numpy_integer_size(self):
-        np.testing.assert_array_equal(steering_vector(np.int64(3), 0.3),
-                                      steering_vector(3, 0.3))
+        # integers that are not exactly int are accepted as well
+        for n in (np.int64(3), Size.THREE):
+            np.testing.assert_array_equal(steering_vector(n, 0.3), steering_vector(3, 0.3))
 
 
 class TestLosBsRis:
@@ -184,10 +194,17 @@ class TestLaplacianCovariance:
         np.testing.assert_allclose(cov, cov.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
-    @pytest.mark.parametrize("n", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, 3.0,
+                                   pytest.param(np.bool_(True), id="numpy_bool")])
     def test_rejects_bad_size(self, n):
         with pytest.raises(ValueError, match="n must be an integer"):
             laplacian_covariance(n, 0.3, math.radians(15))
+
+    @pytest.mark.parametrize("n", [np.int64(3), Size.THREE], ids=["numpy_int", "int_enum"])
+    @pytest.mark.parametrize("asd", [0.0, math.radians(15)])
+    def test_integer_size_accepted(self, n, asd):
+        np.testing.assert_array_equal(laplacian_covariance(n, 0.3, asd),
+                                      laplacian_covariance(3, 0.3, asd))
 
     @pytest.mark.parametrize("nominal", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_angle(self, nominal):

@@ -91,8 +91,9 @@ class TestStackedDecompose:
 
     @pytest.mark.parametrize("bad", [np.array([[0, -1]]), np.array([[0, 4]]),
                                      np.array([[0.0, 1.0]]), np.array([[False, True]]),
-                                     np.zeros((1, 0), dtype=int)],
-                             ids=["negative", "K", "float", "bool", "empty"])
+                                     np.zeros((1, 0), dtype=int),
+                                     np.array([[0, 1]], dtype=object)],
+                             ids=["negative", "K", "float", "bool", "empty", "object"])
     def test_bad_index_arrays_rejected(self, rng, bad):
         real = random_realization(rng, k=4)
         with pytest.raises(ValueError, match="user index|nonempty"):

@@ -1,3 +1,4 @@
+import enum
 import itertools
 import operator
 
@@ -10,6 +11,12 @@ from risthp.channel import ChannelRealization
 from risthp.phase_opt import NotApplicableError, PhaseConfig
 
 from conftest import random_realization, random_unit_theta
+
+
+class Sweeps(enum.IntEnum):
+    """A sweep count whose type is not exactly int."""
+
+    THREE = 3
 
 
 def zero_eig_fixture(rng, k=2, n_ris=3):
@@ -479,12 +486,22 @@ class TestRefineElementwise:
             P.refine_elementwise(dec.factor(1.0), PhaseConfig(np.ones(8, dtype=complex)),
                                  max_sweeps=0)
 
-    @pytest.mark.parametrize("sweeps", [2.5, float("nan"), True])
+    @pytest.mark.parametrize("sweeps", [2.5, float("nan"), True, 3.0, 0, -1,
+                                        pytest.param(np.bool_(True), id="numpy_bool")])
     def test_sweeps_must_be_integer(self, rng, sweeps):
         dec = G.decompose(random_realization(rng), range(3))
         with pytest.raises(ValueError, match="max_sweeps"):
             P.refine_elementwise(dec.factor(1.0), PhaseConfig(np.ones(8, dtype=complex)),
                                  max_sweeps=sweeps)
+
+    @pytest.mark.parametrize("sweeps", [np.int64(3), Sweeps.THREE], ids=["numpy_int", "int_enum"])
+    @pytest.mark.parametrize("alphabet", ["continuous", "binary"])
+    def test_integer_sweeps_accepted(self, rng, sweeps, alphabet):
+        dec = G.decompose(random_realization(rng), range(3))
+        theta = PhaseConfig(np.ones(8, dtype=complex), alphabet=alphabet)
+        np.testing.assert_array_equal(
+            P.refine_elementwise(dec.factor(1.0), theta, max_sweeps=sweeps).theta,
+            P.refine_elementwise(dec.factor(1.0), theta, max_sweeps=3).theta)
 
     @pytest.mark.parametrize("alphabet", ["continuous", "binary"])
     def test_theta_length_checked(self, rng, alphabet):
