@@ -184,50 +184,36 @@ def los_bs_ris(n_ris: int, n_bs: int, angle_ris: float = np.pi / 2,
     return a, b
 
 
-# the Laplacian covariance's quadrature rule as defined: the N_POINTS offsets t from the
-# nominal angle, read-only; both ends are the one direction a +- pi, so the rule is a
-# periodic one on N_POINTS - 1 points once they are folded
-N_POINTS = 4096
-_GRID = np.linspace(-np.pi, np.pi, N_POINTS)
-_GRID.setflags(write=False)
-
-
-@functools.lru_cache(maxsize=1)
-def _weights(asd: float) -> np.ndarray:
-    """Read-only normalized weights np.gradient(t) * exp(-|t|*sqrt(2)/asd) of a spread."""
-    w = np.gradient(_GRID) * np.exp(-np.abs(_GRID) / (asd / math.sqrt(2.0)))
-    w /= w.sum()
-    w.setflags(write=False)
-    return w
-
-
 def rule_points(n: int) -> int:
     """Points N' of the periodic grid on which an n-element covariance is evaluated.
 
     By Jacobi-Anger, exp(j*pi*d*sin(a + t)) = sum_m J_m(pi*d) exp(j*m*(a + t)),
     and for every lag d < n the modes |m| > M = ceil(x + 10*x**(1/3) + 20),
     x = pi*(n-1), sum to below 1e-16 in absolute value.  N' = 2M + 1 points
-    resolve the rest, capped at the N_POINTS - 1 of the folded rule itself.
+    resolve the rest.
     """
     x = math.pi * (n - 1)
-    return min(N_POINTS - 1, 2 * math.ceil(x + 10.0 * x ** (1.0 / 3.0) + 20.0) + 1)
+    return 2 * math.ceil(x + 10.0 * x ** (1.0 / 3.0) + 20.0) + 1
 
 
 @functools.lru_cache(maxsize=2)  # the two array sizes of a draw
 def _rule(asd: float, points: int) -> tuple:
-    """Read-only (cos s, sin s, v): a spread's rule resampled to `points` (odd) offsets s.
+    """Read-only (cos s, sin s, v): a spread's rule on `points` (odd) offsets s.
 
-    s = linspace(-pi, pi, points + 1)[:-1].  The real weights v are the
-    folded weights' Fourier coefficients W_m = sum_i w_i exp(j*m*t_i) for
-    |m| <= M = (points - 1)/2, sent back to the points by an inverse FFT, so
-    sum_k v_k exp(j*m*s_k) = W_m for every |m| <= M.  At N_POINTS - 1 points
-    this is the folded rule.
+    s = linspace(-pi, pi, points + 1)[:-1].  The truncated Laplacian density
+    exp(-c|t|) on [-pi, pi], c = sqrt(2)/asd, has the Fourier coefficients
+    W_m = (1 - (-1)**m e**(-c*pi)) / ((1 + (m/c)**2) (1 - e**(-c*pi))), that
+    is 1 / (1 + (m/c)**2) for even m and coth(c*pi/2) / (1 + (m/c)**2) for
+    odd m: no step overflows or divides 0 by 0 for any asd > 0.  The real
+    weights v are W_m for |m| <= M = (points - 1)/2, times (-1)**m for the
+    FFT's index origin at s = -pi, sent to the points by an inverse FFT, so
+    sum_k v_k exp(j*m*s_k) = W_m for every |m| <= M.
     """
-    w = _weights(asd)
-    folded = w[:-1].copy()
-    folded[0] += w[-1]
+    c = math.sqrt(2.0) / asd
+    m = np.arange(points // 2 + 1)
+    modes = np.where(m & 1, -1.0 / math.tanh(c * math.pi / 2.0), 1.0) / (1.0 + (m / c) ** 2)
     s = np.linspace(-np.pi, np.pi, points + 1)[:-1]
-    rule = (np.cos(s), np.sin(s), np.fft.irfft(np.fft.rfft(folded)[:points // 2 + 1], points))
+    rule = (np.cos(s), np.sin(s), np.fft.irfft(modes, points))
     for table in rule:
         table.setflags(write=False)
     return rule
@@ -268,39 +254,31 @@ def _lags(n: int, nominal_angle: float, rule: tuple) -> np.ndarray:
 def laplacian_covariance(n: int, nominal_angle: float, asd: float) -> np.ndarray:
     """Spatial covariance for a Laplacian angle density on a half-wavelength ULA.
 
-    Entry (m, k) is the integral of exp(j*pi*(m-k)*sin(phi)) against a
-    Laplacian density centered at nominal_angle with standard deviation asd,
-    truncated to +-pi around the center and renormalized.  The rule that
-    defines it takes the N_POINTS grid phi = nominal_angle + t,
-    t = linspace(-pi, pi) with step h, weights np.gradient(t) * density: the
-    trapezoid rule, but with the full h at both ends, which are one direction,
-    so that direction gets 2h, not h.  Against the exact integral (composite
-    Gauss-Legendre, tools/covariance_accuracy.py) that rule is off by up to
-    4.9e-6 at asd = 15 deg, 1.4e-4 at 180 deg, 1.1e-3 at 1 deg and 9.3e-2 at
-    0.1 deg, at n = 512.
+    Entry (m, k) is r[m - k] (r[-d] = conj(r[d])), the integral of
+    exp(j*pi*(m-k)*sin(phi)) against a Laplacian density centered at
+    nominal_angle with standard deviation asd, truncated to +-pi around the
+    center and renormalized.  The lags depend only on the density's Fourier
+    modes |m| <= M (see rule_points), which _rule takes in closed form and
+    keeps exactly on rule_points(n) points; _lags sums them there, within
+    max(1e-13, 2*pi*(n-1)*eps) of that sum taken directly.  Against the
+    integral by composite Gauss-Legendre (tools/covariance_accuracy.py) that
+    is at most 1.5e-13 from 0.1 to 180 deg at n <= 512.  At asd = 0 the lags
+    are the steering vector, r[d] = exp(j*pi*d*sin(nominal_angle)): the
+    outer product v v^H, the limit of small spreads.
 
-    The rule's lags r[d] depend only on its weights' Fourier modes |m| <= M
-    (see rule_points), so they are taken on rule_points(n) points with
-    weights that keep exactly those modes (_rule, _lags), within
-    max(1e-13, 2*pi*(n-1)*eps) of the directly evaluated N_POINTS sum.
-
-    The result is read-only.  For asd > 0 it is a strided view of the 2n - 1
-    lags, O(n) memory: entry (m, k) and every entry on its diagonal share one
-    element, so the matrix is exactly Hermitian.  np.array(cov) gives a
-    writable copy.  For asd = 0 it is the outer product v v^H of the steering
-    vector, an n x n array.
+    The result is read-only, a strided view of the 2n - 1 lags, O(n) memory:
+    entry (m, k) and every entry on its diagonal share one element, so the
+    matrix is exactly Hermitian.  np.array(cov) gives a writable copy.
     """
     _check_size("n", n)
     if not math.isfinite(nominal_angle):
         raise ValueError(f"nominal_angle must be finite, got {nominal_angle!r}")
-    if not asd >= 0:  # NaN fails
-        raise ValueError(f"asd must be nonnegative, got {asd!r}")
+    if not 0 <= asd < math.inf:  # NaN fails
+        raise ValueError(f"asd must be nonnegative and finite, got {asd!r}")
     if asd == 0:
-        v = steering_vector(n, nominal_angle)
-        cov = np.outer(v, v.conj())
-        cov.setflags(write=False)
-        return cov
-    r = _lags(n, nominal_angle, _rule(float(asd), rule_points(n)))
+        r = steering_vector(n, nominal_angle)
+    else:
+        r = _lags(n, nominal_angle, _rule(float(asd), rule_points(n)))
     # toeplitz(r, r^*): row i is the window at n-1-i of [r_{n-1}, ..., r_0, ..., r_{n-1}^*],
     # the usual strided Toeplitz construction; with r[0] real it is exactly Hermitian.
     # Column k is lags[n-1+k] down to lags[k], one contiguous run read backwards, which

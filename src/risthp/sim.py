@@ -354,9 +354,10 @@ def _validate_checks():
     checks.append(("continuous phases unit modulus",
                    bool(np.max(np.abs(np.abs(theta.theta) - 1.0)) < 1e-12)))
 
-    # the covariance on rule_points(n) points against the full folded rule
+    # the covariance on rule_points(n) points against the same modes on a finer grid
     n, asd = 512, math.radians(15.0)
-    points, full = channel.rule_points(n), channel.N_POINTS - 1
+    points = channel.rule_points(n)
+    full = 2 * points + 1
     worst = max(float(np.max(np.abs(
         channel._lags(n, nominal, channel._rule(asd, points))
         - channel._lags(n, nominal, channel._rule.__wrapped__(asd, full)))))

@@ -1,4 +1,5 @@
 import enum
+import functools
 import importlib.util
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ from scipy.linalg import toeplitz
 from scipy.special import jv
 
 from risthp import channel
-from risthp.channel import (LOS, N_POINTS, STRONG, WEAK, PathlossModel,
+from risthp.channel import (LOS, STRONG, WEAK, PathlossModel,
                             ScenarioConfig, complex_gaussian, draw_realization,
                             laplacian_covariance, los_bs_ris, pathloss_db,
                             psd_factor, rule_points, steering_vector)
@@ -25,15 +26,47 @@ class Size(enum.IntEnum):
     THREE = 3
 
 
+def load_accuracy_tool():
+    spec = importlib.util.spec_from_file_location("covariance_accuracy", ACCURACY_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def laplacian_modes(asd, m, dtype=float):
+    """W_m = c**2 (1 - (-1)**m e**(-c*pi)) / ((c**2 + m**2) (1 - e**(-c*pi))), c = sqrt(2)/asd:
+    the Fourier coefficients of the Laplacian density exp(-c|t|) truncated to [-pi, pi]."""
+    pi = 4 * np.arctan(dtype(1))
+    c = np.sqrt(dtype(2)) / dtype(asd)
+    tail = np.exp(-c * pi)
+    return c ** 2 * (1 - (-1.0) ** m * tail) / ((c ** 2 + m ** 2) * (1 - tail))
+
+
+@functools.lru_cache(maxsize=None)
+def rule_weights(asd, points, dtype=float):
+    """The rule's weights on s_k = -pi + 2*pi*k/P, summed directly in `dtype`:
+    v_k = sum_{|m| <= M} W_m exp(-j*m*s_k) / P, M = (P - 1)/2, with
+    exp(-j*m*s_k) = (-1)**m exp(-2j*pi*(m*k mod P)/P) reduced in integers."""
+    pi = 4 * np.arctan(dtype(1))
+    m = np.arange(points // 2 + 1)
+    coef = np.where(m > 0, 2, 1) * (-1.0) ** m * laplacian_modes(asd, m, dtype) / points
+    k = np.arange(points)
+    v = np.zeros(points, dtype)
+    for start in range(0, m.size, 256):  # a bounded (256, P) block at a time
+        block = slice(start, start + 256)
+        v += coef[block] @ np.cos(2 * pi * (np.outer(m[block], k) % points).astype(dtype)
+                                  / points)
+    v.setflags(write=False)
+    return v
+
+
 def dense_covariance(n, nominal_angle, asd):
-    """Reference: the quadrature with the full n x N_POINTS exponential matrix."""
-    scale = asd / math.sqrt(2.0)
-    phi = np.linspace(nominal_angle - np.pi, nominal_angle + np.pi, N_POINTS)
-    pdf = np.exp(-np.abs(phi - nominal_angle) / scale)
-    w = np.gradient(phi) * pdf
-    w = w / w.sum()
+    """Reference: the rule's full n x P exponential sum, P = rule_points(n), on its
+    directly summed weights."""
+    points = rule_points(n)
+    phi = nominal_angle + np.linspace(-np.pi, np.pi, points + 1)[:-1]
     phase = np.exp(1j * np.pi * np.outer(np.arange(n), np.sin(phi)))
-    r = phase @ w
+    r = phase @ rule_weights(asd, points)
     r[0] = 1.0
     cov = toeplitz(r, r.conj())
     return 0.5 * (cov + cov.conj().T)
@@ -211,7 +244,7 @@ class TestLaplacianCovariance:
         with pytest.raises(ValueError, match="nominal_angle must be finite"):
             laplacian_covariance(8, nominal, math.radians(15))
 
-    @pytest.mark.parametrize("asd", [np.nan, -1e-3])
+    @pytest.mark.parametrize("asd", [np.nan, -1e-3, np.inf])
     def test_rejects_bad_asd(self, asd):
         with pytest.raises(ValueError, match="asd must be nonnegative"):
             laplacian_covariance(8, 0.3, asd)
@@ -233,18 +266,20 @@ class TestLaplacianCovariance:
 
     @pytest.mark.parametrize("nominal", NOMINAL_ANGLES)
     def test_longdouble_oracle(self, nominal):
-        # the same grid and weights, with the phases pi*d*sin(phi_i) and the
-        # sums taken in extended precision; r[d] depends on neither n nor asd
+        # the rule on the rule_points(512) offsets s, with its weights, the phases
+        # pi*d*sin(nominal + s_k) and the sums taken in extended precision; r[d] for
+        # d < n is the same on every grid of at least rule_points(n) points, since the
+        # modes above those points' M sum to below 1e-16 (test_bandwidth_tail)
         eps = np.finfo(float).eps
-        phi = np.linspace(nominal - np.pi, nominal + np.pi, N_POINTS)
+        points = rule_points(512)
+        s = np.linspace(-np.pi, np.pi, points + 1)[:-1].astype(np.longdouble)
         pi = 4 * np.arctan(np.longdouble(1))
         phase = pi * np.outer(np.arange(512, dtype=np.longdouble),
-                              np.sin(phi.astype(np.longdouble)))
+                              np.sin(np.longdouble(nominal) + s))
         cos, sin = np.cos(phase), np.sin(phase)
         for asd_deg in (0.1, 15.0, 180.0):
             asd = math.radians(asd_deg)
-            w = np.gradient(phi) * np.exp(-np.abs(phi - nominal) / (asd / math.sqrt(2.0)))
-            w = (w / w.sum()).astype(np.longdouble)
+            w = rule_weights(asd, points, np.longdouble)
             r = (cos @ w).astype(float) + 1j * (sin @ w).astype(float)
             for n in (1, 2, 6, 7, 63, 64, 65, 511, 512):
                 cov = laplacian_covariance(n, nominal, asd)
@@ -266,15 +301,13 @@ class TestLaplacianCovariance:
         assert abs(cov[1, 0]) < 1.0
 
     def test_shared_tables_read_only(self):
-        for table in (channel._GRID, channel._weights(math.radians(15)),
-                      *channel._rule(math.radians(15), rule_points(64))):
+        for table in channel._rule(math.radians(15), rule_points(64)):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
 
     def test_rule_cache_bounded(self):
         # one entry per (spread, points): the two array sizes of a draw stay, a third evicts
         assert channel._rule.cache_info().maxsize == 2
-        assert channel._weights.cache_info().maxsize == 1
         for n in (6, 32, 64, 6):
             laplacian_covariance(n, 0.3, math.radians(15))
             assert channel._rule.cache_info().currsize <= 2
@@ -286,24 +319,32 @@ class TestLaplacianCovariance:
         # and J_m(x) falls faster than geometrically once m > x)
         x = math.pi * (n - 1)
         m = math.ceil(x + 10.0 * x ** (1.0 / 3.0) + 20.0)
-        assert rule_points(n) == min(N_POINTS - 1, 2 * m + 1)
+        assert rule_points(n) == 2 * m + 1
         tail = 2.0 * np.sum(np.abs(jv(np.arange(m + 1, m + 400), x)))
         assert tail <= 1e-16, tail
 
-    def test_rule_points_bounded(self):
+    def test_rule_points_uncapped(self):
         points = [rule_points(n) for n in range(1, 5000)]
-        assert max(points) == N_POINTS - 1
-        assert all(p % 2 == 1 and p <= N_POINTS - 1 for p in points)
-        assert rule_points(10 ** 6) == N_POINTS - 1
-        assert [rule_points(n) for n in (6, 32, 64, 512)] == [123, 329, 555, 3487]
+        assert all(p % 2 == 1 for p in points)
+        assert all(a <= b for a, b in zip(points, points[1:]))
+        assert [rule_points(n) for n in (6, 32, 64, 512, 1024)] == [123, 329, 555, 3487, 6765]
+        # a 1024-element covariance on its 6765 points against the integral; the
+        # reference takes twice the tool's panels, which doubling them again moves by < 1e-14
+        tool = load_accuracy_tool()
+        asd = math.radians(15)
+        exact = tool.exact_lags(1024, 0.3, asd, 2 * tool.PANELS)
+        assert np.max(np.abs(tool.exact_lags(1024, 0.3, asd, 4 * tool.PANELS)
+                             - exact)) <= 1e-14
+        r = laplacian_covariance(1024, 0.3, asd)[:, 0]
+        assert np.max(np.abs(r - exact)) <= 1e-12
 
     @pytest.mark.parametrize("asd_deg", [0.1, 15.0, 180.0])
     @pytest.mark.parametrize("n", [1, 6, 32, 512, 700])
     def test_resampled_rule_keeps_the_modes(self, asd_deg, n):
-        # the folded N_POINTS rule on t_i = -pi + 2*pi*i/(N_POINTS - 1), with both ends'
-        # weights on t_0, and the resampled rule share every Fourier mode |m| <= M;
-        # each sum is direct and in extended precision, with
-        # exp(j*m*t_i) = (-1)**m exp(2j*pi*(m*i mod P)/P) reduced in integers
+        # the weights on s_k = -pi + 2*pi*k/P carry the truncated Laplacian's
+        # closed-form Fourier modes W_m for every |m| <= M; each sum is direct and in
+        # extended precision, with exp(j*m*s_k) = (-1)**m exp(2j*pi*(m*k mod P)/P)
+        # reduced in integers
         def modes(weights, m):
             p = weights.size
             pi = 4 * np.arctan(np.longdouble(1))
@@ -312,8 +353,6 @@ class TestLaplacianCovariance:
             return (-1.0) ** m * ((np.cos(phase) @ weights).astype(float)
                                   + 1j * (np.sin(phase) @ weights).astype(float))
 
-        w = channel._weights(math.radians(asd_deg))
-        folded = np.append(w[0] + w[-1], w[1:-1])
         _, _, v = channel._rule(math.radians(asd_deg), rule_points(n))
         assert v.dtype == float and v.size == rule_points(n)
         # the lowest, the highest and evenly spaced ones between, of both signs
@@ -321,41 +360,54 @@ class TestLaplacianCovariance:
         m = np.unique(np.r_[0:33, np.linspace(0, top, 65).round(), top - 32:top + 1])
         m = np.unique(np.r_[-m, m]).astype(int)
         m = m[np.abs(m) <= top]
-        assert np.max(np.abs(modes(v, m) - modes(folded, m))) <= 1e-15
+        assert np.max(np.abs(modes(v, m) - laplacian_modes(math.radians(asd_deg), m))) <= 1e-15
 
     def test_resampled_equals_full_rule(self):
-        # the N'-point evaluation against the folded N_POINTS - 1 point one
+        # the N'-point evaluation against the same modes on 2N' + 1 points
         eps = np.finfo(float).eps
         asd = math.radians(15)
-        full = channel._rule.__wrapped__(asd, N_POINTS - 1)
         for n in (6, 64, 512):
             tol = max(1e-13, 2.0 * np.pi * (n - 1) * eps)
+            full = channel._rule.__wrapped__(asd, 2 * rule_points(n) + 1)
             for nominal in NOMINAL_ANGLES:
                 r = laplacian_covariance(n, nominal, asd)[:, 0]
                 assert np.max(np.abs(r - channel._lags(n, nominal, full))) <= tol
 
     def test_exact_integral(self):
-        # an independent reference: composite Gauss-Legendre split at the density's cusp
-        spec = importlib.util.spec_from_file_location("covariance_accuracy", ACCURACY_TOOL)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        nominal, asd = 0.3, math.radians(15)
-        exact = tool.exact_lags(512, nominal, asd)
-        assert np.max(np.abs(tool.exact_lags(512, nominal, asd, 2 * tool.PANELS)
-                             - exact)) <= 2e-14
-        for n in (6, 32, 512):
-            r = laplacian_covariance(n, nominal, asd)[:, 0]
-            assert np.max(np.abs(r - exact[:n])) <= 1e-5
+        # an independent reference: composite Gauss-Legendre split at the density's cusp,
+        # which halving its panels moves by < 2e-14
+        tool = load_accuracy_tool()
+        nominal = 0.3
+        for asd_deg in (0.1, 1.0, 15.0, 60.0, 180.0):
+            asd = math.radians(asd_deg)
+            exact = tool.exact_lags(512, nominal, asd)
+            assert np.max(np.abs(tool.exact_lags(512, nominal, asd, 2 * tool.PANELS)
+                                 - exact)) <= 2e-14
+            for n in (6, 32, 64, 512):
+                r = laplacian_covariance(n, nominal, asd)[:, 0]
+                assert np.max(np.abs(r - exact[:n])) <= 1e-12, (asd_deg, n)
+
+    @pytest.mark.parametrize("asd", [1e-300, 1e-6])
+    def test_tiny_spread(self, asd):
+        # the closed form neither overflows nor divides 0 by 0: finite, exactly Hermitian,
+        # and at 1e-300 the asd = 0 covariance within _lags' bound
+        eps = np.finfo(float).eps
+        for n in (1, 6, 64, 512):
+            cov = laplacian_covariance(n, 0.3, asd)
+            assert np.all(np.isfinite(cov))
+            np.testing.assert_array_equal(cov, cov.conj().T)
+            if asd == 1e-300:
+                err = np.max(np.abs(cov - laplacian_covariance(n, 0.3, 0.0)))
+                assert err <= max(1e-13, 2.0 * np.pi * (n - 1) * eps), (n, err)
 
     def test_other_spread_between_calls(self):
-        # the caches hold one spread's weights and two (spread, points) rules: calls
-        # at another spread and two sizes in between evict the first, which is
-        # recomputed, and no result depends on the calls before it
+        # the cache holds two (spread, points) rules: calls at another spread and two
+        # sizes in between evict the first, which is recomputed, and no result depends
+        # on the calls before it
         first = laplacian_covariance(64, 0.3, math.radians(15))
         other = laplacian_covariance(64, 0.3, math.radians(40))
         laplacian_covariance(6, 0.3, math.radians(40))
         np.testing.assert_array_equal(laplacian_covariance(64, 0.3, math.radians(15)), first)
-        channel._weights.cache_clear()
         channel._rule.cache_clear()
         np.testing.assert_array_equal(laplacian_covariance(64, 0.3, math.radians(40)), other)
 
@@ -368,7 +420,7 @@ class TestLaplacianCovariance:
     @pytest.mark.parametrize("asd_deg", [0.0, 15.0])
     @pytest.mark.parametrize("n", [1, 2, 6, 64, 512])
     def test_read_only_layout(self, n, asd_deg):
-        # returned read-only (for asd > 0 a window view over the 2n - 1 lags); its
+        # returned read-only, a window view over the 2n - 1 lags at every spread; its
         # values and its factor are those of a writable C-ordered copy, bit for bit
         cov = laplacian_covariance(n, 0.3, math.radians(asd_deg))
         with pytest.raises(ValueError, match="read-only"):
@@ -377,12 +429,7 @@ class TestLaplacianCovariance:
         assert dense.flags.c_contiguous and dense.flags.writeable
         np.testing.assert_array_equal(cov, dense)
         np.testing.assert_array_equal(psd_factor(cov), psd_factor(dense))
-        if asd_deg:
-            np.testing.assert_array_equal(cov, cov.conj().T)
-        else:
-            # each v_m conj(v_k) is rounded on its own: the diagonal's imaginary parts
-            # are not 0 and mirrored entries can differ in the last bit
-            np.testing.assert_allclose(cov, cov.conj().T, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(cov, cov.conj().T)
 
 
 class TestDrawRealization:

@@ -1,8 +1,9 @@
 """Degenerate scenarios: every method returns a defined, finite result.
 
 Covers fully and mostly blocked users, more users than BS antennas, a
-single user, a single RIS element, zero angular spread (rank-one
-covariances) and extreme transmit powers, one trial each at N_R = 16.
+single user, a single RIS element, zero and tiny angular spreads (rank-one
+and nearly rank-one covariances) and extreme transmit powers, one trial
+each at N_R = 16.
 """
 
 import math
@@ -19,6 +20,7 @@ CASES = {
     "single_user": dict(n_users=1, n_blocked=0),
     "single_ris_element": dict(n_ris=1),
     "zero_asd": dict(asd=0.0),
+    "tiny_asd": dict(asd=1e-6),
     "tx_minus_20_dbm": dict(tx_dbm=-20.0),
     "tx_60_dbm": dict(tx_dbm=60.0),
     "tx_150_dbm_more_users": dict(n_users=8, n_bs=4, tx_dbm=150.0),

@@ -1,11 +1,12 @@
-"""How far the Laplacian covariance's quadrature rule lies from the exact integral.
+"""How far the Laplacian covariance lies from the exact integral.
 
     PYTHONPATH=src python tools/covariance_accuracy.py
 
-``channel.laplacian_covariance`` defines the covariance by a 4096-point rule
-on the angle grid.  This script measures that rule against an independent
-reference, ``exact_lags``: a composite Gauss-Legendre rule split at the
-density's cusp t = 0, with ``NODES`` nodes per panel and panels no wider
+``channel.laplacian_covariance`` takes the truncated Laplacian density's
+Fourier modes in closed form and sums the lags on the ``rule_points(n)``
+offsets that keep them.  This script measures that covariance against an
+independent reference, ``exact_lags``: a composite Gauss-Legendre rule split
+at the density's cusp t = 0, with ``NODES`` nodes per panel and panels no wider
 than pi/panels, nor, within 50 scale lengths asd/sqrt(2) of the cusp,
 wider than 4/panels of that span.
 For every spread and array size it prints the largest |delta| over the
