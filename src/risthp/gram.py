@@ -14,17 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# An eigenvalue of a K x K Gram-form matrix (C, or H H^H = C + d d^H) at or
-# below RANK_TOL * lambda_max counts as zero.  This rule decides whether C
-# has exactly one zero eigenvalue, which selects the closed-form alignment
-# branch and, as that eigenvalue's eigenvector, its direction; and it is the
-# only feasibility rule of linear ZF: a subset whose C + d d^H has a zero
-# eigenvalue scores 0, in the phase sweep and in ``baseline.zf_linear`` alike
-# (a singular-value ratio of about 3.2e-5).  THP decides on H itself, by
-# thp._RANK_TOL on its singular values, because it factors H by QR and never
-# squares its condition number; a ratio of 1e-20, the square of that
-# threshold, is below what a Gram matrix in double precision resolves.
+# The one rank rule: an eigenvalue of C or C + d d^H at or below RANK_TOL * lambda_max, or a
+# singular value of H at or below sqrt(RANK_TOL) * sigma_max, counts as zero.  It picks the
+# alignment branch; a subset with a zero is infeasible for linear ZF and THP alike.
 RANK_TOL = 1e-9
+UNIT_MODULUS_TOL = 1e-12  # the one bound on | |theta_n| - 1 | (``is_unit_modulus``)
 
 
 class DegenerateRankError(RuntimeError):
@@ -141,7 +135,7 @@ def effective_channel(real, users, theta: np.ndarray) -> np.ndarray:
     H is (c, K, N_B), from one product and one unit-modulus check.
     """
     theta = np.asarray(theta)
-    if not np.abs(np.abs(theta) - 1.0).max() <= 1e-9:  # NaN fails
+    if not is_unit_modulus(theta):
         raise ValueError("theta entries must be unit modulus")
     users = check_users(real, users)
     h_c_theta = (real.h_cascaded[users] @ theta[..., None])[..., 0]
@@ -163,10 +157,23 @@ def count_zero_eigenvalues(lam: np.ndarray):
     return (lam <= RANK_TOL * lam_max).sum(axis=-1)
 
 
+def rank_deficient(sv: np.ndarray):
+    """Whether sigma_min <= sqrt(RANK_TOL) * sigma_max, ``sv`` descending along its last axis.
+
+    The rule of ``count_zero_eigenvalues`` on sigma^2, compared on sigma so nothing overflows.
+    """
+    return sv[..., -1] <= RANK_TOL ** 0.5 * sv[..., 0]
+
+
+def is_unit_modulus(z) -> bool:
+    """Whether every entry of z lies within UNIT_MODULUS_TOL of the unit circle (NaN fails)."""
+    return bool(np.abs(np.abs(z) - 1.0).max() <= UNIT_MODULUS_TOL)
+
+
 def _check_theta_bar(theta_bar):
     theta_bar = np.asarray(theta_bar, dtype=complex)
-    if not abs(theta_bar[-1] - 1.0) <= 1e-9:  # NaN fails
-        raise ValueError("last entry of theta_bar must equal 1")
+    if not (is_unit_modulus(theta_bar) and abs(theta_bar[-1] - 1.0) <= UNIT_MODULUS_TOL):
+        raise ValueError("theta_bar must be unit modulus, and its last entry must equal 1")
     return theta_bar
 
 

@@ -35,14 +35,12 @@ class PhaseConfig:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=complex)
-        if self.alphabet == "continuous":
-            if not np.abs(np.abs(self.theta) - 1.0).max() <= 1e-12:  # NaN fails
-                raise ValueError("continuous phases must be unit modulus")
-        elif self.alphabet == "binary":
-            if not ((self.theta == 1.0) | (self.theta == -1.0)).all():  # NaN fails
-                raise ValueError("binary phases must be exactly +-1")
-        else:
+        if self.alphabet not in ("continuous", "binary"):
             raise ValueError(f"unknown alphabet {self.alphabet!r}")
+        if self.alphabet == "continuous" and not gram_mod.is_unit_modulus(self.theta):
+            raise ValueError("continuous phases must be unit modulus")
+        if self.alphabet == "binary" and not ((self.theta == 1.0) | (self.theta == -1.0)).all():
+            raise ValueError("binary phases must be exactly +-1")
 
 
 def random_phases(n_ris: int, rng: np.random.Generator) -> PhaseConfig:

@@ -310,49 +310,55 @@ def _validate_checks():
     rng = np.random.default_rng(1234)
     checks = []
 
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def realization(h_direct, h_cascaded, b_vec):
+        return channel.ChannelRealization(h_direct, h_cascaded, b_vec / np.linalg.norm(b_vec),
+                                          np.ones(h_cascaded.shape[1], dtype=complex))
+
     # Gram identity on random instances
-    from .channel import ChannelRealization
     worst = 0.0
     for _ in range(50):
-        k, n_bs, n_ris = 3, 4, 8
-        h_d = (rng.standard_normal((k, n_bs)) + 1j * rng.standard_normal((k, n_bs)))
-        h_c = (rng.standard_normal((k, n_ris)) + 1j * rng.standard_normal((k, n_ris)))
-        b = rng.standard_normal(n_bs) + 1j * rng.standard_normal(n_bs)
-        b /= np.linalg.norm(b)
-        real = ChannelRealization(h_direct=h_d, h_cascaded=h_c, b_vec=b,
-                                  a_vec=np.ones(n_ris, dtype=complex))
-        dec = gram_mod.decompose(real, range(k))
-        theta = np.exp(2j * np.pi * rng.uniform(size=n_ris))
+        real = realization(gaussian(3, 4), gaussian(3, 8), gaussian(4))
+        dec = gram_mod.decompose(real, range(3))
+        theta = np.exp(2j * np.pi * rng.uniform(size=8))
         tb = gram_mod.extend_theta(theta)
         lhs = dec.c_mat + np.outer(dec.d_mat @ tb, (dec.d_mat @ tb).conj())
-        h = gram_mod.effective_channel(real, range(k), theta)
+        h = gram_mod.effective_channel(real, range(3), theta)
         worst = max(worst, float(np.max(np.abs(lhs - h @ h.conj().T))))
     checks.append(("gram identity (max abs err < 1e-10)", worst < 1e-10))
 
     # modulo properties
-    z = rng.standard_normal(1000) * 3.0
-    m = thp.modulo(z)
+    m = thp.modulo(rng.standard_normal(1000) * 3.0)
     checks.append(("modulo range and idempotence",
-                   bool(np.all((m >= -0.5) & (m < 0.5))
-                        and np.allclose(thp.modulo(m), m))))
+                   bool(np.all((m >= -0.5) & (m < 0.5)) and np.allclose(thp.modulo(m), m))))
 
     # THP loop uniformity
-    h = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    h = gaussian(4, 6)
     filters = thp.build_filters(h, thp.order_users(h)[0], tx_power=4.0)
     syms = thp.simulate_transmission(filters, h, 20000, rng)
     stat, passed = uniformity_test(syms.v.real.ravel(), alpha=0.01)
     checks.append((f"THP v-symbol KS uniformity (stat={stat:.4f})", passed))
 
     # unit-modulus phase invariants
-    real = ChannelRealization(
-        h_direct=rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
-        h_cascaded=rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)),
-        b_vec=(lambda v: v / np.linalg.norm(v))(
-            rng.standard_normal(4) + 1j * rng.standard_normal(4)),
-        a_vec=np.ones(8, dtype=complex))
+    real = realization(gaussian(4, 4), gaussian(4, 8), gaussian(4))
     (theta, _), = alloc.optimize_phases(real, np.arange(4)[None], 10.0, "continuous")
-    checks.append(("continuous phases unit modulus",
-                   bool(np.max(np.abs(np.abs(theta.theta) - 1.0)) < 1e-12)))
+    checks.append(("continuous phases unit modulus", gram_mod.is_unit_modulus(theta.theta)))
+
+    # one rank rule: two users share a strong cascade and their direct rows differ by eps,
+    # which puts H's sigma ratio either side of sqrt(RANK_TOL); both families must agree
+    ones, verdicts, ratios = baseline.PhaseConfig(np.ones(4)), [], []
+    for eps in (1e-3, 8e-2):
+        real = realization(np.array([[1.0, 0, 0], [1.0, eps, 0]], dtype=complex),
+                           np.full((2, 4), 100.0, dtype=complex), np.array([0, 0, 1.0]))
+        sv = np.linalg.svd(gram_mod.effective_channel(real, [0, 1], ones.theta), compute_uv=False)
+        ratios.append(f"{sv[-1] / sv[0]:.2e}")
+        verdicts += [evaluate(real, [[0, 1]], 1.0, "random", fixed_theta=ones)[0].feasible
+                     for evaluate in (alloc.evaluate_allocation,
+                                      baseline.evaluate_allocation_linear)]
+    checks.append((f"THP and linear ZF reject sigma ratio {ratios[0]} and accept {ratios[1]}",
+                   verdicts == [False, False, True, True]))
 
     # the covariance on rule_points(n) points against the same modes on a finer grid
     n, asd = 512, math.radians(15.0)

@@ -12,14 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gram as gram_mod
+
 # per-user shaping loss of uniform (cubic) signaling: log2(pi*e/6)
 SHAPING_LOSS_BITS = math.log2(math.pi * math.e / 6.0)
-
-# THP's rank rule: the rows of H count as dependent when
-# sigma_min <= _RANK_TOL * sigma_max (``check_full_row_rank``, run by every
-# LQ factorisation).  Linear ZF and the phase branch decide by gram.RANK_TOL
-# on Gram-form eigenvalues instead; its comment says why the two differ.
-_RANK_TOL = 1e-10
 
 # below this per-dimension std the wrapped Gaussian equals the plain Gaussian
 # to far beyond the grid rule's accuracy (tail mass < 1e-130 outside the cell)
@@ -80,11 +76,6 @@ class ModuloSymbols:
     def mean_x_power(self) -> float:
         return float(np.mean(np.sum(np.abs(self.x) ** 2, axis=0)))
 
-    @property
-    def error(self) -> np.ndarray:
-        """Per-user residual Mod(y - s)."""
-        return modulo(self.y - self.s)
-
 
 def modulo(z):
     """Componentwise modulo onto [-0.5, 0.5), real and imaginary parts."""
@@ -95,7 +86,7 @@ def modulo(z):
 
 
 def check_full_row_rank(h: np.ndarray) -> None:
-    """Raise RankDeficientError when the rows of H are numerically dependent.
+    """Raise RankDeficientError when ``gram.rank_deficient`` calls the rows of H dependent.
 
     H may be a stack of matrices over leading axes: one batched SVD tests them
     all, and the error's ``deficient`` marks the dependent ones, so a caller
@@ -111,8 +102,7 @@ def check_full_row_rank(h: np.ndarray) -> None:
     if rows > cols:
         raise RankDeficientError(f"{rows} rows in {cols} dimensions are dependent",
                                  np.ones(shape[:-2], dtype=bool))
-    sv = np.linalg.svd(h, compute_uv=False)
-    deficient = sv[..., -1] <= _RANK_TOL * sv[..., 0]
+    deficient = gram_mod.rank_deficient(np.linalg.svd(h, compute_uv=False))
     if deficient.any():
         raise RankDeficientError("channel matrix is rank deficient", deficient)
 
@@ -206,9 +196,8 @@ def sum_se_asymptote(h: np.ndarray, p_bar: float) -> float:
         raise ValueError("p_bar must be positive")
     h = np.asarray(h, dtype=complex)
     k = h.shape[0]
-    gram = h @ h.conj().T
     check_full_row_rank(h)
-    _, logdet = np.linalg.slogdet(gram)
+    _, logdet = np.linalg.slogdet(h @ h.conj().T)
     return k * math.log2(p_bar) + logdet / math.log(2.0) - k * SHAPING_LOSS_BITS
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from risthp import alloc, baseline as B, gram as G, phase_opt
+from risthp import alloc, baseline as B, gram as G, phase_opt, thp
 from risthp.channel import ChannelRealization, ScenarioConfig, draw_realization
 from risthp.phase_opt import PhaseConfig
 
@@ -36,6 +36,19 @@ def _oracle_se(real, users, theta_vec, tx_power):
 
 def _zf_linear(real, users, theta, tx_power):
     return B.zf_linear(G.decompose(real, users), theta, tx_power)
+
+
+def _shared_cascade_pair(eps):
+    """Two users who see one strong cascade and whose direct rows differ by eps.
+
+    At theta = 1, H = [[1, 0, 400], [1, eps, 400]]: its sigma ratio is about
+    1.25e-3 * eps, either side of sqrt(RANK_TOL) = 3.16e-5 as eps moves.
+    """
+    return ChannelRealization(
+        h_direct=np.array([[1.0, 0.0, 0.0], [1.0, eps, 0.0]], dtype=complex),
+        h_cascaded=np.full((2, 4), 100.0, dtype=complex),
+        b_vec=np.array([0.0, 0.0, 1.0], dtype=complex),
+        a_vec=np.ones(4, dtype=complex))
 
 
 def _colinear(real):
@@ -542,11 +555,7 @@ class TestZfSumSeRankOne:
         # so d lies along C's strong eigenvector and C + d d^H keeps an
         # eigenvalue near 5e-7 while lam_max grows to ~1e5: every candidate has
         # a zero eigenvalue, scores 0 and leaves theta where it is.
-        real = ChannelRealization(
-            h_direct=np.array([[1.0, 0.0, 0.0], [1.0, 1e-3, 0.0]], dtype=complex),
-            h_cascaded=np.full((2, 4), 100.0, dtype=complex),
-            b_vec=np.array([0.0, 0.0, 1.0], dtype=complex),
-            a_vec=np.ones(4, dtype=complex))
+        real = _shared_cascade_pair(1e-3)
         dec = G.decompose(real, [0, 1])
         assert G.count_zero_eigenvalues(dec.eig[0]) == 0
         theta = PhaseConfig(np.ones(4, dtype=complex))
@@ -563,8 +572,35 @@ class TestZfSumSeRankOne:
         np.testing.assert_array_equal(swept.theta, theta.theta)
         assert rank_one_calls == []
         assert len(eigh_calls) == real.n_ris
-        # zf_linear keeps the same rule, though H's sigma ratio is 1.25e-6
+        # zf_linear keeps the same rule, though H's sigma ratio is 1.25e-6, and so
+        # does THP: its rank test on H's singular values is the same rule
+        # (TestOneRankRule), so THP calls this pair dependent too
         assert not B.zf_linear(dec, theta, 2.0).feasible
+
+
+class TestOneRankRule:
+    """THP and linear ZF call the same subsets dependent, on either side of the rule."""
+
+    @pytest.mark.parametrize("eps, ratio, dependent",
+                             [(1e-3, 1.25e-6, True), (8e-2, 1e-4, False)])
+    def test_thp_and_linear_zf_agree(self, eps, ratio, dependent):
+        real = _shared_cascade_pair(eps)
+        theta = PhaseConfig(np.ones(4, dtype=complex))
+        h = G.effective_channel(real, [0, 1], theta.theta)
+        sv = np.linalg.svd(h, compute_uv=False)
+        assert sv[-1] / sv[0] == pytest.approx(ratio, rel=0.01)
+        assert B.zf_linear(G.decompose(real, [0, 1]), theta, 2.0).feasible == (not dependent)
+        if dependent:
+            with pytest.raises(thp.RankDeficientError) as info:
+                thp.order_users(h)
+            assert info.value.deficient.shape == () and info.value.deficient
+        else:
+            assert np.all(thp.order_users(h)[1] > 0)
+        # and so do the greedy steps of the two families
+        thp_step = alloc.evaluate_allocation(real, [[0, 1]], 1.0, "random", fixed_theta=theta)
+        zf_step = B.evaluate_allocation_linear(real, [[0, 1]], 1.0, "random",
+                                               fixed_theta=theta)
+        assert thp_step[0].feasible == zf_step[0].feasible == (not dependent)
 
 
 class TestSweepEquivalence:

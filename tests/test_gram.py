@@ -5,6 +5,7 @@ import scipy.linalg
 from risthp import gram as G
 from risthp.channel import ChannelRealization, ScenarioConfig, draw_realization
 from risthp.gram import DegenerateRankError
+from risthp.phase_opt import PhaseConfig
 
 from conftest import random_realization, random_unit_theta
 
@@ -327,3 +328,50 @@ class TestDpcAsymptote:
         tb = G.extend_theta(random_unit_theta(rng, real.n_ris))
         with pytest.raises(DegenerateRankError):
             G.dpc_asymptote(dec, tb, 1e6)
+
+
+class TestOneRankRule:
+    def test_singular_values_decide_as_eigenvalues_do(self, rng):
+        # sigma <= sqrt(RANK_TOL) sigma_max is lambda <= RANK_TOL lambda_max on sigma^2
+        sv = np.sort(10.0 ** rng.uniform(-8, 0, size=(1000, 4)), axis=1)[:, ::-1]
+        np.testing.assert_array_equal(G.rank_deficient(sv),
+                                      G.count_zero_eigenvalues(sv[:, ::-1] ** 2) > 0)
+
+    def test_compares_sigma_without_squaring(self):
+        # sigma^2 would overflow here (and warn, which the suite makes an error)
+        assert not G.rank_deficient(np.array([1e200, 1e196]))
+        assert G.rank_deficient(np.array([1e200, 1e195]))
+
+
+class TestUnitModulusRule:
+    """One tolerance, UNIT_MODULUS_TOL, guards every theta and theta_bar."""
+
+    def test_dpc_rejects_non_physical_phases(self):
+        real = draw_realization(ScenarioConfig(n_ris=4, seed=1), np.random.default_rng(1))
+        dec = G.decompose(real, [0, 1, 2])
+        theta_bar = [0.5, 3.0, 7j, 0.0, 1.0]
+        with pytest.raises(ValueError, match="unit modulus"):
+            G.dpc_sum_se(dec, theta_bar, 1.0)
+        with pytest.raises(ValueError, match="unit modulus"):
+            G.dpc_asymptote(dec, theta_bar, 1.0)
+
+    @pytest.mark.parametrize("off, unit", [(1e-13, True), (1e-10, False)])
+    def test_one_tolerance_everywhere(self, rng, off, unit):
+        real = random_realization(rng)
+        dec = G.decompose(real, range(3))
+        theta = random_unit_theta(rng, real.n_ris)
+        theta[2] *= 1.0 + off
+        last_off = G.extend_theta(random_unit_theta(rng, real.n_ris))
+        last_off[-1] += off
+        assert G.is_unit_modulus(theta) == unit
+        checks = [lambda: PhaseConfig(theta),
+                  lambda: G.effective_channel(real, range(3), theta)]
+        checks += [lambda tb=tb, fn=fn: fn(dec, tb, 1e3)
+                   for tb in (G.extend_theta(theta), last_off)
+                   for fn in (G.dpc_sum_se, G.dpc_asymptote)]
+        for check in checks:
+            if unit:
+                check()
+            else:
+                with pytest.raises(ValueError):
+                    check()

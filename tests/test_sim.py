@@ -375,6 +375,7 @@ class TestCli:
         assert S.main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert "THP and linear ZF reject sigma ratio 1.25e-06 and accept 1.00e-04" in out
 
     def test_deterministic_csv_modulo_timing(self, tmp_path):
         out1, out2 = tmp_path / "d1.csv", tmp_path / "d2.csv"

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import xlogy
 
-from risthp import thp as T
+from risthp import gram as G, thp as T
 from risthp.sim import uniformity_test
 from risthp.thp import RankDeficientError, SHAPING_LOSS_BITS
 
@@ -270,16 +270,39 @@ def _reference_order(h):
     return order
 
 
+def _dependent_by_own_svd(h):
+    """sigma_min / sigma_max <= sqrt(RANK_TOL) for each matrix, each by its own SVD."""
+    sv = [np.linalg.svd(m, compute_uv=False) for m in h.reshape(-1, *h.shape[-2:])]
+    return np.array([s[-1] / s[0] <= math.sqrt(G.RANK_TOL) for s in sv]).reshape(h.shape[:-2])
+
+
+def _assert_marks(fn, h, dependent):
+    """fn(h) raises RankDeficientError whose ``deficient`` is exactly ``dependent``."""
+    with pytest.raises(RankDeficientError) as info:
+        fn(h)
+    assert info.value.deficient.shape == dependent.shape
+    np.testing.assert_array_equal(info.value.deficient, dependent)
+
+
 class TestOrderUsers:
     def test_matches_reference_and_lq_gains(self, rng):
-        # row scales 10^-3 .. 10^3, as between blocked and unblocked users
+        # row scales 10^-3 .. 10^3, as between blocked and unblocked users: the
+        # draws whose sigma ratio is at or below sqrt(RANK_TOL) are dependent
+        n_dependent = 0
         for _ in range(600):
             k = int(rng.integers(1, 7))
             h = random_channel(rng, k, 6) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+            dependent = _dependent_by_own_svd(h)
+            if dependent:
+                n_dependent += 1
+                for fn in (T.order_users, T.lq_decompose, _reference_order):
+                    _assert_marks(fn, h, dependent)
+                continue
             order, diag_l = T.order_users(h)
             np.testing.assert_array_equal(order, _reference_order(h))
             l_mat, _ = T.lq_decompose(h[order])
             np.testing.assert_allclose(diag_l, np.real(np.diag(l_mat)), rtol=1e-12, atol=0)
+        assert 0 < n_dependent < 600
 
     def test_single_user(self, rng):
         h = random_channel(rng, 1, 3)
@@ -317,15 +340,26 @@ class TestStackedOrdering:
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_per_matrix_calls(self, rng, n, k):
-        # row scales 10^-3 .. 10^3, as between blocked and unblocked users
+        # row scales 10^-3 .. 10^3, as between blocked and unblocked users: the
+        # matrices whose sigma ratio is at or below sqrt(RANK_TOL) are dependent,
+        # in the stacked call and alone; the others are ordered as a stack
         for _ in range(20):
             h = np.stack([random_channel(rng, k, 6) for _ in range(n)]) \
                 * 10.0 ** rng.uniform(-3, 3, size=(n, k, 1))
+            dependent = _dependent_by_own_svd(h)
+            if dependent.any():
+                for fn in (T.check_full_row_rank, T.order_users, T.lq_decompose):
+                    _assert_marks(fn, h, dependent)
+                    for h_i in h[dependent]:
+                        _assert_marks(fn, h_i, np.array(True))
+                if dependent.all():
+                    continue
+                h = h[~dependent]
             order, diag_l = T.order_users(h)
             l_mat, q_mat = T.lq_decompose(h)
-            assert order.shape == diag_l.shape == (n, k)
-            assert l_mat.shape == (n, k, k) and q_mat.shape == (n, k, 6)
-            for i in range(n):
+            assert order.shape == diag_l.shape == (len(h), k)
+            assert l_mat.shape == (len(h), k, k) and q_mat.shape == (len(h), k, 6)
+            for i in range(len(h)):
                 order_i, diag_i = T.order_users(h[i])
                 l_i, q_i = T.lq_decompose(h[i])
                 np.testing.assert_array_equal(order[i], order_i)
