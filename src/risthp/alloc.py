@@ -32,7 +32,7 @@ class Allocation:
     @property
     def se_exact(self) -> float:
         """Sum of exact modulo-channel SEs, bits (0.0 if infeasible); computed when read."""
-        return float(sum(thp.per_user_se(l, self.p_bar, "exact") for l in self.diag_l))
+        return float(sum(thp.per_user_se(l, self.p_bar) for l in self.diag_l))
 
 
 def _infeasible(users, theta, p_bar):
@@ -78,22 +78,20 @@ def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: float) -> list:
     return solved
 
 
-def optimize_phases(real, stack: np.ndarray, p_bar: float, phase_mode: str) -> list:
-    """Phases and decomposition, as [(theta, gram)], of each user subset (row) of ``stack``.
+def optimize_phases(real, stack: np.ndarray, p_bar: float) -> list:
+    """The stored continuous solves (theta, G, gram) of the user subsets (rows) of ``stack``.
 
     ``stack`` is a 2-D integer array (c, K) of subsets (``gram.check_users``).
     This is the only route into the realization's table ``real.solves``,
-    which holds each continuous solve (theta, G, gram) read-only under
-    (users, p_bar): gram is the subset's own row of the stacked
-    ``gram.decompose``, with C, D and the eig its branch was picked by.  So
-    methods that share the realization decompose and solve each subset once.
-    The table is read first; the subsets it lacks are decomposed as one
-    stack, solved by ``_continuous_stage`` and stored.
-
-    theta is, for continuous, the stored theta; for binary, it discretized,
-    then element-wise +-1 sweeps on the stored G.  gram is the stored row.
+    which holds each solve read-only under (users, p_bar): the refined
+    phases theta, the phase factor G they were refined on, and the subset's
+    own row gram of the stacked ``gram.decompose``, with C, D and the eig
+    its branch was picked by.  So methods that share the realization
+    decompose and solve each subset once.  The table is read first; the
+    subsets it lacks are decomposed as one stack, solved by
+    ``_continuous_stage`` and stored.  The triples returned are the stored
+    ones; a discrete method refines theta on its own objective.
     """
-    check_optimized_mode(phase_mode)
     keys = [(tuple(users), p_bar) for users in gram_mod.check_users(real, stack).tolist()]
     missed = [i for i, key in enumerate(keys) if key not in real.solves]
     if missed:
@@ -103,13 +101,7 @@ def optimize_phases(real, stack: np.ndarray, p_bar: float, phase_mode: str) -> l
             for array in (theta.theta, g_mat, row.c_mat, row.d_mat):
                 array.setflags(write=False)
             real.solves[keys[missed[j]]] = (theta, g_mat, row)
-    solved = []
-    for key in keys:
-        theta, g_mat, row = real.solves[key]
-        if phase_mode == "binary":
-            theta = phase_opt.refine_elementwise(g_mat, phase_opt.discretize_binary(theta))
-        solved.append((theta, row))
-    return solved
+    return [real.solves[key] for key in keys]
 
 
 def check_step(real, subsets) -> tuple:
@@ -153,13 +145,15 @@ def evaluate_allocation(real, subsets, p_bar: float, phase_mode: str, *,
                         fixed_theta: PhaseConfig | None = None) -> Step:
     """Phase + order optimization and the SE bound for user subsets of one size.
 
-    Each subset gets its own phases, as ``optimize_phases`` gives them, or
-    ``fixed_theta``, used for random phases that are a property of the RIS,
-    not of the allocation.  The effective channels come from one batched product,
-    so one call of ``thp.order_users`` runs the rank test, the QR, the
-    inverse and the ordering for all of them, and the bounds come from one
-    vector step.  A subset whose rows are dependent is infeasible; the others
-    are ordered again without it.
+    Each subset gets its own phases or ``fixed_theta``, used for random
+    phases that are a property of the RIS, not of the allocation.  Its own
+    phases are the continuous theta that ``optimize_phases`` returns; for
+    binary, theta discretized, then element-wise +-1 sweeps on the returned
+    G (``phase_opt.refine_elementwise``).  The effective channels come from
+    one batched product, so one call of ``thp.order_users`` runs the rank
+    test, the QR, the inverse and the ordering for all of them, and the
+    bounds come from one vector step.  A subset whose rows are dependent is
+    infeasible; the others are ordered again without it.
     """
     subsets, stack = check_step(real, subsets)
     if stack.shape[1] > real.n_bs:
@@ -169,7 +163,10 @@ def evaluate_allocation(real, subsets, p_bar: float, phase_mode: str, *,
         thetas = [fixed_theta] * len(subsets)
         theta_rows = fixed_theta.theta
     else:
-        thetas = [theta for theta, _ in optimize_phases(real, stack, p_bar, phase_mode)]
+        check_optimized_mode(phase_mode)
+        thetas = [phase_opt.refine_elementwise(g_mat, phase_opt.discretize_binary(theta))
+                  if phase_mode == "binary" else theta
+                  for theta, g_mat, _ in optimize_phases(real, stack, p_bar)]
         theta_rows = np.array([theta.theta for theta in thetas])
     h_eff = gram_mod.effective_channel(real, stack, theta_rows)
     feasible = np.ones(len(subsets), dtype=bool)

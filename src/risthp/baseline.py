@@ -60,7 +60,10 @@ def zf_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
 
     Scores d = D theta_bar with ``zf_se_gram``, the formula and zero-eigenvalue
     rule the phase sweep falls back to, so neither H nor a precoder is formed.
+    Raises ValueError unless ``tx_power`` is positive (NaN fails).
     """
+    if not tx_power > 0:
+        raise ValueError("tx_power must be positive")
     d_vec = dec.d_mat @ gram_mod.extend_theta(theta.theta)
     se, ok = zf_se_gram(dec.c_mat, d_vec[None, :], tx_power)
     return LinearSolution(users=list(dec.users), theta=theta, per_user_se=se[0],
@@ -187,7 +190,7 @@ def evaluate_allocation_linear(real, subsets, p_bar: float, phase_mode: str, *,
         return [zf_linear(dec.take(i), fixed_theta, tx_power) for i in range(len(subsets))]
     alloc.check_optimized_mode(phase_mode)
     solutions = []
-    for theta, dec in alloc.optimize_phases(real, stack, p_bar, "continuous"):
+    for theta, _, dec in alloc.optimize_phases(real, stack, p_bar):
         if phase_mode == "binary":
             theta = phase_opt.discretize_binary(theta)
         solutions.append(zf_linear(dec, _sweep_phases_linear(dec, theta, tx_power), tx_power))

@@ -130,8 +130,9 @@ class ChannelRealization:
     ``solves`` holds the continuous phase solves of every method run on it,
     read and written only by ``alloc.optimize_phases`` under (users, p_bar)
     as read-only (theta, G, gram): the refined phases, the phase factor they
-    were refined on and the subset's decomposition (C, D and eig).  THP's
-    binary path reads G; linear ZF and ``dpc_rate`` read theta and gram.
+    were refined on and the subset's decomposition (C, D and eig).  It
+    returns the stored triples: ``alloc.evaluate_allocation`` refines THP's
+    binary phases on G, and linear ZF and ``dpc_rate`` read theta and gram.
     ``dataclasses.replace`` starts an empty one.  A realization is not
     changed after its first phase solve.
     """
@@ -139,7 +140,6 @@ class ChannelRealization:
     h_direct: np.ndarray  # (K, N_B)
     h_cascaded: np.ndarray  # (K, N_R)
     b_vec: np.ndarray  # (N_B,), ||b||_2 = 1
-    a_vec: np.ndarray  # (N_R,), includes the BS-RIS amplitude
     meta: RealizationMeta = None
     solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -322,7 +322,8 @@ def draw_realization(config: ScenarioConfig, rng: np.random.Generator) -> Channe
 
     The first ``n_blocked`` users receive the extra blockage pathloss on the
     direct link.  Both the direct and the RIS-user channels carry the 1/sigma
-    noise normalization; the BS-RIS amplitude sits in ``a_vec``.
+    noise normalization; the cascaded rows also carry diag(a) of the BS-RIS
+    link, with its amplitude.
     """
     cfg = config
     k, n_bs, n_ris = cfg.n_users, cfg.n_bs, cfg.n_ris
@@ -368,4 +369,4 @@ def draw_realization(config: ScenarioConfig, rng: np.random.Generator) -> Channe
     meta = RealizationMeta(user_pos=pos, dist_bs=dist_bs, dist_ris=dist_ris,
                            blocked=blocked)
     return ChannelRealization(h_direct=h_direct, h_cascaded=h_cascaded,
-                              b_vec=b_vec, a_vec=a_vec, meta=meta)
+                              b_vec=b_vec, meta=meta)

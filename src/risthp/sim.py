@@ -180,8 +180,7 @@ def _thp_no_ris(real, p_bar, phase_mode, rng):
 
 
 def _dpc(real, p_bar, phase_mode, rng):
-    (theta, dec), = alloc.optimize_phases(real, np.arange(real.n_users)[None], p_bar,
-                                          phase_mode)
+    (theta, _, dec), = alloc.optimize_phases(real, np.arange(real.n_users)[None], p_bar)
     return real.n_users, gram_mod.dpc_sum_se(dec, gram_mod.extend_theta(theta.theta), p_bar)
 
 
@@ -314,8 +313,7 @@ def _validate_checks():
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def realization(h_direct, h_cascaded, b_vec):
-        return channel.ChannelRealization(h_direct, h_cascaded, b_vec / np.linalg.norm(b_vec),
-                                          np.ones(h_cascaded.shape[1], dtype=complex))
+        return channel.ChannelRealization(h_direct, h_cascaded, b_vec / np.linalg.norm(b_vec))
 
     # Gram identity on random instances
     worst = 0.0
@@ -343,7 +341,7 @@ def _validate_checks():
 
     # unit-modulus phase invariants
     real = realization(gaussian(4, 4), gaussian(4, 8), gaussian(4))
-    (theta, _), = alloc.optimize_phases(real, np.arange(4)[None], 10.0, "continuous")
+    (theta, _, _), = alloc.optimize_phases(real, np.arange(4)[None], 10.0)
     checks.append(("continuous phases unit modulus", gram_mod.is_unit_modulus(theta.theta)))
 
     # one rank rule: two users share a strong cascade and their direct rows differ by eps,

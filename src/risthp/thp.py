@@ -168,15 +168,11 @@ def wrapped_noise_entropy(var_complex: float) -> float:
     return 2.0 * h_real
 
 
-def per_user_se(l_kk: float, p_bar: float, mode: str = "exact") -> float:
-    """SE (bits) of one scalar modulo channel with gain L_kk at power p_bar."""
+def per_user_se(l_kk: float, p_bar: float) -> float:
+    """Exact SE (bits) of one scalar modulo channel with gain L_kk at power p_bar."""
     if not (l_kk > 0 and p_bar > 0):
         raise ValueError("l_kk and p_bar must be positive")
-    if mode == "asymptote":
-        return float(se_asymptote(l_kk, p_bar))
-    if mode == "exact":
-        return -wrapped_noise_entropy(1.0 / (6.0 * p_bar * l_kk ** 2))
-    raise ValueError(f"unknown mode {mode!r}")
+    return -wrapped_noise_entropy(1.0 / (6.0 * p_bar * l_kk ** 2))
 
 
 def se_asymptote(diag_l, p_bar: float) -> np.ndarray:

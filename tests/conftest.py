@@ -12,8 +12,7 @@ def random_realization(rng, k=3, n_bs=4, n_ris=8, blocked=()):
     h_c = rng.standard_normal((k, n_ris)) + 1j * rng.standard_normal((k, n_ris))
     b = rng.standard_normal(n_bs) + 1j * rng.standard_normal(n_bs)
     b /= np.linalg.norm(b)
-    return ChannelRealization(h_direct=h_d, h_cascaded=h_c, b_vec=b,
-                              a_vec=np.ones(n_ris, dtype=complex))
+    return ChannelRealization(h_direct=h_d, h_cascaded=h_c, b_vec=b)
 
 
 def random_unit_theta(rng, n_ris):

@@ -32,8 +32,7 @@ def _random_realization(rng, k=3, n_bs=4, n_ris=8, blocked=()):
     h_c = rng.standard_normal((k, n_ris)) + 1j * rng.standard_normal((k, n_ris))
     b = rng.standard_normal(n_bs) + 1j * rng.standard_normal(n_bs)
     b /= np.linalg.norm(b)
-    return ChannelRealization(h_direct=h_d, h_cascaded=h_c, b_vec=b,
-                              a_vec=np.ones(n_ris, dtype=complex))
+    return ChannelRealization(h_direct=h_d, h_cascaded=h_c, b_vec=b)
 
 
 def test_criterion_01_shaping_loss_identity():
@@ -44,7 +43,7 @@ def test_criterion_01_shaping_loss_identity():
         p_bar = float(rng.uniform(1.0, 100.0))
         l_mat, _ = T.lq_decompose(h)
         diag = np.real(np.diag(l_mat))
-        lhs = sum(T.per_user_se(l, p_bar, "asymptote") for l in diag)
+        lhs = sum(T.se_asymptote(l, p_bar) for l in diag)
         gram = p_bar * h @ h.conj().T
         _, logdet = np.linalg.slogdet(gram)
         rhs = logdet / math.log(2.0) - 4.0 * T.SHAPING_LOSS_BITS
@@ -56,10 +55,10 @@ def test_criterion_01_shaping_loss_identity():
 def test_criterion_02_exact_asymptote_convergence():
     worst = 0.0
     for snr_scale in np.logspace(4.0, 9.0, 20):  # p_bar * L_kk^2
-        exact = T.per_user_se(1.0, snr_scale, "exact")
-        asym = T.per_user_se(1.0, snr_scale, "asymptote")
+        exact = T.per_user_se(1.0, snr_scale)
+        asym = T.se_asymptote(1.0, snr_scale)
         worst = max(worst, abs(exact - asym))
-    low = T.per_user_se(1.0, 1e-3, "exact")
+    low = T.per_user_se(1.0, 1e-3)
     _report(2, "exact SE converges to the asymptote and vanishes at low SNR",
             worst < 0.01 and low < 0.01,
             f"max gap {worst:.2e} bits, low-SNR SE {low:.2e} bits")
@@ -160,7 +159,7 @@ def test_criterion_06_binary_phases_local_and_global():
         real = _random_realization(r, k=3, n_bs=5, n_ris=n_ris)
         dec = G.decompose(real, range(3))
         p_bar = float(r.uniform(1.0, 20.0))
-        (theta, _), = alloc.optimize_phases(real, np.array([[0, 1, 2]]), p_bar, "binary")
+        theta = alloc.evaluate_allocation(real, [[0, 1, 2]], p_bar, "binary")[0].theta
         m = dec.d_mat.conj().T @ np.linalg.solve(np.eye(3) / p_bar + dec.c_mat, dec.d_mat)
         m = 0.5 * (m + m.conj().T)
         tb = G.extend_theta(theta.theta)

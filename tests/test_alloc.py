@@ -38,8 +38,6 @@ class TestEvaluateAllocation:
         with pytest.raises(TypeError):
             A.evaluate_allocation(real, [[0, 2]], 3.0, "random",
                                   np.random.default_rng(9))
-        with pytest.raises(ValueError, match="greedy_allocate"):
-            A.optimize_phases(real, np.array([[0, 2]]), 3.0, "random")
 
     def test_zero_eig_matches_alignment(self, rng):
         real = random_realization(rng, k=2, n_bs=2, n_ris=6)
@@ -149,7 +147,7 @@ def _stored_alone(real, subsets, p_bar):
     """The (theta, G, gram) that one-subset ``optimize_phases`` calls store."""
     alone = dataclasses.replace(real)  # an empty table
     for users in subsets:
-        A.optimize_phases(alone, np.array([users]), p_bar, "continuous")
+        A.optimize_phases(alone, np.array([users]), p_bar)
     return alone.solves
 
 
@@ -356,10 +354,10 @@ class TestUserIndices:
         # in optimize_phases keeps them from reading it; an object array
         # names its dtype, not an entry that is a valid index
         real = random_realization(rng, k=3, n_bs=4)
-        A.optimize_phases(real, np.array([[0, 1]]), 2.0, "continuous")
+        A.optimize_phases(real, np.array([[0, 1]]), 2.0)
         keys = list(real.solves)
         with pytest.raises(ValueError, match=re.escape(named)):
-            A.optimize_phases(real, bad, 2.0, "continuous")
+            A.optimize_phases(real, bad, 2.0)
         assert list(real.solves) == keys
 
     @pytest.mark.parametrize("phase_mode", ["continuous", "binary", "random"])
@@ -541,15 +539,17 @@ def _reference_greedy(real, p_bar, phase_mode, rng):
     fixed = P.random_phases(real.n_ris, rng) if phase_mode == "random" else None
 
     def solve(users):
-        theta = fixed if fixed is not None else A.optimize_phases(
-            real, np.array([users]), p_bar, phase_mode)[0][0]
+        theta = fixed
+        if fixed is None:
+            (theta, g_mat, _), = A.optimize_phases(real, np.array([users]), p_bar)
+            if phase_mode == "binary":
+                theta = P.refine_elementwise(g_mat, P.discretize_binary(theta))
         try:
             order, diag_l = _reference_order_users(
                 G.effective_channel(real, users, theta.theta))
         except T.RankDeficientError:
             return users, None, -np.inf
-        return users, order, sum(max(0.0, T.per_user_se(l, p_bar, "asymptote"))
-                                 for l in diag_l)
+        return users, order, sum(max(0.0, T.se_asymptote(l, p_bar)) for l in diag_l)
 
     k = real.n_users
     best = max((solve([u]) for u in range(k)), key=lambda c: c[2])

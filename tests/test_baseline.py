@@ -15,8 +15,7 @@ def _no_ris_realization(h_direct, n_ris=4):
     return ChannelRealization(
         h_direct=np.asarray(h_direct, dtype=complex),
         h_cascaded=np.zeros((k, n_ris), dtype=complex),
-        b_vec=np.ones(n_bs, dtype=complex) / np.sqrt(n_bs),
-        a_vec=np.ones(n_ris, dtype=complex))
+        b_vec=np.ones(n_bs, dtype=complex) / np.sqrt(n_bs))
 
 
 def _oracle_se(real, users, theta_vec, tx_power):
@@ -47,8 +46,7 @@ def _shared_cascade_pair(eps):
     return ChannelRealization(
         h_direct=np.array([[1.0, 0.0, 0.0], [1.0, eps, 0.0]], dtype=complex),
         h_cascaded=np.full((2, 4), 100.0, dtype=complex),
-        b_vec=np.array([0.0, 0.0, 1.0], dtype=complex),
-        a_vec=np.ones(4, dtype=complex))
+        b_vec=np.array([0.0, 0.0, 1.0], dtype=complex))
 
 
 def _colinear(real):
@@ -131,6 +129,13 @@ class TestZfLinear:
         h = G.effective_channel(real, [0], theta.theta)[0]
         expected = np.log2(1.0 + 3.0 * np.linalg.norm(h) ** 2)
         assert sol.sum_se == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("tx_power", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_nonpositive_power_rejected(self, rng, tx_power):
+        real = random_realization(rng, k=2, n_bs=4)
+        theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
+        with pytest.raises(ValueError, match="tx_power must be positive"):
+            _zf_linear(real, [0, 1], theta, tx_power)
 
 
 class TestEvaluateAllocationLinear:
@@ -246,6 +251,14 @@ class TestGreedyAllocateLinear:
         real = random_realization(rng)
         with pytest.raises(ValueError, match="random phases need an rng"):
             B.greedy_allocate_linear(real, 5.0, "random")
+
+    @pytest.mark.parametrize("p_bar", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_random_mode_nonpositive_power_rejected(self, p_bar):
+        # random phases skip the phase solve, whose factor checks the power,
+        # so zf_linear checks it itself
+        real = draw_realization(ScenarioConfig(seed=1, n_ris=8), np.random.default_rng(1))
+        with pytest.raises(ValueError, match="tx_power must be positive"):
+            B.greedy_allocate_linear(real, p_bar, "random", np.random.default_rng(2))
 
     def test_deterministic_random_mode(self, rng):
         real = random_realization(rng)
@@ -615,8 +628,8 @@ class TestSweepEquivalence:
         moved = False
         for users in ([0, 1, 2, 3, 4, 5], [1, 3, 4]):
             dec = G.decompose(real, users)
-            (theta, _), = alloc.optimize_phases(real, np.array([users]),
-                                                scenario.tx_power / len(users), "continuous")
+            (theta, _, _), = alloc.optimize_phases(real, np.array([users]),
+                                                   scenario.tx_power / len(users))
             for start in (theta, phase_opt.discretize_binary(theta)):
                 got = B._sweep_phases_linear(dec, start, scenario.tx_power)
                 want = _reference_sweep(real, users, start, scenario.tx_power)

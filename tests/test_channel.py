@@ -76,7 +76,7 @@ def dense_realization(cfg, rng):
     """Reference draw: one dense covariance and factor per user and link, with
     the Gaussians drawn per user, direct link first.
 
-    Returns (h_direct, h_cascaded, a_vec, b_vec, meta fields as a dict).
+    Returns (h_direct, h_cascaded, b_vec, meta fields as a dict).
     """
     k = cfg.n_users
     radii = cfg.user_circle_radius * np.sqrt(rng.uniform(size=k))
@@ -112,7 +112,7 @@ def dense_realization(cfg, rng):
         h_ris_user[u] = math.sqrt(gain_r) * (
             los_w * steering_vector(cfg.n_ris, ang_ris[u]) + nlos_w * scatter)
     meta = dict(user_pos=pos, dist_bs=dist_bs, dist_ris=dist_ris, blocked=blocked)
-    return h_direct, h_ris_user * a_vec[None, :], a_vec, b_vec, meta
+    return h_direct, h_ris_user * a_vec[None, :], b_vec, meta
 
 
 class TestSteeringVector:
@@ -495,13 +495,12 @@ class TestDrawRealization:
         cfg = self.scenario(n_ris=n_ris)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         real = draw_realization(cfg, rng)
-        ref_direct, ref_cascaded, a_vec, b_vec, meta = dense_realization(cfg, ref_rng)
+        ref_direct, ref_cascaded, b_vec, meta = dense_realization(cfg, ref_rng)
         # same Gaussian stream, consumed in the same order and amount
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         for got, ref in ((real.h_direct, ref_direct), (real.h_cascaded, ref_cascaded)):
             err = np.max(np.abs(got - ref), axis=1)
             assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1))
-        np.testing.assert_array_equal(real.a_vec, a_vec)
         np.testing.assert_array_equal(real.b_vec, b_vec)
         for name, value in meta.items():
             np.testing.assert_array_equal(getattr(real.meta, name), value)

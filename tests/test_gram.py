@@ -16,7 +16,7 @@ class TestDecompose:
         b /= np.linalg.norm(b)
         real = ChannelRealization(h_direct=b.conj()[None, :],
                                   h_cascaded=np.zeros((1, 3), dtype=complex),
-                                  b_vec=b, a_vec=np.ones(3, dtype=complex))
+                                  b_vec=b)
         dec = G.decompose(real, [0])
         np.testing.assert_allclose(dec.c_mat, 0.0, atol=1e-12)
 
@@ -219,8 +219,7 @@ class TestDpcSumSe:
     def test_identity_channel(self):
         real = ChannelRealization(h_direct=np.eye(2, dtype=complex),
                                   h_cascaded=np.zeros((2, 3), dtype=complex),
-                                  b_vec=np.array([1.0, 0.0], dtype=complex),
-                                  a_vec=np.ones(3, dtype=complex))
+                                  b_vec=np.array([1.0, 0.0], dtype=complex))
         dec = G.decompose(real, [0, 1])
         tb = G.extend_theta(np.ones(3, dtype=complex))
         assert G.dpc_sum_se(dec, tb, 1.0) == pytest.approx(2.0, abs=1e-12)
@@ -311,7 +310,7 @@ class TestDpcAsymptote:
         real = ChannelRealization(h_direct=b.conj()[None, :],
                                   h_cascaded=(rng.standard_normal((1, 4))
                                               + 1j * rng.standard_normal((1, 4))),
-                                  b_vec=b, a_vec=np.ones(4, dtype=complex))
+                                  b_vec=b)
         dec = G.decompose(real, [0])
         tb = G.extend_theta(random_unit_theta(rng, 4))
         gain = np.abs(dec.d_mat @ tb)[0] ** 2

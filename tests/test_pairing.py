@@ -155,8 +155,11 @@ def test_solves_of_one_realization_do_not_reach_another():
 
 def test_continuous_solve_stored_under_users_and_power(rng):
     real = random_realization(rng, k=3, n_ris=8)
-    (theta, dec), = A.optimize_phases(real, np.array([[2, 0]]), 10.0, "continuous")
+    solve, = A.optimize_phases(real, np.array([[2, 0]]), 10.0)
     assert list(real.solves) == [((2, 0), 10.0)]
-    stored, _, stored_dec = real.solves[((2, 0), 10.0)]
-    assert stored is theta and stored_dec is dec
+    # the stored triple itself, not a copy, and its arrays are read-only
+    assert solve is real.solves[((2, 0), 10.0)]
+    theta, g_mat, dec = solve
     assert dec.users == (2, 0)
+    for array in (theta.theta, g_mat, dec.c_mat, dec.d_mat, *dec.eig):
+        assert not array.flags.writeable

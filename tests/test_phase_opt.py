@@ -36,7 +36,7 @@ class TestZeroEigDirection:
         b = np.array([1.0, 0.0], dtype=complex)
         real = ChannelRealization(h_direct=np.eye(2, dtype=complex),
                                   h_cascaded=np.zeros((2, 3), dtype=complex),
-                                  b_vec=b, a_vec=np.ones(3, dtype=complex))
+                                  b_vec=b)
         u = P.zero_eig_direction(G.decompose(real, [0, 1]))
         np.testing.assert_allclose(np.abs(u), [1.0, 0.0], atol=1e-12)
 
@@ -88,8 +88,8 @@ class TestZeroEigDirection:
         g_mat = dec.factor(p_bar)
         heuristic = P.refine_elementwise(g_mat, P.heuristic_phases(g_mat))
         np.testing.assert_array_equal(
-            alloc.optimize_phases(real, np.array([[0, 1, 2, 3]]), p_bar,
-                                  "continuous")[0][0].theta, heuristic.theta)
+            alloc.optimize_phases(real, np.array([[0, 1, 2, 3]]), p_bar)[0][0].theta,
+            heuristic.theta)
 
 
 class TestStackedBranches:

@@ -176,21 +176,21 @@ class TestWrappedNoiseEntropy:
 
 class TestPerUserSe:
     def test_asymptote_value(self):
-        got = T.per_user_se(math.sqrt(1000.0), 1.0, "asymptote")
+        got = T.se_asymptote(math.sqrt(1000.0), 1.0)
         assert got == pytest.approx(math.log2(6000.0 / (math.pi * math.e)),
                                     rel=1e-12)
         assert got == pytest.approx(9.457, abs=5e-4)
 
     def test_exact_vanishes_at_low_snr(self):
-        assert T.per_user_se(math.sqrt(1e-3), 1.0, "exact") < 0.01
+        assert T.per_user_se(math.sqrt(1e-3), 1.0) < 0.01
 
     def test_exact_close_to_asymptote(self):
-        exact = T.per_user_se(100.0, 1.0, "exact")
-        asym = T.per_user_se(100.0, 1.0, "asymptote")
+        exact = T.per_user_se(100.0, 1.0)
+        asym = T.se_asymptote(100.0, 1.0)
         assert abs(exact - asym) < 0.01
 
     def test_exact_nonnegative_and_monotone(self):
-        values = [T.per_user_se(math.sqrt(s), 1.0, "exact")
+        values = [T.per_user_se(math.sqrt(s), 1.0)
                   for s in np.logspace(-3, 5, 17)]
         assert all(v >= -1e-12 for v in values)
         assert np.all(np.diff(values) >= -1e-12)
@@ -218,8 +218,7 @@ class TestSumSeAsymptote:
         h = random_channel(rng, 4, 6)
         p_bar = 3.0
         l_mat, _ = T.lq_decompose(h)
-        per_user = sum(T.per_user_se(l, p_bar, "asymptote")
-                       for l in np.diag(l_mat).real)
+        per_user = sum(T.se_asymptote(l, p_bar) for l in np.diag(l_mat).real)
         assert per_user == pytest.approx(T.sum_se_asymptote(h, p_bar), rel=1e-9)
 
     @pytest.mark.parametrize("p_bar", [math.nan, 0.0, -1.0])
