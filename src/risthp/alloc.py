@@ -40,13 +40,18 @@ def _infeasible(users, theta, p_bar):
                       se_bound=-np.inf, p_bar=p_bar, diag_l=np.array([]))
 
 
-def check_optimized_mode(phase_mode: str) -> None:
-    """Raise ValueError unless phases of ``phase_mode`` are optimized per subset."""
-    if phase_mode == "random":
-        raise ValueError("random phases are drawn by greedy_allocate and "
-                         "greedy_allocate_linear; pass them as fixed_theta")
-    if phase_mode not in ("continuous", "binary"):
-        raise ValueError(f"unknown phase mode {phase_mode!r}")
+def check_phases(real, phases: str | PhaseConfig) -> None:
+    """Raise ValueError unless ``phases`` is "continuous", "binary" or N_R phases for every subset.
+
+    Random phases are such a PhaseConfig, drawn once by ``phase_opt.random_phases``.
+    """
+    if isinstance(phases, PhaseConfig):
+        if phases.theta.shape != (real.n_ris,):
+            raise ValueError(f"phases: {phases.theta.shape} phases for {real.n_ris} RIS elements")
+    elif phases == "random":
+        raise ValueError("phases: draw random phases once with phase_opt.random_phases")
+    elif phases not in ("continuous", "binary"):
+        raise ValueError(f"phases: unknown phase mode {phases!r}")
 
 
 def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: float) -> list:
@@ -112,7 +117,7 @@ def check_step(real, subsets) -> tuple:
     one vector operation.  Any other iterable of subsets is checked entry by
     entry before the array is built, so none is converted.  Raises
     ValueError for a step without subsets, subsets of different sizes, an
-    empty subset, or a bad user index.
+    empty subset, or a bad user index.  The evaluators call it after ``check_phases``.
     """
     if not (isinstance(subsets, np.ndarray) and subsets.ndim == 2):
         subsets = [list(users) for users in subsets]
@@ -141,31 +146,31 @@ class Step(list):
         return all(a.feasible for a in self)
 
 
-def evaluate_allocation(real, subsets, p_bar: float, phase_mode: str, *,
-                        fixed_theta: PhaseConfig | None = None) -> Step:
+def evaluate_allocation(real, subsets, p_bar: float, phases: str | PhaseConfig) -> Step:
     """Phase + order optimization and the SE bound for user subsets of one size.
 
-    Each subset gets its own phases or ``fixed_theta``, used for random
-    phases that are a property of the RIS, not of the allocation.  Its own
-    phases are the continuous theta that ``optimize_phases`` returns; for
-    binary, theta discretized, then element-wise +-1 sweeps on the returned
-    G (``phase_opt.refine_elementwise``).  The effective channels come from
+    ``phases`` (``check_phases``) is "continuous" or "binary", solved per
+    subset, or one PhaseConfig that every subset uses, such as the random
+    phases of the RIS.  Solved phases are the continuous theta that
+    ``optimize_phases`` returns; for binary, theta discretized, then
+    element-wise +-1 sweeps on the returned G
+    (``phase_opt.refine_elementwise``).  The effective channels come from
     one batched product, so one call of ``thp.order_users`` runs the rank
     test, the QR, the inverse and the ordering for all of them, and the
     bounds come from one vector step.  A subset whose rows are dependent is
     infeasible; the others are ordered again without it.
     """
+    check_phases(real, phases)
     subsets, stack = check_step(real, subsets)
     if stack.shape[1] > real.n_bs:
         raise ValueError("cannot allocate more users than BS antennas")
 
-    if fixed_theta is not None:
-        thetas = [fixed_theta] * len(subsets)
-        theta_rows = fixed_theta.theta
+    if isinstance(phases, PhaseConfig):
+        thetas = [phases] * len(subsets)
+        theta_rows = phases.theta
     else:
-        check_optimized_mode(phase_mode)
         thetas = [phase_opt.refine_elementwise(g_mat, phase_opt.discretize_binary(theta))
-                  if phase_mode == "binary" else theta
+                  if phases == "binary" else theta
                   for theta, g_mat, _ in optimize_phases(real, stack, p_bar)]
         theta_rows = np.array([theta.theta for theta in thetas])
     h_eff = gram_mod.effective_channel(real, stack, theta_rows)
@@ -188,29 +193,22 @@ def evaluate_allocation(real, subsets, p_bar: float, phase_mode: str, *,
     return step
 
 
-def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score):
+def _greedy(real, p_bar: float, phases: str | PhaseConfig, evaluate, score):
     """Greedy allocation: add users one by one while the score rises.
 
-    ``evaluate(real, subsets, p_bar, phase_mode, fixed_theta=...)`` solves
-    the user subsets of one step, all of one size, and returns their
-    solutions in order; ``score`` maps a solution to a float.  Each step is
-    handed over as one (c, K) integer array, one subset per row, so
-    ``check_step`` checks it by one vector test, not entry by entry.
-    Random phases are drawn here, once, as a property of the RIS, and shared
-    by every candidate subset.  Starts from the single user with the largest score.
-    Each step appends every unallocated user in index order, keeps the first
-    maximum of the score, and stops when that does not raise the score or
-    when min(K, N_B) users are allocated.
+    ``evaluate(real, subsets, p_bar, phases)`` solves the user subsets of
+    one step, all of one size, and returns their solutions in order;
+    ``score`` maps a solution to a float.  ``phases`` goes to every step as
+    it is, so a PhaseConfig (random phases, drawn once by the caller) is
+    shared by every candidate subset.  Each step is handed over as one
+    (c, K) integer array, one subset per row, so ``check_step`` checks it by
+    one vector test, not entry by entry.  Starts from the single user with
+    the largest score.  Each step appends every unallocated user in index
+    order, keeps the first maximum of the score, and stops when that does
+    not raise the score or when min(K, N_B) users are allocated.
     """
-    fixed_theta = None
-    if phase_mode == "random":
-        if rng is None:
-            raise ValueError("random phases need an rng")
-        fixed_theta = phase_opt.random_phases(real.n_ris, rng)
-
     def solve(subsets):
-        return max(evaluate(real, subsets, p_bar, phase_mode, fixed_theta=fixed_theta),
-                   key=score)
+        return max(evaluate(real, subsets, p_bar, phases), key=score)
 
     k = real.n_users
     best = solve(np.arange(k)[:, None])
@@ -222,9 +220,6 @@ def _greedy(real, p_bar: float, phase_mode: str, rng, evaluate, score):
     return best
 
 
-def greedy_allocate(real, p_bar: float, phase_mode: str,
-                    rng: np.random.Generator | None = None) -> Allocation:
-    """Greedy allocation maximizing the high-SNR sum-SE bound."""
-    return _greedy(real, p_bar, phase_mode, rng, evaluate_allocation,
-                   lambda a: a.se_bound)
-
+def greedy_allocate(real, p_bar: float, phases: str | PhaseConfig) -> Allocation:
+    """Greedy allocation maximizing the high-SNR sum-SE bound at ``phases`` (``check_phases``)."""
+    return _greedy(real, p_bar, phases, evaluate_allocation, lambda a: a.se_bound)

@@ -172,33 +172,32 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
     return PhaseConfig(theta_vec, alphabet=theta.alphabet)
 
 
-def evaluate_allocation_linear(real, subsets, p_bar: float, phase_mode: str, *,
-                               fixed_theta: PhaseConfig | None = None) -> list:
+def evaluate_allocation_linear(real, subsets, p_bar: float, phases: str | PhaseConfig) -> list:
     """ZF solutions for the user subsets of one step, at P = p_bar * K.
 
-    One ``alloc.optimize_phases`` call gives each subset its continuous
-    phases and its stored decomposition (C, D and eig), read by the sweep
-    and the score; the sweep starts from those phases (discretized for
-    binary).  ``fixed_theta`` skips the solve and the sweep, and scores on
-    the rows of one ``gram.decompose`` of the step's stack.  A subset with
-    more users than BS antennas is infeasible, not an error.
+    ``phases`` is as for ``alloc.evaluate_allocation`` (``alloc.check_phases``).
+    For "continuous" and "binary", one ``alloc.optimize_phases`` call gives
+    each subset its continuous phases and its stored decomposition (C, D and
+    eig), read by the sweep and the score; the sweep starts from those
+    phases (discretized for binary).  A PhaseConfig skips the solve and the
+    sweep, and is scored on the rows of one ``gram.decompose`` of the step's
+    stack.  A subset with more users than BS antennas is infeasible, not an
+    error.
     """
+    alloc.check_phases(real, phases)
     subsets, stack = alloc.check_step(real, subsets)
     tx_power = p_bar * real.n_users
-    if fixed_theta is not None:
+    if isinstance(phases, PhaseConfig):
         dec = gram_mod.decompose(real, stack)
-        return [zf_linear(dec.take(i), fixed_theta, tx_power) for i in range(len(subsets))]
-    alloc.check_optimized_mode(phase_mode)
+        return [zf_linear(dec.take(i), phases, tx_power) for i in range(len(subsets))]
     solutions = []
     for theta, _, dec in alloc.optimize_phases(real, stack, p_bar):
-        if phase_mode == "binary":
+        if phases == "binary":
             theta = phase_opt.discretize_binary(theta)
         solutions.append(zf_linear(dec, _sweep_phases_linear(dec, theta, tx_power), tx_power))
     return solutions
 
 
-def greedy_allocate_linear(real, p_bar: float, phase_mode: str,
-                           rng=None) -> LinearSolution:
-    """Greedy user allocation with the ZF sum SE as the metric."""
-    return alloc._greedy(real, p_bar, phase_mode, rng, evaluate_allocation_linear,
-                         lambda s: s.sum_se)
+def greedy_allocate_linear(real, p_bar: float, phases: str | PhaseConfig) -> LinearSolution:
+    """Greedy user allocation with the ZF sum SE as the metric, at ``phases``."""
+    return alloc._greedy(real, p_bar, phases, evaluate_allocation_linear, lambda s: s.sum_se)

@@ -251,8 +251,11 @@ def simulate_transmission(filters: ThpFilters, h: np.ndarray, n_symbols: int,
 
     Data symbols have independent real/imaginary parts uniform on
     [-0.5, 0.5).  Receiver-side quantities use the effective channel
-    h[order] with unit-variance AWGN scaled by sqrt(noise_power).
+    h[order] with unit-variance AWGN scaled by sqrt(noise_power); 0 is
+    noiseless.  Raises ValueError unless noise_power >= 0 (NaN fails).
     """
+    if not noise_power >= 0:
+        raise ValueError("noise_power must be nonnegative")
     h_ord = np.asarray(h)[filters.order]
     k = h_ord.shape[0]
     l_mat = filters.l_mat

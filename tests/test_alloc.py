@@ -28,16 +28,17 @@ class TestEvaluateAllocation:
         theta = P.PhaseConfig(np.ones(real.n_ris, dtype=complex))
         theta.theta[0] = np.nan  # past PhaseConfig's own check
         with pytest.raises(ValueError, match="unit modulus"):
-            A.evaluate_allocation(real, [[0, 1]], 2.0, "continuous", fixed_theta=theta)
+            A.evaluate_allocation(real, [[0, 1]], 2.0, theta)
 
     def test_random_mode_needs_fixed_theta(self, rng):
-        # random phases are drawn once, by greedy_allocate, never per subset
+        # random phases come as one PhaseConfig, drawn by phase_opt.random_phases
+        # (TestPhases: "random" itself is rejected); there is no fixed_theta
         real = random_realization(rng)
-        with pytest.raises(ValueError, match="greedy_allocate"):
-            A.evaluate_allocation(real, [[0, 2]], 3.0, "random")
+        fixed = P.random_phases(real.n_ris, np.random.default_rng(9))
         with pytest.raises(TypeError):
-            A.evaluate_allocation(real, [[0, 2]], 3.0, "random",
-                                  np.random.default_rng(9))
+            A.evaluate_allocation(real, [[0, 2]], 3.0, "bogus", fixed_theta=fixed)
+        step = A.evaluate_allocation(real, [[0, 2]], 3.0, fixed)
+        assert step[0].theta is fixed
 
     def test_zero_eig_matches_alignment(self, rng):
         real = random_realization(rng, k=2, n_bs=2, n_ris=6)
@@ -260,8 +261,7 @@ class TestStackedSolve:
     def test_batched_channel_matches_per_subset(self, rng, monkeypatch):
         real = random_realization(rng, k=5, n_bs=4)
         subsets = [[2, 0, u] for u in (1, 3, 4)]
-        fixed = P.random_phases(real.n_ris, rng)
-        for fixed_theta in (None, fixed):
+        for phases in ("continuous", P.random_phases(real.n_ris, rng)):
             channels = []
             effective = G.effective_channel
 
@@ -270,8 +270,7 @@ class TestStackedSolve:
                 return channels[-1]
 
             monkeypatch.setattr(G, "effective_channel", kept)
-            step = A.evaluate_allocation(real, subsets, 3.0, "continuous",
-                                         fixed_theta=fixed_theta)
+            step = A.evaluate_allocation(real, subsets, 3.0, phases)
             monkeypatch.undo()
             assert len(channels) == 1
             for users, out, h in zip(subsets, step, channels[0]):
@@ -300,15 +299,13 @@ class TestUserIndices:
     @pytest.mark.parametrize("phase_mode", ["continuous", "random"])
     def test_rejected(self, rng, bad, as_array, phase_mode):
         real = random_realization(rng, k=6, n_bs=6)
-        fixed = (P.PhaseConfig(np.ones(real.n_ris, dtype=complex))
-                 if phase_mode == "random" else None)
+        phases = (P.PhaseConfig(np.ones(real.n_ris, dtype=complex))
+                  if phase_mode == "random" else phase_mode)
         named = re.escape(f"user index {np.int64(bad) if as_array else bad!r} ")
         with pytest.raises(ValueError, match=named):
-            A.evaluate_allocation(real, _step([[0, bad]], as_array), 2.0, phase_mode,
-                                  fixed_theta=fixed)
+            A.evaluate_allocation(real, _step([[0, bad]], as_array), 2.0, phases)
         with pytest.raises(ValueError, match=named):
-            B.evaluate_allocation_linear(real, _step([[0, bad]], as_array), 2.0, phase_mode,
-                                         fixed_theta=fixed)
+            B.evaluate_allocation_linear(real, _step([[0, bad]], as_array), 2.0, phases)
         assert real.solves == {}
 
     @BAD_ENTRIES
@@ -365,14 +362,14 @@ class TestUserIndices:
         # the array _greedy passes and the list it holds give the same
         # solutions bit for bit, with the users as lists of Python ints
         step = [[0, 1], [0, 2], [2, 1]]
-        fixed = (P.random_phases(8, np.random.default_rng(3))
-                 if phase_mode == "random" else None)
+        phases = (P.random_phases(8, np.random.default_rng(3))
+                  if phase_mode == "random" else phase_mode)
         solved = []
         for form in (step, np.array(step)):  # each on a fresh copy of one realization
             real = random_realization(np.random.default_rng(11), k=3, n_bs=4)
             solved.append((
-                A.evaluate_allocation(real, form, 2.0, phase_mode, fixed_theta=fixed),
-                B.evaluate_allocation_linear(real, form, 2.0, phase_mode, fixed_theta=fixed)))
+                A.evaluate_allocation(real, form, 2.0, phases),
+                B.evaluate_allocation_linear(real, form, 2.0, phases)))
         (thp_list, lin_list), (thp_array, lin_array) = solved
         for got, want in itertools.chain(zip(thp_array, thp_list), zip(lin_array, lin_list)):
             assert got.users == want.users
@@ -401,6 +398,28 @@ class TestUserIndices:
         assert not B.evaluate_allocation_linear(real, [[1, 1]], 2.0, "continuous")[0].feasible
 
 
+class TestPhases:
+    """The four entry points take one ``phases`` value and check it before any solve."""
+
+    @pytest.mark.parametrize("phases, message", [
+        ("random", "phases: draw random phases once with phase_opt.random_phases"),
+        ("bogus", "phases: unknown phase mode 'bogus'"),
+        (P.PhaseConfig(np.ones(7)), "phases: (7,) phases for 8 RIS elements")],
+        ids=["random", "unknown", "wrong_length"])
+    @pytest.mark.parametrize("call", [
+        lambda real, phases: A.greedy_allocate(real, 2.0, phases),
+        lambda real, phases: B.greedy_allocate_linear(real, 2.0, phases),
+        lambda real, phases: A.evaluate_allocation(real, [[0, 1]], 2.0, phases),
+        lambda real, phases: B.evaluate_allocation_linear(real, [[0, 1]], 2.0, phases)],
+        ids=["greedy_allocate", "greedy_allocate_linear", "evaluate_allocation",
+             "evaluate_allocation_linear"])
+    def test_rejected(self, rng, call, phases, message):
+        real = random_realization(rng, n_ris=8)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(real, phases)
+        assert real.solves == {}
+
+
 class TestGreedyAllocate:
     @pytest.mark.parametrize("module, name, greedy", [
         (A, "evaluate_allocation", A.greedy_allocate),
@@ -424,9 +443,10 @@ class TestGreedyAllocate:
             assert step.shape == (4 - size + 1, size)
 
     def test_random_mode_needs_rng(self, rng):
+        # the rng goes to phase_opt.random_phases; the allocator takes none
         real = random_realization(rng)
-        with pytest.raises(ValueError, match="random phases need an rng"):
-            A.greedy_allocate(real, 2.0, "random")
+        with pytest.raises(TypeError):
+            A.greedy_allocate(real, 2.0, "continuous", np.random.default_rng(3))
 
     def test_low_power_single_user(self, rng):
         # power so small that every multi-user bound loses to the best single
@@ -473,8 +493,8 @@ class TestGreedyAllocate:
 
     def test_deterministic(self, rng):
         real = random_realization(rng)
-        o1 = A.greedy_allocate(real, 5.0, "random", np.random.default_rng(3))
-        o2 = A.greedy_allocate(real, 5.0, "random", np.random.default_rng(3))
+        o1 = A.greedy_allocate(real, 5.0, P.random_phases(real.n_ris, np.random.default_rng(3)))
+        o2 = A.greedy_allocate(real, 5.0, P.random_phases(real.n_ris, np.random.default_rng(3)))
         assert o1.users == o2.users
         assert o1.se_bound == o2.se_bound
 
@@ -496,7 +516,9 @@ class TestGreedyAllocate:
             return entropy(*args, **kwargs)
 
         monkeypatch.setattr(T, "wrapped_noise_entropy", counted)
-        out = A.greedy_allocate(real, 50.0, phase_mode, np.random.default_rng(3))
+        phases = (P.random_phases(real.n_ris, np.random.default_rng(3))
+                  if phase_mode == "random" else phase_mode)
+        out = A.greedy_allocate(real, 50.0, phases)
         assert calls == []
         se = out.se_exact
         assert len(calls) == len(out.users) >= 2
@@ -531,18 +553,16 @@ def _reference_order_users(h):
     return order, diag_l
 
 
-def _reference_greedy(real, p_bar, phase_mode, rng):
+def _reference_greedy(real, p_bar, phases):
     """The greedy loop with each candidate phased, ordered and bounded alone.
 
     Returns the kept (users, order, se_bound).
     """
-    fixed = P.random_phases(real.n_ris, rng) if phase_mode == "random" else None
-
     def solve(users):
-        theta = fixed
-        if fixed is None:
+        theta = phases
+        if isinstance(phases, str):
             (theta, g_mat, _), = A.optimize_phases(real, np.array([users]), p_bar)
-            if phase_mode == "binary":
+            if phases == "binary":
                 theta = P.refine_elementwise(g_mat, P.discretize_binary(theta))
         try:
             order, diag_l = _reference_order_users(
@@ -575,9 +595,10 @@ class TestStackedGreedy:
             real = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
             phase_mode = "random"
         p_bar = scenario.tx_power / scenario.n_users
-        out = A.greedy_allocate(real, p_bar, phase_mode, np.random.default_rng(seed))
-        users, order, bound = _reference_greedy(
-            dataclasses.replace(real), p_bar, phase_mode, np.random.default_rng(seed))
+        phases = (P.random_phases(real.n_ris, np.random.default_rng(seed))
+                  if phase_mode == "random" else phase_mode)
+        out = A.greedy_allocate(real, p_bar, phases)
+        users, order, bound = _reference_greedy(dataclasses.replace(real), p_bar, phases)
         assert out.users == users
         np.testing.assert_array_equal(out.order, order)
         assert out.se_bound == pytest.approx(bound, rel=1e-12, abs=0)

@@ -140,22 +140,22 @@ class TestZfLinear:
 
 class TestEvaluateAllocationLinear:
     def test_random_needs_fixed_theta(self, rng):
-        # random phases are drawn once, by greedy_allocate_linear
+        # random phases come as one PhaseConfig, drawn by phase_opt.random_phases
+        # (test_alloc.py::TestPhases: "random" itself is rejected); there is no fixed_theta
         real = random_realization(rng)
-        with pytest.raises(ValueError, match="greedy_allocate_linear"):
-            B.evaluate_allocation_linear(real, [[0, 1]], 2.0, "random")
+        fixed = phase_opt.random_phases(real.n_ris, np.random.default_rng(7))
         with pytest.raises(TypeError):
-            B.evaluate_allocation_linear(real, [[0, 1]], 2.0, "random",
-                                         np.random.default_rng(7))
+            B.evaluate_allocation_linear(real, [[0, 1]], 2.0, "bogus", fixed_theta=fixed)
+        sol, = B.evaluate_allocation_linear(real, [[0, 1]], 2.0, fixed)
+        assert sol.theta is fixed
 
     def test_continuous_beats_mean_random(self, rng):
         real = random_realization(rng, k=2, n_bs=4, n_ris=8)
         opt, = B.evaluate_allocation_linear(real, [[0, 1]], 2.0, "continuous")
         rnd = np.mean([
             B.evaluate_allocation_linear(
-                real, [[0, 1]], 2.0, "random",
-                fixed_theta=phase_opt.random_phases(real.n_ris,
-                                                    np.random.default_rng(i)))[0].sum_se
+                real, [[0, 1]], 2.0,
+                phase_opt.random_phases(real.n_ris, np.random.default_rng(i)))[0].sum_se
             for i in range(20)])
         assert opt.sum_se >= rnd
 
@@ -169,7 +169,7 @@ class TestEvaluateAllocationLinear:
         real = random_realization(rng)
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
         with pytest.raises(ValueError, match="nonempty"):
-            B.evaluate_allocation_linear(real, [[]], 2.0, "random", fixed_theta=theta)
+            B.evaluate_allocation_linear(real, [[]], 2.0, theta)
 
     @pytest.mark.parametrize("phase_mode", ["continuous", "binary"])
     def test_step_matches_single_subsets(self, rng, phase_mode):
@@ -194,8 +194,7 @@ class TestEvaluateAllocationLinear:
     def test_fixed_theta_bypasses_optimization(self, rng):
         real = random_realization(rng)
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
-        sol, = B.evaluate_allocation_linear(real, [[0, 2]], 2.0, "continuous",
-                                            fixed_theta=theta)
+        sol, = B.evaluate_allocation_linear(real, [[0, 2]], 2.0, theta)
         np.testing.assert_array_equal(sol.theta.theta, theta.theta)
 
 
@@ -205,8 +204,8 @@ class TestEvaluateAllocationLinear:
         # made as a stack only when the table lacks it; fixed phases are
         # scored on the rows of one decomposition of the step
         real = random_realization(rng)
-        fixed = (PhaseConfig(random_unit_theta(rng, real.n_ris))
-                 if phase_mode == "random" else None)
+        phases = (PhaseConfig(random_unit_theta(rng, real.n_ris))
+                  if phase_mode == "random" else phase_mode)
         calls = []
         decompose = G.decompose
 
@@ -217,9 +216,8 @@ class TestEvaluateAllocationLinear:
         monkeypatch.setattr(G, "decompose", counted)
         for solved in (False, True):
             calls.clear()
-            sol, = B.evaluate_allocation_linear(real, [[0, 2]], 2.0, phase_mode,
-                                                fixed_theta=fixed)
-            assert calls == ([] if solved and not fixed else [(1, 2)])
+            sol, = B.evaluate_allocation_linear(real, [[0, 2]], 2.0, phases)
+            assert calls == ([] if solved and phase_mode != "random" else [(1, 2)])
             want, _ = _oracle_se(real, [0, 2], sol.theta.theta, 2.0 * real.n_users)
             np.testing.assert_allclose(sol.per_user_se, want, rtol=1e-10)
 
@@ -248,9 +246,10 @@ class TestGreedyAllocateLinear:
         assert len(sol.users) <= 3
 
     def test_random_mode_needs_rng(self, rng):
+        # the rng goes to phase_opt.random_phases; the allocator takes none
         real = random_realization(rng)
-        with pytest.raises(ValueError, match="random phases need an rng"):
-            B.greedy_allocate_linear(real, 5.0, "random")
+        with pytest.raises(TypeError):
+            B.greedy_allocate_linear(real, 5.0, "continuous", np.random.default_rng(3))
 
     @pytest.mark.parametrize("p_bar", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
     def test_random_mode_nonpositive_power_rejected(self, p_bar):
@@ -258,14 +257,15 @@ class TestGreedyAllocateLinear:
         # so zf_linear checks it itself
         real = draw_realization(ScenarioConfig(seed=1, n_ris=8), np.random.default_rng(1))
         with pytest.raises(ValueError, match="tx_power must be positive"):
-            B.greedy_allocate_linear(real, p_bar, "random", np.random.default_rng(2))
+            B.greedy_allocate_linear(
+                real, p_bar, phase_opt.random_phases(real.n_ris, np.random.default_rng(2)))
 
     def test_deterministic_random_mode(self, rng):
         real = random_realization(rng)
-        s1 = B.greedy_allocate_linear(real, 5.0, "random",
-                                      np.random.default_rng(11))
-        s2 = B.greedy_allocate_linear(real, 5.0, "random",
-                                      np.random.default_rng(11))
+        s1 = B.greedy_allocate_linear(
+            real, 5.0, phase_opt.random_phases(real.n_ris, np.random.default_rng(11)))
+        s2 = B.greedy_allocate_linear(
+            real, 5.0, phase_opt.random_phases(real.n_ris, np.random.default_rng(11)))
         assert s1.users == s2.users
         assert s1.sum_se == s2.sum_se
 
@@ -300,7 +300,9 @@ class TestGreedyAllocateLinear:
 
         monkeypatch.setattr(G, "effective_channel", forbidden)
         monkeypatch.setattr(np.linalg, "svd", forbidden)
-        sol = B.greedy_allocate_linear(real, 5.0, phase_mode, np.random.default_rng(3))
+        phases = (phase_opt.random_phases(real.n_ris, np.random.default_rng(3))
+                  if phase_mode == "random" else phase_mode)
+        sol = B.greedy_allocate_linear(real, 5.0, phases)
         monkeypatch.undo()
         assert sol.feasible
         want, _ = _oracle_se(real, sol.users, sol.theta.theta, 5.0 * real.n_users)
@@ -610,9 +612,8 @@ class TestOneRankRule:
         else:
             assert np.all(thp.order_users(h)[1] > 0)
         # and so do the greedy steps of the two families
-        thp_step = alloc.evaluate_allocation(real, [[0, 1]], 1.0, "random", fixed_theta=theta)
-        zf_step = B.evaluate_allocation_linear(real, [[0, 1]], 1.0, "random",
-                                               fixed_theta=theta)
+        thp_step = alloc.evaluate_allocation(real, [[0, 1]], 1.0, theta)
+        zf_step = B.evaluate_allocation_linear(real, [[0, 1]], 1.0, theta)
         assert thp_step[0].feasible == zf_step[0].feasible == (not dependent)
 
 

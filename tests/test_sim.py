@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risthp import sim as S
-from risthp.channel import ScenarioConfig
+from risthp import alloc as A, baseline as B, phase_opt as P, sim as S
+from risthp.channel import ScenarioConfig, draw_realization
 from risthp.sim import ConfigError, ResultRecord, RunConfig
 
 
@@ -77,6 +78,29 @@ class TestRun:
         with pytest.raises(ValueError, match="need a sweep name"):
             RunConfig(ScenarioConfig(n_ris=8), trials=1, methods=("thp",),
                       sweep_name="none", sweep_values=(16, 32))
+
+
+class TestRandomPhases:
+    """A random method's phases are drawn once, by run_method, and shared by its greedy loop."""
+
+    @pytest.mark.parametrize("method", ["thp_random", "thp_no_ris", "linear_zf_random"])
+    def test_run_method_is_greedy_on_drawn_phases(self, method):
+        scenario = small_scenario(n_ris=16)
+        real = draw_realization(scenario, np.random.default_rng(4))
+        p_bar = scenario.tx_power / scenario.n_users
+        rng, drawn = np.random.default_rng(9), np.random.default_rng(9)
+        got = S.run_method(method, real, p_bar, rng)
+        phases = P.random_phases(real.n_ris, drawn)
+        assert rng.uniform() == drawn.uniform()  # the draw is the stream's only use
+        if method == "linear_zf_random":
+            sol = B.greedy_allocate_linear(dataclasses.replace(real), p_bar, phases)
+            want = len(sol.users), sol.sum_se
+        else:
+            if method == "thp_no_ris":
+                real = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
+            out = A.greedy_allocate(dataclasses.replace(real), p_bar, phases)
+            want = len(out.users), max(0.0, out.se_exact)
+        assert got == want
 
 
 class TestUniformityTest:

@@ -413,6 +413,14 @@ class TestSimulateTransmission:
                                        noise_power=0.0)
         assert np.max(np.abs(T.modulo(syms.y - syms.s))) < 1e-9
 
+    @pytest.mark.parametrize("noise_power", [-1.0, np.nan], ids=["negative", "nan"])
+    def test_bad_noise_power_rejected(self, rng, noise_power):
+        # neither is a noiseless run
+        h = random_channel(rng)
+        f = T.build_filters(h, T.order_users(h)[0], tx_power=5.0)
+        with pytest.raises(ValueError, match="noise_power must be nonnegative"):
+            T.simulate_transmission(f, h, 10, np.random.default_rng(0), noise_power=noise_power)
+
     def test_v_power_one_sixth(self, rng):
         h = random_channel(rng)
         f = T.build_filters(h, T.order_users(h)[0], tx_power=5.0)
