@@ -157,13 +157,12 @@ def evaluate_allocation(real, subsets, p_bar: float, phases: str | PhaseConfig) 
     (``phase_opt.refine_elementwise``).  The effective channels come from
     one batched product, so one call of ``thp.order_users`` runs the rank
     test, the QR, the inverse and the ordering for all of them, and the
-    bounds come from one vector step.  A subset whose rows are dependent is
-    infeasible; the others are ordered again without it.
+    bounds come from one vector step.  The rank rule is the only gate: a
+    subset with dependent rows, as any of more users than BS antennas, is
+    infeasible, and the others, if any, are ordered again without it.
     """
     check_phases(real, phases)
     subsets, stack = check_step(real, subsets)
-    if stack.shape[1] > real.n_bs:
-        raise ValueError("cannot allocate more users than BS antennas")
 
     if isinstance(phases, PhaseConfig):
         thetas = [phases] * len(subsets)
@@ -179,6 +178,8 @@ def evaluate_allocation(real, subsets, p_bar: float, phases: str | PhaseConfig) 
         order, diag_l = thp.order_users(h_eff)
     except thp.RankDeficientError as exc:
         feasible = ~exc.deficient
+        if not feasible.any():
+            return Step(_infeasible(users, theta, p_bar) for users, theta in zip(subsets, thetas))
         order, diag_l = thp.order_users(h_eff[feasible])
     se_bound = np.maximum(0.0, thp.se_asymptote(diag_l, p_bar)).sum(axis=1)
     solved = iter(zip(order, se_bound, diag_l))

@@ -181,8 +181,8 @@ def evaluate_allocation_linear(real, subsets, p_bar: float, phases: str | PhaseC
     eig), read by the sweep and the score; the sweep starts from those
     phases (discretized for binary).  A PhaseConfig skips the solve and the
     sweep, and is scored on the rows of one ``gram.decompose`` of the step's
-    stack.  A subset with more users than BS antennas is infeasible, not an
-    error.
+    stack.  A subset with more users than BS antennas is infeasible, as in
+    ``alloc.evaluate_allocation``.
     """
     alloc.check_phases(real, phases)
     subsets, stack = alloc.check_step(real, subsets)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gram as gram_mod
-from .channel import _check_size
 from .gram import GramDecomposition, extend_theta
 
 DEFAULT_MAX_SWEEPS = 50
@@ -101,15 +100,14 @@ def heuristic_phases(g_mat: np.ndarray) -> PhaseConfig:
     return _lift((g_h @ vecs[..., :, -1:])[..., 0])
 
 
-def refine_elementwise(g_mat: np.ndarray, theta_init: PhaseConfig,
-                       max_sweeps: int = DEFAULT_MAX_SWEEPS) -> PhaseConfig:
+def refine_elementwise(g_mat: np.ndarray, theta_init: PhaseConfig) -> PhaseConfig:
     """Refine phases by ascent on the phase objective ||G theta_bar||^2.
 
     G is a K-row phase factor: ``gram.factor(p_bar)``, or the single row
     u^H D along a zero-eigenvalue direction u.  Each pass updates every RIS
     element once; the objective never falls, and refinement stops after a
-    pass whose relative rise is at most SWEEP_REL_TOL or after max_sweeps
-    passes.
+    pass whose relative rise is at most SWEEP_REL_TOL or after
+    DEFAULT_MAX_SWEEPS passes, read when the call is made.
 
     Continuous alphabet: the majorization-minimization fixed point
     theta_bar <- exp(j angle(G^H y)), y = G theta_bar, over the whole vector
@@ -127,17 +125,16 @@ def refine_elementwise(g_mat: np.ndarray, theta_init: PhaseConfig,
     pass costs about one product per flip, not a step per element.  y is
     recomputed once per sweep.
 
-    Raises ValueError unless max_sweeps is an integer >= 1 and theta has one
-    entry per RIS column of G (G.shape[1] - 1).
+    Raises ValueError unless theta has one entry per RIS column of G
+    (G.shape[1] - 1).
     """
-    _check_size("max_sweeps", max_sweeps)
     if theta_init.theta.size != g_mat.shape[1] - 1:
         raise ValueError(f"theta has {theta_init.theta.size} entries, G has "
                          f"{g_mat.shape[1] - 1} RIS columns")
     theta_bar = extend_theta(theta_init.theta)
     if theta_init.alphabet == "binary":
-        return PhaseConfig(_binary_ascent(g_mat, theta_bar, max_sweeps), alphabet="binary")
-    return PhaseConfig(_mm_ascent(g_mat, theta_bar, max_sweeps))
+        return PhaseConfig(_binary_ascent(g_mat, theta_bar), alphabet="binary")
+    return PhaseConfig(_mm_ascent(g_mat, theta_bar))
 
 
 def _rose_enough(obj: float, new_obj: float) -> bool:
@@ -145,8 +142,7 @@ def _rose_enough(obj: float, new_obj: float) -> bool:
     return new_obj - obj > SWEEP_REL_TOL * max(abs(obj), 1.0)
 
 
-def _mm_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
-               max_passes: int) -> np.ndarray:
+def _mm_ascent(g_mat: np.ndarray, theta_bar: np.ndarray) -> np.ndarray:
     """Continuous refinement: theta (without the trailing 1) after MM passes.
 
     The MM step maximizes Re(theta_bar^H G^H y), a minorizer of the objective
@@ -156,7 +152,7 @@ def _mm_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
     g_h = g_mat.conj().T
     y = g_mat @ theta_bar
     obj = float(np.vdot(y, y).real)
-    for _ in range(max_passes):
+    for _ in range(DEFAULT_MAX_SWEEPS):
         z = g_h @ y
         mag = np.abs(z)
         if mag[-1] > 0:  # rotate z so that the new theta_bar ends in 1
@@ -174,15 +170,14 @@ def _mm_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
     return theta_bar[:-1]
 
 
-def _binary_ascent(g_mat: np.ndarray, theta_bar: np.ndarray,
-                   max_sweeps: int) -> np.ndarray:
+def _binary_ascent(g_mat: np.ndarray, theta_bar: np.ndarray) -> np.ndarray:
     """Binary refinement: theta (without the trailing 1) after +-1 sweeps."""
     g_h = g_mat[:, :-1].conj().T
     col_norms = (g_h * g_h.conj()).real.sum(axis=1)
     signs = theta_bar[:-1].real.copy()
     y = g_mat @ theta_bar
     obj = float(np.vdot(y, y).real)
-    for _ in range(max_sweeps):
+    for _ in range(DEFAULT_MAX_SWEEPS):
         start = signs.copy()
         n, width = 0, signs.size  # the next element to judge, the scan's length
         while n < signs.size:

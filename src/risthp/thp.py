@@ -92,8 +92,9 @@ def check_full_row_rank(h: np.ndarray) -> None:
     all, and the error's ``deficient`` marks the dependent ones, so a caller
     can keep the others.  An H with no rows raises ValueError: it is no
     channel, not a deficient one.  More rows than columns are always
-    dependent; the SVD of such an H holds only min(K, N) singular values, so
-    it cannot show that.
+    dependent, so a subset of more users than BS antennas is infeasible for
+    ``alloc.evaluate_allocation``; the SVD of such an H holds only min(K, N)
+    singular values, so it cannot show that.
     """
     shape = np.shape(h)
     rows, cols = shape[-2:]

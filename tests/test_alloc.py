@@ -59,9 +59,41 @@ class TestEvaluateAllocation:
         assert np.all(np.isin(out.theta.theta, [-1.0 + 0j, 1.0 + 0j]))
 
     def test_too_many_users(self, rng):
+        # more users than BS antennas are dependent rows (the rank rule), so
+        # every subset of such a step is infeasible in each phase mode, as in
+        # linear ZF, not an error
         real = random_realization(rng, k=5, n_bs=3)
-        with pytest.raises(ValueError):
-            A.evaluate_allocation(real, [range(5)], 1.0, "continuous")
+        subsets = [[0, 1, 2, 3], [0, 1, 2, 4], [1, 2, 3, 4]]
+        for phases in ("continuous", "binary",
+                       P.random_phases(real.n_ris, np.random.default_rng(4))):
+            step = A.evaluate_allocation(real, subsets, 1.0, phases)
+            linear = B.evaluate_allocation_linear(real, subsets, 1.0, phases)
+            assert [a.users for a in step] == subsets
+            assert all(isinstance(a, A.Allocation) and a.se_bound == -np.inf
+                       and a.se_exact == 0.0 and a.order.size == 0 for a in step)
+            assert [a.feasible for a in step] == [s.feasible for s in linear] == [False] * 3
+
+    @pytest.mark.parametrize("k, n_bs", [(5, 3), (4, 4)], ids=["oversized", "colinear"])
+    def test_no_feasible_candidate_ordered_once(self, rng, monkeypatch, k, n_bs):
+        # a step whose every candidate is deficient is not ordered again on
+        # an empty stack: one order_users call decides it
+        real = random_realization(rng, k=k, n_bs=n_bs)
+        subsets = [[0, 1, 2, 3]]
+        if k == n_bs:
+            real.h_direct[1] = real.h_direct[0]
+            real.h_cascaded[1] = real.h_cascaded[0]
+            subsets = [[0, 1, 2], [0, 1, 3]]
+        calls = []
+        order_users = T.order_users
+
+        def counted(h):
+            calls.append(np.shape(h))
+            return order_users(h)
+
+        monkeypatch.setattr(T, "order_users", counted)
+        step = A.evaluate_allocation(real, subsets, 1.0, "continuous")
+        assert calls == [(len(subsets), len(subsets[0]), n_bs)]
+        assert not any(a.feasible for a in step)
 
     def test_infeasible_colinear(self, rng):
         real = random_realization(rng, k=2, n_bs=4)

@@ -184,12 +184,12 @@ class TestEvaluateAllocationLinear:
             np.testing.assert_array_equal(sol.per_user_se, alone.per_user_se)
 
     def test_more_users_than_antennas_infeasible(self, rng):
-        # linear ZF scores |S| > N_B as infeasible, where THP raises
+        # linear ZF scores |S| > N_B as infeasible, and so does THP
         real = random_realization(rng, k=5, n_bs=3)
         step = B.evaluate_allocation_linear(real, [[0, 1, 2, 3]], 2.0, "continuous")
         assert not step[0].feasible and step[0].sum_se == 0.0
-        with pytest.raises(ValueError, match="BS antennas"):
-            alloc.evaluate_allocation(real, [[0, 1, 2, 3]], 2.0, "continuous")
+        thp_step = alloc.evaluate_allocation(real, [[0, 1, 2, 3]], 2.0, "continuous")
+        assert not thp_step[0].feasible and thp_step[0].se_exact == 0.0
 
     def test_fixed_theta_bypasses_optimization(self, rng):
         real = random_realization(rng)
