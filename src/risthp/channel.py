@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gram import UNIT_MODULUS_TOL
+
 
 def _finite_real(value) -> bool:
     """Whether ``value`` is a finite real number (a bool is not one)."""
@@ -109,23 +111,14 @@ class ScenarioConfig:
 
 
 @dataclass
-class RealizationMeta:
-    """Per-user bookkeeping for one channel draw."""
-
-    user_pos: np.ndarray  # (K, 2) meters
-    dist_bs: np.ndarray  # (K,)
-    dist_ris: np.ndarray  # (K,)
-    blocked: np.ndarray  # (K,) bool
-
-
-@dataclass
 class ChannelRealization:
-    """One draw of the composite channel.
+    """One draw of the composite channel: three arrays and a table of solves.
 
     Rows of ``h_direct`` are the direct per-user channels, rows of
     ``h_cascaded`` are the RIS-user channels already multiplied by diag(a).
-    ``b_vec`` has unit Euclidean norm, so the full channel for phase vector
-    theta is ``h_direct + h_cascaded @ theta * b_vec^H``.
+    ``b_vec`` has unit Euclidean norm within ``gram.UNIT_MODULUS_TOL``, else
+    ValueError, so the Gram identity holds and the full channel for phase
+    vector theta is ``h_direct + h_cascaded @ theta * b_vec^H``.
 
     ``solves`` holds the continuous phase solves of every method run on it,
     read and written only by ``alloc.optimize_phases`` under (users, p_bar)
@@ -133,15 +126,19 @@ class ChannelRealization:
     were refined on and the subset's decomposition (C, D and eig).  It
     returns the stored triples: ``alloc.evaluate_allocation`` refines THP's
     binary phases on G, and linear ZF and ``dpc_rate`` read theta and gram.
-    ``dataclasses.replace`` starts an empty one.  A realization is not
-    changed after its first phase solve.
+    ``dataclasses.replace`` starts an empty one.  The first stored solve makes
+    the three arrays read-only: a later write raises ValueError.
     """
 
     h_direct: np.ndarray  # (K, N_B)
     h_cascaded: np.ndarray  # (K, N_R)
     b_vec: np.ndarray  # (N_B,), ||b||_2 = 1
-    meta: RealizationMeta = None
     solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        norm = np.linalg.norm(self.b_vec)
+        if not abs(norm - 1.0) <= UNIT_MODULUS_TOL:  # NaN fails
+            raise ValueError(f"b_vec must have unit Euclidean norm, got {norm!r}")
 
     @property
     def n_users(self) -> int:
@@ -339,7 +336,6 @@ def draw_realization(config: ScenarioConfig, rng: np.random.Generator) -> Channe
     dist_ris = np.linalg.norm(pos - np.asarray(cfg.ris_pos), axis=1)
     ang_bs = _angle_from(cfg.bs_pos, pos)
     ang_ris = _angle_from(cfg.ris_pos, pos)
-    blocked = np.arange(k) < cfg.n_blocked
 
     dist_sr = float(np.linalg.norm(np.asarray(cfg.ris_pos) - np.asarray(cfg.bs_pos)))
     amp_sr = math.sqrt(10.0 ** (-pathloss_db(cfg.pathloss_bs_ris, dist_sr) / 10.0))
@@ -353,7 +349,7 @@ def draw_realization(config: ScenarioConfig, rng: np.random.Generator) -> Channe
     h_ris_user = np.empty((k, n_ris), dtype=complex)
     for u in range(k):
         loss = pathloss_db(cfg.pathloss_direct, dist_bs[u])
-        if blocked[u]:
+        if u < cfg.n_blocked:
             loss += cfg.blockage_extra_db
         gain_d = 10.0 ** (-loss / 10.0) / sigma2
         fac_d = psd_factor(laplacian_covariance(n_bs, ang_bs[u], cfg.asd))
@@ -365,8 +361,5 @@ def draw_realization(config: ScenarioConfig, rng: np.random.Generator) -> Channe
         scatter = fac_r @ complex_gaussian(n_ris, rng)
         h_ris_user[u] = math.sqrt(gain_r) * (los_w * los + nlos_w * scatter)
 
-    h_cascaded = h_ris_user * a_vec[None, :]
-    meta = RealizationMeta(user_pos=pos, dist_bs=dist_bs, dist_ris=dist_ris,
-                           blocked=blocked)
-    return ChannelRealization(h_direct=h_direct, h_cascaded=h_cascaded,
-                              b_vec=b_vec, meta=meta)
+    return ChannelRealization(h_direct=h_direct, h_cascaded=h_ris_user * a_vec[None, :],
+                              b_vec=b_vec)

@@ -167,7 +167,7 @@ def rank_deficient(sv: np.ndarray):
 
 def is_unit_modulus(z) -> bool:
     """Whether every entry of z lies within UNIT_MODULUS_TOL of the unit circle (NaN fails)."""
-    return bool(np.abs(np.abs(z) - 1.0).max() <= UNIT_MODULUS_TOL)
+    return bool(np.abs(np.abs(z) - 1.0).max(initial=0.0) <= UNIT_MODULUS_TOL)  # [] passes
 
 
 def _check_theta_bar(theta_bar):

@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import functools
 import importlib.util
@@ -12,7 +13,7 @@ from scipy.linalg import toeplitz
 from scipy.special import jv
 
 from risthp import channel
-from risthp.channel import (LOS, STRONG, WEAK, PathlossModel,
+from risthp.channel import (LOS, STRONG, WEAK, ChannelRealization, PathlossModel,
                             ScenarioConfig, complex_gaussian, draw_realization,
                             laplacian_covariance, los_bs_ris, pathloss_db,
                             psd_factor, rule_points, steering_vector)
@@ -76,7 +77,7 @@ def dense_realization(cfg, rng):
     """Reference draw: one dense covariance and factor per user and link, with
     the Gaussians drawn per user, direct link first.
 
-    Returns (h_direct, h_cascaded, b_vec, meta fields as a dict).
+    Returns (h_direct, h_cascaded, b_vec, user positions, blocked flags).
     """
     k = cfg.n_users
     radii = cfg.user_circle_radius * np.sqrt(rng.uniform(size=k))
@@ -111,8 +112,7 @@ def dense_realization(cfg, rng):
         scatter = fac_r @ complex_gaussian(cfg.n_ris, rng)
         h_ris_user[u] = math.sqrt(gain_r) * (
             los_w * steering_vector(cfg.n_ris, ang_ris[u]) + nlos_w * scatter)
-    meta = dict(user_pos=pos, dist_bs=dist_bs, dist_ris=dist_ris, blocked=blocked)
-    return h_direct, h_ris_user * a_vec[None, :], b_vec, meta
+    return h_direct, h_ris_user * a_vec[None, :], b_vec, pos, blocked
 
 
 class TestSteeringVector:
@@ -442,6 +442,20 @@ class TestDrawRealization:
         real = draw_realization(self.scenario(), np.random.default_rng(0))
         assert abs(np.linalg.norm(real.b_vec) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("scale, unit", [(1.0 + 1e-13, True), (1.0 + 1e-10, False),
+                                             (2.0, False), (0.0, False), (np.nan, False)])
+    def test_b_unit_norm_rule(self, scale, unit):
+        # the Gram identity HH^H = C + dd^H holds only at ||b|| = 1
+        real = draw_realization(self.scenario(), np.random.default_rng(0))
+        builds = [lambda: ChannelRealization(real.h_direct, real.h_cascaded, scale * real.b_vec),
+                  lambda: dataclasses.replace(real, b_vec=scale * real.b_vec)]
+        for build in builds:
+            if unit:
+                build()
+            else:
+                with pytest.raises(ValueError, match="b_vec"):
+                    build()
+
     def test_deterministic(self):
         cfg = self.scenario()
         r1 = draw_realization(cfg, np.random.default_rng(42))
@@ -495,24 +509,18 @@ class TestDrawRealization:
         cfg = self.scenario(n_ris=n_ris)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         real = draw_realization(cfg, rng)
-        ref_direct, ref_cascaded, b_vec, meta = dense_realization(cfg, ref_rng)
+        ref_direct, ref_cascaded, b_vec, pos, blocked = dense_realization(cfg, ref_rng)
         # same Gaussian stream, consumed in the same order and amount
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         for got, ref in ((real.h_direct, ref_direct), (real.h_cascaded, ref_cascaded)):
             err = np.max(np.abs(got - ref), axis=1)
             assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1))
         np.testing.assert_array_equal(real.b_vec, b_vec)
-        for name, value in meta.items():
-            np.testing.assert_array_equal(getattr(real.meta, name), value)
-
-    def test_meta_fields(self):
-        cfg = self.scenario()
-        real = draw_realization(cfg, np.random.default_rng(0))
-        assert real.meta.user_pos.shape == (6, 2)
-        assert real.meta.blocked.sum() == 3
+        # the reference's users lie in the circle, the first n_blocked blocked
         center = np.asarray(cfg.user_circle_center)
-        assert np.all(np.linalg.norm(real.meta.user_pos - center, axis=1)
-                      <= cfg.user_circle_radius + 1e-12)
+        assert pos.shape == (cfg.n_users, 2)
+        assert np.all(np.linalg.norm(pos - center, axis=1) <= cfg.user_circle_radius + 1e-12)
+        np.testing.assert_array_equal(blocked, np.arange(cfg.n_users) < cfg.n_blocked)
 
 
 class TestPsdFactor:

@@ -374,3 +374,9 @@ class TestUnitModulusRule:
             else:
                 with pytest.raises(ValueError):
                     check()
+
+    def test_empty_is_vacuously_unit_modulus(self):
+        assert G.is_unit_modulus(np.array([]))
+        assert PhaseConfig(np.array([])).theta.shape == (0,)
+        assert not G.is_unit_modulus(np.array([np.nan]))
+        assert not G.is_unit_modulus(np.array([1.0, np.nan]))

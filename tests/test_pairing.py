@@ -163,3 +163,23 @@ def test_continuous_solve_stored_under_users_and_power(rng):
     assert dec.users == (2, 0)
     for array in (theta.theta, g_mat, dec.c_mat, dec.d_mat, *dec.eig):
         assert not array.flags.writeable
+
+
+def test_first_stored_solve_freezes_the_arrays():
+    # a write after the first solve left the stored phases stale: scaling
+    # h_cascaded by 10 after one thp run, thp then gave 65.5607240 bits where a
+    # fresh realization of the scaled arrays gave 65.5607250
+    scenario = ScenarioConfig(seed=3, n_ris=16)
+    p_bar = scenario.tx_power / scenario.n_users
+    real = draw_realization(scenario, np.random.default_rng(0))
+    real.h_cascaded[:] *= 10.0  # no solve stored yet: the arrays are writable
+    fresh = dataclasses.replace(real, h_cascaded=real.h_cascaded.copy())
+    first = S.run_method("thp", real, p_bar, None)
+    assert real.solves
+    for name in ("h_direct", "h_cascaded", "b_vec"):
+        array = getattr(real, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] *= 10.0
+    assert S.run_method("thp", real, p_bar, None) == first
+    assert S.run_method("thp", fresh, p_bar, None) == first
