@@ -95,14 +95,12 @@ def optimize_phases(real, stack: np.ndarray, p_bar: float) -> list:
     decompose and solve each subset once.  The table is read first; the
     subsets it lacks are decomposed as one stack, solved by
     ``_continuous_stage`` and stored.  The triples returned are the stored
-    ones; a discrete method refines theta on its own objective.  Storing
-    makes the realization's three arrays read-only, so no solve goes stale.
+    ones; a discrete method refines theta on its own objective.  A
+    realization cannot change after its construction, so no solve goes stale.
     """
     keys = [(tuple(users), p_bar) for users in gram_mod.check_users(real, stack).tolist()]
     missed = [i for i, key in enumerate(keys) if key not in real.solves]
     if missed:
-        for array in (real.h_direct, real.h_cascaded, real.b_vec):
-            array.setflags(write=False)
         dec = gram_mod.decompose(real, stack[missed])
         for j, (theta, g_mat) in enumerate(_continuous_stage(dec, p_bar)):
             row = dec.take(j)

@@ -64,6 +64,7 @@ def zf_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
     """
     if not tx_power > 0:
         raise ValueError("tx_power must be positive")
+    gram_mod.check_single(dec)
     d_vec = dec.d_mat @ gram_mod.extend_theta(theta.theta)
     se, ok = zf_se_gram(dec.c_mat, d_vec[None, :], tx_power)
     return LinearSolution(users=list(dec.users), theta=theta, per_user_se=se[0],

@@ -110,15 +110,16 @@ class ScenarioConfig:
         return 10.0 ** (self.noise_dbm / 10.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelRealization:
     """One draw of the composite channel: three arrays and a table of solves.
 
-    Rows of ``h_direct`` are the direct per-user channels, rows of
-    ``h_cascaded`` are the RIS-user channels already multiplied by diag(a).
-    ``b_vec`` has unit Euclidean norm within ``gram.UNIT_MODULUS_TOL``, else
-    ValueError, so the Gram identity holds and the full channel for phase
-    vector theta is ``h_direct + h_cascaded @ theta * b_vec^H``.
+    Rows of ``h_direct`` (K, N_B) are the direct per-user channels, rows of
+    ``h_cascaded`` (K, N_R) are the RIS-user channels already multiplied by
+    diag(a); other shapes raise ValueError.  ``b_vec`` (N_B,) has unit
+    Euclidean norm within ``gram.UNIT_MODULUS_TOL``, else ValueError, so the
+    Gram identity holds and the full channel for phase vector theta is
+    ``h_direct + h_cascaded @ theta * b_vec^H``.
 
     ``solves`` holds the continuous phase solves of every method run on it,
     read and written only by ``alloc.optimize_phases`` under (users, p_bar)
@@ -126,8 +127,8 @@ class ChannelRealization:
     were refined on and the subset's decomposition (C, D and eig).  It
     returns the stored triples: ``alloc.evaluate_allocation`` refines THP's
     binary phases on G, and linear ZF and ``dpc_rate`` read theta and gram.
-    ``dataclasses.replace`` starts an empty one.  The first stored solve makes
-    the three arrays read-only: a later write raises ValueError.
+    ``dataclasses.replace`` derives one with an empty table.  Construction sets
+    the three arrays read-only in place, so a realization never changes after it.
     """
 
     h_direct: np.ndarray  # (K, N_B)
@@ -136,9 +137,15 @@ class ChannelRealization:
     solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        d, c, b = self.h_direct.shape, self.h_cascaded.shape, self.b_vec.shape
+        if not (len(d) == len(c) == 2 and c[0] == d[0] and b == d[1:]):
+            raise ValueError(f"h_direct, h_cascaded and b_vec must have shapes (K, N_B), (K, N_R) "
+                             f"and (N_B,), got {d}, {c} and {b}")
         norm = np.linalg.norm(self.b_vec)
         if not abs(norm - 1.0) <= UNIT_MODULUS_TOL:  # NaN fails
             raise ValueError(f"b_vec must have unit Euclidean norm, got {norm!r}")
+        for array in (self.h_direct, self.h_cascaded, self.b_vec):
+            array.setflags(write=False)
 
     @property
     def n_users(self) -> int:

@@ -106,6 +106,13 @@ def check_users(real, users):
     return users
 
 
+def check_single(gram: GramDecomposition) -> None:
+    """Raise ValueError if ``gram`` is a stack, where one subset is meant."""
+    if gram.c_mat.ndim != 2:
+        raise ValueError(f"a stack of {len(gram.users)} subsets where one is meant: "
+                         "take(i) gives subset i")
+
+
 def decompose(real, users) -> GramDecomposition:
     """Build C and D for the selected user subset, or for a stack of subsets.
 
@@ -179,6 +186,7 @@ def _check_theta_bar(theta_bar):
 
 def rayleigh_objective(gram: GramDecomposition, theta_bar, p_bar: float) -> float:
     """Quadratic form theta_bar^H D^H (I/p_bar + C)^-1 D theta_bar = ||G theta_bar||^2."""
+    check_single(gram)
     y = gram.factor(p_bar) @ np.asarray(theta_bar, dtype=complex)
     return float(np.vdot(y, y).real)
 
@@ -199,6 +207,7 @@ def dpc_asymptote(gram: GramDecomposition, theta_bar, p_bar: float) -> float:
     """
     if not p_bar > 0:
         raise ValueError("p_bar must be positive")
+    check_single(gram)
     theta_bar = _check_theta_bar(theta_bar)
     lam, vecs = gram.eig
     n_zero = count_zero_eigenvalues(lam)

@@ -43,7 +43,9 @@ class PhaseConfig:
 
 
 def random_phases(n_ris: int, rng: np.random.Generator) -> PhaseConfig:
-    """I.i.d. uniform unit-modulus phases."""
+    """I.i.d. uniform unit-modulus phases; ValueError without an rng."""
+    if rng is None:
+        raise ValueError("random phases need an rng")
     return PhaseConfig(np.exp(2j * np.pi * rng.uniform(size=n_ris)))
 
 

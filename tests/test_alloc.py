@@ -9,7 +9,22 @@ import pytest
 from risthp import alloc as A, baseline as B, gram as G, phase_opt as P, thp as T
 from risthp.channel import ScenarioConfig, draw_realization
 
-from conftest import random_realization
+from conftest import edited, random_realization
+
+
+def _copy_user(dst, src):
+    """An ``edited`` edit: the users ``dst`` take the direct and cascaded rows of user ``src``."""
+    def edit(h_d, h_c, b):
+        h_d[dst] = h_d[src]
+        h_c[dst] = h_c[src]
+    return edit
+
+
+def _zero_direct(user):
+    """An ``edited`` edit: ``user`` has no direct channel."""
+    def edit(h_d, h_c, b):
+        h_d[user] = 0.0
+    return edit
 
 
 class TestEvaluateAllocation:
@@ -80,8 +95,7 @@ class TestEvaluateAllocation:
         real = random_realization(rng, k=k, n_bs=n_bs)
         subsets = [[0, 1, 2, 3]]
         if k == n_bs:
-            real.h_direct[1] = real.h_direct[0]
-            real.h_cascaded[1] = real.h_cascaded[0]
+            real = edited(real, _copy_user(1, 0))
             subsets = [[0, 1, 2], [0, 1, 3]]
         calls = []
         order_users = T.order_users
@@ -96,9 +110,7 @@ class TestEvaluateAllocation:
         assert not any(a.feasible for a in step)
 
     def test_infeasible_colinear(self, rng):
-        real = random_realization(rng, k=2, n_bs=4)
-        real.h_direct[1] = real.h_direct[0]
-        real.h_cascaded[1] = real.h_cascaded[0]
+        real = edited(random_realization(rng, k=2, n_bs=4), _copy_user(1, 0))
         out = A.evaluate_allocation(real, [[0, 1]], 1.0, "continuous")[0]
         assert out.se_bound == -np.inf
         assert not out.feasible
@@ -108,8 +120,7 @@ class TestEvaluateAllocation:
     def test_feasible_is_bool(self, rng, colinear):
         real = random_realization(rng, k=2, n_bs=4)
         if colinear:
-            real.h_direct[1] = real.h_direct[0]
-            real.h_cascaded[1] = real.h_cascaded[0]
+            real = edited(real, _copy_user(1, 0))
         out = A.evaluate_allocation(real, [[0, 1]], 1.0, "continuous")[0]
         assert type(out.feasible) is bool
         assert out.feasible is (not colinear)
@@ -120,8 +131,7 @@ class TestEvaluateAllocation:
         # candidate costs one more, on the stack of the others
         real = random_realization(rng, k=4, n_bs=4)
         if colinear:
-            real.h_direct[1] = real.h_direct[0]
-            real.h_cascaded[1] = real.h_cascaded[0]
+            real = edited(real, _copy_user(1, 0))
         calls = []
         check = T.check_full_row_rank
 
@@ -158,9 +168,7 @@ class TestEvaluateAllocation:
             A.evaluate_allocation(real, subsets, 2.0, "continuous")
 
     def test_deficient_candidate_alone_infeasible(self, rng):
-        real = random_realization(rng, k=4, n_bs=4)
-        real.h_direct[3] = real.h_direct[1]
-        real.h_cascaded[3] = real.h_cascaded[1]
+        real = edited(random_realization(rng, k=4, n_bs=4), _copy_user(3, 1))
         step = A.evaluate_allocation(real, [[1, 0], [1, 2], [1, 3]], 2.0, "continuous")
         assert [a.feasible for a in step] == [True, True, False]
         assert not step.feasible
@@ -169,9 +177,7 @@ class TestEvaluateAllocation:
             np.testing.assert_array_equal(out.diag_l, alone.diag_l)
 
     def test_every_candidate_deficient(self, rng):
-        real = random_realization(rng, k=3, n_bs=4)
-        real.h_direct[1:] = real.h_direct[0]
-        real.h_cascaded[1:] = real.h_cascaded[0]
+        real = edited(random_realization(rng, k=3, n_bs=4), _copy_user(slice(1, None), 0))
         step = A.evaluate_allocation(real, [[0, 1], [0, 2]], 2.0, "continuous")
         assert [a.se_bound for a in step] == [-np.inf, -np.inf]
 
@@ -223,8 +229,7 @@ class TestStackedSolve:
     def test_mixed_branches_match_single_calls(self, rng, monkeypatch):
         # user 3 has no direct channel: C of a subset holding it has exactly
         # one zero eigenvalue (alignment), the others none (heuristic)
-        real = random_realization(rng, k=4, n_bs=4, n_ris=6)
-        real.h_direct[3] = 0.0
+        real = edited(random_realization(rng, k=4, n_bs=4, n_ris=6), _zero_direct(3))
         branches = []
         for name in ("align_phases", "heuristic_phases"):
             def counted(*args, _name=name, _fn=getattr(P, name)):
@@ -246,8 +251,7 @@ class TestStackedSolve:
     def test_mixed_branches_one_eigh_of_c(self, rng, monkeypatch):
         # the stack's one eigh of C picks the branches and serves both:
         # zero_eig_direction runs once, on the aligned rows only
-        real = random_realization(rng, k=4, n_bs=4, n_ris=6)
-        real.h_direct[3] = 0.0
+        real = edited(random_realization(rng, k=4, n_bs=4, n_ris=6), _zero_direct(3))
         subsets = [[0, 1], [0, 3], [0, 2], [3, 1]]
         eigh_args, directions = [], []
         eigh, direction = np.linalg.eigh, P.zero_eig_direction
@@ -508,7 +512,8 @@ class TestGreedyAllocate:
 
     def test_well_conditioned_allocates_all(self, rng):
         real = random_realization(rng, k=4, n_bs=4)
-        real.h_direct *= 10.0  # well conditioned, high effective power
+        # well conditioned, high effective power
+        real = dataclasses.replace(real, h_direct=real.h_direct * 10.0)
         out = A.greedy_allocate(real, 1e4, "continuous")
         assert len(out.users) == 4
 

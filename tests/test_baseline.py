@@ -7,7 +7,7 @@ from risthp import alloc, baseline as B, gram as G, phase_opt, thp
 from risthp.channel import ChannelRealization, ScenarioConfig, draw_realization
 from risthp.phase_opt import PhaseConfig
 
-from conftest import random_realization, random_unit_theta
+from conftest import edited, random_realization, random_unit_theta
 
 
 def _no_ris_realization(h_direct, n_ris=4):
@@ -49,17 +49,19 @@ def _shared_cascade_pair(eps):
         b_vec=np.array([0.0, 0.0, 1.0], dtype=complex))
 
 
-def _colinear(real):
-    """Row 1 set equal to row 0."""
-    real.h_direct[1] = real.h_direct[0]
-    real.h_cascaded[1] = real.h_cascaded[0]
-    return real
+def _colinear(real, dst=1, src=0, scale=1.0):
+    """Row ``dst`` set equal to ``scale`` times row ``src``."""
+    def edit(h_d, h_c, b):
+        h_d[dst] = scale * h_d[src]
+        h_c[dst] = scale * h_c[src]
+    return edited(real, edit)
 
 
 def _scaled_row(real):
     """Row 1 scaled by 1e-3, as a blocked direct link."""
-    real.h_direct[1] *= 1e-3
-    return real
+    def edit(h_d, h_c, b):
+        h_d[1] *= 1e-3
+    return edited(real, edit)
 
 
 # name -> (realization, users): well-conditioned rows, a row scaled by 1e-3,
@@ -234,9 +236,7 @@ class TestGreedyAllocateLinear:
             B.greedy_allocate_linear(real, 10.0, "bogus")
 
     def test_duplicate_user_dropped(self, rng):
-        real = random_realization(rng, k=3, n_bs=4)
-        real.h_direct[2] = real.h_direct[1]
-        real.h_cascaded[2] = real.h_cascaded[1]
+        real = _colinear(random_realization(rng, k=3, n_bs=4), dst=2, src=1)
         sol = B.greedy_allocate_linear(real, 10.0, "continuous")
         assert not (1 in sol.users and 2 in sol.users)
 
@@ -446,7 +446,7 @@ class TestZfSumSeGram:
         for _ in range(5):
             real = random_realization(rng, k=3, n_bs=4, n_ris=8)
             if blocked:
-                real.h_direct[1] *= 1e-3
+                real = _scaled_row(real)
             theta = _start_theta(rng, real.n_ris, alphabet)
             for n in range(real.n_ris):
                 got, oracle = _element_scores(real, [0, 1, 2], theta, n, 5.0)
@@ -458,9 +458,7 @@ class TestZfSumSeGram:
     def test_colinear_pair_scores_zero(self, rng, alphabet, scale):
         # scale 1 is the pair of test_colinear_infeasible, whose Gram matrix has
         # an exact zero eigenvalue; a complex scale leaves a rounding-level one
-        real = random_realization(rng, k=2, n_bs=4)
-        real.h_direct[1] = scale * real.h_direct[0]
-        real.h_cascaded[1] = scale * real.h_cascaded[0]
+        real = _colinear(random_realization(rng, k=2, n_bs=4), scale=scale)
         theta = _start_theta(rng, real.n_ris, alphabet)
         for n in range(real.n_ris):
             got, oracle = _element_scores(real, [0, 1], theta, n, 2.0)
@@ -504,7 +502,7 @@ class TestZfSumSeRankOne:
         for _ in range(5):
             real = random_realization(rng, k=3, n_bs=4, n_ris=8)
             if blocked:
-                real.h_direct[1] *= 1e-3
+                real = _scaled_row(real)
             dec = G.decompose(real, [0, 1, 2])
             lam = dec.eig[0]
             assert G.count_zero_eigenvalues(lam) == 0

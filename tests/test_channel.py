@@ -456,6 +456,19 @@ class TestDrawRealization:
                 with pytest.raises(ValueError, match="b_vec"):
                     build()
 
+    @pytest.mark.parametrize("shapes", [((3, 4), (4, 8), (4,)), ((3, 4), (2, 8), (4,)),
+                                        ((4,), (1, 8), (4,)), ((3, 4), (3, 8), (3,)),
+                                        ((3, 4), (3,), (4,)), ((3, 4), (3, 8), (4, 1))],
+                             ids=["more_cascaded_rows", "fewer_cascaded_rows", "1d_direct",
+                                  "short_b", "1d_cascaded", "2d_b"])
+    def test_shapes_checked(self, shapes):
+        # unchecked, an extra row of h_cascaded was silently ignored and a
+        # missing one raised a bare IndexError in the greedy loop
+        arrays = [np.ones(shape, dtype=complex) for shape in shapes]
+        arrays[2] /= np.linalg.norm(arrays[2])
+        with pytest.raises(ValueError, match=r"\(K, N_B\), \(K, N_R\) and \(N_B,\)"):
+            ChannelRealization(*arrays)
+
     def test_deterministic(self):
         cfg = self.scenario()
         r1 = draw_realization(cfg, np.random.default_rng(42))

@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from risthp import gram as G
+from risthp import baseline as B, gram as G
 from risthp.channel import ChannelRealization, ScenarioConfig, draw_realization
 from risthp.gram import DegenerateRankError
 from risthp.phase_opt import PhaseConfig
 
-from conftest import random_realization, random_unit_theta
+from conftest import edited, random_realization, random_unit_theta
 
 
 class TestDecompose:
@@ -22,7 +24,7 @@ class TestDecompose:
 
     def test_zero_cascade(self, rng):
         real = random_realization(rng)
-        real.h_cascaded = np.zeros_like(real.h_cascaded)
+        real = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
         dec = G.decompose(real, range(3))
         np.testing.assert_allclose(dec.d_mat[:, :-1], 0.0)
         h_d_b = real.h_direct @ real.b_vec
@@ -90,6 +92,21 @@ class TestStackedDecompose:
             assert not sub.eig[0].flags.writeable and not sub.eig[1].flags.writeable
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("single", [G.rayleigh_objective, G.dpc_sum_se, G.dpc_asymptote,
+                                        lambda dec, tb, p: B.zf_linear(
+                                            dec, PhaseConfig(tb[:-1]), p)],
+                             ids=["rayleigh_objective", "dpc_sum_se", "dpc_asymptote",
+                                  "zf_linear"])
+    def test_one_subset_functions_reject_a_stack(self, single):
+        # a stack once gave one silent number for all its rows (15.763 bits
+        # from dpc_sum_se, where the two rows alone give 7.879 and 8.400), or
+        # an unnamed numpy error
+        real = random_realization(np.random.default_rng(1), k=4, n_bs=4, n_ris=8)
+        dec = G.decompose(real, np.array([[0, 1], [2, 3]]))
+        with pytest.raises(ValueError, match=r"take\(i\)"):
+            single(dec, np.ones(9, dtype=complex), 2.0)
+        single(dec.take(0), np.ones(9, dtype=complex), 2.0)
+
     @pytest.mark.parametrize("bad", [np.array([[0, -1]]), np.array([[0, 4]]),
                                      np.array([[0.0, 1.0]]), np.array([[False, True]]),
                                      np.zeros((1, 0), dtype=int),
@@ -152,7 +169,7 @@ class TestFactor:
 class TestEffectiveChannel:
     def test_zero_cascade_gives_direct(self, rng):
         real = random_realization(rng)
-        real.h_cascaded = np.zeros_like(real.h_cascaded)
+        real = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
         theta = random_unit_theta(rng, real.n_ris)
         np.testing.assert_allclose(G.effective_channel(real, range(3), theta),
                                    real.h_direct)
@@ -286,7 +303,7 @@ class TestDpcAsymptote:
         # strong cascade keeps the quadratic form large, where dropping the
         # +1 inside the second log of the asymptote is negligible
         real = random_realization(rng, k=3, n_bs=5)
-        real.h_cascaded *= 30.0
+        real = dataclasses.replace(real, h_cascaded=real.h_cascaded * 30.0)
         dec = G.decompose(real, range(3))
         tb = G.extend_theta(random_unit_theta(rng, real.n_ris))
         exact = G.dpc_sum_se(dec, tb, 1e6)
@@ -320,9 +337,10 @@ class TestDpcAsymptote:
 
     def test_degenerate_rank_error(self, rng):
         # two zero direct rows give C two zero eigenvalues
-        real = random_realization(rng, k=4, n_bs=4, blocked=(0, 1))
-        real.h_direct[0] = 0.0
-        real.h_direct[1] = 0.0
+        def zero_direct(h_d, h_c, b):
+            h_d[0] = 0.0
+            h_d[1] = 0.0
+        real = edited(random_realization(rng, k=4, n_bs=4, blocked=(0, 1)), zero_direct)
         dec = G.decompose(real, range(4))
         tb = G.extend_theta(random_unit_theta(rng, real.n_ris))
         with pytest.raises(DegenerateRankError):

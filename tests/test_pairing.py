@@ -17,7 +17,7 @@ from risthp import baseline as B
 from risthp import gram as G
 from risthp import phase_opt as P
 from risthp import sim as S
-from risthp.channel import ScenarioConfig, draw_realization
+from risthp.channel import ChannelRealization, ScenarioConfig, draw_realization
 
 from conftest import random_realization
 
@@ -165,21 +165,30 @@ def test_continuous_solve_stored_under_users_and_power(rng):
         assert not array.flags.writeable
 
 
-def test_first_stored_solve_freezes_the_arrays():
-    # a write after the first solve left the stored phases stale: scaling
-    # h_cascaded by 10 after one thp run, thp then gave 65.5607240 bits where a
-    # fresh realization of the scaled arrays gave 65.5607250
+def test_realization_is_immutable_from_construction():
+    # rebinding the arrays after a thp run once left the stored phases stale:
+    # scaling h_cascaded by 10 and b by 2, thp then ran with no error on a
+    # non-unit b and gave 67.538 bits where it had given 59.343
     scenario = ScenarioConfig(seed=3, n_ris=16)
     p_bar = scenario.tx_power / scenario.n_users
     real = draw_realization(scenario, np.random.default_rng(0))
-    real.h_cascaded[:] *= 10.0  # no solve stored yet: the arrays are writable
-    fresh = dataclasses.replace(real, h_cascaded=real.h_cascaded.copy())
-    first = S.run_method("thp", real, p_bar, None)
-    assert real.solves
+    assert not real.solves
     for name in ("h_direct", "h_cascaded", "b_vec"):
         array = getattr(real, name)
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[:] *= 10.0
+    first = S.run_method("thp", real, p_bar, None)
+    assert real.solves
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        real.h_cascaded = real.h_cascaded * 10.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        real.b_vec = 2.0 * real.b_vec
     assert S.run_method("thp", real, p_bar, None) == first
-    assert S.run_method("thp", fresh, p_bar, None) == first
+    scaled = dataclasses.replace(real, h_cascaded=real.h_cascaded * 10.0)
+    h_cascaded = real.h_cascaded * 10.0
+    fresh = ChannelRealization(real.h_direct, h_cascaded, real.b_vec)
+    assert fresh.h_cascaded is h_cascaded and not h_cascaded.flags.writeable  # no copy
+    assert not scaled.solves
+    result = S.run_method("thp", scaled, p_bar, None)
+    assert result == S.run_method("thp", fresh, p_bar, None) != first

@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import itertools
 import operator
@@ -10,7 +11,7 @@ from risthp import alloc, gram as G, phase_opt as P
 from risthp.channel import ChannelRealization
 from risthp.phase_opt import NotApplicableError, PhaseConfig
 
-from conftest import random_realization, random_unit_theta
+from conftest import edited, random_realization, random_unit_theta
 
 
 class Sweeps(enum.IntEnum):
@@ -57,7 +58,10 @@ class TestZeroEigDirection:
         for _ in range(20):
             real = random_realization(rng, k=3, n_bs=4)
             noise = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            real.h_direct[1] = (0.6 - 0.3j) * real.h_direct[0] + 1e-6 * noise
+
+            def near_colinear(h_d, h_c, b):
+                h_d[1] = (0.6 - 0.3j) * h_d[0] + 1e-6 * noise
+            real = edited(real, near_colinear)
             dec = G.decompose(real, range(3))
             lam = np.linalg.eigvalsh(dec.c_mat)
             u = P.zero_eig_direction(dec)
@@ -126,8 +130,9 @@ class TestStackedBranches:
             np.testing.assert_array_equal(aligned[i], P.align_phases(alone, u_alone).theta)
 
     def test_mixed_stack_marks_applicable(self, rng):
-        real = random_realization(rng, k=4, n_bs=4, n_ris=5)
-        real.h_direct[3] = 0.0  # C of a subset holding user 3 has one zero eigenvalue
+        def zero_direct(h_d, h_c, b):
+            h_d[3] = 0.0  # C of a subset holding user 3 has one zero eigenvalue
+        real = edited(random_realization(rng, k=4, n_bs=4, n_ris=5), zero_direct)
         dec = G.decompose(real, np.array([[0, 1], [0, 3], [3, 2]]))
         with pytest.raises(NotApplicableError, match="in 1 of 3 subsets"):
             P.zero_eig_direction(dec)
@@ -137,8 +142,9 @@ class TestStackedBranches:
 
 class TestAlignPhases:
     def test_blocked_user_gain_maximization(self, rng):
-        real = random_realization(rng, k=3, n_bs=3, blocked=(1,))
-        real.h_direct[1] = 0.0
+        def zero_direct(h_d, h_c, b):
+            h_d[1] = 0.0
+        real = edited(random_realization(rng, k=3, n_bs=3, blocked=(1,)), zero_direct)
         dec = G.decompose(real, range(3))
         theta = P.align_phases(dec, P.zero_eig_direction(dec)).theta
         # stored rows are the conjugate-transposed channels, so the channel
@@ -153,9 +159,10 @@ class TestAlignPhases:
         # rebuild channels so every term is real positive along u: H_c^H u
         # by construction, b^H H_d^H u by rotating H_d by the angle of that
         # term (which leaves C and so u unchanged)
-        real.h_cascaded = np.outer(u, np.abs(rng.standard_normal(4)) + 0.5)
+        h_c = np.outer(u, np.abs(rng.standard_normal(4)) + 0.5)
         ref = real.b_vec.conj() @ (real.h_direct.conj().T @ u)
-        real.h_direct = real.h_direct * np.exp(1j * np.angle(ref))
+        real = dataclasses.replace(real, h_direct=real.h_direct * np.exp(1j * np.angle(ref)),
+                                   h_cascaded=h_c)
         dec = G.decompose(real, range(2))
         theta = P.align_phases(dec, P.zero_eig_direction(dec)).theta
         np.testing.assert_allclose(theta, np.ones(4), atol=1e-9)
@@ -231,9 +238,10 @@ class TestHeuristicPhases:
             assert rand <= obj * (1 + 1e-9)
 
     def test_single_nonzero_column(self, rng):
-        real = random_realization(rng, k=2, n_bs=4, n_ris=3)
-        real.h_direct = np.zeros_like(real.h_direct)  # D = [H_c, 0]
-        real.h_cascaded[:, 1:] = 0.0
+        def first_column_only(h_d, h_c, b):
+            h_d[:] = 0.0  # D = [H_c, 0]
+            h_c[:, 1:] = 0.0
+        real = edited(random_realization(rng, k=2, n_bs=4, n_ris=3), first_column_only)
         dec = G.decompose(real, range(2))
         theta = P.heuristic_phases(dec.factor(5.0)).theta
         # only element 0 matters; its phase is well defined up to the global
@@ -244,7 +252,7 @@ class TestHeuristicPhases:
 class TestRayleighObjective:
     def test_last_column_only(self, rng):
         real = random_realization(rng, k=2, n_bs=4, n_ris=3)
-        real.h_cascaded = np.zeros_like(real.h_cascaded)
+        real = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
         dec = G.decompose(real, range(2))
         d = dec.d_mat[:, -1]
         p_bar = 3.0
@@ -428,8 +436,9 @@ class TestRefineElementwise:
     def test_zero_column_keeps_its_element(self, rng):
         # an all-zero column of H_c makes a zero column of D, so
         # (G^H y)_n = 0 and element n does not enter the objective
-        real = random_realization(rng, k=3, n_bs=5, n_ris=10)
-        real.h_cascaded[:, 4] = 0.0
+        def zero_column(h_d, h_c, b):
+            h_c[:, 4] = 0.0
+        real = edited(random_realization(rng, k=3, n_bs=5, n_ris=10), zero_column)
         dec = G.decompose(real, range(3))
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         start = PhaseConfig(random_unit_theta(rng, 10))
@@ -451,10 +460,11 @@ class TestRefineElementwise:
     def test_zero_d_returns_start(self, rng):
         # H_c = 0 and b orthogonal to every direct row make D = 0: every
         # theta is optimal and the start comes back unchanged
-        real = random_realization(rng, k=2, n_bs=4, n_ris=6)
-        real.h_cascaded[:] = 0.0
-        real.h_direct[:, -1] = 0.0
-        real.b_vec = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+        def zero_d(h_d, h_c, b):
+            h_c[:] = 0.0
+            h_d[:, -1] = 0.0
+            b[:] = [0.0, 0.0, 0.0, 1.0]
+        real = edited(random_realization(rng, k=2, n_bs=4, n_ris=6), zero_d)
         dec = G.decompose(real, range(2))
         assert not np.any(dec.d_mat)
         start = PhaseConfig(random_unit_theta(rng, 6))

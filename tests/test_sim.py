@@ -102,6 +102,12 @@ class TestRandomPhases:
             want = len(out.users), max(0.0, out.se_exact)
         assert got == want
 
+    @pytest.mark.parametrize("method", ["thp_random", "thp_no_ris", "linear_zf_random"])
+    def test_random_method_needs_rng(self, method):
+        real = draw_realization(small_scenario(n_ris=16), np.random.default_rng(4))
+        with pytest.raises(ValueError, match="random phases need an rng"):
+            S.run_method(method, real, 1.0, None)
+
 
 class TestUniformityTest:
     def test_uniform_passes(self):
