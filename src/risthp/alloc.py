@@ -142,12 +142,26 @@ class Step(list):
         """Whether every subset of the step is feasible.
 
         Read as ``Allocation.feasible`` is, so the benchmark's outcome counter
-        for ``evaluate_allocation`` counts the steps with an infeasible subset.
+        for ``evaluate_allocation`` counts the calls with an infeasible subset.
         """
         return all(a.feasible for a in self)
 
 
-def evaluate_allocation(real, subsets, p_bar: float, phases: str | PhaseConfig) -> Step:
+class Round(Step):
+    """The steps of one lockstep round, one per lane: feasible when every step is."""
+
+
+def _step_phases(real, stack: np.ndarray, p_bar: float, phases: str | PhaseConfig):
+    """The phases of each subset of one lane's step, as PhaseConfigs and as (c, N_R) rows."""
+    if isinstance(phases, PhaseConfig):
+        return [phases] * len(stack), phases.theta
+    thetas = [phase_opt.refine_elementwise(g_mat, phase_opt.discretize_binary(theta))
+              if phases == "binary" else theta
+              for theta, g_mat, _ in optimize_phases(real, stack, p_bar)]
+    return thetas, np.array([theta.theta for theta in thetas])
+
+
+def evaluate_allocation(real, subsets, p_bar: float, phases: str | PhaseConfig) -> Step | Round:
     """Phase + order optimization and the SE bound for user subsets of one size.
 
     ``phases`` (``check_phases``) is "continuous" or "binary", solved per
@@ -161,67 +175,103 @@ def evaluate_allocation(real, subsets, p_bar: float, phases: str | PhaseConfig) 
     bounds come from one vector step.  The rank rule is the only gate: a
     subset with dependent rows, as any of more users than BS antennas, is
     infeasible, and the others, if any, are ordered again without it.
-    """
-    check_phases(real, phases)
-    subsets, stack = check_step(real, subsets)
 
-    if isinstance(phases, PhaseConfig):
-        thetas = [phases] * len(subsets)
-        theta_rows = phases.theta
-    else:
-        thetas = [phase_opt.refine_elementwise(g_mat, phase_opt.discretize_binary(theta))
-                  if phases == "binary" else theta
-                  for theta, g_mat, _ in optimize_phases(real, stack, p_bar)]
-        theta_rows = np.array([theta.theta for theta in thetas])
-    h_eff = gram_mod.effective_channel(real, stack, theta_rows)
-    feasible = np.ones(len(subsets), dtype=bool)
+    Several lanes (greedy runs) are evaluated together when ``real``,
+    ``subsets`` and ``phases`` are lists of one entry per lane: one
+    realization, one step and one phases value each, every step of one
+    subset size on one BS array size.  Every lane is checked before any is
+    phased, and they are phased in list order, so lanes on one realization
+    meet its solve table as one call per lane in that order would.  One ``order_users`` call then
+    orders the joined stack of every lane's channels, which orders each
+    matrix as if alone, and the result is a Round: one Step per lane.
+    """
+    one = not isinstance(real, list)
+    reals, steps, lane_phases = ([real], [subsets], [phases]) if one else (real, subsets, phases)
+    if not len(reals) == len(steps) == len(lane_phases):
+        raise ValueError(f"lanes: {len(reals)} realizations, {len(steps)} steps and "
+                         f"{len(lane_phases)} phases")
+    for real_i, phases_i in zip(reals, lane_phases):
+        check_phases(real_i, phases_i)
+    checked = [check_step(real_i, step) for real_i, step in zip(reals, steps)]
+    if len({(stack.shape[1], real_i.n_bs) for real_i, (_, stack) in zip(reals, checked)}) > 1:
+        raise ValueError("lanes: the steps of one round need one subset size and one BS array")
+
+    thetas, channels = [], []
+    for real_i, (_, stack), phases_i in zip(reals, checked, lane_phases):
+        lane_thetas, theta_rows = _step_phases(real_i, stack, p_bar, phases_i)
+        thetas.append(lane_thetas)
+        channels.append(gram_mod.effective_channel(real_i, stack, theta_rows))
+    h_eff = np.concatenate(channels)
+    feasible = np.ones(len(h_eff), dtype=bool)
     try:
         order, diag_l = thp.order_users(h_eff)
     except thp.RankDeficientError as exc:
         feasible = ~exc.deficient
-        if not feasible.any():
-            return Step(_infeasible(users, theta, p_bar) for users, theta in zip(subsets, thetas))
-        order, diag_l = thp.order_users(h_eff[feasible])
+        order, diag_l = (thp.order_users(h_eff[feasible]) if feasible.any()
+                         else ((), np.empty((0, h_eff.shape[1]))))
     se_bound = np.maximum(0.0, thp.se_asymptote(diag_l, p_bar)).sum(axis=1)
-    solved = iter(zip(order, se_bound, diag_l))
-    step = Step()
-    for users, theta, ok in zip(subsets, thetas, feasible):
-        if ok:
-            order_u, bound, gains = next(solved)
-            step.append(Allocation(users=users, theta=theta, order=order_u,
-                                   se_bound=float(bound), p_bar=p_bar, diag_l=gains))
-        else:
-            step.append(_infeasible(users, theta, p_bar))
-    return step
+    solved, ok = iter(zip(order, se_bound, diag_l)), iter(feasible)
+    result = Round()
+    for (lane_subsets, _), lane_thetas in zip(checked, thetas):
+        step = Step()
+        for users, theta in zip(lane_subsets, lane_thetas):
+            if next(ok):
+                order_u, bound, gains = next(solved)
+                step.append(Allocation(users=users, theta=theta, order=order_u,
+                                       se_bound=float(bound), p_bar=p_bar, diag_l=gains))
+            else:
+                step.append(_infeasible(users, theta, p_bar))
+        result.append(step)
+    return result[0] if one else result
 
 
-def _greedy(real, p_bar: float, phases: str | PhaseConfig, evaluate, score):
-    """Greedy allocation: add users one by one while the score rises.
+def _greedy(reals: list, p_bar: float, phases: list, evaluate, score) -> list:
+    """Greedy allocation in lockstep lanes: add users one by one while the score rises.
 
-    ``evaluate(real, subsets, p_bar, phases)`` solves the user subsets of
-    one step, all of one size, and returns their solutions in order;
-    ``score`` maps a solution to a float.  ``phases`` goes to every step as
-    it is, so a PhaseConfig (random phases, drawn once by the caller) is
-    shared by every candidate subset.  Each step is handed over as one
-    (c, K) integer array, one subset per row, so ``check_step`` checks it by
-    one vector test, not entry by entry.  Starts from the single user with
-    the largest score.  Each step appends every unallocated user in index
-    order, keeps the first maximum of the score, and stops when that does
-    not raise the score or when min(K, N_B) users are allocated.
+    A lane is one greedy run, on ``reals[i]`` at ``phases[i]``; the result
+    holds each lane's kept solution, in lane order.  Each round,
+    ``evaluate(reals, steps, p_bar, phases)``, given the active lanes in
+    lane order, solves one step per lane, all of one size, and returns each
+    lane's solutions in order; ``score`` maps a solution to a float.  A
+    lane's ``phases`` goes to every step as it is, so a PhaseConfig (random
+    phases, drawn once by the caller) is shared by every candidate subset.
+    Each step is handed over as one (c, K) integer array, one subset per
+    row, so ``check_step`` checks it by one vector test, not entry by
+    entry.  A lane starts from the single user with the largest score.  Each
+    step appends every unallocated user in index order, keeps the first
+    maximum of the score, and the lane stops when that does not raise the
+    score or when min(K, N_B) users are allocated.
     """
-    def solve(subsets):
-        return max(evaluate(real, subsets, p_bar, phases), key=score)
+    if len(phases) != len(reals):
+        raise ValueError(f"lanes: {len(reals)} realizations and {len(phases)} phases")
 
-    k = real.n_users
-    best = solve(np.arange(k)[:, None])
-    while len(best.users) < min(k, real.n_bs):
-        step = solve(np.array([best.users + [u] for u in range(k) if u not in best.users]))
-        if score(step) <= score(best):
-            break
-        best = step
+    def solve(active, steps):
+        round_ = evaluate([reals[i] for i in active], steps, p_bar, [phases[i] for i in active])
+        return [max(step, key=score) for step in round_]
+
+    caps = [min(real.n_users, real.n_bs) for real in reals]
+    active = range(len(reals))
+    best = solve(active, [np.arange(real.n_users)[:, None] for real in reals])
+    while active := [i for i in active if len(best[i].users) < caps[i]]:
+        steps = [np.array([best[i].users + [u] for u in range(reals[i].n_users)
+                           if u not in best[i].users]) for i in active]
+        grown = []
+        for i, step in zip(active, solve(active, steps)):
+            if score(step) > score(best[i]):
+                best[i] = step
+                grown.append(i)
+        active = grown
     return best
 
 
-def greedy_allocate(real, p_bar: float, phases: str | PhaseConfig) -> Allocation:
-    """Greedy allocation maximizing the high-SNR sum-SE bound at ``phases`` (``check_phases``)."""
-    return _greedy(real, p_bar, phases, evaluate_allocation, lambda a: a.se_bound)
+def greedy_allocate(real, p_bar: float, phases: str | PhaseConfig) -> Allocation | list:
+    """Greedy allocation maximizing the high-SNR sum-SE bound at ``phases`` (``check_phases``).
+
+    With lists ``real`` and ``phases``, one entry per lane, the lanes run in
+    lockstep (``_greedy``), one ``evaluate_allocation`` call per round, and
+    the result is the list of their allocations.
+    """
+    one = not isinstance(real, list)
+    best = _greedy([real] if one else real, p_bar, [phases] if one else phases,
+                   evaluate_allocation, lambda a: a.se_bound)
+    return best[0] if one else best

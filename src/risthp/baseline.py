@@ -200,5 +200,13 @@ def evaluate_allocation_linear(real, subsets, p_bar: float, phases: str | PhaseC
 
 
 def greedy_allocate_linear(real, p_bar: float, phases: str | PhaseConfig) -> LinearSolution:
-    """Greedy user allocation with the ZF sum SE as the metric, at ``phases``."""
-    return alloc._greedy(real, p_bar, phases, evaluate_allocation_linear, lambda s: s.sum_se)
+    """Greedy user allocation with the ZF sum SE as the metric, at ``phases``.
+
+    The one lane of ``alloc._greedy``, whose steps ``evaluate_allocation_linear`` solves.
+    """
+    def evaluate(reals, steps, p_bar, lane_phases):
+        return [evaluate_allocation_linear(real_i, step, p_bar, phases_i)
+                for real_i, step, phases_i in zip(reals, steps, lane_phases)]
+
+    best, = alloc._greedy([real], p_bar, [phases], evaluate, lambda s: s.sum_se)
+    return best

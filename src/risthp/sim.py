@@ -169,14 +169,10 @@ def _scenario_at(scenario: ScenarioConfig, sweep_name: str, value) -> ScenarioCo
     return dataclasses.replace(scenario, **{sweep_name: SWEEP_TYPES[sweep_name](value)})
 
 
-def _thp(real, p_bar, phases):
-    allocation = alloc.greedy_allocate(real, p_bar, phases)
-    return len(allocation.users), max(0.0, allocation.se_exact)
-
-
-def _thp_no_ris(real, p_bar, phases):
-    no_ris = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
-    return _thp(no_ris, p_bar, phases)
+def _thp(reals, p_bar, phases):
+    """THP on lanes, one (realization, phases) each, run by one lockstep greedy."""
+    return [(len(a.users), max(0.0, a.se_exact))
+            for a in alloc.greedy_allocate(reals, p_bar, phases)]
 
 
 def _dpc(real, p_bar, phases):
@@ -195,13 +191,43 @@ _METHOD_TABLE = {
     "thp": (_thp, "continuous"),
     "thp_random": (_thp, "random"),
     "thp_discrete": (_thp, "binary"),
-    "thp_no_ris": (_thp_no_ris, "random"),
+    "thp_no_ris": (_thp, "random"),
     "dpc_rate": (_dpc, "continuous"),
     "linear_zf": (_linear_zf, "continuous"),
     "linear_zf_random": (_linear_zf, "random"),
     "linear_zf_discrete": (_linear_zf, "binary"),
 }
 METHODS = tuple(_METHOD_TABLE)
+# the methods that run on the realization without the RIS: a zero cascade
+_NO_RIS = ("thp_no_ris",)
+
+
+def run_methods(methods, real, p_bar: float, rngs) -> list:
+    """Run methods of one family on one realization; one (n_allocated, sum_se_bits) each.
+
+    ``rngs[i]`` draws method i's phases, once, for every subset it tries,
+    when they are random.  THP methods run as the lanes of one lockstep
+    greedy (``alloc.greedy_allocate``), in the order given; the others run
+    one after another.
+    """
+    for method in methods:
+        if method not in _METHOD_TABLE:
+            raise ValueError(f"unknown method {method!r}")
+    families = {_METHOD_TABLE[method][0] for method in methods}
+    if len(families) != 1:
+        raise ValueError(f"methods: {list(methods)} are not of one family")
+    reals, phases = [], []
+    for method, rng in zip(methods, rngs, strict=True):
+        phases_i = _METHOD_TABLE[method][1]
+        if phases_i == "random":
+            phases_i = phase_opt.random_phases(real.n_ris, rng)
+        phases.append(phases_i)
+        reals.append(dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
+                     if method in _NO_RIS else real)
+    family, = families
+    if family is _thp:
+        return _thp(reals, p_bar, phases)
+    return [family(real_i, p_bar, phases_i) for real_i, phases_i in zip(reals, phases)]
 
 
 def run_method(method: str, real, p_bar: float, rng: np.random.Generator):
@@ -209,24 +235,26 @@ def run_method(method: str, real, p_bar: float, rng: np.random.Generator):
 
     ``rng`` draws a "random" method's phases, once, for every subset it tries.
     """
-    if method not in _METHOD_TABLE:
-        raise ValueError(f"unknown method {method!r}")
-    family, phases = _METHOD_TABLE[method]
-    if phases == "random":
-        phases = phase_opt.random_phases(real.n_ris, rng)
-    return family(real, p_bar, phases)
+    return run_methods([method], real, p_bar, [rng])[0]
 
 
 def run(config: RunConfig) -> list:
     """Execute the Monte Carlo grid; records sorted by (sweep, trial, method).
 
     The methods of a (sweep point, trial) cell share its realization, and so
-    its continuous phase solves: a method's ``wall_time_ms`` excludes the
-    solves an earlier method in ``sorted(methods)`` already made.
+    its continuous phase solves, and run in ``sorted(methods)`` order, each
+    alone but the THP methods: they run together, where the first of them
+    sorts, as the lanes of one lockstep greedy (``run_methods``).  A
+    method's ``wall_time_ms`` is the time of its own run, or an equal share
+    of its THP group's, and excludes the solves a method before it already
+    made.
     """
     records = []
     sweep_points = (list(config.sweep_values)
                     if config.sweep_name != "none" else [0.0])
+    methods = sorted(config.methods)
+    thp = [method for method in methods if _METHOD_TABLE[method][0] is _thp]
+    groups = [thp if method in thp else [method] for method in methods if method not in thp[1:]]
     for sweep_idx, sweep_value in enumerate(sweep_points):
         scenario = _scenario_at(config.scenario, config.sweep_name, sweep_value)
         p_bar = scenario.tx_power / scenario.n_users
@@ -235,17 +263,18 @@ def run(config: RunConfig) -> list:
                 entropy=scenario.seed, spawn_key=(sweep_idx, trial))
             rng = np.random.default_rng(ss)
             real = draw_realization(scenario, rng)
-            for method in sorted(config.methods):
-                method_rng = np.random.default_rng(np.random.SeedSequence(
+            for group in groups:
+                rngs = [np.random.default_rng(np.random.SeedSequence(
                     entropy=scenario.seed,
-                    spawn_key=(sweep_idx, trial, METHODS.index(method))))
+                    spawn_key=(sweep_idx, trial, METHODS.index(method)))) for method in group]
                 start = time.perf_counter()
-                n_alloc, sum_se = run_method(method, real, p_bar, method_rng)
-                elapsed_ms = (time.perf_counter() - start) * 1e3
-                records.append(ResultRecord(
-                    trial=trial, method=method, sweep_name=config.sweep_name,
-                    sweep_value=float(sweep_value), n_allocated=n_alloc,
-                    sum_se_bits=sum_se, wall_time_ms=elapsed_ms))
+                results = run_methods(group, real, p_bar, rngs)
+                elapsed_ms = (time.perf_counter() - start) * 1e3 / len(group)
+                for method, (n_alloc, sum_se) in zip(group, results):
+                    records.append(ResultRecord(
+                        trial=trial, method=method, sweep_name=config.sweep_name,
+                        sweep_value=float(sweep_value), n_allocated=n_alloc,
+                        sum_se_bits=sum_se, wall_time_ms=elapsed_ms))
     records.sort(key=lambda r: (r.sweep_value, r.trial, r.method))
     return records
 

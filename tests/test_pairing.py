@@ -8,6 +8,7 @@ run of all methods has to equal one run per method, record for record.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from risthp import baseline as B
 from risthp import gram as G
 from risthp import phase_opt as P
 from risthp import sim as S
+from risthp import thp as T
 from risthp.channel import ChannelRealization, ScenarioConfig, draw_realization
 
 from conftest import random_realization
@@ -192,3 +194,124 @@ def test_realization_is_immutable_from_construction():
     assert not scaled.solves
     result = S.run_method("thp", scaled, p_bar, None)
     assert result == S.run_method("thp", fresh, p_bar, None) != first
+
+
+THP_FAMILY = ("thp", "thp_discrete", "thp_no_ris", "thp_random")
+
+
+@pytest.mark.parametrize("n_blocked, n_ris, tx_dbm, deficient",
+                         [(0, 16, 30.0, False), (3, 8, 50.0, True)],
+                         ids=["full_rank", "deficient_round"])
+def test_thp_cell_orders_once_per_round(monkeypatch, n_blocked, n_ris, tx_dbm, deficient):
+    # the THP methods of a cell run as lanes of one lockstep greedy: one
+    # order_users call per round for all of them, and one re-order for each
+    # round with a rank-deficient candidate
+    order_users, evaluate = T.order_users, A.evaluate_allocation
+    calls, raised, rounds = [], [], []
+
+    def counted_order(h):
+        calls.append(np.shape(h))
+        try:
+            return order_users(h)
+        except T.RankDeficientError:
+            raised.append(np.shape(h))
+            raise
+
+    def counted_round(real, *args):
+        rounds.append(len(real))
+        return evaluate(real, *args)
+
+    monkeypatch.setattr(T, "order_users", counted_order)
+    monkeypatch.setattr(A, "evaluate_allocation", counted_round)
+    scenario = ScenarioConfig(seed=0, n_ris=n_ris, n_blocked=n_blocked, tx_dbm=tx_dbm)
+    records = S.run(S.RunConfig(scenario, trials=1, methods=THP_FAMILY))
+    cap = min(scenario.n_users, scenario.n_bs)
+    # a lane evaluates one round per kept size, and one more unless it is full
+    lane_rounds = sorted(r.n_allocated + (r.n_allocated < cap) for r in records)
+    assert len(rounds) == lane_rounds[-1]
+    assert rounds == [sum(n >= i for n in lane_rounds) for i in range(1, len(rounds) + 1)]
+    assert rounds[0] == len(THP_FAMILY)
+    assert len(calls) == len(rounds) + len(raised)
+    assert bool(raised) is deficient
+    assert calls[0] == (len(THP_FAMILY) * scenario.n_users, 1, scenario.n_bs)
+
+
+def _eps_pair():
+    """The two-user realization of ``sim._validate_checks`` whose pair is rank-deficient."""
+    return ChannelRealization(np.array([[1.0, 0, 0], [1.0, 1e-3, 0]], dtype=complex),
+                              np.full((2, 4), 100.0, dtype=complex), np.array([0, 0, 1.0]))
+
+
+def test_deficient_lane_leaves_other_lane_alone(rng, monkeypatch):
+    # one lane's pair is rank-deficient in the joined stack; it is infeasible
+    # and the other lane's step and greedy are that lane's alone, bit for bit
+    ones = P.PhaseConfig(np.ones(4))
+    other = random_realization(rng, k=2, n_bs=3, n_ris=4)
+    subsets = [[0, 1], [1, 0]]
+    calls = []
+    order_users = T.order_users
+
+    def counted(h):
+        calls.append(np.shape(h))
+        return order_users(h)
+
+    monkeypatch.setattr(T, "order_users", counted)
+    joint = A.evaluate_allocation([_eps_pair(), other], [[[0, 1]], subsets], 1.0,
+                                  [ones, "continuous"])
+    assert calls == [(3, 2, 3), (2, 2, 3)]  # the joined stack, then its feasible rows
+    monkeypatch.undo()
+    assert isinstance(joint, A.Round) and not joint.feasible
+    (pair,), step = joint
+    assert not pair.feasible and pair.se_bound == -np.inf
+    alone = A.evaluate_allocation(dataclasses.replace(other), subsets, 1.0, "continuous")
+    assert step.feasible
+    for a, b in zip(step, alone):
+        assert a.users == b.users
+        np.testing.assert_array_equal(a.order, b.order)
+        np.testing.assert_array_equal(a.diag_l, b.diag_l)
+        assert a.se_bound == b.se_bound
+
+    blocked, kept = A.greedy_allocate([_eps_pair(), other], 1.0, [ones, "continuous"])
+    assert len(blocked.users) == 1
+    alone = A.greedy_allocate(dataclasses.replace(other), 1.0, "continuous")
+    assert kept.users == alone.users and len(alone.users) == 2
+    np.testing.assert_array_equal(kept.order, alone.order)
+    np.testing.assert_array_equal(kept.diag_l, alone.diag_l)
+    assert kept.se_bound == alone.se_bound
+
+
+def test_lanes_must_stack(rng):
+    real = random_realization(rng, k=3, n_bs=4)
+    with pytest.raises(ValueError, match="one subset size"):
+        A.evaluate_allocation([real, real], [[[0]], [[0, 1]]], 1.0, ["continuous"] * 2)
+    with pytest.raises(ValueError, match="2 realizations, 1 steps and 2 phases"):
+        A.evaluate_allocation([real, real], [[[0]]], 1.0, ["continuous"] * 2)
+    with pytest.raises(ValueError, match="2 realizations and 1 phases"):
+        A.greedy_allocate([real, real], 1.0, ["continuous"])
+    assert real.solves == {}
+
+
+def test_thp_wall_time_is_an_equal_share():
+    records = S.run(_config(S.METHODS, n_ris=16))
+    for value in (0.0, 50.0):
+        shares = {r.wall_time_ms for r in records
+                  if r.method in THP_FAMILY and r.sweep_value == value}
+        share, = shares  # one group, split equally
+        assert math.isfinite(share) and share >= 0.0
+    assert all(math.isfinite(r.wall_time_ms) and r.wall_time_ms >= 0.0 for r in records)
+
+
+def test_run_methods_takes_one_family():
+    scenario = ScenarioConfig(seed=0, n_ris=16)
+    real = draw_realization(scenario, np.random.default_rng(0))
+    p_bar = scenario.tx_power / scenario.n_users
+    rngs = [np.random.default_rng(i) for i in range(2)]
+    with pytest.raises(ValueError, match="not of one family"):
+        S.run_methods(["thp", "dpc_rate"], real, p_bar, rngs)
+    with pytest.raises(ValueError, match="unknown method 'thp_bogus'"):
+        S.run_methods(["thp", "thp_bogus"], real, p_bar, rngs)
+    # a group's lanes give what each method gives alone
+    group = S.run_methods(["thp", "thp_no_ris"], real, p_bar, rngs)
+    alone = [S.run_method(m, dataclasses.replace(real), p_bar, np.random.default_rng(i))
+             for i, m in enumerate(["thp", "thp_no_ris"])]
+    assert group == alone
