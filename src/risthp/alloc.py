@@ -134,21 +134,17 @@ def check_step(real, subsets) -> tuple:
     return stack.tolist(), stack
 
 
-class Step(list):
-    """The allocations of one greedy step, in the order of its subsets."""
+class Round(list):
+    """The allocations of one lockstep round: one list per lane, in the order of its subsets."""
 
     @property
     def feasible(self) -> bool:
-        """Whether every subset of the step is feasible.
+        """Whether every allocation of every lane is feasible.
 
         Read as ``Allocation.feasible`` is, so the benchmark's outcome counter
         for ``evaluate_allocation`` counts the calls with an infeasible subset.
         """
-        return all(a.feasible for a in self)
-
-
-class Round(Step):
-    """The steps of one lockstep round, one per lane: feasible when every step is."""
+        return all(a.feasible for step in self for a in step)
 
 
 def _step_phases(real, stack: np.ndarray, p_bar: float, phases: str | PhaseConfig):
@@ -161,46 +157,48 @@ def _step_phases(real, stack: np.ndarray, p_bar: float, phases: str | PhaseConfi
     return thetas, np.array([theta.theta for theta in thetas])
 
 
-def evaluate_allocation(real, subsets, p_bar: float, phases: str | PhaseConfig) -> Step | Round:
-    """Phase + order optimization and the SE bound for user subsets of one size.
+def evaluate_allocation(reals: list, steps: list, p_bar: float, phases: list) -> Round:
+    """Phase + order optimization and the SE bound for one round of lanes.
 
-    ``phases`` (``check_phases``) is "continuous" or "binary", solved per
-    subset, or one PhaseConfig that every subset uses, such as the random
-    phases of the RIS.  Solved phases are the continuous theta that
+    A lane is one greedy run: ``reals``, ``steps`` and ``phases`` hold one
+    realization, one step of user subsets and one phases value per lane,
+    every step of one subset size on one BS array size.  A lane's phases
+    (``check_phases``) are "continuous" or "binary", solved per subset, or
+    one PhaseConfig that every subset uses, such as the random phases of
+    the RIS.  Solved phases are the continuous theta that
     ``optimize_phases`` returns; for binary, theta discretized, then
     element-wise +-1 sweeps on the returned G
-    (``phase_opt.refine_elementwise``).  The effective channels come from
-    one batched product, so one call of ``thp.order_users`` runs the rank
-    test, the QR, the inverse and the ordering for all of them, and the
-    bounds come from one vector step.  The rank rule is the only gate: a
-    subset with dependent rows, as any of more users than BS antennas, is
-    infeasible, and the others, if any, are ordered again without it.
+    (``phase_opt.refine_elementwise``).  Raises ValueError unless
+    0 < p_bar < inf, and for a round without lanes.
 
-    Several lanes (greedy runs) are evaluated together when ``real``,
-    ``subsets`` and ``phases`` are lists of one entry per lane: one
-    realization, one step and one phases value each, every step of one
-    subset size on one BS array size.  Every lane is checked before any is
-    phased, and they are phased in list order, so lanes on one realization
-    meet its solve table as one call per lane in that order would.  One ``order_users`` call then
-    orders the joined stack of every lane's channels, which orders each
-    matrix as if alone, and the result is a Round: one Step per lane.
+    Every lane is checked before any is phased, and they are phased in
+    list order, so lanes on one realization meet its solve table as one
+    call per lane in that order would.  The effective channels come from
+    one batched product per lane, and one call of ``thp.order_users`` runs
+    the rank test, the QR, the inverse and the ordering for the joined
+    stack of every lane, which orders each matrix as if alone; the bounds
+    come from one vector step.  The rank rule is the only gate: a subset
+    with dependent rows, as any of more users than BS antennas, is
+    infeasible, and the others, if any, are ordered again without it.
     """
-    one = not isinstance(real, list)
-    reals, steps, lane_phases = ([real], [subsets], [phases]) if one else (real, subsets, phases)
-    if not len(reals) == len(steps) == len(lane_phases):
+    if not len(reals) == len(steps) == len(phases):
         raise ValueError(f"lanes: {len(reals)} realizations, {len(steps)} steps and "
-                         f"{len(lane_phases)} phases")
-    for real_i, phases_i in zip(reals, lane_phases):
-        check_phases(real_i, phases_i)
-    checked = [check_step(real_i, step) for real_i, step in zip(reals, steps)]
-    if len({(stack.shape[1], real_i.n_bs) for real_i, (_, stack) in zip(reals, checked)}) > 1:
+                         f"{len(phases)} phases")
+    if not reals:
+        raise ValueError("lanes: no lanes to evaluate")
+    if not 0 < p_bar < np.inf:  # NaN fails
+        raise ValueError(f"p_bar must be positive and finite, got {p_bar!r}")
+    for real, phases_i in zip(reals, phases):
+        check_phases(real, phases_i)
+    checked = [check_step(real, step) for real, step in zip(reals, steps)]
+    if len({(stack.shape[1], real.n_bs) for real, (_, stack) in zip(reals, checked)}) > 1:
         raise ValueError("lanes: the steps of one round need one subset size and one BS array")
 
     thetas, channels = [], []
-    for real_i, (_, stack), phases_i in zip(reals, checked, lane_phases):
-        lane_thetas, theta_rows = _step_phases(real_i, stack, p_bar, phases_i)
+    for real, (_, stack), phases_i in zip(reals, checked, phases):
+        lane_thetas, theta_rows = _step_phases(real, stack, p_bar, phases_i)
         thetas.append(lane_thetas)
-        channels.append(gram_mod.effective_channel(real_i, stack, theta_rows))
+        channels.append(gram_mod.effective_channel(real, stack, theta_rows))
     h_eff = np.concatenate(channels)
     feasible = np.ones(len(h_eff), dtype=bool)
     try:
@@ -211,18 +209,16 @@ def evaluate_allocation(real, subsets, p_bar: float, phases: str | PhaseConfig) 
                          else ((), np.empty((0, h_eff.shape[1]))))
     se_bound = np.maximum(0.0, thp.se_asymptote(diag_l, p_bar)).sum(axis=1)
     solved, ok = iter(zip(order, se_bound, diag_l)), iter(feasible)
-    result = Round()
-    for (lane_subsets, _), lane_thetas in zip(checked, thetas):
-        step = Step()
-        for users, theta in zip(lane_subsets, lane_thetas):
-            if next(ok):
-                order_u, bound, gains = next(solved)
-                step.append(Allocation(users=users, theta=theta, order=order_u,
-                                       se_bound=float(bound), p_bar=p_bar, diag_l=gains))
-            else:
-                step.append(_infeasible(users, theta, p_bar))
-        result.append(step)
-    return result[0] if one else result
+
+    def allocation(users, theta):
+        if not next(ok):
+            return _infeasible(users, theta, p_bar)
+        order_u, bound, gains = next(solved)
+        return Allocation(users=users, theta=theta, order=order_u, se_bound=float(bound),
+                          p_bar=p_bar, diag_l=gains)
+
+    return Round([allocation(users, theta) for users, theta in zip(lane_subsets, lane_thetas)]
+                 for (lane_subsets, _), lane_thetas in zip(checked, thetas))
 
 
 def _greedy(reals: list, p_bar: float, phases: list, evaluate, score) -> list:
@@ -264,14 +260,10 @@ def _greedy(reals: list, p_bar: float, phases: list, evaluate, score) -> list:
     return best
 
 
-def greedy_allocate(real, p_bar: float, phases: str | PhaseConfig) -> Allocation | list:
-    """Greedy allocation maximizing the high-SNR sum-SE bound at ``phases`` (``check_phases``).
+def greedy_allocate(reals: list, p_bar: float, phases: list) -> list:
+    """Greedy allocations maximizing the high-SNR sum-SE bound, one per lane.
 
-    With lists ``real`` and ``phases``, one entry per lane, the lanes run in
-    lockstep (``_greedy``), one ``evaluate_allocation`` call per round, and
-    the result is the list of their allocations.
+    ``reals[i]`` at ``phases[i]`` (``check_phases``) is a lane; the lanes run
+    in lockstep (``_greedy``), one ``evaluate_allocation`` call per round.
     """
-    one = not isinstance(real, list)
-    best = _greedy([real] if one else real, p_bar, [phases] if one else phases,
-                   evaluate_allocation, lambda a: a.se_bound)
-    return best[0] if one else best
+    return _greedy(reals, p_bar, phases, evaluate_allocation, lambda a: a.se_bound)

@@ -176,18 +176,20 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
 def evaluate_allocation_linear(real, subsets, p_bar: float, phases: str | PhaseConfig) -> list:
     """ZF solutions for the user subsets of one step, at P = p_bar * K.
 
-    ``phases`` is as for ``alloc.evaluate_allocation`` (``alloc.check_phases``).
+    ``phases`` is as for one lane of ``alloc.evaluate_allocation`` (``alloc.check_phases``).
     For "continuous" and "binary", one ``alloc.optimize_phases`` call gives
     each subset its continuous phases and its stored decomposition (C, D and
     eig), read by the sweep and the score; the sweep starts from those
     phases (discretized for binary).  A PhaseConfig skips the solve and the
     sweep, and is scored on the rows of one ``gram.decompose`` of the step's
     stack.  A subset with more users than BS antennas is infeasible, as in
-    ``alloc.evaluate_allocation``.
+    ``alloc.evaluate_allocation``.  Raises ValueError unless 0 < P < inf.
     """
+    tx_power = p_bar * real.n_users
+    if not 0 < tx_power < np.inf:  # NaN fails
+        raise ValueError(f"tx_power must be positive and finite, got {tx_power!r}")
     alloc.check_phases(real, phases)
     subsets, stack = alloc.check_step(real, subsets)
-    tx_power = p_bar * real.n_users
     if isinstance(phases, PhaseConfig):
         dec = gram_mod.decompose(real, stack)
         return [zf_linear(dec.take(i), phases, tx_power) for i in range(len(subsets))]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +80,13 @@ class ScenarioConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("tx_dbm", "noise_dbm", "blockage_extra_db", "rician_db"):
-            if not _finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite real number, "
-                                 f"got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not _finite_real(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            # beyond these, 10^(value/10) and its inverse are 0 or overflow
+            low, high = 10 * sys.float_info.min_10_exp, 10 * sys.float_info.max_10_exp
+            if not low <= value <= high:
+                raise ValueError(f"{name} must lie in [{low}, {high}] dB, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_bs < 1 or self.n_users < 1 or self.n_ris < 1:

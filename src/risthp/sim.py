@@ -210,6 +210,8 @@ def run_methods(methods, real, p_bar: float, rngs) -> list:
     greedy (``alloc.greedy_allocate``), in the order given; the others run
     one after another.
     """
+    if not methods:
+        raise ValueError("methods: no methods to run")
     for method in methods:
         if method not in _METHOD_TABLE:
             raise ValueError(f"unknown method {method!r}")
@@ -228,14 +230,6 @@ def run_methods(methods, real, p_bar: float, rngs) -> list:
     if family is _thp:
         return _thp(reals, p_bar, phases)
     return [family(real_i, p_bar, phases_i) for real_i, phases_i in zip(reals, phases)]
-
-
-def run_method(method: str, real, p_bar: float, rng: np.random.Generator):
-    """Run one method on one realization; returns (n_allocated, sum_se_bits).
-
-    ``rng`` draws a "random" method's phases, once, for every subset it tries.
-    """
-    return run_methods([method], real, p_bar, [rng])[0]
 
 
 def run(config: RunConfig) -> list:
@@ -381,9 +375,8 @@ def _validate_checks():
                            np.full((2, 4), 100.0, dtype=complex), np.array([0, 0, 1.0]))
         sv = np.linalg.svd(gram_mod.effective_channel(real, [0, 1], ones.theta), compute_uv=False)
         ratios.append(f"{sv[-1] / sv[0]:.2e}")
-        verdicts += [evaluate(real, [[0, 1]], 1.0, ones)[0].feasible
-                     for evaluate in (alloc.evaluate_allocation,
-                                      baseline.evaluate_allocation_linear)]
+        verdicts += [alloc.evaluate_allocation([real], [[[0, 1]]], 1.0, [ones]).feasible,
+                     baseline.evaluate_allocation_linear(real, [[0, 1]], 1.0, ones)[0].feasible]
     checks.append((f"THP and linear ZF reject sigma ratio {ratios[0]} and accept {ratios[1]}",
                    verdicts == [False, False, True, True]))
 

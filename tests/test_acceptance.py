@@ -159,7 +159,7 @@ def test_criterion_06_binary_phases_local_and_global():
         real = _random_realization(r, k=3, n_bs=5, n_ris=n_ris)
         dec = G.decompose(real, range(3))
         p_bar = float(r.uniform(1.0, 20.0))
-        theta = alloc.evaluate_allocation(real, [[0, 1, 2]], p_bar, "binary")[0].theta
+        theta = alloc.evaluate_allocation([real], [[[0, 1, 2]]], p_bar, ["binary"])[0][0].theta
         m = dec.d_mat.conj().T @ np.linalg.solve(np.eye(3) / p_bar + dec.c_mat, dec.d_mat)
         m = 0.5 * (m + m.conj().T)
         tb = G.extend_theta(theta.theta)
@@ -280,12 +280,12 @@ def test_criterion_10_greedy_allocation_sanity():
     for _ in range(100):
         real = _random_realization(rng, k=4, n_bs=4, n_ris=8)
         p_bar = float(rng.uniform(5.0, 200.0))
-        greedy = alloc.greedy_allocate(real, p_bar, "continuous")
+        greedy = alloc.greedy_allocate([real], p_bar, ["continuous"])[0]
         best = -np.inf
         for size in range(1, 5):
             for users in itertools.combinations(range(4), size):
-                cand = alloc.evaluate_allocation(real, [list(users)], p_bar,
-                                                 "continuous")[0]
+                cand = alloc.evaluate_allocation([real], [[list(users)]], p_bar,
+                                                 ["continuous"])[0][0]
                 best = max(best, cand.se_bound)
         if greedy.se_bound > best * (1.0 + 1e-9):
             never_exceeds = False
@@ -299,7 +299,7 @@ def test_criterion_10_greedy_allocation_sanity():
     for trial in range(200):
         real = draw_realization(scenario, np.random.default_rng(trial))
         out = alloc.greedy_allocate(
-            real, scenario.tx_power / scenario.n_users, "continuous")
+            [real], scenario.tx_power / scenario.n_users, ["continuous"])[0]
         n_blocked = sum(u < scenario.n_blocked for u in out.users)
         max_blocked = max(max_blocked, n_blocked)
     detail = (f"greedy/exhaustive bound ratio min {ratios.min():.4f} mean "

@@ -12,6 +12,11 @@ from risthp.channel import ScenarioConfig, draw_realization
 from conftest import edited, random_realization
 
 
+def _evaluate_thp(real, subsets, p_bar, phases):
+    """``A.evaluate_allocation`` on one lane, in the form of ``B.evaluate_allocation_linear``."""
+    return A.evaluate_allocation([real], [subsets], p_bar, [phases])[0]
+
+
 def _copy_user(dst, src):
     """An ``edited`` edit: the users ``dst`` take the direct and cascaded rows of user ``src``."""
     def edit(h_d, h_c, b):
@@ -31,7 +36,7 @@ class TestEvaluateAllocation:
     def test_single_user_bound(self, rng):
         real = random_realization(rng, k=3, n_bs=4)
         p_bar = 2.0
-        out = A.evaluate_allocation(real, [[1]], p_bar, "continuous")[0]
+        out = A.evaluate_allocation([real], [[[1]]], p_bar, ["continuous"])[0][0]
         h = G.effective_channel(real, [1], out.theta.theta)
         expected = max(0.0, math.log2(
             6.0 * p_bar * np.linalg.norm(h) ** 2 / (math.pi * math.e)))
@@ -43,7 +48,7 @@ class TestEvaluateAllocation:
         theta = P.PhaseConfig(np.ones(real.n_ris, dtype=complex))
         theta.theta[0] = np.nan  # past PhaseConfig's own check
         with pytest.raises(ValueError, match="unit modulus"):
-            A.evaluate_allocation(real, [[0, 1]], 2.0, theta)
+            A.evaluate_allocation([real], [[[0, 1]]], 2.0, [theta])
 
     def test_random_mode_needs_fixed_theta(self, rng):
         # random phases come as one PhaseConfig, drawn by phase_opt.random_phases
@@ -51,14 +56,14 @@ class TestEvaluateAllocation:
         real = random_realization(rng)
         fixed = P.random_phases(real.n_ris, np.random.default_rng(9))
         with pytest.raises(TypeError):
-            A.evaluate_allocation(real, [[0, 2]], 3.0, "bogus", fixed_theta=fixed)
-        step = A.evaluate_allocation(real, [[0, 2]], 3.0, fixed)
+            A.evaluate_allocation([real], [[[0, 2]]], 3.0, ["bogus"], fixed_theta=fixed)
+        step = A.evaluate_allocation([real], [[[0, 2]]], 3.0, [fixed])[0]
         assert step[0].theta is fixed
 
     def test_zero_eig_matches_alignment(self, rng):
         real = random_realization(rng, k=2, n_bs=2, n_ris=6)
         p_bar = 5.0
-        out = A.evaluate_allocation(real, [[0, 1]], p_bar, "continuous")[0]
+        out = A.evaluate_allocation([real], [[[0, 1]]], p_bar, ["continuous"])[0][0]
         dec = G.decompose(real, [0, 1])
         u = P.zero_eig_direction(dec)
         aligned = P.align_phases(dec, u).theta
@@ -69,7 +74,7 @@ class TestEvaluateAllocation:
 
     def test_binary_mode_alphabet(self, rng):
         real = random_realization(rng)
-        out = A.evaluate_allocation(real, [[0, 1]], 3.0, "binary")[0]
+        out = A.evaluate_allocation([real], [[[0, 1]]], 3.0, ["binary"])[0][0]
         assert out.theta.alphabet == "binary"
         assert np.all(np.isin(out.theta.theta, [-1.0 + 0j, 1.0 + 0j]))
 
@@ -81,7 +86,7 @@ class TestEvaluateAllocation:
         subsets = [[0, 1, 2, 3], [0, 1, 2, 4], [1, 2, 3, 4]]
         for phases in ("continuous", "binary",
                        P.random_phases(real.n_ris, np.random.default_rng(4))):
-            step = A.evaluate_allocation(real, subsets, 1.0, phases)
+            step = A.evaluate_allocation([real], [subsets], 1.0, [phases])[0]
             linear = B.evaluate_allocation_linear(real, subsets, 1.0, phases)
             assert [a.users for a in step] == subsets
             assert all(isinstance(a, A.Allocation) and a.se_bound == -np.inf
@@ -105,13 +110,13 @@ class TestEvaluateAllocation:
             return order_users(h)
 
         monkeypatch.setattr(T, "order_users", counted)
-        step = A.evaluate_allocation(real, subsets, 1.0, "continuous")
+        step = A.evaluate_allocation([real], [subsets], 1.0, ["continuous"])[0]
         assert calls == [(len(subsets), len(subsets[0]), n_bs)]
         assert not any(a.feasible for a in step)
 
     def test_infeasible_colinear(self, rng):
         real = edited(random_realization(rng, k=2, n_bs=4), _copy_user(1, 0))
-        out = A.evaluate_allocation(real, [[0, 1]], 1.0, "continuous")[0]
+        out = A.evaluate_allocation([real], [[[0, 1]]], 1.0, ["continuous"])[0][0]
         assert out.se_bound == -np.inf
         assert not out.feasible
         assert out.se_exact == 0.0
@@ -121,7 +126,7 @@ class TestEvaluateAllocation:
         real = random_realization(rng, k=2, n_bs=4)
         if colinear:
             real = edited(real, _copy_user(1, 0))
-        out = A.evaluate_allocation(real, [[0, 1]], 1.0, "continuous")[0]
+        out = A.evaluate_allocation([real], [[[0, 1]]], 1.0, ["continuous"])[0][0]
         assert type(out.feasible) is bool
         assert out.feasible is (not colinear)
 
@@ -140,8 +145,8 @@ class TestEvaluateAllocation:
             return check(h, *args, **kwargs)
 
         monkeypatch.setattr(T, "check_full_row_rank", counted)
-        out = A.evaluate_allocation(real, [[0, 1, 2], [0, 2, 3], [0, 1, 3]], 1.0,
-                                    "continuous")
+        out = A.evaluate_allocation([real], [[[0, 1, 2], [0, 2, 3], [0, 1, 3]]], 1.0,
+                                    ["continuous"])[0]
         assert calls == ([(3, 3, 4)] if not colinear else [(3, 3, 4), (1, 3, 4)])
         assert all(isinstance(a, A.Allocation) for a in out)
         assert [a.feasible for a in out] == [not colinear, True, not colinear]
@@ -150,10 +155,11 @@ class TestEvaluateAllocation:
     def test_step_matches_single_subsets(self, rng):
         real = random_realization(rng, k=4, n_bs=4)
         subsets = [[2, 0], [2, 1], [2, 3]]
-        step = A.evaluate_allocation(real, subsets, 3.0, "continuous")
-        assert isinstance(step, A.Step) and len(step) == 3 and step.feasible
+        round_ = A.evaluate_allocation([real], [subsets], 3.0, ["continuous"])
+        step, = round_
+        assert isinstance(round_, A.Round) and len(step) == 3 and round_.feasible
         for users, out in zip(subsets, step):
-            alone = A.evaluate_allocation(real, [users], 3.0, "continuous")[0]
+            alone = A.evaluate_allocation([real], [[users]], 3.0, ["continuous"])[0][0]
             assert out.users == users
             np.testing.assert_array_equal(out.theta.theta, alone.theta.theta)
             np.testing.assert_array_equal(out.order, alone.order)
@@ -165,20 +171,21 @@ class TestEvaluateAllocation:
     def test_step_of_one_size(self, rng, subsets):
         real = random_realization(rng)
         with pytest.raises(ValueError, match="subsets"):
-            A.evaluate_allocation(real, subsets, 2.0, "continuous")
+            A.evaluate_allocation([real], [subsets], 2.0, ["continuous"])
 
     def test_deficient_candidate_alone_infeasible(self, rng):
         real = edited(random_realization(rng, k=4, n_bs=4), _copy_user(3, 1))
-        step = A.evaluate_allocation(real, [[1, 0], [1, 2], [1, 3]], 2.0, "continuous")
+        round_ = A.evaluate_allocation([real], [[[1, 0], [1, 2], [1, 3]]], 2.0, ["continuous"])
+        step, = round_
         assert [a.feasible for a in step] == [True, True, False]
-        assert not step.feasible
+        assert not round_.feasible
         for users, out in zip([[1, 0], [1, 2]], step):
-            alone = A.evaluate_allocation(real, [users], 2.0, "continuous")[0]
+            alone = A.evaluate_allocation([real], [[users]], 2.0, ["continuous"])[0][0]
             np.testing.assert_array_equal(out.diag_l, alone.diag_l)
 
     def test_every_candidate_deficient(self, rng):
         real = edited(random_realization(rng, k=3, n_bs=4), _copy_user(slice(1, None), 0))
-        step = A.evaluate_allocation(real, [[0, 1], [0, 2]], 2.0, "continuous")
+        step = A.evaluate_allocation([real], [[[0, 1], [0, 2]]], 2.0, ["continuous"])[0]
         assert [a.se_bound for a in step] == [-np.inf, -np.inf]
 
 
@@ -199,7 +206,7 @@ class TestStackedSolve:
         real = random_realization(rng, k=8, n_bs=6, n_ris=12)
         subsets = [list(users) for users in
                    {tuple(rng.permutation(8)[:k].tolist()) for _ in range(c)}]
-        step = A.evaluate_allocation(real, subsets, 4.0, "continuous")
+        step = A.evaluate_allocation([real], [subsets], 4.0, ["continuous"])[0]
         alone = _stored_alone(real, subsets, 4.0)
         assert real.solves.keys() == alone.keys()
         for users, out in zip(subsets, step):
@@ -219,7 +226,7 @@ class TestStackedSolve:
         scenario = ScenarioConfig(seed=seed, n_ris=16, tx_dbm=tx_dbm)
         real = draw_realization(scenario, np.random.default_rng(seed))
         p_bar = scenario.tx_power / scenario.n_users
-        A.greedy_allocate(real, p_bar, "continuous")
+        A.greedy_allocate([real], p_bar, ["continuous"])
         alone = _stored_alone(real, [list(users) for users, _ in real.solves], p_bar)
         assert real.solves.keys() == alone.keys()
         for key, (theta, g_mat, _) in real.solves.items():
@@ -238,7 +245,7 @@ class TestStackedSolve:
                 return out
             monkeypatch.setattr(P, name, counted)
         subsets = [[0, 1], [0, 3], [0, 2], [3, 1]]
-        step = A.evaluate_allocation(real, subsets, 2.0, "continuous")
+        step = A.evaluate_allocation([real], [subsets], 2.0, ["continuous"])[0]
         assert branches == [("align_phases", 2), ("heuristic_phases", 2)]
         monkeypatch.undo()
         alone = _stored_alone(real, subsets, 2.0)
@@ -266,7 +273,7 @@ class TestStackedSolve:
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(P, "zero_eig_direction", counted_direction)
-        A.evaluate_allocation(real, subsets, 2.0, "continuous")
+        A.evaluate_allocation([real], [subsets], 2.0, ["continuous"])
         monkeypatch.undo()
         assert directions == [((0, 3), (3, 1))]
         c_stack = G.decompose(real, np.array(subsets)).c_mat
@@ -286,11 +293,11 @@ class TestStackedSolve:
             return decompose(real, users)
 
         monkeypatch.setattr(G, "decompose", counted)
-        A.evaluate_allocation(real, subsets[:1], 3.0, "continuous")
-        A.evaluate_allocation(real, subsets, 3.0, "continuous")
+        A.evaluate_allocation([real], [subsets[:1]], 3.0, ["continuous"])
+        A.evaluate_allocation([real], [subsets], 3.0, ["continuous"])
         assert calls == [(1, 3), (2, 3)]  # one stack per step, of its misses only
         calls.clear()
-        step = A.evaluate_allocation(real, subsets, 3.0, "binary")
+        step = A.evaluate_allocation([real], [subsets], 3.0, ["binary"])[0]
         assert calls == []
         assert all(out.theta.alphabet == "binary" for out in step)
 
@@ -306,7 +313,7 @@ class TestStackedSolve:
                 return channels[-1]
 
             monkeypatch.setattr(G, "effective_channel", kept)
-            step = A.evaluate_allocation(real, subsets, 3.0, phases)
+            step = A.evaluate_allocation([real], [subsets], 3.0, [phases])[0]
             monkeypatch.undo()
             assert len(channels) == 1
             for users, out, h in zip(subsets, step, channels[0]):
@@ -339,7 +346,7 @@ class TestUserIndices:
                   if phase_mode == "random" else phase_mode)
         named = re.escape(f"user index {np.int64(bad) if as_array else bad!r} ")
         with pytest.raises(ValueError, match=named):
-            A.evaluate_allocation(real, _step([[0, bad]], as_array), 2.0, phases)
+            A.evaluate_allocation([real], [_step([[0, bad]], as_array)], 2.0, [phases])
         with pytest.raises(ValueError, match=named):
             B.evaluate_allocation_linear(real, _step([[0, bad]], as_array), 2.0, phases)
         assert real.solves == {}
@@ -354,7 +361,7 @@ class TestUserIndices:
                                          "continuous")
         assert real.solves == {}
 
-    @pytest.mark.parametrize("evaluate", [A.evaluate_allocation, B.evaluate_allocation_linear],
+    @pytest.mark.parametrize("evaluate", [_evaluate_thp, B.evaluate_allocation_linear],
                              ids=["thp", "linear"])
     def test_step_of_one_size(self, rng, evaluate):
         real = random_realization(rng, k=6, n_bs=6)
@@ -368,7 +375,7 @@ class TestUserIndices:
         ([[], []], "user subset must be nonempty"),
         (np.zeros((2, 0), dtype=int), "user subset must be nonempty")],
         ids=["no_subsets", "no_subsets_array", "empty_subsets", "empty_subsets_array"])
-    @pytest.mark.parametrize("evaluate", [A.evaluate_allocation, B.evaluate_allocation_linear],
+    @pytest.mark.parametrize("evaluate", [_evaluate_thp, B.evaluate_allocation_linear],
                              ids=["thp", "linear"])
     def test_empty_step_rejected(self, rng, evaluate, step, message):
         # a (0, K) or (c, 0) array gets the message of the list form
@@ -404,7 +411,7 @@ class TestUserIndices:
         for form in (step, np.array(step)):  # each on a fresh copy of one realization
             real = random_realization(np.random.default_rng(11), k=3, n_bs=4)
             solved.append((
-                A.evaluate_allocation(real, form, 2.0, phases),
+                A.evaluate_allocation([real], [form], 2.0, [phases])[0],
                 B.evaluate_allocation_linear(real, form, 2.0, phases)))
         (thp_list, lin_list), (thp_array, lin_array) = solved
         for got, want in itertools.chain(zip(thp_array, thp_list), zip(lin_array, lin_list)):
@@ -421,8 +428,8 @@ class TestUserIndices:
 
     def test_numpy_integers_accepted(self, rng):
         real = random_realization(rng, k=3, n_bs=4)
-        plain = A.evaluate_allocation(real, [[0, 2]], 2.0, "continuous")[0]
-        numpy = A.evaluate_allocation(real, [np.array([0, 2])], 2.0, "continuous")[0]
+        plain = A.evaluate_allocation([real], [[[0, 2]]], 2.0, ["continuous"])[0][0]
+        numpy = A.evaluate_allocation([real], [[np.array([0, 2])]], 2.0, ["continuous"])[0][0]
         assert numpy.se_bound == plain.se_bound
         assert len(real.solves) == 1
         linear, = B.evaluate_allocation_linear(real, [np.array([0, 2])], 2.0, "continuous")
@@ -430,7 +437,7 @@ class TestUserIndices:
 
     def test_duplicate_user_infeasible(self, rng):
         real = random_realization(rng, k=3, n_bs=4)
-        assert not A.evaluate_allocation(real, [[1, 1]], 2.0, "continuous")[0].feasible
+        assert not A.evaluate_allocation([real], [[[1, 1]]], 2.0, ["continuous"])[0][0].feasible
         assert not B.evaluate_allocation_linear(real, [[1, 1]], 2.0, "continuous")[0].feasible
 
 
@@ -443,9 +450,9 @@ class TestPhases:
         (P.PhaseConfig(np.ones(7)), "phases: (7,) phases for 8 RIS elements")],
         ids=["random", "unknown", "wrong_length"])
     @pytest.mark.parametrize("call", [
-        lambda real, phases: A.greedy_allocate(real, 2.0, phases),
+        lambda real, phases: A.greedy_allocate([real], 2.0, [phases])[0],
         lambda real, phases: B.greedy_allocate_linear(real, 2.0, phases),
-        lambda real, phases: A.evaluate_allocation(real, [[0, 1]], 2.0, phases),
+        lambda real, phases: A.evaluate_allocation([real], [[[0, 1]]], 2.0, [phases])[0],
         lambda real, phases: B.evaluate_allocation_linear(real, [[0, 1]], 2.0, phases)],
         ids=["greedy_allocate", "greedy_allocate_linear", "evaluate_allocation",
              "evaluate_allocation_linear"])
@@ -456,9 +463,33 @@ class TestPhases:
         assert real.solves == {}
 
 
+class TestPower:
+    """The four entry points take 0 < p_bar < inf and check it before any lane is phased."""
+
+    @pytest.mark.parametrize("p_bar", [math.inf, 0.0, -1.0, math.nan],
+                             ids=["inf", "zero", "negative", "nan"])
+    @pytest.mark.parametrize("call, message", [
+        (lambda real, p_bar: A.greedy_allocate([real], p_bar, ["continuous"]), "p_bar"),
+        (lambda real, p_bar: B.greedy_allocate_linear(real, p_bar, "continuous"), "tx_power"),
+        (lambda real, p_bar: A.evaluate_allocation([real], [[[0, 1]]], p_bar, ["continuous"]),
+         "p_bar"),
+        (lambda real, p_bar: B.evaluate_allocation_linear(real, [[0, 1]], p_bar, "continuous"),
+         "tx_power")],
+        ids=["greedy_allocate", "greedy_allocate_linear", "evaluate_allocation",
+             "evaluate_allocation_linear"])
+    def test_rejected(self, rng, call, message, p_bar):
+        # an infinite p_bar once gave THP a one-user allocation with an infinite
+        # bound and linear ZF an infinite sum SE, and stored solves under (users, inf)
+        real = random_realization(rng)
+        with pytest.raises(ValueError, match=f"^{message} must be positive and finite, got "):
+            call(real, p_bar)
+        assert real.solves == {}
+
+
 class TestGreedyAllocate:
     @pytest.mark.parametrize("module, name, greedy", [
-        (A, "evaluate_allocation", A.greedy_allocate),
+        (A, "evaluate_allocation", lambda real, p_bar, phases: A.greedy_allocate(
+            [real], p_bar, [phases])[0]),
         (B, "evaluate_allocation_linear", B.greedy_allocate_linear)], ids=["thp", "linear"])
     def test_steps_passed_as_integer_arrays(self, module, name, greedy, monkeypatch):
         # every step reaches the evaluator as one (c, K) integer array
@@ -486,23 +517,23 @@ class TestGreedyAllocate:
         # the rng goes to phase_opt.random_phases; the allocator takes none
         real = random_realization(rng)
         with pytest.raises(TypeError):
-            A.greedy_allocate(real, 2.0, "continuous", np.random.default_rng(3))
+            A.greedy_allocate([real], 2.0, ["continuous"], np.random.default_rng(3))
 
     def test_low_power_single_user(self, rng):
         # power so small that every multi-user bound loses to the best single
         real = random_realization(rng, k=3, n_bs=4)
         p_bar = 1e-4
-        out = A.greedy_allocate(real, p_bar, "continuous")
+        out = A.greedy_allocate([real], p_bar, ["continuous"])[0]
         best_single = max(
-            A.evaluate_allocation(real, [[u]], p_bar, "continuous")[0].se_bound
+            A.evaluate_allocation([real], [[[u]]], p_bar, ["continuous"])[0][0].se_bound
             for u in range(3))
         assert len(out.users) == 1
         assert out.se_bound == pytest.approx(best_single, rel=1e-9)
         # exhaustive check that no subset does better
         for size in (2, 3):
             for users in itertools.combinations(range(3), size):
-                cand = A.evaluate_allocation(real, [list(users)], p_bar,
-                                             "continuous")[0]
+                cand = A.evaluate_allocation([real], [[list(users)]], p_bar,
+                                             ["continuous"])[0][0]
                 assert cand.se_bound <= out.se_bound + 1e-9
 
     def test_rank_improvement_one_blocked_user(self, rng):
@@ -510,7 +541,7 @@ class TestGreedyAllocate:
             r = np.random.default_rng(trial)
             real = random_realization(r, k=5, n_bs=5, n_ris=8,
                                       blocked=(0, 1, 2))
-            out = A.greedy_allocate(real, 100.0, "continuous")
+            out = A.greedy_allocate([real], 100.0, ["continuous"])[0]
             n_blocked = sum(u in (0, 1, 2) for u in out.users)
             assert n_blocked <= 1
 
@@ -518,30 +549,32 @@ class TestGreedyAllocate:
         real = random_realization(rng, k=4, n_bs=4)
         # well conditioned, high effective power
         real = dataclasses.replace(real, h_direct=real.h_direct * 10.0)
-        out = A.greedy_allocate(real, 1e4, "continuous")
+        out = A.greedy_allocate([real], 1e4, ["continuous"])[0]
         assert len(out.users) == 4
 
     def test_bound_not_above_exhaustive(self, rng):
         real = random_realization(rng, k=4, n_bs=4)
         p_bar = 50.0
-        out = A.greedy_allocate(real, p_bar, "continuous")
+        out = A.greedy_allocate([real], p_bar, ["continuous"])[0]
         best = -np.inf
         for size in range(1, 5):
             for users in itertools.combinations(range(4), size):
                 best = max(best, A.evaluate_allocation(
-                    real, [list(users)], p_bar, "continuous")[0].se_bound)
+                    [real], [[list(users)]], p_bar, ["continuous"])[0][0].se_bound)
         assert out.se_bound <= best + 1e-9
 
     def test_deterministic(self, rng):
         real = random_realization(rng)
-        o1 = A.greedy_allocate(real, 5.0, P.random_phases(real.n_ris, np.random.default_rng(3)))
-        o2 = A.greedy_allocate(real, 5.0, P.random_phases(real.n_ris, np.random.default_rng(3)))
+        o1 = A.greedy_allocate([real], 5.0,
+                               [P.random_phases(real.n_ris, np.random.default_rng(3))])[0]
+        o2 = A.greedy_allocate([real], 5.0,
+                               [P.random_phases(real.n_ris, np.random.default_rng(3))])[0]
         assert o1.users == o2.users
         assert o1.se_bound == o2.se_bound
 
     def test_size_capped_by_antennas(self, rng):
         real = random_realization(rng, k=5, n_bs=3)
-        out = A.greedy_allocate(real, 1e4, "continuous")
+        out = A.greedy_allocate([real], 1e4, ["continuous"])[0]
         assert len(out.users) <= 3
 
     @pytest.mark.parametrize("phase_mode", ["continuous", "random"])
@@ -559,7 +592,7 @@ class TestGreedyAllocate:
         monkeypatch.setattr(T, "wrapped_noise_entropy", counted)
         phases = (P.random_phases(real.n_ris, np.random.default_rng(3))
                   if phase_mode == "random" else phase_mode)
-        out = A.greedy_allocate(real, 50.0, phases)
+        out = A.greedy_allocate([real], 50.0, [phases])[0]
         assert calls == []
         se = out.se_exact
         assert len(calls) == len(out.users) >= 2
@@ -571,11 +604,11 @@ class TestBoundMonotone:
         # replay the greedy trajectory and check the bound never drops
         real = random_realization(rng, k=4, n_bs=5)
         p_bar = 20.0
-        out = A.greedy_allocate(real, p_bar, "continuous")
+        out = A.greedy_allocate([real], p_bar, ["continuous"])[0]
         prev = -np.inf
         for size in range(1, len(out.users) + 1):
-            cand = A.evaluate_allocation(real, [out.users[:size]], p_bar,
-                                         "continuous")[0]
+            cand = A.evaluate_allocation([real], [[out.users[:size]]], p_bar,
+                                         ["continuous"])[0][0]
             assert cand.se_bound >= prev - 1e-9
             prev = cand.se_bound
 
@@ -638,7 +671,7 @@ class TestStackedGreedy:
         p_bar = scenario.tx_power / scenario.n_users
         phases = (P.random_phases(real.n_ris, np.random.default_rng(seed))
                   if phase_mode == "random" else phase_mode)
-        out = A.greedy_allocate(real, p_bar, phases)
+        out = A.greedy_allocate([real], p_bar, [phases])[0]
         users, order, bound = _reference_greedy(dataclasses.replace(real), p_bar, phases)
         assert out.users == users
         np.testing.assert_array_equal(out.order, order)

@@ -190,7 +190,7 @@ class TestEvaluateAllocationLinear:
         real = random_realization(rng, k=5, n_bs=3)
         step = B.evaluate_allocation_linear(real, [[0, 1, 2, 3]], 2.0, "continuous")
         assert not step[0].feasible and step[0].sum_se == 0.0
-        thp_step = alloc.evaluate_allocation(real, [[0, 1, 2, 3]], 2.0, "continuous")
+        thp_step = alloc.evaluate_allocation([real], [[[0, 1, 2, 3]]], 2.0, ["continuous"])[0]
         assert not thp_step[0].feasible and thp_step[0].se_exact == 0.0
 
     def test_fixed_theta_bypasses_optimization(self, rng):
@@ -610,7 +610,7 @@ class TestOneRankRule:
         else:
             assert np.all(thp.order_users(h)[1] > 0)
         # and so do the greedy steps of the two families
-        thp_step = alloc.evaluate_allocation(real, [[0, 1]], 1.0, theta)
+        thp_step = alloc.evaluate_allocation([real], [[[0, 1]]], 1.0, [theta])[0]
         zf_step = B.evaluate_allocation_linear(real, [[0, 1]], 1.0, theta)
         assert thp_step[0].feasible == zf_step[0].feasible == (not dependent)
 

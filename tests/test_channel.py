@@ -610,6 +610,19 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("tx_dbm", 3100.0), ("tx_dbm", -4000.0), ("noise_dbm", -4000.0), ("noise_dbm", 4000.0),
+        ("rician_db", 4000.0), ("blockage_extra_db", -4000.0)])
+    def test_db_fields_have_a_linear_scale(self, field, value):
+        # each once failed inside sim.run with OverflowError, ZeroDivisionError
+        # or "p_bar must be positive", outside the CLI's ValueError handling
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \[-3070, 3080\] dB"):
+            ScenarioConfig(**{field: value})
+
+    def test_db_field_limits_accepted(self):
+        assert 0.0 < ScenarioConfig(tx_dbm=-3070.0).tx_power
+        assert ScenarioConfig(noise_dbm=3080.0).noise_power < math.inf
+
     @pytest.mark.parametrize("field", ["asd", "user_circle_radius"])
     @pytest.mark.parametrize("value", ["1", math.nan, math.inf, True])
     def test_ranged_fields_finite(self, field, value):

@@ -87,7 +87,7 @@ def test_linear_step_reads_thp_solves(rng, monkeypatch, phase_mode):
     # decomposed and no continuous or +-1 refinement runs again
     real = random_realization(rng, k=5, n_bs=4)
     subsets = [[2, 0, u] for u in (1, 3, 4)]
-    A.evaluate_allocation(real, subsets, 3.0, "continuous")
+    A.evaluate_allocation([real], [subsets], 3.0, ["continuous"])
     keys = list(real.solves)
     decompositions = _count_decompositions(monkeypatch)
     calls = []
@@ -104,16 +104,16 @@ def test_dpc_decomposes_once(rng, monkeypatch):
     # reads the table and decomposes nothing
     real = random_realization(rng, k=4, n_bs=4)
     calls = _count_decompositions(monkeypatch)
-    first = S.run_method("dpc_rate", real, 3.0, np.random.default_rng(0))
+    first = S.run_methods(["dpc_rate"], real, 3.0, [np.random.default_rng(0)])[0]
     assert calls == [(1, 4)]
-    assert S.run_method("dpc_rate", real, 3.0, np.random.default_rng(0)) == first
+    assert S.run_methods(["dpc_rate"], real, 3.0, [np.random.default_rng(0)])[0] == first
     assert calls == [(1, 4)]
 
 
 def test_stored_phases_are_read_only():
     scenario = ScenarioConfig(seed=0, n_ris=16)
     real = draw_realization(scenario, np.random.default_rng(0))
-    out = A.greedy_allocate(real, scenario.tx_power / scenario.n_users, "continuous")
+    out = A.greedy_allocate([real], scenario.tx_power / scenario.n_users, ["continuous"])[0]
     assert real.solves
     for theta, g_mat, dec in real.solves.values():
         lam, vecs = dec.eig
@@ -130,7 +130,7 @@ def test_stored_phases_are_read_only():
 def test_replaced_realization_starts_empty_table():
     scenario = ScenarioConfig(seed=0, n_ris=16)
     real = draw_realization(scenario, np.random.default_rng(0))
-    A.greedy_allocate(real, scenario.tx_power / scenario.n_users, "continuous")
+    A.greedy_allocate([real], scenario.tx_power / scenario.n_users, ["continuous"])
     no_ris = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
     assert real.solves
     assert no_ris.solves == {}
@@ -146,11 +146,11 @@ def test_solves_of_one_realization_do_not_reach_another():
     def draw(seed):
         return draw_realization(scenario, np.random.default_rng(seed))
 
-    alone = A.greedy_allocate(draw(2), p_bar, "continuous")
+    alone = A.greedy_allocate([draw(2)], p_bar, ["continuous"])[0]
     a, b = draw(1), draw(2)
-    A.greedy_allocate(a, p_bar, "continuous")
+    A.greedy_allocate([a], p_bar, ["continuous"])
     assert a.solves and not b.solves
-    after = A.greedy_allocate(b, p_bar, "continuous")
+    after = A.greedy_allocate([b], p_bar, ["continuous"])[0]
     assert alone.users == after.users == [5, 4, 3, 1]
     assert after.se_exact == alone.se_exact
 
@@ -180,20 +180,20 @@ def test_realization_is_immutable_from_construction():
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[:] *= 10.0
-    first = S.run_method("thp", real, p_bar, None)
+    first = S.run_methods(["thp"], real, p_bar, [None])[0]
     assert real.solves
     with pytest.raises(dataclasses.FrozenInstanceError):
         real.h_cascaded = real.h_cascaded * 10.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         real.b_vec = 2.0 * real.b_vec
-    assert S.run_method("thp", real, p_bar, None) == first
+    assert S.run_methods(["thp"], real, p_bar, [None])[0] == first
     scaled = dataclasses.replace(real, h_cascaded=real.h_cascaded * 10.0)
     h_cascaded = real.h_cascaded * 10.0
     fresh = ChannelRealization(real.h_direct, h_cascaded, real.b_vec)
     assert fresh.h_cascaded is h_cascaded and not h_cascaded.flags.writeable  # no copy
     assert not scaled.solves
-    result = S.run_method("thp", scaled, p_bar, None)
-    assert result == S.run_method("thp", fresh, p_bar, None) != first
+    result = S.run_methods(["thp"], scaled, p_bar, [None])[0]
+    assert result == S.run_methods(["thp"], fresh, p_bar, [None])[0] != first
 
 
 THP_FAMILY = ("thp", "thp_discrete", "thp_no_ris", "thp_random")
@@ -263,8 +263,8 @@ def test_deficient_lane_leaves_other_lane_alone(rng, monkeypatch):
     assert isinstance(joint, A.Round) and not joint.feasible
     (pair,), step = joint
     assert not pair.feasible and pair.se_bound == -np.inf
-    alone = A.evaluate_allocation(dataclasses.replace(other), subsets, 1.0, "continuous")
-    assert step.feasible
+    alone, = A.evaluate_allocation([dataclasses.replace(other)], [subsets], 1.0, ["continuous"])
+    assert all(a.feasible for a in step)
     for a, b in zip(step, alone):
         assert a.users == b.users
         np.testing.assert_array_equal(a.order, b.order)
@@ -273,7 +273,7 @@ def test_deficient_lane_leaves_other_lane_alone(rng, monkeypatch):
 
     blocked, kept = A.greedy_allocate([_eps_pair(), other], 1.0, [ones, "continuous"])
     assert len(blocked.users) == 1
-    alone = A.greedy_allocate(dataclasses.replace(other), 1.0, "continuous")
+    alone = A.greedy_allocate([dataclasses.replace(other)], 1.0, ["continuous"])[0]
     assert kept.users == alone.users and len(alone.users) == 2
     np.testing.assert_array_equal(kept.order, alone.order)
     np.testing.assert_array_equal(kept.diag_l, alone.diag_l)
@@ -288,6 +288,10 @@ def test_lanes_must_stack(rng):
         A.evaluate_allocation([real, real], [[[0]]], 1.0, ["continuous"] * 2)
     with pytest.raises(ValueError, match="2 realizations and 1 phases"):
         A.greedy_allocate([real, real], 1.0, ["continuous"])
+    with pytest.raises(ValueError, match="^lanes: no lanes to evaluate$"):
+        A.evaluate_allocation([], [], 1.0, [])
+    with pytest.raises(ValueError, match="^lanes: no lanes to evaluate$"):
+        A.greedy_allocate([], 1.0, [])
     assert real.solves == {}
 
 
@@ -310,8 +314,12 @@ def test_run_methods_takes_one_family():
         S.run_methods(["thp", "dpc_rate"], real, p_bar, rngs)
     with pytest.raises(ValueError, match="unknown method 'thp_bogus'"):
         S.run_methods(["thp", "thp_bogus"], real, p_bar, rngs)
+    with pytest.raises(ValueError, match="^methods: no methods to run$"):
+        S.run_methods([], real, p_bar, [])
+    assert real.solves == {}
     # a group's lanes give what each method gives alone
     group = S.run_methods(["thp", "thp_no_ris"], real, p_bar, rngs)
-    alone = [S.run_method(m, dataclasses.replace(real), p_bar, np.random.default_rng(i))
+    alone = [S.run_methods([m], dataclasses.replace(real), p_bar,
+                           [np.random.default_rng(i)])[0]
              for i, m in enumerate(["thp", "thp_no_ris"])]
     assert group == alone

@@ -81,7 +81,7 @@ class TestRun:
 
 
 class TestRandomPhases:
-    """A random method's phases are drawn once, by run_method, and shared by its greedy loop."""
+    """A random method's phases are drawn once, by run_methods, and shared by its greedy loop."""
 
     @pytest.mark.parametrize("method", ["thp_random", "thp_no_ris", "linear_zf_random"])
     def test_run_method_is_greedy_on_drawn_phases(self, method):
@@ -89,7 +89,7 @@ class TestRandomPhases:
         real = draw_realization(scenario, np.random.default_rng(4))
         p_bar = scenario.tx_power / scenario.n_users
         rng, drawn = np.random.default_rng(9), np.random.default_rng(9)
-        got = S.run_method(method, real, p_bar, rng)
+        got = S.run_methods([method], real, p_bar, [rng])[0]
         phases = P.random_phases(real.n_ris, drawn)
         assert rng.uniform() == drawn.uniform()  # the draw is the stream's only use
         if method == "linear_zf_random":
@@ -98,7 +98,7 @@ class TestRandomPhases:
         else:
             if method == "thp_no_ris":
                 real = dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
-            out = A.greedy_allocate(dataclasses.replace(real), p_bar, phases)
+            out = A.greedy_allocate([dataclasses.replace(real)], p_bar, [phases])[0]
             want = len(out.users), max(0.0, out.se_exact)
         assert got == want
 
@@ -106,7 +106,7 @@ class TestRandomPhases:
     def test_random_method_needs_rng(self, method):
         real = draw_realization(small_scenario(n_ris=16), np.random.default_rng(4))
         with pytest.raises(ValueError, match="random phases need an rng"):
-            S.run_method(method, real, 1.0, None)
+            S.run_methods([method], real, 1.0, [None])
 
 
 class TestUniformityTest:
@@ -209,6 +209,11 @@ class TestConfigParsing:
     def test_invalid_sweep_point_rejected(self):
         with pytest.raises(ConfigError, match="n_ris"):
             S.parse_run_config({"scenario": {}, "sweep": {"n_ris": [16, 0]}})
+
+    def test_sweep_point_without_linear_power_rejected(self):
+        # 10^(3100/10) mW overflows a float: named here, not by OverflowError in run
+        with pytest.raises(ConfigError, match=r"tx_dbm=3100: tx_dbm must lie in"):
+            S.parse_run_config({"scenario": {}, "sweep": {"tx_dbm": [30.0, 3100]}})
 
     @pytest.mark.parametrize("name, values, bad", [
         ("n_ris", [8.5, 16], "n_ris=8.5"),
