@@ -75,10 +75,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_bs", "n_users", "n_ris", "n_blocked", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, low in (("n_bs", 1), ("n_users", 1), ("n_ris", 1), ("n_blocked", 0),
+                          ("seed", 0)):
+            check_int(name, getattr(self, name), low)
         for name in ("tx_dbm", "noise_dbm", "blockage_extra_db", "rician_db"):
             value = getattr(self, name)
             if not _finite_real(value):
@@ -87,14 +86,10 @@ class ScenarioConfig:
             low, high = 10 * sys.float_info.min_10_exp, 10 * sys.float_info.max_10_exp
             if not low <= value <= high:
                 raise ValueError(f"{name} must lie in [{low}, {high}] dB, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.n_bs < 1 or self.n_users < 1 or self.n_ris < 1:
-            raise ValueError("array and user counts must be positive")
         if not (_finite_real(self.user_circle_radius) and self.user_circle_radius > 0):
             raise ValueError("user_circle_radius must be a positive finite real number, "
                              f"got {self.user_circle_radius!r}")
-        if not 0 <= self.n_blocked <= self.n_users:
+        if self.n_blocked > self.n_users:
             raise ValueError("n_blocked must lie in [0, n_users]")
         if not (_finite_real(self.asd) and 0 <= self.asd <= math.pi):
             raise ValueError(f"asd must be a finite real number in [0, pi] radians, "
@@ -103,6 +98,8 @@ class ScenarioConfig:
             pos = getattr(self, name)
             if not (len(pos) == 2 and all(_finite_real(c) for c in pos)):
                 raise ValueError(f"{name} must be a pair of finite real numbers, got {pos!r}")
+        if tuple(self.bs_pos) == tuple(self.ris_pos):
+            raise ValueError(f"bs_pos and ris_pos must differ, both are {self.bs_pos!r}")
 
     @property
     def tx_power(self) -> float:
@@ -165,17 +162,17 @@ class ChannelRealization:
         return self.h_cascaded.shape[1]
 
 
-def _check_size(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1 (a bool is not one)."""
-    if type(value) is int and value >= 1:  # the common case, without the ABC check
+def check_int(name: str, value, low: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``low`` (a bool is not one)."""
+    if type(value) is int and value >= low:  # the common case, without the ABC check
         return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def steering_vector(n_elems: int, angle: float) -> np.ndarray:
     """Half-wavelength ULA steering vector exp(j*pi*(m-1)*sin(angle))."""
-    _check_size("n_elems", n_elems)
+    check_int("n_elems", n_elems)
     if not math.isfinite(angle):
         raise ValueError("angle must be finite")
     return np.exp(1j * np.pi * np.arange(n_elems) * math.sin(angle))
@@ -279,7 +276,7 @@ def laplacian_covariance(n: int, nominal_angle: float, asd: float) -> np.ndarray
     entry (m, k) and every entry on its diagonal share one element, so the
     matrix is exactly Hermitian.  np.array(cov) gives a writable copy.
     """
-    _check_size("n", n)
+    check_int("n", n)
     if not math.isfinite(nominal_angle):
         raise ValueError(f"nominal_angle must be finite, got {nominal_angle!r}")
     if not 0 <= asd < math.inf:  # NaN fails

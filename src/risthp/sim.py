@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -19,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import alloc, baseline, channel, gram as gram_mod, phase_opt, thp
-from .channel import (PATHLOSS_PRESETS, PathlossModel, ScenarioConfig,
+from .channel import (PATHLOSS_PRESETS, PathlossModel, ScenarioConfig, check_int,
                       draw_realization)
 
 # swept ScenarioConfig field -> type of its values
@@ -38,9 +37,7 @@ class RunConfig:
     sweep_values: tuple = ()
 
     def __post_init__(self):
-        if (isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral)
-                or self.trials < 1):
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        check_int("trials", self.trials)
         if not (isinstance(self.methods, (list, tuple)) and self.methods):
             raise ValueError(f"methods: expected a nonempty list of method names, "
                              f"got {self.methods!r}")
@@ -138,28 +135,20 @@ def parse_run_config(data: dict) -> RunConfig:
     if "scenario" not in data:
         raise ConfigError("config.scenario: required")
     scenario = parse_scenario(data["scenario"])
-    sweep_name, sweep_values = "none", ()
+    # RunConfig holds the defaults of the keys a file leaves out
+    kwargs = {key: data[key] for key in ("trials", "methods") if key in data}
     sweep = data.get("sweep", "none")
     if sweep != "none" and sweep is not None:
         if not isinstance(sweep, dict) or len(sweep) != 1:
             raise ConfigError("config.sweep: expected 'none' or a single-key mapping")
-        sweep_name, values = next(iter(sweep.items()))
-        if sweep_name not in SWEEP_NAMES:
-            raise ConfigError(f"config.sweep: unknown sweep {sweep_name!r}")
+        (sweep_name, values), = sweep.items()
         if not isinstance(values, list):
             raise ConfigError(f"config.sweep.{sweep_name}: expected a list, got {values!r}")
-        sweep_values = tuple(values)
+        kwargs.update(sweep_name=sweep_name, sweep_values=tuple(values))
     try:
-        return RunConfig(scenario=scenario, trials=data.get("trials", 10),
-                         methods=data.get("methods", ("thp", "linear_zf")),
-                         sweep_name=sweep_name, sweep_values=sweep_values)
+        return RunConfig(scenario=scenario, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
-
-
-def load_run_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_run_config(json.load(fh))
 
 
 def _scenario_at(scenario: ScenarioConfig, sweep_name: str, value) -> ScenarioConfig:
@@ -295,21 +284,14 @@ def uniformity_test(samples, alpha: float):
     return stat, stat < critical
 
 
-def format_record(rec: ResultRecord) -> str:
-    return ",".join([
-        str(rec.trial), rec.method, rec.sweep_name,
-        format(rec.sweep_value, ".12g"), str(rec.n_allocated),
-        format(rec.sum_se_bits, ".12g"), format(rec.wall_time_ms, ".12g"),
-    ])
-
-
 def emit_csv(records, path) -> None:
     """Write records as UTF-8 CSV with LF line endings, 12 significant digits."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             for rec in records:
-                fh.write(format_record(rec) + "\n")
+                fh.write(f"{rec.trial},{rec.method},{rec.sweep_name},{rec.sweep_value:.12g},"
+                         f"{rec.n_allocated},{rec.sum_se_bits:.12g},{rec.wall_time_ms:.12g}\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -410,9 +392,10 @@ def main(argv=None) -> int:
     sub.add_parser("validate", help="run the built-in invariant checks")
     p_sweep = sub.add_parser("sweep", parents=[common], help="run with a sweep override")
     group = p_sweep.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sweep-asd", help="comma-separated ASD values (degrees)")
-    group.add_argument("--sweep-nr", help="comma-separated RIS element counts")
-    group.add_argument("--sweep-tx", help="comma-separated transmit powers (dBm)")
+    # each flag's dest is the ScenarioConfig field it sweeps
+    group.add_argument("--sweep-asd", dest="asd", help="comma-separated ASD values (degrees)")
+    group.add_argument("--sweep-nr", dest="n_ris", help="comma-separated RIS element counts")
+    group.add_argument("--sweep-tx", dest="tx_dbm", help="comma-separated transmit powers (dBm)")
 
     args = parser.parse_args(argv)
 
@@ -425,7 +408,8 @@ def main(argv=None) -> int:
         return 1 if failed else 0
 
     try:
-        config = load_run_config(args.config)
+        with open(args.config, encoding="utf-8") as fh:
+            config = parse_run_config(json.load(fh))
         # overrides go through dataclasses.replace, so RunConfig and
         # ScenarioConfig validate them like config-file values
         changes = {}
@@ -434,17 +418,14 @@ def main(argv=None) -> int:
         if args.seed is not None:
             changes["scenario"] = dataclasses.replace(config.scenario, seed=args.seed)
         if args.command == "sweep":
-            if args.sweep_asd:
-                name, values = "asd", [math.radians(float(v))
-                                       for v in args.sweep_asd.split(",")]
-            elif args.sweep_nr:
-                name, values = "n_ris", [int(v) for v in args.sweep_nr.split(",")]
-            else:
-                name, values = "tx_dbm", [float(v) for v in args.sweep_tx.split(",")]
+            name = next(name for name in SWEEP_TYPES if getattr(args, name) is not None)
+            values = [SWEEP_TYPES[name](v) for v in getattr(args, name).split(",")]
+            if name == "asd":  # the flag takes degrees
+                values = [math.radians(v) for v in values]
             changes.update(sweep_name=name, sweep_values=tuple(values))
         config = dataclasses.replace(config, **changes)
-        # an output path that cannot be written fails here, before any trial runs
-        open(args.out, "w", encoding="utf-8").close()
+        # an unwritable output fails here, before any trial runs; "a" keeps an existing file
+        open(args.out, "a", encoding="utf-8").close()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

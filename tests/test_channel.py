@@ -596,12 +596,21 @@ class TestScenarioValidation:
         assert ScenarioConfig(asd=0.0).asd == 0.0
         assert ScenarioConfig(asd=math.pi).asd == math.pi
 
-    @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5),
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("n_blocked", -1), ("seed", 1.5),
                                               ("n_ris", 8.5), ("n_blocked", 1.0),
                                               ("seed", True), ("n_ris", True)])
     def test_integer_fields_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**{field: value})
+
+    def test_numpy_integer_size_accepted(self):
+        assert ScenarioConfig(n_ris=np.int64(16)).n_ris == 16
+
+    @pytest.mark.parametrize("pos", [(100.0, 0.0), (100, 0)])
+    def test_bs_and_ris_positions_differ(self, pos):
+        # a zero BS-RIS distance once failed in pathloss_db on the first draw
+        with pytest.raises(ValueError, match=r"bs_pos and ris_pos must differ"):
+            ScenarioConfig(bs_pos=pos, ris_pos=(100.0, 0.0))
 
     @pytest.mark.parametrize("field", ["tx_dbm", "noise_dbm", "blockage_extra_db",
                                        "rician_db"])

@@ -162,6 +162,11 @@ class TestConfigParsing:
         assert cfg.trials == 10
         assert cfg.sweep_name == "none"
 
+    def test_defaults_are_run_configs(self):
+        # a key the file leaves out takes RunConfig's own default
+        cfg, default = S.parse_run_config({"scenario": {}}), RunConfig(ScenarioConfig())
+        assert (cfg.trials, cfg.methods) == (default.trials, default.methods)
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="config"):
             S.parse_run_config({"scenario": {}, "bogus": 1})
@@ -330,6 +335,27 @@ class TestCli:
         records = S.parse_csv(out)
         assert records[0].sweep_value == pytest.approx(math.radians(15.0))
 
+    @pytest.mark.parametrize("flag, text, name, values", [
+        ("--sweep-asd", "5,20", "asd", [math.radians(5.0), math.radians(20.0)]),
+        ("--sweep-nr", "4,8", "n_ris", [4.0, 8.0]),
+        ("--sweep-tx", "10,35.5", "tx_dbm", [10.0, 35.5]),
+    ])
+    def test_sweep_flag_records(self, tmp_path, flag, text, name, values):
+        out = tmp_path / "out.csv"
+        assert S.main(["sweep", self.config_file(tmp_path), "--out", str(out),
+                       "--trials", "1", flag, text]) == 0
+        records = S.parse_csv(out)
+        assert [r.sweep_name for r in records] == [name] * 4
+        assert [r.sweep_value for r in records] == pytest.approx(
+            [v for v in values for _ in range(2)], rel=1e-12)
+
+    @pytest.mark.parametrize("flag", ["--sweep-asd", "--sweep-nr", "--sweep-tx"])
+    def test_empty_sweep_value_list_exit_code(self, tmp_path, capsys, flag):
+        out = tmp_path / "out.csv"
+        assert S.main(["sweep", self.config_file(tmp_path), "--out", str(out), flag, ""]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_sweep_asd_beyond_pi_exit_code(self, tmp_path, capsys):
         # 200 degrees is more than pi radians
         rc = S.main(["sweep", self.config_file(tmp_path), "--out",
@@ -402,6 +428,27 @@ class TestCli:
         out = tmp_path / "missing_dir" / "o.csv"
         assert S.main(["run", self.config_file(tmp_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_run_keeps_existing_out(self, tmp_path, monkeypatch):
+        def failing_run(config):
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(S, "run", failing_run)
+        out = tmp_path / "prev.csv"
+        out.write_bytes(b"previous\n")
+        with pytest.raises(RuntimeError, match="trial failed"):
+            S.main(["run", self.config_file(tmp_path), "--out", str(out)])
+        assert out.read_bytes() == b"previous\n"
+
+    def test_coincident_bs_and_ris_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "same.json"
+        cfg.write_text(json.dumps({"scenario": {"bs_pos": [100.0, 0.0],
+                                                "ris_pos": [100.0, 0.0]}}))
+        out = tmp_path / "o.csv"
+        assert S.main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bs_pos and ris_pos" in err
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert S.main(["run", str(tmp_path / "none.json")]) == 2
