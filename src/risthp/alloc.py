@@ -157,19 +157,39 @@ def _step_phases(real, stack: np.ndarray, p_bar: float, phases: str | PhaseConfi
     return thetas, np.array([theta.theta for theta in thetas])
 
 
-def evaluate_allocation(reals: list, steps: list, p_bar: float, phases: list) -> Round:
+def _lane_powers(p_bar, n_lanes: int) -> list:
+    """The per-user power p_bar of each of ``n_lanes`` lanes, as floats.
+
+    ``p_bar`` is one number, which every lane takes, or one per lane.
+    Raises ValueError for a count other than one or ``n_lanes``, and unless
+    every power is positive and finite (NaN fails).
+    """
+    p_bars = np.asarray(p_bar, dtype=float)
+    if p_bars.ndim == 0:
+        p_bars = np.full(n_lanes, p_bars)
+    elif p_bars.shape != (n_lanes,):
+        raise ValueError(f"lanes: {n_lanes} lanes and {p_bars.size} powers p_bar")
+    bad = p_bars[~((p_bars > 0) & (p_bars < np.inf))]
+    if bad.size:
+        raise ValueError(f"p_bar must be positive and finite, got {bad[0].item()!r}")
+    return p_bars.tolist()
+
+
+def evaluate_allocation(reals: list, steps: list, p_bar, phases: list) -> Round:
     """Phase + order optimization and the SE bound for one round of lanes.
 
     A lane is one greedy run: ``reals``, ``steps`` and ``phases`` hold one
     realization, one step of user subsets and one phases value per lane,
-    every step of one subset size on one BS array size.  A lane's phases
+    every step of one subset size on one BS array size; ``p_bar`` is one
+    per-user power for every lane or one per lane (``_lane_powers``), which
+    keys the lane's solves and goes into its allocations.  A lane's phases
     (``check_phases``) are "continuous" or "binary", solved per subset, or
     one PhaseConfig that every subset uses, such as the random phases of
     the RIS.  Solved phases are the continuous theta that
     ``optimize_phases`` returns; for binary, theta discretized, then
     element-wise +-1 sweeps on the returned G
-    (``phase_opt.refine_elementwise``).  Raises ValueError unless
-    0 < p_bar < inf, and for a round without lanes.
+    (``phase_opt.refine_elementwise``).  Raises ValueError for a round
+    without lanes.
 
     Every lane is checked before any is phased, and they are phased in
     list order, so lanes on one realization meet its solve table as one
@@ -186,8 +206,7 @@ def evaluate_allocation(reals: list, steps: list, p_bar: float, phases: list) ->
                          f"{len(phases)} phases")
     if not reals:
         raise ValueError("lanes: no lanes to evaluate")
-    if not 0 < p_bar < np.inf:  # NaN fails
-        raise ValueError(f"p_bar must be positive and finite, got {p_bar!r}")
+    p_bars = _lane_powers(p_bar, len(reals))
     for real, phases_i in zip(reals, phases):
         check_phases(real, phases_i)
     checked = [check_step(real, step) for real, step in zip(reals, steps)]
@@ -195,11 +214,12 @@ def evaluate_allocation(reals: list, steps: list, p_bar: float, phases: list) ->
         raise ValueError("lanes: the steps of one round need one subset size and one BS array")
 
     thetas, channels = [], []
-    for real, (_, stack), phases_i in zip(reals, checked, phases):
-        lane_thetas, theta_rows = _step_phases(real, stack, p_bar, phases_i)
+    for real, (_, stack), p_bar_i, phases_i in zip(reals, checked, p_bars, phases):
+        lane_thetas, theta_rows = _step_phases(real, stack, p_bar_i, phases_i)
         thetas.append(lane_thetas)
         channels.append(gram_mod.effective_channel(real, stack, theta_rows))
     h_eff = np.concatenate(channels)
+    p_rows = np.repeat(p_bars, [len(stack) for _, stack in checked])
     feasible = np.ones(len(h_eff), dtype=bool)
     try:
         order, diag_l = thp.order_users(h_eff)
@@ -207,30 +227,32 @@ def evaluate_allocation(reals: list, steps: list, p_bar: float, phases: list) ->
         feasible = ~exc.deficient
         order, diag_l = (thp.order_users(h_eff[feasible]) if feasible.any()
                          else ((), np.empty((0, h_eff.shape[1]))))
-    se_bound = np.maximum(0.0, thp.se_asymptote(diag_l, p_bar)).sum(axis=1)
+    se_bound = np.maximum(0.0, thp.se_asymptote(diag_l, p_rows[feasible][:, None])).sum(axis=1)
     solved, ok = iter(zip(order, se_bound, diag_l)), iter(feasible)
 
-    def allocation(users, theta):
+    def allocation(users, theta, p_bar_i):
         if not next(ok):
-            return _infeasible(users, theta, p_bar)
+            return _infeasible(users, theta, p_bar_i)
         order_u, bound, gains = next(solved)
         return Allocation(users=users, theta=theta, order=order_u, se_bound=float(bound),
-                          p_bar=p_bar, diag_l=gains)
+                          p_bar=p_bar_i, diag_l=gains)
 
-    return Round([allocation(users, theta) for users, theta in zip(lane_subsets, lane_thetas)]
-                 for (lane_subsets, _), lane_thetas in zip(checked, thetas))
+    return Round([allocation(users, theta, p_bar_i)
+                  for users, theta in zip(lane_subsets, lane_thetas)]
+                 for (lane_subsets, _), lane_thetas, p_bar_i in zip(checked, thetas, p_bars))
 
 
-def _greedy(reals: list, p_bar: float, phases: list, evaluate, score) -> list:
+def _greedy(reals: list, p_bars: list, phases: list, evaluate, score) -> list:
     """Greedy allocation in lockstep lanes: add users one by one while the score rises.
 
-    A lane is one greedy run, on ``reals[i]`` at ``phases[i]``; the result
-    holds each lane's kept solution, in lane order.  Each round,
-    ``evaluate(reals, steps, p_bar, phases)``, given the active lanes in
-    lane order, solves one step per lane, all of one size, and returns each
-    lane's solutions in order; ``score`` maps a solution to a float.  A
-    lane's ``phases`` goes to every step as it is, so a PhaseConfig (random
-    phases, drawn once by the caller) is shared by every candidate subset.
+    A lane is one greedy run, on ``reals[i]`` at power ``p_bars[i]`` and
+    ``phases[i]``; the result holds each lane's kept solution, in lane
+    order.  Each round, ``evaluate(reals, steps, p_bars, phases)``, given
+    the active lanes in lane order, solves one step per lane, all of one
+    size, and returns each lane's solutions in order; ``score`` maps a
+    solution to a float.  A lane's ``phases`` goes to every step as it is,
+    so a PhaseConfig (random phases, drawn once by the caller) is shared by
+    every candidate subset.
     Each step is handed over as one (c, K) integer array, one subset per
     row, so ``check_step`` checks it by one vector test, not entry by
     entry.  A lane starts from the single user with the largest score.  Each
@@ -242,7 +264,8 @@ def _greedy(reals: list, p_bar: float, phases: list, evaluate, score) -> list:
         raise ValueError(f"lanes: {len(reals)} realizations and {len(phases)} phases")
 
     def solve(active, steps):
-        round_ = evaluate([reals[i] for i in active], steps, p_bar, [phases[i] for i in active])
+        round_ = evaluate([reals[i] for i in active], steps, [p_bars[i] for i in active],
+                          [phases[i] for i in active])
         return [max(step, key=score) for step in round_]
 
     caps = [min(real.n_users, real.n_bs) for real in reals]
@@ -260,10 +283,13 @@ def _greedy(reals: list, p_bar: float, phases: list, evaluate, score) -> list:
     return best
 
 
-def greedy_allocate(reals: list, p_bar: float, phases: list) -> list:
+def greedy_allocate(reals: list, p_bar, phases: list) -> list:
     """Greedy allocations maximizing the high-SNR sum-SE bound, one per lane.
 
-    ``reals[i]`` at ``phases[i]`` (``check_phases``) is a lane; the lanes run
-    in lockstep (``_greedy``), one ``evaluate_allocation`` call per round.
+    ``reals[i]`` at ``phases[i]`` (``check_phases``) and its power p_bar,
+    one for every lane or one per lane (``_lane_powers``, checked before any
+    lane is phased), is a lane; the lanes run in lockstep (``_greedy``), one
+    ``evaluate_allocation`` call per round.
     """
-    return _greedy(reals, p_bar, phases, evaluate_allocation, lambda a: a.se_bound)
+    return _greedy(reals, _lane_powers(p_bar, len(reals)), phases, evaluate_allocation,
+                   lambda a: a.se_bound)

@@ -206,9 +206,9 @@ def greedy_allocate_linear(real, p_bar: float, phases: str | PhaseConfig) -> Lin
 
     The one lane of ``alloc._greedy``, whose steps ``evaluate_allocation_linear`` solves.
     """
-    def evaluate(reals, steps, p_bar, lane_phases):
-        return [evaluate_allocation_linear(real_i, step, p_bar, phases_i)
-                for real_i, step, phases_i in zip(reals, steps, lane_phases)]
+    def evaluate(reals, steps, p_bars, lane_phases):
+        return [evaluate_allocation_linear(real_i, step, p_bar_i, phases_i)
+                for real_i, step, p_bar_i, phases_i in zip(reals, steps, p_bars, lane_phases)]
 
-    best, = alloc._greedy([real], p_bar, [phases], evaluate, lambda s: s.sum_se)
+    best, = alloc._greedy([real], [p_bar], [phases], evaluate, lambda s: s.sum_se)
     return best

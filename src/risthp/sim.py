@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -159,7 +160,10 @@ def _scenario_at(scenario: ScenarioConfig, sweep_name: str, value) -> ScenarioCo
 
 
 def _thp(reals, p_bar, phases):
-    """THP on lanes, one (realization, phases) each, run by one lockstep greedy."""
+    """THP on lanes, one (realization, phases) each, run by one lockstep greedy.
+
+    ``p_bar`` is one power for every lane or one per lane.
+    """
     return [(len(a.users), max(0.0, a.se_exact))
             for a in alloc.greedy_allocate(reals, p_bar, phases)]
 
@@ -191,6 +195,23 @@ METHODS = tuple(_METHOD_TABLE)
 _NO_RIS = ("thp_no_ris",)
 
 
+def _lanes(methods, real, rngs) -> tuple:
+    """Each method's (realization, phases) on one realization, as two lists.
+
+    ``rngs[i]`` draws method i's phases, once, when they are random; a
+    ``_NO_RIS`` method runs on the realization with a zero cascade.
+    """
+    reals, phases = [], []
+    for method, rng in zip(methods, rngs, strict=True):
+        phases_i = _METHOD_TABLE[method][1]
+        if phases_i == "random":
+            phases_i = phase_opt.random_phases(real.n_ris, rng)
+        phases.append(phases_i)
+        reals.append(dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
+                     if method in _NO_RIS else real)
+    return reals, phases
+
+
 def run_methods(methods, real, p_bar: float, rngs) -> list:
     """Run methods of one family on one realization; one (n_allocated, sum_se_bits) each.
 
@@ -207,14 +228,7 @@ def run_methods(methods, real, p_bar: float, rngs) -> list:
     families = {_METHOD_TABLE[method][0] for method in methods}
     if len(families) != 1:
         raise ValueError(f"methods: {list(methods)} are not of one family")
-    reals, phases = [], []
-    for method, rng in zip(methods, rngs, strict=True):
-        phases_i = _METHOD_TABLE[method][1]
-        if phases_i == "random":
-            phases_i = phase_opt.random_phases(real.n_ris, rng)
-        phases.append(phases_i)
-        reals.append(dataclasses.replace(real, h_cascaded=np.zeros_like(real.h_cascaded))
-                     if method in _NO_RIS else real)
+    reals, phases = _lanes(methods, real, rngs)
     family, = families
     if family is _thp:
         return _thp(reals, p_bar, phases)
@@ -224,40 +238,63 @@ def run_methods(methods, real, p_bar: float, rngs) -> list:
 def run(config: RunConfig) -> list:
     """Execute the Monte Carlo grid; records sorted by (sweep, trial, method).
 
-    The methods of a (sweep point, trial) cell share its realization, and so
-    its continuous phase solves, and run in ``sorted(methods)`` order, each
-    alone but the THP methods: they run together, where the first of them
-    sorts, as the lanes of one lockstep greedy (``run_methods``).  A
-    method's ``wall_time_ms`` is the time of its own run, or an equal share
-    of its THP group's, and excludes the solves a method before it already
-    made.
+    Trial by trial, each sweep point draws its realization from its own
+    (seed, sweep index, trial) stream.  The methods of a (sweep point,
+    trial) cell share its realization, and so its continuous phase solves.
+    A cell's methods other than THP run alone, in ``sorted(methods)``
+    order, as the realization is drawn; all of them sort before the THP
+    methods.  Then the THP methods of every cell of the trial run together,
+    as the lanes of one lockstep greedy (``alloc.greedy_allocate``), each
+    at its own sweep point's power.  A method's ``wall_time_ms`` is the
+    time of its own run, or, for THP, an equal share of the time of the
+    trial's THP lanes across every sweep point, so the cost of one sweep
+    point does not show for THP; either excludes the solves a method before
+    it already made.
     """
     records = []
     sweep_points = (list(config.sweep_values)
                     if config.sweep_name != "none" else [0.0])
     methods = sorted(config.methods)
     thp = [method for method in methods if _METHOD_TABLE[method][0] is _thp]
-    groups = [thp if method in thp else [method] for method in methods if method not in thp[1:]]
-    for sweep_idx, sweep_value in enumerate(sweep_points):
-        scenario = _scenario_at(config.scenario, config.sweep_name, sweep_value)
-        p_bar = scenario.tx_power / scenario.n_users
-        for trial in range(config.trials):
+    others = [method for method in methods if method not in thp]
+
+    def record(trial, method, sweep_value, result, elapsed_ms):
+        n_alloc, sum_se = result
+        records.append(ResultRecord(
+            trial=trial, method=method, sweep_name=config.sweep_name,
+            sweep_value=float(sweep_value), n_allocated=n_alloc,
+            sum_se_bits=sum_se, wall_time_ms=elapsed_ms))
+
+    for trial in range(config.trials):
+        # the trial's THP lanes: realization, power, phases and (sweep value, method)
+        reals, p_bars, phases, cells = [], [], [], []
+        thp_s = 0.0
+        for sweep_idx, sweep_value in enumerate(sweep_points):
+            scenario = _scenario_at(config.scenario, config.sweep_name, sweep_value)
+            p_bar = scenario.tx_power / scenario.n_users
             ss = np.random.SeedSequence(
                 entropy=scenario.seed, spawn_key=(sweep_idx, trial))
-            rng = np.random.default_rng(ss)
-            real = draw_realization(scenario, rng)
-            for group in groups:
-                rngs = [np.random.default_rng(np.random.SeedSequence(
-                    entropy=scenario.seed,
-                    spawn_key=(sweep_idx, trial, METHODS.index(method)))) for method in group]
+            real = draw_realization(scenario, np.random.default_rng(ss))
+            rngs = {method: np.random.default_rng(np.random.SeedSequence(
+                entropy=scenario.seed, spawn_key=(sweep_idx, trial, METHODS.index(method))))
+                for method in methods}
+            for method in others:
                 start = time.perf_counter()
-                results = run_methods(group, real, p_bar, rngs)
-                elapsed_ms = (time.perf_counter() - start) * 1e3 / len(group)
-                for method, (n_alloc, sum_se) in zip(group, results):
-                    records.append(ResultRecord(
-                        trial=trial, method=method, sweep_name=config.sweep_name,
-                        sweep_value=float(sweep_value), n_allocated=n_alloc,
-                        sum_se_bits=sum_se, wall_time_ms=elapsed_ms))
+                result, = run_methods([method], real, p_bar, [rngs[method]])
+                record(trial, method, sweep_value, result, (time.perf_counter() - start) * 1e3)
+            start = time.perf_counter()
+            lane_reals, lane_phases = _lanes(thp, real, [rngs[method] for method in thp])
+            thp_s += time.perf_counter() - start
+            reals += lane_reals
+            phases += lane_phases
+            p_bars += [p_bar] * len(thp)
+            cells += [(sweep_value, method) for method in thp]
+        if thp:
+            start = time.perf_counter()
+            results = _thp(reals, p_bars, phases)
+            share_ms = (thp_s + time.perf_counter() - start) * 1e3 / len(cells)
+            for (sweep_value, method), result in zip(cells, results):
+                record(trial, method, sweep_value, result, share_ms)
     records.sort(key=lambda r: (r.sweep_value, r.trial, r.method))
     return records
 
@@ -424,8 +461,13 @@ def main(argv=None) -> int:
                 values = [math.radians(v) for v in values]
             changes.update(sweep_name=name, sweep_values=tuple(values))
         config = dataclasses.replace(config, **changes)
-        # an unwritable output fails here, before any trial runs; "a" keeps an existing file
+        # an unwritable output fails here, before any trial runs; "a" keeps an
+        # existing file, and a file the check makes is removed, so a failed run
+        # leaves none: emit_csv writes it at the end
+        created = not os.path.lexists(args.out)
         open(args.out, "a", encoding="utf-8").close()
+        if created:
+            os.remove(args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

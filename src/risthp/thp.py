@@ -176,13 +176,15 @@ def per_user_se(l_kk: float, p_bar: float) -> float:
     return -wrapped_noise_entropy(1.0 / (6.0 * p_bar * l_kk ** 2))
 
 
-def se_asymptote(diag_l, p_bar: float) -> np.ndarray:
+def se_asymptote(diag_l, p_bar) -> np.ndarray:
     """High-SNR SE (bits) of the modulo channels with gains diag_l at power p_bar.
 
-    log2(6 p_bar L_kk^2 / (pi e)) entry by entry, for any array of gains.
+    log2(6 p_bar L_kk^2 / (pi e)) entry by entry, for any array of gains;
+    p_bar is one number or an array that broadcasts against them, such as
+    one power per row of a (rows, K) stack as a (rows, 1) column.
     """
-    diag_l = np.asarray(diag_l, dtype=float)
-    if not ((diag_l > 0).all() and p_bar > 0):  # NaN fails
+    diag_l, p_bar = np.asarray(diag_l, dtype=float), np.asarray(p_bar, dtype=float)
+    if not ((diag_l > 0).all() and (p_bar > 0).all()):  # NaN fails
         raise ValueError("l_kk and p_bar must be positive")
     return np.log2(6.0 * p_bar * diag_l ** 2 / (math.pi * math.e))
 

@@ -485,6 +485,51 @@ class TestPower:
             call(real, p_bar)
         assert real.solves == {}
 
+    @pytest.mark.parametrize("p_bar", [math.inf, 0.0, -1.0, math.nan],
+                             ids=["inf", "zero", "negative", "nan"])
+    @pytest.mark.parametrize("call", [
+        lambda reals, p_bars: A.greedy_allocate(reals, p_bars, ["continuous"] * 2),
+        lambda reals, p_bars: A.evaluate_allocation(reals, [[[0, 1]]] * 2, p_bars,
+                                                    ["continuous"] * 2)],
+        ids=["greedy_allocate", "evaluate_allocation"])
+    def test_one_lane_rejected(self, rng, call, p_bar):
+        # the second lane's power fails, and the first lane is not phased either
+        reals = [random_realization(rng), random_realization(rng)]
+        with pytest.raises(ValueError, match=f"^p_bar must be positive and finite, got {p_bar}$"):
+            call(reals, [1.0, p_bar])
+        assert [real.solves for real in reals] == [{}, {}]
+
+    @pytest.mark.parametrize("p_bars", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]],
+                             ids=["fewer", "more", "nested"])
+    @pytest.mark.parametrize("call", [
+        lambda reals, p_bars: A.greedy_allocate(reals, p_bars, ["continuous"] * 2),
+        lambda reals, p_bars: A.evaluate_allocation(reals, [[[0, 1]]] * 2, p_bars,
+                                                    ["continuous"] * 2)],
+        ids=["greedy_allocate", "evaluate_allocation"])
+    def test_one_power_per_lane(self, rng, call, p_bars):
+        reals = [random_realization(rng), random_realization(rng)]
+        count = np.size(p_bars)
+        with pytest.raises(ValueError, match=f"^lanes: 2 lanes and {count} powers p_bar$"):
+            call(reals, p_bars)
+        assert [real.solves for real in reals] == [{}, {}]
+
+    @pytest.mark.parametrize("phases", ["continuous", "binary"])
+    def test_lane_power_is_the_lane_own(self, rng, phases):
+        # lanes at different powers give what each lane gives alone, and each
+        # lane's solves and allocation carry its own power
+        real = random_realization(rng, k=3, n_bs=4)
+        p_bars = [1e-2, 1e3]
+        lanes = [real, dataclasses.replace(real)]
+        joint = A.greedy_allocate(lanes, p_bars, [phases] * 2)
+        for lane, a, p_bar in zip(lanes, joint, p_bars):
+            fresh = dataclasses.replace(real)
+            alone, = A.greedy_allocate([fresh], p_bar, [phases])
+            assert a.p_bar == alone.p_bar == p_bar
+            assert a.users == alone.users and a.se_bound == alone.se_bound
+            np.testing.assert_array_equal(a.diag_l, alone.diag_l)
+            assert {key[1] for key in lane.solves} == {key[1] for key in fresh.solves} == {p_bar}
+        assert len(joint[0].users) != len(joint[1].users)
+
 
 class TestGreedyAllocate:
     @pytest.mark.parametrize("module, name, greedy", [

@@ -296,13 +296,56 @@ def test_lanes_must_stack(rng):
 
 
 def test_thp_wall_time_is_an_equal_share():
-    records = S.run(_config(S.METHODS, n_ris=16))
-    for value in (0.0, 50.0):
-        shares = {r.wall_time_ms for r in records
-                  if r.method in THP_FAMILY and r.sweep_value == value}
-        share, = shares  # one group, split equally
+    # every THP record of a trial, at every sweep point, holds one share of
+    # the trial's one THP group
+    config = dataclasses.replace(_config(S.METHODS, n_ris=16), trials=2)
+    records = S.run(config)
+    for trial in range(config.trials):
+        thp = [r for r in records if r.method in THP_FAMILY and r.trial == trial]
+        assert {r.sweep_value for r in thp} == {0.0, 50.0}
+        share, = {r.wall_time_ms for r in thp}  # one group, split equally
         assert math.isfinite(share) and share >= 0.0
     assert all(math.isfinite(r.wall_time_ms) and r.wall_time_ms >= 0.0 for r in records)
+
+
+@pytest.mark.parametrize("sweep_name, sweep_values", [("n_ris", (16, 64)), ("tx_dbm", (0.0, 50.0))],
+                         ids=["n_ris", "tx_dbm"])
+def test_trial_lanes_equal_cell_by_cell_runs(monkeypatch, sweep_name, sweep_values):
+    # sim.run runs a trial's THP methods at every sweep point as the lanes of
+    # one greedy, whose lanes here differ in N_R or in p_bar; each record is
+    # the one run_methods gives on its own cell's realization, group by group
+    config = S.RunConfig(ScenarioConfig(seed=0), trials=2, methods=S.METHODS,
+                         sweep_name=sweep_name, sweep_values=sweep_values)
+    methods = sorted(S.METHODS)
+    groups = [[m] for m in methods if m not in THP_FAMILY] + [sorted(THP_FAMILY)]
+    want = []
+    for sweep_idx, value in enumerate(sweep_values):
+        scenario = dataclasses.replace(config.scenario, **{sweep_name: value})
+        p_bar = scenario.tx_power / scenario.n_users
+        for trial in range(config.trials):
+            real = draw_realization(scenario, np.random.default_rng(
+                np.random.SeedSequence(entropy=scenario.seed, spawn_key=(sweep_idx, trial))))
+            for group in groups:
+                rngs = [np.random.default_rng(np.random.SeedSequence(
+                    entropy=scenario.seed, spawn_key=(sweep_idx, trial, S.METHODS.index(m))))
+                    for m in group]
+                for m, (n_alloc, sum_se) in zip(group, S.run_methods(group, real, p_bar, rngs)):
+                    want.append(S.ResultRecord(trial, m, sweep_name, float(value), n_alloc,
+                                               sum_se, 0.0))
+    want.sort(key=lambda r: (r.sweep_value, r.trial, r.method))
+
+    greedy, lanes = A.greedy_allocate, []
+
+    def counted(reals, p_bar, phases):
+        lanes.append(([real.n_ris for real in reals], list(p_bar)))
+        return greedy(reals, p_bar, phases)
+
+    monkeypatch.setattr(A, "greedy_allocate", counted)
+    assert _without_wall_time(S.run(config)) == want
+    assert len(lanes) == config.trials  # one greedy per trial
+    for n_ris, p_bars in lanes:
+        assert len(n_ris) == len(p_bars) == len(sweep_values) * len(THP_FAMILY)
+        assert len(set(n_ris if sweep_name == "n_ris" else p_bars)) == 2
 
 
 def test_run_methods_takes_one_family():

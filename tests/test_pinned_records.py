@@ -1,5 +1,6 @@
-"""``tools/pinned_records.py diff`` on hand-written records; no simulation runs."""
+"""``tools/pinned_records.py diff`` on hand-written records, and ``write`` on a tiny grid."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -99,3 +100,38 @@ def test_diff_counts_records_nonfinite_in_both_files(tmp_path):
                          "non-finite SE: 1"]
     assert "seed=0" in lines[4] and lines[4].endswith(": nan -> nan")
     assert lines[5] == "max |dSE| bits: nan"
+
+
+def _threads(threads):
+    return {"blas_threads": threads}
+
+
+def test_diff_refuses_files_written_at_different_thread_counts(tmp_path):
+    records = [_record("thp", 4, 40.0)]
+    a = _write(tmp_path / "a.jsonl", [_threads(1)] + records)
+    b = _write(tmp_path / "b.jsonl", [_threads(2)] + records)
+    done = _diff(a, b)
+    assert done.returncode != 0
+    assert f"{a} was written at 1 BLAS threads and {b} at 2" in done.stderr
+    # one count, or a count not known on one side, is compared as before
+    for header in ([_threads(1)], [_threads(None)], []):
+        done = _diff(a, _write(tmp_path / "c.jsonl", header + records))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[:2] == ["records: 1", "equal: 1"]
+
+
+def test_write_records_thread_count_first(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts bench/ on the path
+    spec = importlib.util.spec_from_file_location("pinned_records", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "SEEDS", (0,))
+    monkeypatch.setattr(tool, "N_BLOCKED", (3,))
+    monkeypatch.setattr(tool, "SWEEPS", (("n_ris", (4,), {}),))
+    out = tmp_path / "grid.jsonl"
+    tool.write(out)
+    header, *records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert header == _threads(tool.benchenv._blas_threads_in_effect())
+    from risthp.sim import METHODS
+    assert sorted(r["method"] for r in records) == sorted(METHODS)
+    assert all(r["sweep_value"] == 4 for r in records)

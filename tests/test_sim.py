@@ -440,6 +440,17 @@ class TestCli:
             S.main(["run", self.config_file(tmp_path), "--out", str(out)])
         assert out.read_bytes() == b"previous\n"
 
+    def test_failed_run_leaves_no_new_out(self, tmp_path, monkeypatch):
+        # the writability check makes the file, and removes it again
+        def failing_run(config):
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(S, "run", failing_run)
+        out = tmp_path / "new.csv"
+        with pytest.raises(RuntimeError, match="trial failed"):
+            S.main(["run", self.config_file(tmp_path), "--out", str(out)])
+        assert not out.exists()
+
     def test_coincident_bs_and_ris_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "same.json"
         cfg.write_text(json.dumps({"scenario": {"bs_pos": [100.0, 0.0],

@@ -181,6 +181,19 @@ class TestPerUserSe:
                                     rel=1e-12)
         assert got == pytest.approx(9.457, abs=5e-4)
 
+    def test_asymptote_power_per_row(self, rng):
+        # one power per row of a stack, as a column, is each row's scalar call
+        diag_l = rng.uniform(0.1, 3.0, size=(4, 3))
+        p_bars = np.array([0.5, 2.0, 1e3, 7.25])
+        got = T.se_asymptote(diag_l, p_bars[:, None])
+        want = np.array([T.se_asymptote(row, p_bar) for row, p_bar in zip(diag_l, p_bars)])
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_asymptote_rejects_one_bad_row_power(self, bad):
+        with pytest.raises(ValueError, match="l_kk and p_bar must be positive"):
+            T.se_asymptote(np.ones((3, 2)), np.array([[1.0], [bad], [2.0]]))
+
     def test_exact_vanishes_at_low_snr(self):
         assert T.per_user_se(math.sqrt(1e-3), 1.0) < 0.01
 

@@ -8,9 +8,14 @@
 grid cell with the ``risthp`` found on the import path, and writes one JSON
 line per record, the sum SE as ``float.hex``.  The grid is seeds 0-3 x
 ``n_blocked`` 0/3/5 x (the N_R sweep 16/64/256/512 at the default 30 dBm,
-and the transmit-power sweep 0/20/40/50 dBm at N_R = 32): 768 records.
+and the transmit-power sweep 0/20/40/50 dBm at N_R = 32): 768 records.  Its
+first line, ``{"blas_threads": n}``, holds the BLAS thread count in effect
+(``bench/benchenv._blas_threads_in_effect``; null when it cannot be read),
+since the threaded rounding moves some records.  Set it with
+``OPENBLAS_NUM_THREADS``.
 
-``diff`` matches the records of two such files by cell and method and prints
+``diff`` refuses two files written at different known thread counts.  It
+matches the records of two files by cell and method and prints
 the record count, how many sum SEs are exactly equal, every change of
 ``n_allocated``, every record whose sum SE is not finite in either file (when
 there is one) and the largest |delta SE| in bits, then per method how many
@@ -32,6 +37,11 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import benchenv  # noqa: E402
 
 SEEDS = (0, 1, 2, 3)
 N_BLOCKED = (0, 3, 5)
@@ -45,6 +55,7 @@ def write(path):
     from risthp.channel import ScenarioConfig
 
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"blas_threads": benchenv._blas_threads_in_effect()}) + "\n")
         for seed in SEEDS:
             for n_blocked in N_BLOCKED:
                 for name, values, fixed in SWEEPS:
@@ -71,13 +82,18 @@ def golden(path):
 
 
 def _read(path):
+    """The BLAS thread count a file was written at (None if not known) and its records by key."""
     with open(path, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh if line.strip()]
-    return {tuple(r[k] for k in KEY): r for r in records}
+    threads = records.pop(0)["blas_threads"] if records and "blas_threads" in records[0] else None
+    return threads, {tuple(r[k] for k in KEY): r for r in records}
 
 
 def diff(path_a, path_b):
-    a, b = _read(path_a), _read(path_b)
+    (threads_a, a), (threads_b, b) = _read(path_a), _read(path_b)
+    if None not in (threads_a, threads_b) and threads_a != threads_b:
+        raise SystemExit(f"{path_a} was written at {threads_a} BLAS threads and {path_b} at "
+                         f"{threads_b}: write both at one OPENBLAS_NUM_THREADS")
     if a.keys() != b.keys():
         raise SystemExit(f"{path_a} and {path_b} hold different records: "
                          f"{len(a.keys() - b.keys())} only in the first, "
