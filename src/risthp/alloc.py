@@ -54,23 +54,25 @@ def check_phases(real, phases: str | PhaseConfig) -> None:
         raise ValueError(f"phases: unknown phase mode {phases!r}")
 
 
-def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: float) -> list:
+def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: np.ndarray) -> list:
     """Continuous phases and phase factor G, as [(theta, G)], of each subset of a stack.
 
-    One batched eigh of C (``gram.eig``) picks each subset's branch:
-    alignment along C's zero-eigenvalue direction u (G the row u^H D) when C
-    has exactly one zero eigenvalue (``gram.count_zero_eigenvalues``), else
-    the eigenvector heuristic on G = ``gram.factor(p_bar)``.  Each branch
-    runs once, on the sub-stack of its subsets (``take`` keeps that eig), or
-    on the stack itself when every subset takes it; refinement on
-    ||G theta_bar||^2 runs per subset.
+    ``p_bar`` holds one power per subset.  One batched eigh of C
+    (``gram.eig``) picks each subset's branch: alignment along C's
+    zero-eigenvalue direction u (G the row u^H D) when C has exactly one
+    zero eigenvalue (``gram.count_zero_eigenvalues``), else the eigenvector
+    heuristic on G = ``gram.factor(p_bar)``.  Each branch runs once, on the
+    sub-stack of its subsets (``take`` keeps that eig), or on the stack
+    itself when every subset takes it, and its phases are refined on
+    ||G theta_bar||^2 as one stack.
     """
     aligned = gram_mod.count_zero_eigenvalues(gram.eig[0]) == 1
     solved = [None] * aligned.size
 
     def refine(mask, theta: PhaseConfig, g_mat: np.ndarray):
-        for i, theta_i, g_i in zip(np.flatnonzero(mask), theta.theta, g_mat):
-            solved[i] = (phase_opt.refine_elementwise(g_i, PhaseConfig(theta_i)), g_i)
+        refined = phase_opt.refine_elementwise(g_mat, theta)
+        for i, theta_i, g_i in zip(np.flatnonzero(mask), refined, g_mat):
+            solved[i] = (theta_i, g_i)
 
     if aligned.any():
         group = gram if aligned.all() else gram.take(aligned)
@@ -78,36 +80,60 @@ def _continuous_stage(gram: gram_mod.GramDecomposition, p_bar: float) -> list:
         refine(aligned, phase_opt.align_phases(group, directions),
                directions.conj()[..., None, :] @ group.d_mat)
     if not aligned.all():
-        g_mat = (gram.take(~aligned) if aligned.any() else gram).factor(p_bar)
+        g_mat = (gram.take(~aligned).factor(p_bar[~aligned]) if aligned.any()
+                 else gram.factor(p_bar))
         refine(~aligned, phase_opt.heuristic_phases(g_mat), g_mat)
     return solved
 
 
-def optimize_phases(real, stack: np.ndarray, p_bar: float) -> list:
-    """The stored continuous solves (theta, G, gram) of the user subsets (rows) of ``stack``.
+def optimize_phases(reals: list, stacks: list, p_bars: list) -> list:
+    """The stored continuous solves (theta, G, gram) of a round's lanes, one list per lane.
 
-    ``stack`` is a 2-D integer array (c, K) of subsets (``gram.check_users``).
-    This is the only route into the realization's table ``real.solves``,
-    which holds each solve read-only under (users, p_bar): the refined
-    phases theta, the phase factor G they were refined on, and the subset's
-    own row gram of the stacked ``gram.decompose``, with C, D and the eig
-    its branch was picked by.  So methods that share the realization
-    decompose and solve each subset once.  The table is read first; the
-    subsets it lacks are decomposed as one stack, solved by
-    ``_continuous_stage`` and stored.  The triples returned are the stored
-    ones; a discrete method refines theta on its own objective.  A
-    realization cannot change after its construction, so no solve goes stale.
+    A lane is one realization ``reals[i]``, a 2-D integer array (c, K) of
+    user subsets ``stacks[i]`` (``gram.check_users``) and one power
+    ``p_bars[i]``; a single caller passes one lane.  This is the only route
+    into a realization's table ``real.solves``, which holds each solve
+    read-only under (users, p_bar): the refined phases theta, the phase
+    factor G they were refined on, and the subset's own row gram of a
+    stacked ``gram.decompose``, with C, D and the eig its branch was picked
+    by.  So methods that share the realization decompose and solve each
+    subset once.  The tables are read first, and each missed (realization,
+    users, p_bar) key is solved once, even when two lanes miss it.  Each
+    lane's misses are decomposed as one stack; the misses of every lane
+    whose D has one shape are joined into one stack, whose one
+    ``_continuous_stage`` call takes one eigh of C, one branch split, one
+    heuristic eigh and one refinement per branch, each subset at its own
+    lane's p_bar.  Every stored triple equals the one a call on its subset
+    alone stores, bit for bit.  The triples returned are the stored ones; a
+    discrete method refines theta on its own objective.  A realization
+    cannot change after its construction, so no solve goes stale.
     """
-    keys = [(tuple(users), p_bar) for users in gram_mod.check_users(real, stack).tolist()]
-    missed = [i for i, key in enumerate(keys) if key not in real.solves]
-    if missed:
-        dec = gram_mod.decompose(real, stack[missed])
-        for j, (theta, g_mat) in enumerate(_continuous_stage(dec, p_bar)):
-            row = dec.take(j)
-            for array in (theta.theta, g_mat, row.c_mat, row.d_mat):
+    keys = [[(tuple(users), p_bar) for users in gram_mod.check_users(real, stack).tolist()]
+            for real, stack, p_bar in zip(reals, stacks, p_bars, strict=True)]
+    groups, seen = {}, set()  # shape of D -> [((lane, row) of each miss, their decomposition)]
+    for lane, (real, stack, lane_keys) in enumerate(zip(reals, stacks, keys)):
+        rows = []
+        for row, key in enumerate(lane_keys):
+            if key not in real.solves and (id(real), key) not in seen:
+                seen.add((id(real), key))
+                rows.append(row)
+        if rows:
+            dec = gram_mod.decompose(real, stack[rows])
+            groups.setdefault(dec.d_mat.shape[1:], []).append(([(lane, row) for row in rows], dec))
+    for group in groups.values():
+        decs = [dec for _, dec in group]
+        dec = gram_mod.GramDecomposition(
+            np.concatenate([d.c_mat for d in decs]), np.concatenate([d.d_mat for d in decs]),
+            tuple(itertools.chain.from_iterable(d.users for d in decs)))
+        targets = [target for lane_rows, _ in group for target in lane_rows]
+        p_rows = np.array([p_bars[lane] for lane, _ in targets])
+        for j, ((lane, row), (theta, g_mat)) in enumerate(
+                zip(targets, _continuous_stage(dec, p_rows))):
+            stored = dec.take(j)
+            for array in (theta.theta, g_mat, stored.c_mat, stored.d_mat):
                 array.setflags(write=False)
-            real.solves[keys[missed[j]]] = (theta, g_mat, row)
-    return [real.solves[key] for key in keys]
+            reals[lane].solves[keys[lane][row]] = (theta, g_mat, stored)
+    return [[real.solves[key] for key in lane_keys] for real, lane_keys in zip(reals, keys)]
 
 
 def check_step(real, subsets) -> tuple:
@@ -147,13 +173,16 @@ class Round(list):
         return all(a.feasible for step in self for a in step)
 
 
-def _step_phases(real, stack: np.ndarray, p_bar: float, phases: str | PhaseConfig):
-    """The phases of each subset of one lane's step, as PhaseConfigs and as (c, N_R) rows."""
+def _step_phases(stack: np.ndarray, phases: str | PhaseConfig, solves):
+    """The phases of each subset of one lane's step, as PhaseConfigs and as (c, N_R) rows.
+
+    ``solves`` are the lane's stored continuous solves, or None for a PhaseConfig.
+    """
     if isinstance(phases, PhaseConfig):
         return [phases] * len(stack), phases.theta
     thetas = [phase_opt.refine_elementwise(g_mat, phase_opt.discretize_binary(theta))
               if phases == "binary" else theta
-              for theta, g_mat, _ in optimize_phases(real, stack, p_bar)]
+              for theta, g_mat, _ in solves]
     return thetas, np.array([theta.theta for theta in thetas])
 
 
@@ -185,15 +214,15 @@ def evaluate_allocation(reals: list, steps: list, p_bar, phases: list) -> Round:
     keys the lane's solves and goes into its allocations.  A lane's phases
     (``check_phases``) are "continuous" or "binary", solved per subset, or
     one PhaseConfig that every subset uses, such as the random phases of
-    the RIS.  Solved phases are the continuous theta that
-    ``optimize_phases`` returns; for binary, theta discretized, then
-    element-wise +-1 sweeps on the returned G
-    (``phase_opt.refine_elementwise``).  Raises ValueError for a round
-    without lanes.
+    the RIS.  Solved phases are the continuous theta that one
+    ``optimize_phases`` call returns for every lane that solves; for
+    binary, theta discretized, then element-wise +-1 sweeps on the
+    returned G (``phase_opt.refine_elementwise``).  Raises ValueError for a
+    round without lanes.
 
-    Every lane is checked before any is phased, and they are phased in
-    list order, so lanes on one realization meet its solve table as one
-    call per lane in that order would.  The effective channels come from
+    Every lane is checked before any is phased.  A key that two lanes miss
+    is solved once, so lanes on one realization read the same stored solves
+    as one call per lane in list order would.  The effective channels come from
     one batched product per lane, and one call of ``thp.order_users`` runs
     the rank test, the QR, the inverse and the ordering for the joined
     stack of every lane, which orders each matrix as if alone; the bounds
@@ -213,9 +242,13 @@ def evaluate_allocation(reals: list, steps: list, p_bar, phases: list) -> Round:
     if len({(stack.shape[1], real.n_bs) for real, (_, stack) in zip(reals, checked)}) > 1:
         raise ValueError("lanes: the steps of one round need one subset size and one BS array")
 
+    solving = [i for i, phases_i in enumerate(phases) if not isinstance(phases_i, PhaseConfig)]
+    solves = dict(zip(solving, optimize_phases(
+        [reals[i] for i in solving], [checked[i][1] for i in solving],
+        [p_bars[i] for i in solving]))) if solving else {}
     thetas, channels = [], []
-    for real, (_, stack), p_bar_i, phases_i in zip(reals, checked, p_bars, phases):
-        lane_thetas, theta_rows = _step_phases(real, stack, p_bar_i, phases_i)
+    for i, (real, (_, stack), phases_i) in enumerate(zip(reals, checked, phases)):
+        lane_thetas, theta_rows = _step_phases(stack, phases_i, solves.get(i))
         thetas.append(lane_thetas)
         channels.append(gram_mod.effective_channel(real, stack, theta_rows))
     h_eff = np.concatenate(channels)

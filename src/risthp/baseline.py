@@ -177,7 +177,7 @@ def evaluate_allocation_linear(real, subsets, p_bar: float, phases: str | PhaseC
     """ZF solutions for the user subsets of one step, at P = p_bar * K.
 
     ``phases`` is as for one lane of ``alloc.evaluate_allocation`` (``alloc.check_phases``).
-    For "continuous" and "binary", one ``alloc.optimize_phases`` call gives
+    For "continuous" and "binary", ``alloc.optimize_phases`` on this one lane gives
     each subset its continuous phases and its stored decomposition (C, D and
     eig), read by the sweep and the score; the sweep starts from those
     phases (discretized for binary).  A PhaseConfig skips the solve and the
@@ -194,7 +194,7 @@ def evaluate_allocation_linear(real, subsets, p_bar: float, phases: str | PhaseC
         dec = gram_mod.decompose(real, stack)
         return [zf_linear(dec.take(i), phases, tx_power) for i in range(len(subsets))]
     solutions = []
-    for theta, _, dec in alloc.optimize_phases(real, stack, p_bar):
+    for theta, _, dec in alloc.optimize_phases([real], [stack], [p_bar])[0]:
         if phases == "binary":
             theta = phase_opt.discretize_binary(theta)
         solutions.append(zf_linear(dec, _sweep_phases_linear(dec, theta, tx_power), tx_power))

@@ -46,17 +46,24 @@ class GramDecomposition:
         lam.flags.writeable = vecs.flags.writeable = False
         return lam, vecs
 
-    def factor(self, p_bar: float) -> np.ndarray:
+    def factor(self, p_bar) -> np.ndarray:
         """G = diag(1/p_bar + lam)^-1/2 V^H D, so G^H G = D^H (I/p_bar + C)^-1 D.
 
+        ``p_bar`` is one number, or one per subset of a stack (c,).
         p_bar = inf gives C^-1/2 D (invertible C only).  Once
         p_bar * lam_max * eps >~ 1, a zero eigenvalue of C is not resolved
-        from rounding: G is defined and finite, but not accurate.
+        from rounding: G is defined and finite, but not accurate.  Raises
+        ValueError naming the first p_bar that is not positive (NaN fails),
+        or for another count of them.
         """
-        if not p_bar > 0:
-            raise ValueError("p_bar must be positive")
+        p_bar = np.asarray(p_bar, dtype=float)
+        if p_bar.ndim and p_bar.shape != self.c_mat.shape[:-2]:
+            raise ValueError(f"{p_bar.size} powers p_bar for {len(self.users)} subsets")
+        bad = p_bar[~(p_bar > 0)]
+        if bad.size:
+            raise ValueError(f"p_bar must be positive, got {bad[0].item()!r}")
         lam, vecs = self.eig
-        return (conj_t(vecs) @ self.d_mat) / np.sqrt(1.0 / p_bar + lam)[..., None]
+        return (conj_t(vecs) @ self.d_mat) / np.sqrt(1.0 / p_bar[..., None] + lam)[..., None]
 
     def take(self, index) -> GramDecomposition:
         """The subsets of a stack that a bool mask selects, as a stack, or the one at a position.
@@ -150,8 +157,9 @@ def effective_channel(real, users, theta: np.ndarray) -> np.ndarray:
 
 
 def extend_theta(theta: np.ndarray) -> np.ndarray:
-    """theta_bar = [theta^H, 1]^H, i.e. theta with a trailing 1."""
-    return np.concatenate([np.asarray(theta, dtype=complex), [1.0]])
+    """theta_bar = [theta^H, 1]^H, i.e. theta with a trailing 1 (each row of a stack)."""
+    theta = np.asarray(theta, dtype=complex)
+    return np.concatenate([theta, np.ones(theta.shape[:-1] + (1,))], axis=-1)
 
 
 def count_zero_eigenvalues(lam: np.ndarray):

@@ -6,8 +6,8 @@ majorization-minimization fixed point for continuous phases and element-wise
 coordinate ascent for the binary (+-1) alphabet.  Every function reads only
 the pair (C, D) of ``gram.decompose``, through its ``eig`` or its factor G.
 The branch functions (``zero_eig_direction``, ``align_phases``,
-``heuristic_phases``) broadcast over a stack of subsets; refinement runs on
-one subset at a time.
+``heuristic_phases``) and continuous refinement broadcast over a stack of
+subsets; binary refinement runs on one subset at a time.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def heuristic_phases(g_mat: np.ndarray) -> PhaseConfig:
     return _lift((g_h @ vecs[..., :, -1:])[..., 0])
 
 
-def refine_elementwise(g_mat: np.ndarray, theta_init: PhaseConfig) -> PhaseConfig:
+def refine_elementwise(g_mat: np.ndarray, theta_init: PhaseConfig) -> PhaseConfig | list:
     """Refine phases by ascent on the phase objective ||G theta_bar||^2.
 
     G is a K-row phase factor: ``gram.factor(p_bar)``, or the single row
@@ -115,28 +115,39 @@ def refine_elementwise(g_mat: np.ndarray, theta_init: PhaseConfig) -> PhaseConfi
     theta_bar <- exp(j angle(G^H y)), y = G theta_bar, over the whole vector
     (an entry with (G^H y)_n = 0 keeps its value), rescaled so theta_bar ends
     in 1; a pass that does not raise the objective is not taken.  A pass is
-    two K x (N_R+1) products.
+    two K x (N_R+1) products.  A stack of factors (c, K, N_R + 1) with
+    theta (c, N_R), as the branch functions give them, is refined as one:
+    each pass is one batched product each way over the subsets still
+    moving, and each subset stops at its own pass, bit for bit as alone.
+    A stack returns one PhaseConfig per subset, a single G one PhaseConfig.
 
-    Binary alphabet: coordinate ascent in element order, each element set to
-    the better of {-1, +1}, ties keep the current value, so the result is
-    single-flip optimal.  It carries y = G theta_bar and searches for the
-    first improvement: one product scores the next elements of the pass, the
-    first that flips is moved, and the next scan starts after it.  A pass
-    starts with a scan of every element; later scans are twice as long as
-    the gap to the last flip, or as the last scan when it found none.  So a
-    pass costs about one product per flip, not a step per element.  y is
-    recomputed once per sweep.
+    Binary alphabet (one subset): coordinate ascent in element order, each
+    element set to the better of {-1, +1}, ties keep the current value, so
+    the result is single-flip optimal.  It carries y = G theta_bar and
+    searches for the first improvement: one product scores the next
+    elements of the pass, the first that flips is moved, and the next scan
+    starts after it.  A pass starts with a scan of every element; later
+    scans are twice as long as the gap to the last flip, or as the last scan
+    when it found none.  So a pass costs about one product per flip, not a
+    step per element.  y is recomputed once per sweep.
 
     Raises ValueError unless theta has one entry per RIS column of G
-    (G.shape[1] - 1).
+    (G.shape[-1] - 1) and one row per factor of a stack, or for binary
+    phases on a stack.
     """
-    if theta_init.theta.size != g_mat.shape[1] - 1:
-        raise ValueError(f"theta has {theta_init.theta.size} entries, G has "
-                         f"{g_mat.shape[1] - 1} RIS columns")
-    theta_bar = extend_theta(theta_init.theta)
+    theta = theta_init.theta
+    if theta.shape[-1] != g_mat.shape[-1] - 1:
+        raise ValueError(f"theta has {theta.shape[-1]} entries, G has "
+                         f"{g_mat.shape[-1] - 1} RIS columns")
+    if theta.shape[:-1] != g_mat.shape[:-2]:
+        raise ValueError(f"theta has shape {theta.shape} for phase factors {g_mat.shape}")
     if theta_init.alphabet == "binary":
-        return PhaseConfig(_binary_ascent(g_mat, theta_bar), alphabet="binary")
-    return PhaseConfig(_mm_ascent(g_mat, theta_bar))
+        if theta.ndim != 1:
+            raise ValueError("binary refinement takes one subset")
+        return PhaseConfig(_binary_ascent(g_mat, extend_theta(theta)), alphabet="binary")
+    if theta.ndim == 1:
+        return PhaseConfig(_mm_ascent(g_mat[None], extend_theta(theta[None]))[0])
+    return [PhaseConfig(row) for row in _mm_ascent(g_mat, extend_theta(theta))]
 
 
 def _rose_enough(obj: float, new_obj: float) -> bool:
@@ -145,31 +156,51 @@ def _rose_enough(obj: float, new_obj: float) -> bool:
 
 
 def _mm_ascent(g_mat: np.ndarray, theta_bar: np.ndarray) -> np.ndarray:
-    """Continuous refinement: theta (without the trailing 1) after MM passes.
+    """Continuous refinement of a stack: theta (c, N_R), without the trailing 1s, after MM passes.
 
     The MM step maximizes Re(theta_bar^H G^H y), a minorizer of the objective
     that touches it at the current point, so ||G theta_bar||^2 never falls
-    (Soltanalian & Stoica, IEEE TSP 2014).
+    (Soltanalian & Stoica, IEEE TSP 2014).  Every pass runs on the rows
+    still moving: while all move the stack is used as it is, and it is
+    compacted when a row stops.  A row stops, as alone, after a pass that
+    does not raise its objective (keeping its theta_bar) or that raises it
+    too little (``_rose_enough``, taking the new one).  The objective is
+    y^H y through BLAS, as ``np.vdot`` takes it, read as a Python float.
     """
-    g_h = g_mat.conj().T
-    y = g_mat @ theta_bar
-    obj = float(np.vdot(y, y).real)
+    theta = np.empty((len(g_mat), g_mat.shape[-1] - 1), dtype=complex)
+    rows = np.arange(len(g_mat))  # the row of ``theta`` of each moving row
+    g_h = gram_mod.conj_t(g_mat)
+    y = (g_mat @ theta_bar[..., None])[..., 0]
+    obj = np.vecdot(y, y).real.tolist()
     for _ in range(DEFAULT_MAX_SWEEPS):
-        z = g_h @ y
+        z = (g_h @ y[..., None])[..., 0]
         mag = np.abs(z)
-        if mag[-1] > 0:  # rotate z so that the new theta_bar ends in 1
-            z *= z[-1].conj() / mag[-1]
-        new = np.divide(z, mag, out=theta_bar.copy(), where=mag > 0)
-        new[-1] = 1.0
-        new_y = g_mat @ new
-        new_obj = float(np.vdot(new_y, new_y).real)
-        if not new_obj > obj:
-            break
-        rose = _rose_enough(obj, new_obj)
-        theta_bar, y, obj = new, new_y, new_obj
-        if not rose:
-            break
-    return theta_bar[:-1]
+        nonzero = mag > 0
+        # rotate z so that the new theta_bar ends in 1; the where= division
+        # (an entry with z_n = 0 keeps its value) only when some z_n is 0
+        if np.count_nonzero(nonzero) == nonzero.size:
+            z *= (z[:, -1].conj() / mag[:, -1])[:, None]
+            new = z / mag
+        else:
+            turn = nonzero[:, -1]
+            z[turn] *= (z[turn, -1].conj() / mag[turn, -1])[:, None]
+            new = np.divide(z, mag, out=theta_bar.copy(), where=nonzero)
+        new[:, -1] = 1.0
+        new_y = (g_mat @ new[..., None])[..., 0]
+        new_obj = np.vecdot(new_y, new_y).real.tolist()
+        rose = list(map(_rose_enough, obj, new_obj))
+        if all(rose):
+            theta_bar, y, obj = new, new_y, new_obj
+            continue
+        # every moving row's result as it stands; a row that moves on writes again
+        theta[rows] = np.where(np.greater(new_obj, obj)[:, None], new, theta_bar)[:, :-1]
+        if not any(rose):
+            return theta
+        rose = np.array(rose)
+        rows, g_mat, g_h, theta_bar, y = (a[rose] for a in (rows, g_mat, g_h, new, new_y))
+        obj = [b for b, moving in zip(new_obj, rose) if moving]
+    theta[rows] = theta_bar[:, :-1]
+    return theta
 
 
 def _binary_ascent(g_mat: np.ndarray, theta_bar: np.ndarray) -> np.ndarray:

@@ -169,7 +169,7 @@ def _thp(reals, p_bar, phases):
 
 
 def _dpc(real, p_bar, phases):
-    (theta, _, dec), = alloc.optimize_phases(real, np.arange(real.n_users)[None], p_bar)
+    (theta, _, dec), = alloc.optimize_phases([real], [np.arange(real.n_users)[None]], [p_bar])[0]
     return real.n_users, gram_mod.dpc_sum_se(dec, gram_mod.extend_theta(theta.theta), p_bar)
 
 

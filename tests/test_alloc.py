@@ -193,7 +193,7 @@ def _stored_alone(real, subsets, p_bar):
     """The (theta, G, gram) that one-subset ``optimize_phases`` calls store."""
     alone = dataclasses.replace(real)  # an empty table
     for users in subsets:
-        A.optimize_phases(alone, np.array([users]), p_bar)
+        A.optimize_phases([alone], [np.array([users])], [p_bar])
     return alone.solves
 
 
@@ -219,6 +219,84 @@ class TestStackedSolve:
                          *zip(dec.eig, dec_1.eig)):
                 np.testing.assert_array_equal(a, b)
             assert out.theta is theta
+
+    def test_joined_lanes_match_single_calls(self, rng, monkeypatch):
+        # two realizations at one N_R and one at another, at two powers, and a
+        # binary lane on the first realization at the first lane's power:
+        # one optimize_phases call for the round, one refinement stack per
+        # (D shape, branch), and a key two lanes miss is refined once
+        reals = [random_realization(rng, k=5, n_bs=4, n_ris=12),
+                 edited(random_realization(rng, k=5, n_bs=4, n_ris=12), _zero_direct(4)),
+                 random_realization(rng, k=5, n_bs=4, n_ris=20)]
+        lanes = [(0, [[0, 1], [0, 2], [3, 4]], 2.0, "continuous"),
+                 (1, [[1, 0], [2, 4], [3, 1]], 30.0, "continuous"),
+                 (2, [[4, 3], [0, 1]], 2.0, "continuous"),
+                 (0, [[0, 2], [3, 4], [1, 2]], 2.0, "binary")]
+        calls, refined = [], []
+        optimize, refine = A.optimize_phases, P.refine_elementwise
+
+        def counted_optimize(*args):
+            calls.append(len(args[0]))
+            return optimize(*args)
+
+        def counted_refine(g_mat, theta):
+            if theta.alphabet == "continuous":
+                refined.append((g_mat.shape[-1], len(g_mat)))
+            return refine(g_mat, theta)
+
+        monkeypatch.setattr(A, "optimize_phases", counted_optimize)
+        monkeypatch.setattr(P, "refine_elementwise", counted_refine)
+        round_ = A.evaluate_allocation([reals[i] for i, *_ in lanes],
+                                       [subsets for _, subsets, _, _ in lanes],
+                                       [p_bar for *_, p_bar, _ in lanes],
+                                       [phases for *_, phases in lanes])
+        monkeypatch.undo()
+        assert calls == [4]
+        # N_R = 12: 3 + 3 + 1 subsets, the binary lane's two shared keys not
+        # again; user 4 of the second realization has no direct channel, so
+        # its subset aligns and the other six take the heuristic
+        assert refined == [(13, 1), (13, 6), (21, 2)]
+        for i, real in enumerate(reals):
+            subsets = {(tuple(users), p_bar): users
+                       for j, step, p_bar, _ in lanes if j == i for users in step}
+            alone = {}
+            for (_, p_bar), users in subsets.items():
+                alone.update(_stored_alone(real, [users], p_bar))
+            assert real.solves.keys() == alone.keys() == subsets.keys()
+            for key, (theta, g_mat, dec) in real.solves.items():
+                theta_1, g_1, dec_1 = alone[key]
+                assert theta.theta.tobytes() == theta_1.theta.tobytes()
+                for a, b in ((g_mat, g_1), (dec.c_mat, dec_1.c_mat), (dec.d_mat, dec_1.d_mat),
+                             *zip(dec.eig, dec_1.eig)):
+                    assert a.tobytes() == b.tobytes()
+        for (i, step, p_bar, phases), out in zip(lanes, round_):
+            for users, a in zip(step, out):
+                stored = reals[i].solves[(tuple(users), p_bar)][0]
+                assert (a.theta is stored) == (phases == "continuous")
+                assert a.theta.alphabet == phases
+
+    def test_shared_key_solved_once(self, rng, monkeypatch):
+        # two lanes that miss the same keys, as thp and thp_discrete on one
+        # cell's first step: one decomposition, one refined row per key
+        real = random_realization(rng, k=4, n_bs=4)
+        step = np.arange(4)[:, None]
+        decomposed, refined = [], []
+        decompose, refine = G.decompose, P.refine_elementwise
+
+        def counted_decompose(real, users):
+            decomposed.append(np.shape(users))
+            return decompose(real, users)
+
+        def counted_refine(g_mat, theta):
+            refined.append(len(g_mat))
+            return refine(g_mat, theta)
+
+        monkeypatch.setattr(G, "decompose", counted_decompose)
+        monkeypatch.setattr(P, "refine_elementwise", counted_refine)
+        first, second = A.optimize_phases([real, real], [step, step], [3.0, 3.0])
+        assert decomposed == [(4, 1)]
+        assert sum(refined) == 4
+        assert all(a is b for a, b in zip(first, second))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("tx_dbm", [0.0, 30.0, 50.0])
@@ -394,10 +472,10 @@ class TestUserIndices:
         # in optimize_phases keeps them from reading it; an object array
         # names its dtype, not an entry that is a valid index
         real = random_realization(rng, k=3, n_bs=4)
-        A.optimize_phases(real, np.array([[0, 1]]), 2.0)
+        A.optimize_phases([real], [np.array([[0, 1]])], [2.0])
         keys = list(real.solves)
         with pytest.raises(ValueError, match=re.escape(named)):
-            A.optimize_phases(real, bad, 2.0)
+            A.optimize_phases([real], [bad], [2.0])
         assert list(real.solves) == keys
 
     @pytest.mark.parametrize("phase_mode", ["continuous", "binary", "random"])
@@ -680,7 +758,7 @@ def _reference_greedy(real, p_bar, phases):
     def solve(users):
         theta = phases
         if isinstance(phases, str):
-            (theta, g_mat, _), = A.optimize_phases(real, np.array([users]), p_bar)
+            (theta, g_mat, _), = A.optimize_phases([real], [np.array([users])], [p_bar])[0]
             if phases == "binary":
                 theta = P.refine_elementwise(g_mat, P.discretize_binary(theta))
         try:

@@ -270,19 +270,27 @@ class TestGreedyAllocateLinear:
         assert s1.sum_se == s2.sum_se
 
     def test_one_phase_solve_per_step(self, rng, monkeypatch):
+        # one one-lane optimize_phases call per step, which refines each of
+        # the step's subsets once: counted as rows of G, not as calls
         real = random_realization(rng, k=4, n_bs=4)
-        steps = []
-        optimize = alloc.optimize_phases
+        steps = []  # [subset size, subsets refined] per call
+        optimize, refine = alloc.optimize_phases, phase_opt.refine_elementwise
 
-        def counted(real, stack, *args):
-            steps.append(stack.shape)
-            return optimize(real, stack, *args)
+        def counted(reals, stacks, p_bars):
+            assert len(reals) == len(stacks) == len(p_bars) == 1
+            steps.append([stacks[0].shape[1], 0])
+            return optimize(reals, stacks, p_bars)
+
+        def refined(g_mat, theta):
+            steps[-1][1] += len(g_mat) if g_mat.ndim == 3 else 1
+            return refine(g_mat, theta)
 
         monkeypatch.setattr(alloc, "optimize_phases", counted)
+        monkeypatch.setattr(phase_opt, "refine_elementwise", refined)
         sol = B.greedy_allocate_linear(real, 10.0, "continuous")
         # the first step holds every single user, each later one the rest
-        assert steps[0] == (4, 1)
-        assert steps[1:] == [(4 - k, k + 1) for k in range(1, len(steps))]
+        assert steps[0] == [1, 4]
+        assert steps[1:] == [[k + 1, 4 - k] for k in range(1, len(steps))]
         assert len(sol.users) in (len(steps), len(steps) - 1)
 
     def test_nonnegative_sum_se(self, rng):
@@ -627,8 +635,8 @@ class TestSweepEquivalence:
         moved = False
         for users in ([0, 1, 2, 3, 4, 5], [1, 3, 4]):
             dec = G.decompose(real, users)
-            (theta, _, _), = alloc.optimize_phases(real, np.array([users]),
-                                                   scenario.tx_power / len(users))
+            (theta, _, _), = alloc.optimize_phases(
+                [real], [np.array([users])], [scenario.tx_power / len(users)])[0]
             for start in (theta, phase_opt.discretize_binary(theta)):
                 got = B._sweep_phases_linear(dec, start, scenario.tx_power)
                 want = _reference_sweep(real, users, start, scenario.tx_power)

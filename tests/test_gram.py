@@ -165,6 +165,26 @@ class TestFactor:
         with pytest.raises(ValueError, match="p_bar must be positive"):
             dec.factor(p_bar)
 
+    def test_power_per_subset(self, rng):
+        # one p_bar per subset of a stack, inf included, gives each subset's own factor
+        real = random_realization(rng, k=4, n_bs=6)
+        stack = np.array([[0, 1], [2, 3], [1, 3]])
+        p_bars = np.array([0.5, np.inf, 40.0])
+        g_mat = G.decompose(real, stack).factor(p_bars)
+        for users, p_bar, g_i in zip(stack, p_bars, g_mat):
+            np.testing.assert_array_equal(g_i, G.decompose(real, users).factor(p_bar))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_bad_power_of_one_subset_named(self, rng, bad):
+        dec = G.decompose(random_realization(rng, k=4), np.array([[0, 1], [2, 3], [1, 3]]))
+        with pytest.raises(ValueError, match=rf"p_bar must be positive, got {bad!r}"):
+            dec.factor(np.array([2.0, bad, np.inf]))
+
+    def test_power_count_checked(self, rng):
+        dec = G.decompose(random_realization(rng, k=4), np.array([[0, 1], [2, 3], [1, 3]]))
+        with pytest.raises(ValueError, match="2 powers p_bar for 3 subsets"):
+            dec.factor(np.array([1.0, 2.0]))
+
 
 class TestEffectiveChannel:
     def test_zero_cascade_gives_direct(self, rng):

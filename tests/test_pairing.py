@@ -50,17 +50,19 @@ def test_joint_run_equals_one_run_per_method(n_ris, n_blocked):
 
 
 def test_shared_cell_solves_fewer_subsets(monkeypatch):
-    calls = []
+    # refined subsets, continuous and +-1, counted as rows of G: a stack of
+    # factors is one call for all its subsets
+    rows = []
     refine = P.refine_elementwise
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return refine(*args, **kwargs)
+    def counted(g_mat, theta):
+        rows.append(len(g_mat) if g_mat.ndim == 3 else 1)
+        return refine(g_mat, theta)
 
     def count(methods):
-        calls.clear()
+        rows.clear()
         S.run(_config(methods, n_ris=16))
-        return len(calls)
+        return sum(rows)
 
     monkeypatch.setattr(P, "refine_elementwise", counted)
     separate = count(("thp",)) + count(("thp_discrete",))
@@ -157,7 +159,7 @@ def test_solves_of_one_realization_do_not_reach_another():
 
 def test_continuous_solve_stored_under_users_and_power(rng):
     real = random_realization(rng, k=3, n_ris=8)
-    solve, = A.optimize_phases(real, np.array([[2, 0]]), 10.0)
+    (solve,), = A.optimize_phases([real], [np.array([[2, 0]])], [10.0])
     assert list(real.solves) == [((2, 0), 10.0)]
     # the stored triple itself, not a copy, and its arrays are read-only
     assert solve is real.solves[((2, 0), 10.0)]

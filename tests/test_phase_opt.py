@@ -92,7 +92,7 @@ class TestZeroEigDirection:
         g_mat = dec.factor(p_bar)
         heuristic = P.refine_elementwise(g_mat, P.heuristic_phases(g_mat))
         np.testing.assert_array_equal(
-            alloc.optimize_phases(real, np.array([[0, 1, 2, 3]]), p_bar)[0][0].theta,
+            alloc.optimize_phases([real], [np.array([[0, 1, 2, 3]])], [p_bar])[0][0][0].theta,
             heuristic.theta)
 
 
@@ -553,6 +553,112 @@ class TestRefineElementwise:
         np.testing.assert_array_equal(
             out.theta, _list_binary_ascent(g_mat, G.extend_theta(start.theta),
                                            P.DEFAULT_MAX_SWEEPS))
+
+
+def _per_row_mm(g_mat, theta_bar):
+    """The MM refinement of one subset, one pass at a time: the loop the stacked
+    refinement replaced.  Returns theta, the pass it stopped at and why."""
+    g_h = g_mat.conj().T
+    y = g_mat @ theta_bar
+    obj = float(np.vdot(y, y).real)
+    for sweep in range(P.DEFAULT_MAX_SWEEPS):
+        z = g_h @ y
+        mag = np.abs(z)
+        if mag[-1] > 0:  # rotate z so that the new theta_bar ends in 1
+            z *= z[-1].conj() / mag[-1]
+        new = np.divide(z, mag, out=theta_bar.copy(), where=mag > 0)
+        new[-1] = 1.0
+        new_y = g_mat @ new
+        new_obj = float(np.vdot(new_y, new_y).real)
+        if not new_obj > obj:
+            return theta_bar[:-1], sweep, "no rise"
+        rose = new_obj - obj > P.SWEEP_REL_TOL * max(abs(obj), 1.0)
+        theta_bar, y, obj = new, new_y, new_obj
+        if not rose:
+            return theta_bar[:-1], sweep, "rose too little"
+    return theta_bar[:-1], P.DEFAULT_MAX_SWEEPS, "cap"
+
+
+def _mixed_stack(k=4, n_ris=16):
+    """Factors (c, k, n_ris + 1) and starts (c, n_ris) whose rows stop in every
+    way the per-row loop knows, interleaved, and the kind of each row."""
+    rng = np.random.default_rng(3700)
+    rows = {}
+
+    def draw():
+        g_mat = rng.standard_normal((k, n_ris + 1)) + 1j * rng.standard_normal((k, n_ris + 1))
+        return g_mat, random_unit_theta(rng, n_ris)
+
+    while not {"cap", "below tolerance"} <= rows.keys():
+        g_mat, theta = draw()
+        _, sweep, why = _per_row_mm(g_mat, G.extend_theta(theta))
+        kind = "cap" if why == "cap" else "below tolerance" if sweep > 0 else None
+        if kind:
+            rows.setdefault(kind, (g_mat, theta))
+    g_mat, theta = rows["below tolerance"]
+    rows["pass 0"] = g_mat, _per_row_mm(g_mat, G.extend_theta(theta))[0]  # its fixed point
+    g_mat, theta = draw()
+    g_mat[:, -1] = 0.0  # (G^H y)_last = 0 on every pass: no rotation
+    rows["last entry zero"] = g_mat, theta
+    rows["zero G"] = np.zeros((k, n_ris + 1), dtype=complex), draw()[1]
+    order = ["cap", "pass 0", "last entry zero", "below tolerance", "zero G", "cap", "pass 0"]
+    return (np.array([rows[kind][0] for kind in order]),
+            np.array([rows[kind][1] for kind in order]), order)
+
+
+class TestStackedMM:
+    """Continuous refinement of a stack equals the per-row loop, bit for bit."""
+
+    def test_mixed_stack_matches_per_row_loop(self):
+        g_mat, theta, kinds = _mixed_stack()
+        stops = []
+        for g_i, theta_i, kind in zip(g_mat, theta, kinds):
+            want, sweep, why = _per_row_mm(g_i, G.extend_theta(theta_i))
+            stops.append((sweep, why))
+            if kind == "cap":
+                assert why == "cap"
+            elif kind == "below tolerance":
+                assert (why, sweep > 0) == ("rose too little", True)
+            elif kind == "zero G":
+                assert (sweep, why) == (0, "no rise")
+                np.testing.assert_array_equal(want, theta_i)
+            elif kind == "pass 0":
+                assert sweep == 0
+            else:
+                assert sweep > 0
+        assert len(set(stops)) >= 4  # the rows stop at different passes
+        out = P.refine_elementwise(g_mat, PhaseConfig(theta))
+        assert isinstance(out, list) and len(out) == len(kinds)
+        for g_i, theta_i, got in zip(g_mat, theta, out):
+            want = _per_row_mm(g_i, G.extend_theta(theta_i))[0]
+            assert got.alphabet == "continuous"
+            assert got.theta.tobytes() == want.tobytes()
+
+    def test_stack_of_one_matches_per_row_loop(self):
+        g_mat, theta, _ = _mixed_stack()
+        for g_i, theta_i in zip(g_mat, theta):
+            want = _per_row_mm(g_i, G.extend_theta(theta_i))[0]
+            one, = P.refine_elementwise(g_i[None], PhaseConfig(theta_i[None]))
+            single = P.refine_elementwise(g_i, PhaseConfig(theta_i))
+            assert one.theta.tobytes() == single.theta.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_random_stacks_match_per_row_loop(self, k):
+        rng = np.random.default_rng(3710 + k)
+        for c in (2, 5, 9):
+            g_mat = rng.standard_normal((c, k, 33)) + 1j * rng.standard_normal((c, k, 33))
+            theta = np.array([random_unit_theta(rng, 32) for _ in range(c)])
+            for g_i, theta_i, got in zip(g_mat, theta,
+                                         P.refine_elementwise(g_mat, PhaseConfig(theta))):
+                want = _per_row_mm(g_i, G.extend_theta(theta_i))[0]
+                assert got.theta.tobytes() == want.tobytes()
+
+    def test_stack_shapes_checked(self, rng):
+        g_mat = rng.standard_normal((3, 2, 9)) + 0j
+        with pytest.raises(ValueError, match=r"shape \(2, 8\) for phase factors \(3, 2, 9\)"):
+            P.refine_elementwise(g_mat, PhaseConfig(np.ones((2, 8))))
+        with pytest.raises(ValueError, match="binary refinement takes one subset"):
+            P.refine_elementwise(g_mat, PhaseConfig(np.ones((3, 8)), alphabet="binary"))
 
 
 class TestPhaseConfig:

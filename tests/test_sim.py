@@ -470,6 +470,16 @@ class TestCli:
         assert "PASS" in out and "FAIL" not in out
         assert "THP and linear ZF reject sigma ratio 1.25e-06 and accept 1.00e-04" in out
 
+    def test_module_entry_point_runs_without_warning(self):
+        # python -m risthp runs sim.main; with every warning an error, validate exits 0
+        src = str(Path(S.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "risthp", "validate"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
+        assert proc.stderr == ""
+
     def test_deterministic_csv_modulo_timing(self, tmp_path):
         out1, out2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
         cfg = self.config_file(tmp_path)
