@@ -144,7 +144,7 @@ def check_step(real, subsets) -> tuple:
     one vector operation.  Any other iterable of subsets is checked entry by
     entry before the array is built, so none is converted.  Raises
     ValueError for a step without subsets, subsets of different sizes, an
-    empty subset, or a bad user index.  The evaluators call it after ``check_phases``.
+    empty subset, or a bad user index.  ``check_round`` calls it after ``check_phases``.
     """
     if not (isinstance(subsets, np.ndarray) and subsets.ndim == 2):
         subsets = [list(users) for users in subsets]
@@ -161,11 +161,11 @@ def check_step(real, subsets) -> tuple:
 
 
 class Round(list):
-    """The allocations of one lockstep round: one list per lane, in the order of its subsets."""
+    """The solutions of one lockstep round, from either evaluator: one list per lane, in order."""
 
     @property
     def feasible(self) -> bool:
-        """Whether every allocation of every lane is feasible.
+        """Whether every solution of every lane is feasible.
 
         Read as ``Allocation.feasible`` is, so the benchmark's outcome counter
         for ``evaluate_allocation`` counts the calls with an infeasible subset.
@@ -204,31 +204,17 @@ def _lane_powers(p_bar, n_lanes: int) -> list:
     return p_bars.tolist()
 
 
-def evaluate_allocation(reals: list, steps: list, p_bar, phases: list) -> Round:
-    """Phase + order optimization and the SE bound for one round of lanes.
+def check_round(reals: list, steps: list, p_bar, phases: list) -> tuple:
+    """Check one round of lanes, then solve them: (p_bars, checked, solves), one entry per lane.
 
     A lane is one greedy run: ``reals``, ``steps`` and ``phases`` hold one
-    realization, one step of user subsets and one phases value per lane,
-    every step of one subset size on one BS array size; ``p_bar`` is one
-    per-user power for every lane or one per lane (``_lane_powers``), which
-    keys the lane's solves and goes into its allocations.  A lane's phases
-    (``check_phases``) are "continuous" or "binary", solved per subset, or
-    one PhaseConfig that every subset uses, such as the random phases of
-    the RIS.  Solved phases are the continuous theta that one
-    ``optimize_phases`` call returns for every lane that solves; for
-    binary, theta discretized, then element-wise +-1 sweeps on the
-    returned G (``phase_opt.refine_elementwise``).  Raises ValueError for a
-    round without lanes.
-
-    Every lane is checked before any is phased.  A key that two lanes miss
-    is solved once, so lanes on one realization read the same stored solves
-    as one call per lane in list order would.  The effective channels come from
-    one batched product per lane, and one call of ``thp.order_users`` runs
-    the rank test, the QR, the inverse and the ordering for the joined
-    stack of every lane, which orders each matrix as if alone; the bounds
-    come from one vector step.  The rank rule is the only gate: a subset
-    with dependent rows, as any of more users than BS antennas, is
-    infeasible, and the others, if any, are ordered again without it.
+    realization, one step of user subsets (``check_step``) and one phases
+    value (``check_phases``) per lane, every step of one subset size on one
+    BS array size; ``p_bar`` is one per-user power for every lane or one per
+    lane (``_lane_powers``).  Every lane is checked before any is phased,
+    then one ``optimize_phases`` call returns the stored solves of every
+    lane whose phases are "continuous" or "binary"; a PhaseConfig lane gets
+    None.  Raises ValueError for a round without lanes.
     """
     if not len(reals) == len(steps) == len(phases):
         raise ValueError(f"lanes: {len(reals)} realizations, {len(steps)} steps and "
@@ -241,14 +227,36 @@ def evaluate_allocation(reals: list, steps: list, p_bar, phases: list) -> Round:
     checked = [check_step(real, step) for real, step in zip(reals, steps)]
     if len({(stack.shape[1], real.n_bs) for real, (_, stack) in zip(reals, checked)}) > 1:
         raise ValueError("lanes: the steps of one round need one subset size and one BS array")
-
     solving = [i for i, phases_i in enumerate(phases) if not isinstance(phases_i, PhaseConfig)]
-    solves = dict(zip(solving, optimize_phases(
+    solved = iter(optimize_phases(
         [reals[i] for i in solving], [checked[i][1] for i in solving],
-        [p_bars[i] for i in solving]))) if solving else {}
+        [p_bars[i] for i in solving]) if solving else ())
+    return p_bars, checked, [None if isinstance(phases_i, PhaseConfig) else next(solved)
+                             for phases_i in phases]
+
+
+def evaluate_allocation(reals: list, steps: list, p_bar, phases: list) -> Round:
+    """Phase + order optimization and the SE bound for one round of lanes (``check_round``).
+
+    A lane's power keys its solves and goes into its allocations.  Its
+    phases are "continuous" or "binary", solved per subset, or one
+    PhaseConfig that every subset uses, such as the random phases of the
+    RIS.  For binary, the solved theta is discretized, then refined by
+    element-wise +-1 sweeps on the returned G (``phase_opt.refine_elementwise``).
+    A key that two lanes miss is solved once, so lanes on one realization
+    read the same stored solves as one call per lane in list order would.
+    The effective channels come from one batched product per lane, and one
+    call of ``thp.order_users`` runs the rank test, the QR, the inverse and
+    the ordering for the joined stack of every lane, which orders each
+    matrix as if alone; the bounds come from one vector step.  The rank
+    rule is the only gate: a subset with dependent rows, as any of more
+    users than BS antennas, is infeasible, and the others, if any, are
+    ordered again without it.
+    """
+    p_bars, checked, solves = check_round(reals, steps, p_bar, phases)
     thetas, channels = [], []
-    for i, (real, (_, stack), phases_i) in enumerate(zip(reals, checked, phases)):
-        lane_thetas, theta_rows = _step_phases(stack, phases_i, solves.get(i))
+    for real, (_, stack), phases_i, lane_solves in zip(reals, checked, phases, solves):
+        lane_thetas, theta_rows = _step_phases(stack, phases_i, lane_solves)
         thetas.append(lane_thetas)
         channels.append(gram_mod.effective_channel(real, stack, theta_rows))
     h_eff = np.concatenate(channels)
@@ -275,17 +283,17 @@ def evaluate_allocation(reals: list, steps: list, p_bar, phases: list) -> Round:
                  for (lane_subsets, _), lane_thetas, p_bar_i in zip(checked, thetas, p_bars))
 
 
-def _greedy(reals: list, p_bars: list, phases: list, evaluate, score) -> list:
+def _greedy(reals: list, p_bar, phases: list, evaluate, score) -> list:
     """Greedy allocation in lockstep lanes: add users one by one while the score rises.
 
-    A lane is one greedy run, on ``reals[i]`` at power ``p_bars[i]`` and
-    ``phases[i]``; the result holds each lane's kept solution, in lane
-    order.  Each round, ``evaluate(reals, steps, p_bars, phases)``, given
-    the active lanes in lane order, solves one step per lane, all of one
-    size, and returns each lane's solutions in order; ``score`` maps a
-    solution to a float.  A lane's ``phases`` goes to every step as it is,
-    so a PhaseConfig (random phases, drawn once by the caller) is shared by
-    every candidate subset.
+    A lane is one greedy run, on ``reals[i]`` at its power (``_lane_powers``
+    of ``p_bar``, checked first) and ``phases[i]``; the result holds each
+    lane's kept solution, in lane order.  Each round, ``evaluate(reals,
+    steps, p_bars, phases)``, given the active lanes in lane order, solves
+    one step per lane, all of one size, and returns each lane's solutions in
+    order; ``score`` maps a solution to a float.  A lane's ``phases`` goes
+    to every step as it is, so a PhaseConfig (random phases, drawn once by
+    the caller) is shared by every candidate subset.
     Each step is handed over as one (c, K) integer array, one subset per
     row, so ``check_step`` checks it by one vector test, not entry by
     entry.  A lane starts from the single user with the largest score.  Each
@@ -293,6 +301,7 @@ def _greedy(reals: list, p_bars: list, phases: list, evaluate, score) -> list:
     maximum of the score, and the lane stops when that does not raise the
     score or when min(K, N_B) users are allocated.
     """
+    p_bars = _lane_powers(p_bar, len(reals))
     if len(phases) != len(reals):
         raise ValueError(f"lanes: {len(reals)} realizations and {len(phases)} phases")
 
@@ -324,5 +333,4 @@ def greedy_allocate(reals: list, p_bar, phases: list) -> list:
     lane is phased), is a lane; the lanes run in lockstep (``_greedy``), one
     ``evaluate_allocation`` call per round.
     """
-    return _greedy(reals, _lane_powers(p_bar, len(reals)), phases, evaluate_allocation,
-                   lambda a: a.se_bound)
+    return _greedy(reals, p_bar, phases, evaluate_allocation, lambda a: a.se_bound)

@@ -173,42 +173,42 @@ def _sweep_phases_linear(dec: gram_mod.GramDecomposition, theta: PhaseConfig,
     return PhaseConfig(theta_vec, alphabet=theta.alphabet)
 
 
-def evaluate_allocation_linear(real, subsets, p_bar: float, phases: str | PhaseConfig) -> list:
-    """ZF solutions for the user subsets of one step, at P = p_bar * K.
+def evaluate_allocation_linear(reals: list, steps: list, p_bar, phases: list) -> alloc.Round:
+    """ZF solutions for one round of lanes, one list per lane, each lane at P = p_bar * K.
 
-    ``phases`` is as for one lane of ``alloc.evaluate_allocation`` (``alloc.check_phases``).
-    For "continuous" and "binary", ``alloc.optimize_phases`` on this one lane gives
-    each subset its continuous phases and its stored decomposition (C, D and
-    eig), read by the sweep and the score; the sweep starts from those
-    phases (discretized for binary).  A PhaseConfig skips the solve and the
-    sweep, and is scored on the rows of one ``gram.decompose`` of the step's
-    stack.  A subset with more users than BS antennas is infeasible, as in
-    ``alloc.evaluate_allocation``.  Raises ValueError unless 0 < P < inf.
+    The lanes are those of ``alloc.evaluate_allocation``, checked and solved
+    by ``alloc.check_round``.  For "continuous" and "binary", the round's one
+    ``alloc.optimize_phases`` call gives each subset its continuous phases
+    and its stored decomposition (C, D and eig), read by the sweep and the
+    score; the sweep starts from those phases (discretized for binary).  A
+    PhaseConfig skips the solve and the sweep, and is scored on the rows of
+    one ``gram.decompose`` of the lane's stack.  A subset with more users
+    than BS antennas is infeasible, as in ``alloc.evaluate_allocation``.
+    Raises ValueError unless every lane has 0 < P < inf, before any is phased.
     """
-    tx_power = p_bar * real.n_users
-    if not 0 < tx_power < np.inf:  # NaN fails
-        raise ValueError(f"tx_power must be positive and finite, got {tx_power!r}")
-    alloc.check_phases(real, phases)
-    subsets, stack = alloc.check_step(real, subsets)
-    if isinstance(phases, PhaseConfig):
-        dec = gram_mod.decompose(real, stack)
-        return [zf_linear(dec.take(i), phases, tx_power) for i in range(len(subsets))]
-    solutions = []
-    for theta, _, dec in alloc.optimize_phases([real], [stack], [p_bar])[0]:
-        if phases == "binary":
-            theta = phase_opt.discretize_binary(theta)
-        solutions.append(zf_linear(dec, _sweep_phases_linear(dec, theta, tx_power), tx_power))
-    return solutions
+    for real, p_bar_i in zip(reals, alloc._lane_powers(p_bar, len(reals))):
+        if p_bar_i * real.n_users == np.inf:  # p_bar_i is positive and finite
+            raise ValueError(f"tx_power must be positive and finite, got {p_bar_i * real.n_users}")
+    p_bars, checked, solves = alloc.check_round(reals, steps, p_bar, phases)
+    lanes = alloc.Round()
+    for real, (_, stack), p_bar_i, phases_i, lane_solves in zip(
+            reals, checked, p_bars, phases, solves):
+        tx_power = p_bar_i * real.n_users
+        if lane_solves is None:
+            dec = gram_mod.decompose(real, stack)
+            lanes.append([zf_linear(dec.take(i), phases_i, tx_power) for i in range(len(stack))])
+            continue
+        seeds = [(phase_opt.discretize_binary(theta) if phases_i == "binary" else theta, dec)
+                 for theta, _, dec in lane_solves]
+        lanes.append([zf_linear(dec, _sweep_phases_linear(dec, seed, tx_power), tx_power)
+                      for seed, dec in seeds])
+    return lanes
 
 
-def greedy_allocate_linear(real, p_bar: float, phases: str | PhaseConfig) -> LinearSolution:
-    """Greedy user allocation with the ZF sum SE as the metric, at ``phases``.
+def greedy_allocate_linear(reals: list, p_bar, phases: list) -> list:
+    """Greedy user allocations with the ZF sum SE as the metric, one per lane.
 
-    The one lane of ``alloc._greedy``, whose steps ``evaluate_allocation_linear`` solves.
+    The lanes are those of ``alloc.greedy_allocate``, run in lockstep by
+    ``alloc._greedy``, one ``evaluate_allocation_linear`` call per round.
     """
-    def evaluate(reals, steps, p_bars, lane_phases):
-        return [evaluate_allocation_linear(real_i, step, p_bar_i, phases_i)
-                for real_i, step, p_bar_i, phases_i in zip(reals, steps, p_bars, lane_phases)]
-
-    best, = alloc._greedy([real], [p_bar], [phases], evaluate, lambda s: s.sum_se)
-    return best
+    return alloc._greedy(reals, p_bar, phases, evaluate_allocation_linear, lambda s: s.sum_se)

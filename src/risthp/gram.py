@@ -58,7 +58,7 @@ class GramDecomposition:
         """
         p_bar = np.asarray(p_bar, dtype=float)
         if p_bar.ndim and p_bar.shape != self.c_mat.shape[:-2]:
-            raise ValueError(f"{p_bar.size} powers p_bar for {len(self.users)} subsets")
+            raise ValueError(f"{p_bar.size} powers p_bar for {self.c_mat[..., 0, 0].size} subsets")
         bad = p_bar[~(p_bar > 0)]
         if bad.size:
             raise ValueError(f"p_bar must be positive, got {bad[0].item()!r}")
@@ -93,10 +93,11 @@ def check_users(real, users):
     are integers).  A repeated user passes; its subset is rank deficient.
     A stack of subsets is a 2-D integer array (c, K), checked by one vector
     test and returned as it is; a bool, float or complex array fails at its
-    first entry, and a non-numeric one (object, str, ...) names its dtype.
+    first entry, and an empty one, or a non-numeric one (object, str, ...)
+    of any size, names its dtype.
     """
     if isinstance(users, np.ndarray) and users.ndim == 2:
-        if users.dtype.kind not in "biufc":
+        if users.dtype.kind not in "iu" and not (users.size and users.dtype.kind in "bfc"):
             raise ValueError(f"user index array has dtype {users.dtype}, not an integer dtype")
         bad = (users[(users < 0) | (users >= real.n_users)]
                if users.dtype.kind in "iu" else users.ravel())

@@ -168,14 +168,19 @@ def _thp(reals, p_bar, phases):
             for a in alloc.greedy_allocate(reals, p_bar, phases)]
 
 
-def _dpc(real, p_bar, phases):
-    (theta, _, dec), = alloc.optimize_phases([real], [np.arange(real.n_users)[None]], [p_bar])[0]
-    return real.n_users, gram_mod.dpc_sum_se(dec, gram_mod.extend_theta(theta.theta), p_bar)
+def _dpc(reals, p_bar, phases):
+    """The DPC rate of each lane at its continuous phases, by one phase solve of all lanes."""
+    p_bars = alloc._lane_powers(p_bar, len(reals))
+    solves = alloc.optimize_phases(reals, [np.arange(real.n_users)[None] for real in reals],
+                                   p_bars)
+    return [(real.n_users, gram_mod.dpc_sum_se(dec, gram_mod.extend_theta(theta.theta), p_bar_i))
+            for real, ((theta, _, dec),), p_bar_i in zip(reals, solves, p_bars)]
 
 
-def _linear_zf(real, p_bar, phases):
-    sol = baseline.greedy_allocate_linear(real, p_bar, phases)
-    return len(sol.users), sol.sum_se
+def _linear_zf(reals, p_bar, phases):
+    """Linear ZF on lanes, run by one lockstep greedy."""
+    return [(len(sol.users), sol.sum_se)
+            for sol in baseline.greedy_allocate_linear(reals, p_bar, phases)]
 
 
 # method -> (family, phases).  The order is part of the results: sim.run
@@ -216,9 +221,9 @@ def run_methods(methods, real, p_bar: float, rngs) -> list:
     """Run methods of one family on one realization; one (n_allocated, sum_se_bits) each.
 
     ``rngs[i]`` draws method i's phases, once, for every subset it tries,
-    when they are random.  THP methods run as the lanes of one lockstep
-    greedy (``alloc.greedy_allocate``), in the order given; the others run
-    one after another.
+    when they are random.  The methods are the lanes of one call of their
+    family, in the order given: one lockstep greedy for THP and for linear
+    ZF, one phase solve for ``dpc_rate``.
     """
     if not methods:
         raise ValueError("methods: no methods to run")
@@ -228,11 +233,9 @@ def run_methods(methods, real, p_bar: float, rngs) -> list:
     families = {_METHOD_TABLE[method][0] for method in methods}
     if len(families) != 1:
         raise ValueError(f"methods: {list(methods)} are not of one family")
-    reals, phases = _lanes(methods, real, rngs)
     family, = families
-    if family is _thp:
-        return _thp(reals, p_bar, phases)
-    return [family(real_i, p_bar, phases_i) for real_i, phases_i in zip(reals, phases)]
+    reals, phases = _lanes(methods, real, rngs)
+    return family(reals, p_bar, phases)
 
 
 def run(config: RunConfig) -> list:
@@ -241,60 +244,46 @@ def run(config: RunConfig) -> list:
     Trial by trial, each sweep point draws its realization from its own
     (seed, sweep index, trial) stream.  The methods of a (sweep point,
     trial) cell share its realization, and so its continuous phase solves.
-    A cell's methods other than THP run alone, in ``sorted(methods)``
-    order, as the realization is drawn; all of them sort before the THP
-    methods.  Then the THP methods of every cell of the trial run together,
-    as the lanes of one lockstep greedy (``alloc.greedy_allocate``), each
-    at its own sweep point's power.  A method's ``wall_time_ms`` is the
-    time of its own run, or, for THP, an equal share of the time of the
-    trial's THP lanes across every sweep point, so the cost of one sweep
-    point does not show for THP; either excludes the solves a method before
-    it already made.
+    Then each family of methods (``dpc_rate``, linear ZF, THP) runs once
+    per trial, in ``sorted(methods)`` order: one call of the family takes
+    its methods at every sweep point of the trial as lanes, each at its own
+    sweep point's power.  A record's ``wall_time_ms`` is an equal share of
+    its family's time in the trial, the lanes' set-up (method streams and
+    random phases) included, so the cost of one sweep point or method does
+    not show; it excludes the solves an earlier family already made.
     """
     records = []
     sweep_points = (list(config.sweep_values)
                     if config.sweep_name != "none" else [0.0])
-    methods = sorted(config.methods)
-    thp = [method for method in methods if _METHOD_TABLE[method][0] is _thp]
-    others = [method for method in methods if method not in thp]
+    families = {}  # family -> its methods, sorted
+    for method in sorted(config.methods):
+        families.setdefault(_METHOD_TABLE[method][0], []).append(method)
 
-    def record(trial, method, sweep_value, result, elapsed_ms):
-        n_alloc, sum_se = result
-        records.append(ResultRecord(
-            trial=trial, method=method, sweep_name=config.sweep_name,
-            sweep_value=float(sweep_value), n_allocated=n_alloc,
-            sum_se_bits=sum_se, wall_time_ms=elapsed_ms))
+    def stream(scenario, *key):
+        return np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=key))
 
     for trial in range(config.trials):
-        # the trial's THP lanes: realization, power, phases and (sweep value, method)
-        reals, p_bars, phases, cells = [], [], [], []
-        thp_s = 0.0
+        cells = []  # each sweep point's (index, value, scenario, realization)
         for sweep_idx, sweep_value in enumerate(sweep_points):
             scenario = _scenario_at(config.scenario, config.sweep_name, sweep_value)
-            p_bar = scenario.tx_power / scenario.n_users
-            ss = np.random.SeedSequence(
-                entropy=scenario.seed, spawn_key=(sweep_idx, trial))
-            real = draw_realization(scenario, np.random.default_rng(ss))
-            rngs = {method: np.random.default_rng(np.random.SeedSequence(
-                entropy=scenario.seed, spawn_key=(sweep_idx, trial, METHODS.index(method))))
-                for method in methods}
-            for method in others:
-                start = time.perf_counter()
-                result, = run_methods([method], real, p_bar, [rngs[method]])
-                record(trial, method, sweep_value, result, (time.perf_counter() - start) * 1e3)
+            cells.append((sweep_idx, sweep_value, scenario,
+                          draw_realization(scenario, stream(scenario, sweep_idx, trial))))
+        for family, methods in families.items():
             start = time.perf_counter()
-            lane_reals, lane_phases = _lanes(thp, real, [rngs[method] for method in thp])
-            thp_s += time.perf_counter() - start
-            reals += lane_reals
-            phases += lane_phases
-            p_bars += [p_bar] * len(thp)
-            cells += [(sweep_value, method) for method in thp]
-        if thp:
-            start = time.perf_counter()
-            results = _thp(reals, p_bars, phases)
-            share_ms = (thp_s + time.perf_counter() - start) * 1e3 / len(cells)
-            for (sweep_value, method), result in zip(cells, results):
-                record(trial, method, sweep_value, result, share_ms)
+            # the family's lanes: realization, power, phases and (sweep value, method)
+            reals, p_bars, phases, keys = [], [], [], []
+            for sweep_idx, sweep_value, scenario, real in cells:
+                rngs = [stream(scenario, sweep_idx, trial, METHODS.index(m)) for m in methods]
+                lane_reals, lane_phases = _lanes(methods, real, rngs)
+                reals += lane_reals
+                phases += lane_phases
+                p_bars += [scenario.tx_power / scenario.n_users] * len(methods)
+                keys += [(sweep_value, method) for method in methods]
+            results = family(reals, p_bars, phases)
+            share_ms = (time.perf_counter() - start) * 1e3 / len(keys)
+            records += [ResultRecord(trial, method, config.sweep_name, float(sweep_value),
+                                     n_alloc, sum_se, share_ms)
+                        for (sweep_value, method), (n_alloc, sum_se) in zip(keys, results)]
     records.sort(key=lambda r: (r.sweep_value, r.trial, r.method))
     return records
 
@@ -395,7 +384,7 @@ def _validate_checks():
         sv = np.linalg.svd(gram_mod.effective_channel(real, [0, 1], ones.theta), compute_uv=False)
         ratios.append(f"{sv[-1] / sv[0]:.2e}")
         verdicts += [alloc.evaluate_allocation([real], [[[0, 1]]], 1.0, [ones]).feasible,
-                     baseline.evaluate_allocation_linear(real, [[0, 1]], 1.0, ones)[0].feasible]
+                     baseline.evaluate_allocation_linear([real], [[[0, 1]]], 1.0, [ones]).feasible]
     checks.append((f"THP and linear ZF reject sigma ratio {ratios[0]} and accept {ratios[1]}",
                    verdicts == [False, False, True, True]))
 

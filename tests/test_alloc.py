@@ -12,11 +12,6 @@ from risthp.channel import ScenarioConfig, draw_realization
 from conftest import edited, random_realization
 
 
-def _evaluate_thp(real, subsets, p_bar, phases):
-    """``A.evaluate_allocation`` on one lane, in the form of ``B.evaluate_allocation_linear``."""
-    return A.evaluate_allocation([real], [subsets], p_bar, [phases])[0]
-
-
 def _copy_user(dst, src):
     """An ``edited`` edit: the users ``dst`` take the direct and cascaded rows of user ``src``."""
     def edit(h_d, h_c, b):
@@ -87,7 +82,7 @@ class TestEvaluateAllocation:
         for phases in ("continuous", "binary",
                        P.random_phases(real.n_ris, np.random.default_rng(4))):
             step = A.evaluate_allocation([real], [subsets], 1.0, [phases])[0]
-            linear = B.evaluate_allocation_linear(real, subsets, 1.0, phases)
+            linear = B.evaluate_allocation_linear([real], [subsets], 1.0, [phases])[0]
             assert [a.users for a in step] == subsets
             assert all(isinstance(a, A.Allocation) and a.se_bound == -np.inf
                        and a.se_exact == 0.0 and a.order.size == 0 for a in step)
@@ -426,7 +421,7 @@ class TestUserIndices:
         with pytest.raises(ValueError, match=named):
             A.evaluate_allocation([real], [_step([[0, bad]], as_array)], 2.0, [phases])
         with pytest.raises(ValueError, match=named):
-            B.evaluate_allocation_linear(real, _step([[0, bad]], as_array), 2.0, phases)
+            B.evaluate_allocation_linear([real], [_step([[0, bad]], as_array)], 2.0, [phases])
         assert real.solves == {}
 
     @BAD_ENTRIES
@@ -435,16 +430,16 @@ class TestUserIndices:
         real = random_realization(rng, k=6, n_bs=6)
         named = re.escape(f"user index {np.int64(bad) if as_array else bad!r} ")
         with pytest.raises(ValueError, match=named):
-            B.evaluate_allocation_linear(real, _step([[0, 1], [0, bad]], as_array), 2.0,
-                                         "continuous")
+            B.evaluate_allocation_linear([real], [_step([[0, 1], [0, bad]], as_array)], 2.0,
+                                         ["continuous"])
         assert real.solves == {}
 
-    @pytest.mark.parametrize("evaluate", [_evaluate_thp, B.evaluate_allocation_linear],
+    @pytest.mark.parametrize("evaluate", [A.evaluate_allocation, B.evaluate_allocation_linear],
                              ids=["thp", "linear"])
     def test_step_of_one_size(self, rng, evaluate):
         real = random_realization(rng, k=6, n_bs=6)
         with pytest.raises(ValueError, match="same size"):
-            evaluate(real, [[0, 1], [0, 1, 2]], 2.0, "continuous")
+            evaluate([real], [[[0, 1], [0, 1, 2]]], 2.0, ["continuous"])
         assert real.solves == {}
 
     @pytest.mark.parametrize("step, message", [
@@ -453,24 +448,26 @@ class TestUserIndices:
         ([[], []], "user subset must be nonempty"),
         (np.zeros((2, 0), dtype=int), "user subset must be nonempty")],
         ids=["no_subsets", "no_subsets_array", "empty_subsets", "empty_subsets_array"])
-    @pytest.mark.parametrize("evaluate", [_evaluate_thp, B.evaluate_allocation_linear],
+    @pytest.mark.parametrize("evaluate", [A.evaluate_allocation, B.evaluate_allocation_linear],
                              ids=["thp", "linear"])
     def test_empty_step_rejected(self, rng, evaluate, step, message):
         # a (0, K) or (c, 0) array gets the message of the list form
         real = random_realization(rng, k=6, n_bs=6)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            evaluate(real, step, 2.0, "continuous")
+            evaluate([real], [step], 2.0, ["continuous"])
         assert real.solves == {}
 
     @pytest.mark.parametrize("bad, named", [
         (np.array([[0.0, 1.0]]), "user index np.float64(0.0) "),
         (np.array([[False, True]]), "user index np.False_ "),
-        (np.array([[0, 1]], dtype=object), "user index array has dtype object")],
-        ids=["float", "bool", "object"])
+        (np.array([[0, 1]], dtype=object), "user index array has dtype object"),
+        (np.zeros((0, 2)), "user index array has dtype float64")],
+        ids=["float", "bool", "object", "empty_float"])
     def test_stack_checked_before_table_read(self, rng, bad, named):
         # as keys these stacks equal (0, 1), already in the table: the check
         # in optimize_phases keeps them from reading it; an object array
-        # names its dtype, not an entry that is a valid index
+        # names its dtype, not an entry that is a valid index, and so does
+        # an empty float array, which has no entry to name
         real = random_realization(rng, k=3, n_bs=4)
         A.optimize_phases([real], [np.array([[0, 1]])], [2.0])
         keys = list(real.solves)
@@ -490,7 +487,7 @@ class TestUserIndices:
             real = random_realization(np.random.default_rng(11), k=3, n_bs=4)
             solved.append((
                 A.evaluate_allocation([real], [form], 2.0, [phases])[0],
-                B.evaluate_allocation_linear(real, form, 2.0, phases)))
+                B.evaluate_allocation_linear([real], [form], 2.0, [phases])[0]))
         (thp_list, lin_list), (thp_array, lin_array) = solved
         for got, want in itertools.chain(zip(thp_array, thp_list), zip(lin_array, lin_list)):
             assert got.users == want.users
@@ -510,13 +507,15 @@ class TestUserIndices:
         numpy = A.evaluate_allocation([real], [[np.array([0, 2])]], 2.0, ["continuous"])[0][0]
         assert numpy.se_bound == plain.se_bound
         assert len(real.solves) == 1
-        linear, = B.evaluate_allocation_linear(real, [np.array([0, 2])], 2.0, "continuous")
+        (linear,), = B.evaluate_allocation_linear([real], [[np.array([0, 2])]], 2.0,
+                                                  ["continuous"])
         assert linear.feasible
 
     def test_duplicate_user_infeasible(self, rng):
         real = random_realization(rng, k=3, n_bs=4)
         assert not A.evaluate_allocation([real], [[[1, 1]]], 2.0, ["continuous"])[0][0].feasible
-        assert not B.evaluate_allocation_linear(real, [[1, 1]], 2.0, "continuous")[0].feasible
+        assert not B.evaluate_allocation_linear([real], [[[1, 1]]], 2.0,
+                                                ["continuous"])[0][0].feasible
 
 
 class TestPhases:
@@ -529,9 +528,10 @@ class TestPhases:
         ids=["random", "unknown", "wrong_length"])
     @pytest.mark.parametrize("call", [
         lambda real, phases: A.greedy_allocate([real], 2.0, [phases])[0],
-        lambda real, phases: B.greedy_allocate_linear(real, 2.0, phases),
+        lambda real, phases: B.greedy_allocate_linear([real], 2.0, [phases])[0],
         lambda real, phases: A.evaluate_allocation([real], [[[0, 1]]], 2.0, [phases])[0],
-        lambda real, phases: B.evaluate_allocation_linear(real, [[0, 1]], 2.0, phases)],
+        lambda real, phases: B.evaluate_allocation_linear([real], [[[0, 1]]], 2.0,
+                                                          [phases])[0]],
         ids=["greedy_allocate", "greedy_allocate_linear", "evaluate_allocation",
              "evaluate_allocation_linear"])
     def test_rejected(self, rng, call, phases, message):
@@ -541,6 +541,18 @@ class TestPhases:
         assert real.solves == {}
 
 
+# the four entry points on two lanes, at one power per lane
+LANE_CALLS = [
+    lambda reals, p_bars: A.greedy_allocate(reals, p_bars, ["continuous"] * 2),
+    lambda reals, p_bars: A.evaluate_allocation(reals, [[[0, 1]]] * 2, p_bars,
+                                                ["continuous"] * 2),
+    lambda reals, p_bars: B.greedy_allocate_linear(reals, p_bars, ["continuous"] * 2),
+    lambda reals, p_bars: B.evaluate_allocation_linear(reals, [[[0, 1]]] * 2, p_bars,
+                                                       ["continuous"] * 2)]
+LANE_IDS = ["greedy_allocate", "evaluate_allocation", "greedy_allocate_linear",
+            "evaluate_allocation_linear"]
+
+
 class TestPower:
     """The four entry points take 0 < p_bar < inf and check it before any lane is phased."""
 
@@ -548,11 +560,12 @@ class TestPower:
                              ids=["inf", "zero", "negative", "nan"])
     @pytest.mark.parametrize("call, message", [
         (lambda real, p_bar: A.greedy_allocate([real], p_bar, ["continuous"]), "p_bar"),
-        (lambda real, p_bar: B.greedy_allocate_linear(real, p_bar, "continuous"), "tx_power"),
+        (lambda real, p_bar: B.greedy_allocate_linear([real], p_bar, ["continuous"]), "p_bar"),
         (lambda real, p_bar: A.evaluate_allocation([real], [[[0, 1]]], p_bar, ["continuous"]),
          "p_bar"),
-        (lambda real, p_bar: B.evaluate_allocation_linear(real, [[0, 1]], p_bar, "continuous"),
-         "tx_power")],
+        (lambda real, p_bar: B.evaluate_allocation_linear([real], [[[0, 1]]], p_bar,
+                                                          ["continuous"]),
+         "p_bar")],
         ids=["greedy_allocate", "greedy_allocate_linear", "evaluate_allocation",
              "evaluate_allocation_linear"])
     def test_rejected(self, rng, call, message, p_bar):
@@ -563,13 +576,22 @@ class TestPower:
             call(real, p_bar)
         assert real.solves == {}
 
+    @pytest.mark.parametrize("call", [
+        lambda reals, p_bars: B.greedy_allocate_linear(reals, p_bars, ["continuous"] * 2),
+        lambda reals, p_bars: B.evaluate_allocation_linear(reals, [[[0, 1]]] * 2, p_bars,
+                                                           ["continuous"] * 2)],
+        ids=["greedy_allocate_linear", "evaluate_allocation_linear"])
+    def test_linear_power_overflow_rejected(self, rng, call):
+        # a finite p_bar whose P = p_bar * K overflows fails in the second
+        # lane, and the first lane is not phased either
+        reals = [random_realization(rng), random_realization(rng)]
+        with pytest.raises(ValueError, match="^tx_power must be positive and finite, got inf$"):
+            call(reals, [1.0, 1e308])
+        assert [real.solves for real in reals] == [{}, {}]
+
     @pytest.mark.parametrize("p_bar", [math.inf, 0.0, -1.0, math.nan],
                              ids=["inf", "zero", "negative", "nan"])
-    @pytest.mark.parametrize("call", [
-        lambda reals, p_bars: A.greedy_allocate(reals, p_bars, ["continuous"] * 2),
-        lambda reals, p_bars: A.evaluate_allocation(reals, [[[0, 1]]] * 2, p_bars,
-                                                    ["continuous"] * 2)],
-        ids=["greedy_allocate", "evaluate_allocation"])
+    @pytest.mark.parametrize("call", LANE_CALLS, ids=LANE_IDS)
     def test_one_lane_rejected(self, rng, call, p_bar):
         # the second lane's power fails, and the first lane is not phased either
         reals = [random_realization(rng), random_realization(rng)]
@@ -579,11 +601,7 @@ class TestPower:
 
     @pytest.mark.parametrize("p_bars", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]],
                              ids=["fewer", "more", "nested"])
-    @pytest.mark.parametrize("call", [
-        lambda reals, p_bars: A.greedy_allocate(reals, p_bars, ["continuous"] * 2),
-        lambda reals, p_bars: A.evaluate_allocation(reals, [[[0, 1]]] * 2, p_bars,
-                                                    ["continuous"] * 2)],
-        ids=["greedy_allocate", "evaluate_allocation"])
+    @pytest.mark.parametrize("call", LANE_CALLS, ids=LANE_IDS)
     def test_one_power_per_lane(self, rng, call, p_bars):
         reals = [random_realization(rng), random_realization(rng)]
         count = np.size(p_bars)
@@ -611,24 +629,21 @@ class TestPower:
 
 class TestGreedyAllocate:
     @pytest.mark.parametrize("module, name, greedy", [
-        (A, "evaluate_allocation", lambda real, p_bar, phases: A.greedy_allocate(
-            [real], p_bar, [phases])[0]),
+        (A, "evaluate_allocation", A.greedy_allocate),
         (B, "evaluate_allocation_linear", B.greedy_allocate_linear)], ids=["thp", "linear"])
     def test_steps_passed_as_integer_arrays(self, module, name, greedy, monkeypatch):
         # every step reaches the evaluator as one (c, K) integer array
         real = random_realization(np.random.default_rng(5), k=4, n_bs=4)
         evaluate, steps = getattr(module, name), []
 
-        def spy(real, subsets, *args, **kwargs):
-            if module is A:  # a round of lanes, here one lane's step
-                assert isinstance(real, list) and len(real) == len(subsets) == 1
-                steps.append(subsets[0])
-            else:
-                steps.append(subsets)
-            return evaluate(real, subsets, *args, **kwargs)
+        def spy(reals, subsets, *args, **kwargs):
+            # a round of lanes, here one lane's step
+            assert isinstance(reals, list) and len(reals) == len(subsets) == 1
+            steps.append(subsets[0])
+            return evaluate(reals, subsets, *args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
-        best = greedy(real, 100.0, "continuous")
+        best, = greedy([real], 100.0, ["continuous"])
         # one step per kept size, and one more that was not kept unless all 4 are in
         assert len(steps) == len(best.users) + (len(best.users) < 4)
         assert len(steps) >= 2

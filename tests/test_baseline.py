@@ -147,23 +147,23 @@ class TestEvaluateAllocationLinear:
         real = random_realization(rng)
         fixed = phase_opt.random_phases(real.n_ris, np.random.default_rng(7))
         with pytest.raises(TypeError):
-            B.evaluate_allocation_linear(real, [[0, 1]], 2.0, "bogus", fixed_theta=fixed)
-        sol, = B.evaluate_allocation_linear(real, [[0, 1]], 2.0, fixed)
+            B.evaluate_allocation_linear([real], [[[0, 1]]], 2.0, ["bogus"], fixed_theta=fixed)
+        sol, = B.evaluate_allocation_linear([real], [[[0, 1]]], 2.0, [fixed])[0]
         assert sol.theta is fixed
 
     def test_continuous_beats_mean_random(self, rng):
         real = random_realization(rng, k=2, n_bs=4, n_ris=8)
-        opt, = B.evaluate_allocation_linear(real, [[0, 1]], 2.0, "continuous")
+        opt, = B.evaluate_allocation_linear([real], [[[0, 1]]], 2.0, ["continuous"])[0]
         rnd = np.mean([
             B.evaluate_allocation_linear(
-                real, [[0, 1]], 2.0,
-                phase_opt.random_phases(real.n_ris, np.random.default_rng(i)))[0].sum_se
+                [real], [[[0, 1]]], 2.0,
+                [phase_opt.random_phases(real.n_ris, np.random.default_rng(i))])[0][0].sum_se
             for i in range(20)])
         assert opt.sum_se >= rnd
 
     def test_binary_alphabet(self, rng):
         real = random_realization(rng)
-        sol, = B.evaluate_allocation_linear(real, [[0, 1]], 2.0, "binary")
+        sol, = B.evaluate_allocation_linear([real], [[[0, 1]]], 2.0, ["binary"])[0]
         assert sol.theta.alphabet == "binary"
         assert np.all(np.isin(sol.theta.theta, [-1.0 + 0j, 1.0 + 0j]))
 
@@ -171,16 +171,16 @@ class TestEvaluateAllocationLinear:
         real = random_realization(rng)
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
         with pytest.raises(ValueError, match="nonempty"):
-            B.evaluate_allocation_linear(real, [[]], 2.0, theta)
+            B.evaluate_allocation_linear([real], [[[]]], 2.0, [theta])
 
     @pytest.mark.parametrize("phase_mode", ["continuous", "binary"])
     def test_step_matches_single_subsets(self, rng, phase_mode):
         real = random_realization(rng, k=5, n_bs=4)
         subsets = [[2, 0, u] for u in (1, 3, 4)]
-        step = B.evaluate_allocation_linear(real, subsets, 3.0, phase_mode)
+        step = B.evaluate_allocation_linear([real], [subsets], 3.0, [phase_mode])[0]
         for users, sol in zip(subsets, step):
-            alone, = B.evaluate_allocation_linear(dataclasses.replace(real), [users], 3.0,
-                                                  phase_mode)
+            alone, = B.evaluate_allocation_linear([dataclasses.replace(real)], [[users]], 3.0,
+                                                  [phase_mode])[0]
             assert sol.users == alone.users == users
             np.testing.assert_array_equal(sol.theta.theta, alone.theta.theta)
             np.testing.assert_array_equal(sol.per_user_se, alone.per_user_se)
@@ -188,7 +188,7 @@ class TestEvaluateAllocationLinear:
     def test_more_users_than_antennas_infeasible(self, rng):
         # linear ZF scores |S| > N_B as infeasible, and so does THP
         real = random_realization(rng, k=5, n_bs=3)
-        step = B.evaluate_allocation_linear(real, [[0, 1, 2, 3]], 2.0, "continuous")
+        step = B.evaluate_allocation_linear([real], [[[0, 1, 2, 3]]], 2.0, ["continuous"])[0]
         assert not step[0].feasible and step[0].sum_se == 0.0
         thp_step = alloc.evaluate_allocation([real], [[[0, 1, 2, 3]]], 2.0, ["continuous"])[0]
         assert not thp_step[0].feasible and thp_step[0].se_exact == 0.0
@@ -196,7 +196,7 @@ class TestEvaluateAllocationLinear:
     def test_fixed_theta_bypasses_optimization(self, rng):
         real = random_realization(rng)
         theta = PhaseConfig(random_unit_theta(rng, real.n_ris))
-        sol, = B.evaluate_allocation_linear(real, [[0, 2]], 2.0, theta)
+        sol, = B.evaluate_allocation_linear([real], [[[0, 2]]], 2.0, [theta])[0]
         np.testing.assert_array_equal(sol.theta.theta, theta.theta)
 
 
@@ -218,7 +218,7 @@ class TestEvaluateAllocationLinear:
         monkeypatch.setattr(G, "decompose", counted)
         for solved in (False, True):
             calls.clear()
-            sol, = B.evaluate_allocation_linear(real, [[0, 2]], 2.0, phases)
+            sol, = B.evaluate_allocation_linear([real], [[[0, 2]]], 2.0, [phases])[0]
             assert calls == ([] if solved and phase_mode != "random" else [(1, 2)])
             want, _ = _oracle_se(real, [0, 2], sol.theta.theta, 2.0 * real.n_users)
             np.testing.assert_allclose(sol.per_user_se, want, rtol=1e-10)
@@ -227,45 +227,45 @@ class TestEvaluateAllocationLinear:
 class TestGreedyAllocateLinear:
     def test_identity_allocates_all(self):
         real = _no_ris_realization(10.0 * np.eye(3))
-        sol = B.greedy_allocate_linear(real, 5.0, "continuous")
+        sol, = B.greedy_allocate_linear([real], 5.0, ["continuous"])
         assert sorted(sol.users) == [0, 1, 2]
 
     def test_unknown_phase_mode_rejected(self, rng):
         real = random_realization(rng, k=3, n_bs=4)
         with pytest.raises(ValueError, match="phase mode"):
-            B.greedy_allocate_linear(real, 10.0, "bogus")
+            B.greedy_allocate_linear([real], 10.0, ["bogus"])
 
     def test_duplicate_user_dropped(self, rng):
         real = _colinear(random_realization(rng, k=3, n_bs=4), dst=2, src=1)
-        sol = B.greedy_allocate_linear(real, 10.0, "continuous")
+        sol, = B.greedy_allocate_linear([real], 10.0, ["continuous"])
         assert not (1 in sol.users and 2 in sol.users)
 
     def test_size_capped_by_antennas(self, rng):
         real = random_realization(rng, k=5, n_bs=3)
-        sol = B.greedy_allocate_linear(real, 100.0, "continuous")
+        sol, = B.greedy_allocate_linear([real], 100.0, ["continuous"])
         assert len(sol.users) <= 3
 
     def test_random_mode_needs_rng(self, rng):
         # the rng goes to phase_opt.random_phases; the allocator takes none
         real = random_realization(rng)
         with pytest.raises(TypeError):
-            B.greedy_allocate_linear(real, 5.0, "continuous", np.random.default_rng(3))
+            B.greedy_allocate_linear([real], 5.0, ["continuous"], np.random.default_rng(3))
 
     @pytest.mark.parametrize("p_bar", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
     def test_random_mode_nonpositive_power_rejected(self, p_bar):
         # random phases skip the phase solve, whose factor checks the power,
-        # so zf_linear checks it itself
+        # so the round's lane check checks it itself
         real = draw_realization(ScenarioConfig(seed=1, n_ris=8), np.random.default_rng(1))
-        with pytest.raises(ValueError, match="tx_power must be positive"):
+        with pytest.raises(ValueError, match="p_bar must be positive"):
             B.greedy_allocate_linear(
-                real, p_bar, phase_opt.random_phases(real.n_ris, np.random.default_rng(2)))
+                [real], p_bar, [phase_opt.random_phases(real.n_ris, np.random.default_rng(2))])
 
     def test_deterministic_random_mode(self, rng):
         real = random_realization(rng)
-        s1 = B.greedy_allocate_linear(
-            real, 5.0, phase_opt.random_phases(real.n_ris, np.random.default_rng(11)))
-        s2 = B.greedy_allocate_linear(
-            real, 5.0, phase_opt.random_phases(real.n_ris, np.random.default_rng(11)))
+        s1, = B.greedy_allocate_linear(
+            [real], 5.0, [phase_opt.random_phases(real.n_ris, np.random.default_rng(11))])
+        s2, = B.greedy_allocate_linear(
+            [real], 5.0, [phase_opt.random_phases(real.n_ris, np.random.default_rng(11))])
         assert s1.users == s2.users
         assert s1.sum_se == s2.sum_se
 
@@ -287,7 +287,7 @@ class TestGreedyAllocateLinear:
 
         monkeypatch.setattr(alloc, "optimize_phases", counted)
         monkeypatch.setattr(phase_opt, "refine_elementwise", refined)
-        sol = B.greedy_allocate_linear(real, 10.0, "continuous")
+        sol, = B.greedy_allocate_linear([real], 10.0, ["continuous"])
         # the first step holds every single user, each later one the rest
         assert steps[0] == [1, 4]
         assert steps[1:] == [[k + 1, 4 - k] for k in range(1, len(steps))]
@@ -295,7 +295,7 @@ class TestGreedyAllocateLinear:
 
     def test_nonnegative_sum_se(self, rng):
         real = random_realization(rng)
-        sol = B.greedy_allocate_linear(real, 1e-6, "continuous")
+        sol, = B.greedy_allocate_linear([real], 1e-6, ["continuous"])
         assert sol.sum_se >= 0.0
 
     @pytest.mark.parametrize("phase_mode", ["continuous", "binary", "random"])
@@ -310,7 +310,7 @@ class TestGreedyAllocateLinear:
         monkeypatch.setattr(np.linalg, "svd", forbidden)
         phases = (phase_opt.random_phases(real.n_ris, np.random.default_rng(3))
                   if phase_mode == "random" else phase_mode)
-        sol = B.greedy_allocate_linear(real, 5.0, phases)
+        sol, = B.greedy_allocate_linear([real], 5.0, [phases])
         monkeypatch.undo()
         assert sol.feasible
         want, _ = _oracle_se(real, sol.users, sol.theta.theta, 5.0 * real.n_users)
@@ -619,7 +619,7 @@ class TestOneRankRule:
             assert np.all(thp.order_users(h)[1] > 0)
         # and so do the greedy steps of the two families
         thp_step = alloc.evaluate_allocation([real], [[[0, 1]]], 1.0, [theta])[0]
-        zf_step = B.evaluate_allocation_linear(real, [[0, 1]], 1.0, theta)
+        zf_step = B.evaluate_allocation_linear([real], [[[0, 1]]], 1.0, [theta])[0]
         assert thp_step[0].feasible == zf_step[0].feasible == (not dependent)
 
 

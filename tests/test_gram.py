@@ -110,12 +110,18 @@ class TestStackedDecompose:
     @pytest.mark.parametrize("bad", [np.array([[0, -1]]), np.array([[0, 4]]),
                                      np.array([[0.0, 1.0]]), np.array([[False, True]]),
                                      np.zeros((1, 0), dtype=int),
-                                     np.array([[0, 1]], dtype=object)],
-                             ids=["negative", "K", "float", "bool", "empty", "object"])
+                                     np.array([[0, 1]], dtype=object), np.zeros((0, 2))],
+                             ids=["negative", "K", "float", "bool", "empty", "object",
+                                  "empty_float"])
     def test_bad_index_arrays_rejected(self, rng, bad):
         real = random_realization(rng, k=4)
         with pytest.raises(ValueError, match="user index|nonempty"):
             G.decompose(real, bad)
+        # an empty float stack once passed check_users, and effective_channel
+        # then raised numpy's IndexError
+        if bad.size or bad.dtype.kind != "i":
+            with pytest.raises(ValueError, match="user index"):
+                G.effective_channel(real, bad, np.ones(real.n_ris))
 
 
 class TestEig:
@@ -184,6 +190,9 @@ class TestFactor:
         dec = G.decompose(random_realization(rng, k=4), np.array([[0, 1], [2, 3], [1, 3]]))
         with pytest.raises(ValueError, match="2 powers p_bar for 3 subsets"):
             dec.factor(np.array([1.0, 2.0]))
+        # a single subset is one subset, whatever its number of users
+        with pytest.raises(ValueError, match="^1 powers p_bar for 1 subsets$"):
+            G.decompose(random_realization(rng, k=4), [0, 1, 2]).factor([1.0])
 
 
 class TestEffectiveChannel:

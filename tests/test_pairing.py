@@ -9,6 +9,7 @@ run of all methods has to equal one run per method, record for record.
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def test_linear_step_reads_thp_solves(rng, monkeypatch, phase_mode):
     decompositions = _count_decompositions(monkeypatch)
     calls = []
     monkeypatch.setattr(P, "refine_elementwise", lambda *args: calls.append(args))
-    step = B.evaluate_allocation_linear(real, subsets, 3.0, phase_mode)
+    step = B.evaluate_allocation_linear([real], [subsets], 3.0, [phase_mode])[0]
     assert list(real.solves) == keys
     assert decompositions == []
     assert calls == []
@@ -199,6 +200,7 @@ def test_realization_is_immutable_from_construction():
 
 
 THP_FAMILY = ("thp", "thp_discrete", "thp_no_ris", "thp_random")
+LINEAR_FAMILY = ("linear_zf", "linear_zf_discrete", "linear_zf_random")
 
 
 @pytest.mark.parametrize("n_blocked, n_ris, tx_dbm, deficient",
@@ -297,25 +299,32 @@ def test_lanes_must_stack(rng):
     assert real.solves == {}
 
 
-def test_thp_wall_time_is_an_equal_share():
-    # every THP record of a trial, at every sweep point, holds one share of
-    # the trial's one THP group
+def test_wall_time_is_an_equal_share_per_family():
+    # every record of a trial, at every sweep point, holds one share of its
+    # family's one call in the trial; the shares add up to no more than the run
     config = dataclasses.replace(_config(S.METHODS, n_ris=16), trials=2)
+    start = time.perf_counter()
     records = S.run(config)
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    families = {method: S._METHOD_TABLE[method][0] for method in S.METHODS}
+    assert len(set(families.values())) == 3
     for trial in range(config.trials):
-        thp = [r for r in records if r.method in THP_FAMILY and r.trial == trial]
-        assert {r.sweep_value for r in thp} == {0.0, 50.0}
-        share, = {r.wall_time_ms for r in thp}  # one group, split equally
-        assert math.isfinite(share) and share >= 0.0
-    assert all(math.isfinite(r.wall_time_ms) and r.wall_time_ms >= 0.0 for r in records)
+        for family in set(families.values()):
+            group = [r for r in records if families[r.method] is family and r.trial == trial]
+            assert {r.sweep_value for r in group} == {0.0, 50.0}
+            share, = {r.wall_time_ms for r in group}  # one call, split equally
+            assert math.isfinite(share) and share >= 0.0
+    assert sum(r.wall_time_ms for r in records) <= elapsed_ms
 
 
 @pytest.mark.parametrize("sweep_name, sweep_values", [("n_ris", (16, 64)), ("tx_dbm", (0.0, 50.0))],
                          ids=["n_ris", "tx_dbm"])
 def test_trial_lanes_equal_cell_by_cell_runs(monkeypatch, sweep_name, sweep_values):
-    # sim.run runs a trial's THP methods at every sweep point as the lanes of
-    # one greedy, whose lanes here differ in N_R or in p_bar; each record is
-    # the one run_methods gives on its own cell's realization, group by group
+    # sim.run runs a trial's methods of one family at every sweep point as
+    # the lanes of one call: one greedy for THP and for linear ZF, one phase
+    # solve for dpc_rate, whose lanes here differ in N_R or in p_bar; each
+    # record is the one run_methods gives on its own cell's realization,
+    # group by group
     config = S.RunConfig(ScenarioConfig(seed=0), trials=2, methods=S.METHODS,
                          sweep_name=sweep_name, sweep_values=sweep_values)
     methods = sorted(S.METHODS)
@@ -336,18 +345,34 @@ def test_trial_lanes_equal_cell_by_cell_runs(monkeypatch, sweep_name, sweep_valu
                                                sum_se, 0.0))
     want.sort(key=lambda r: (r.sweep_value, r.trial, r.method))
 
-    greedy, lanes = A.greedy_allocate, []
+    lanes = {THP_FAMILY: [], LINEAR_FAMILY: [], ("dpc_rate",): []}
+    inside = []  # the greedy loops running
 
-    def counted(reals, p_bar, phases):
-        lanes.append(([real.n_ris for real in reals], list(p_bar)))
-        return greedy(reals, p_bar, phases)
+    def counted(greedy, family):
+        def greedy_spy(reals, p_bar, phases):
+            lanes[family].append(([real.n_ris for real in reals], list(p_bar)))
+            inside.append(family)
+            try:
+                return greedy(reals, p_bar, phases)
+            finally:
+                inside.pop()
+        return greedy_spy
 
-    monkeypatch.setattr(A, "greedy_allocate", counted)
+    def counted_optimize(reals, stacks, p_bars, _optimize=A.optimize_phases):
+        if not inside:  # a phase solve outside both greedy loops is dpc_rate's
+            lanes[("dpc_rate",)].append(([real.n_ris for real in reals], list(p_bars)))
+        return _optimize(reals, stacks, p_bars)
+
+    monkeypatch.setattr(A, "greedy_allocate", counted(A.greedy_allocate, THP_FAMILY))
+    monkeypatch.setattr(B, "greedy_allocate_linear",
+                        counted(B.greedy_allocate_linear, LINEAR_FAMILY))
+    monkeypatch.setattr(A, "optimize_phases", counted_optimize)
     assert _without_wall_time(S.run(config)) == want
-    assert len(lanes) == config.trials  # one greedy per trial
-    for n_ris, p_bars in lanes:
-        assert len(n_ris) == len(p_bars) == len(sweep_values) * len(THP_FAMILY)
-        assert len(set(n_ris if sweep_name == "n_ris" else p_bars)) == 2
+    for family, calls in lanes.items():
+        assert len(calls) == config.trials  # one call per family and trial
+        for n_ris, p_bars in calls:
+            assert len(n_ris) == len(p_bars) == len(sweep_values) * len(family)
+            assert len(set(n_ris if sweep_name == "n_ris" else p_bars)) == 2
 
 
 def test_run_methods_takes_one_family():

@@ -93,7 +93,7 @@ class TestRandomPhases:
         phases = P.random_phases(real.n_ris, drawn)
         assert rng.uniform() == drawn.uniform()  # the draw is the stream's only use
         if method == "linear_zf_random":
-            sol = B.greedy_allocate_linear(dataclasses.replace(real), p_bar, phases)
+            sol, = B.greedy_allocate_linear([dataclasses.replace(real)], p_bar, [phases])
             want = len(sol.users), sol.sum_se
         else:
             if method == "thp_no_ris":
